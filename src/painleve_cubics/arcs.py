@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from . import catalog
 from .certificates import Certificate, certify
-from .cubics import G_NAMES, X_NAMES, cubic, mon_mf
+from .cubics import G_NAMES, X_NAMES, cubic, cubic_form
 from .exprs import parse_expr, parse_poly
 from .poisson import PoissonStructure, casimir_kernel, is_casimir_product, solve_structure
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
+from .ring import LaurentPoly, Ring, RingError, as_expr
 
 Matrix = tuple  # 2x2 nested tuples of LaurentPoly
 
@@ -168,10 +168,6 @@ class LambdaCatalog:
     subset_of: "str | None" = None
 
 
-LAMBDA_TAGS = ("PV", "PVdeg", "PIV", "PIII_hat", "PIII_tilde",
-               "PIII_D7", "PIII_D8", "PII_JM", "PII_FN")
-
-
 @catalog.cached
 def lambda_catalog(tag: str) -> LambdaCatalog:
     data = catalog.load("lambdas")["catalogs"]
@@ -183,7 +179,7 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         names = tuple(entry["subset"])
         table = {(u, v): c for (u, v), c in parent.table.items()
                  if u in names and v in names}
-        lring = Ring(names, {n: "lambda" for n in names})
+        lring = Ring(names)
         structure = PoissonStructure(lring, {(u, v): c for (u, v), c in table.items()})
         return LambdaCatalog(
             tag=tag, shear_ring=parent.shear_ring,
@@ -201,7 +197,7 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
     table = {tuple(k.split(",")): Fraction(v) for k, v in table_src.items()}
     params = tuple(entry.get("params", ()))
     names = tuple(entry["entries"]) + params
-    lring = Ring(names, {n: "lambda" for n in entry["entries"]})
+    lring = Ring(names)
     structure = PoissonStructure(lring, {k: v for k, v in table.items()})
     stated = {tuple(k.split(",")): Fraction(v)
               for k, v in entry.get("stated_log_brackets", {}).items()}
@@ -307,14 +303,9 @@ def casimir_check(tag: str) -> Certificate:
                    residue=report.kernel_names())
 
 
-def _xexpr_ring(cat: LambdaCatalog) -> Ring:
-    return cat.lambda_ring
-
-
 def x_in_lambda(tag: str) -> dict:
     cat = lambda_catalog(tag)
-    ring = _xexpr_ring(cat)
-    return {n: parse_expr(s, ring) for n, s in cat.xexprs.items()}
+    return {n: parse_expr(s, cat.lambda_ring) for n, s in cat.xexprs.items()}
 
 
 def commutant_check(tag: str) -> Certificate:
@@ -341,10 +332,7 @@ def commutant_check(tag: str) -> Certificate:
             else:
                 img[gname] = as_expr(ring.zero())
         omega.append(w.substitute(img, ring=ring))
-    e1, e2, e3 = cubic(cat.tag).eps
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    phi = (x1 * x2 * x3 + e1 * x1 ** 2 + e2 * x2 ** 2 + e3 * x3 ** 2
-           + omega[0] * x1 + omega[1] * x2 + omega[2] * x3 + omega[3])
+    phi = cubic_form(tuple(xs[n] for n in X_NAMES), cubic(cat.tag).eps, omega)
     if not phi.is_zero():
         bad.append(("phi", cat.tag, "cubic not satisfied"))
     return certify(f"commutant-{tag}", "x-expressions: frozen commutation and cubic",
@@ -367,9 +355,7 @@ def pvi_from_pv_check() -> Certificate:
         elif gname in ring.index:
             img[gname] = as_expr(ring.gen(gname))
     omega = [w.substitute(img, ring=ring) for w in cubic("PVI").omega]
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    phi = (x1 * x2 * x3 + x1 ** 2 + x2 ** 2 + x3 ** 2
-           + omega[0] * x1 + omega[1] * x2 + omega[2] * x3 + omega[3])
+    phi = cubic_form(tuple(xs[n] for n in X_NAMES), cubic("PVI").eps, omega)
     # specialisation e = 1 collapses the extra parameter to the value 2
     deg = parse_expr(data["identifications"]["G3"], ring).substitute(
         {"e": ring.one()}).as_poly()

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all requested certificates pass, 1 at least one fails,
-2 unusable input (unknown verbs/tags, unreadable catalogs).
+2 unusable input (unknown verbs/tags, unreadable or malformed catalogs,
+a depth below 1).
 """
 
 from __future__ import annotations
@@ -9,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import arcs, catalog, cluster, confluence, cubics, shear, unfolding, verify
-from .certificates import Certificate
-from .ring import RingError, as_expr
+from .exprs import ExprSyntaxError
+from .ring import RingError
 
 
 def _emit_certs(certs: list, fmt: str) -> int:
@@ -296,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.depth is not None and args.depth < 1:
+        print(f"error: --depth must be at least 1, got {args.depth}", file=sys.stderr)
+        return 2
     if args.catalog:
         catalog.set_catalog_root(args.catalog)
     try:
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
     except catalog.CatalogError as exc:
         print(f"catalog error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, RingError) as exc:
+    except (KeyError, RingError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

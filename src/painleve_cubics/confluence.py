@@ -20,10 +20,9 @@ from fractions import Fraction
 
 from . import catalog
 from .certificates import Certificate, certify
-from .cubics import X_NAMES
 from .arcs import lambda_catalog
 from .exprs import parse_poly
-from .ring import LaurentPoly, Ring, RingError
+from .ring import Ring, RingError
 from .shear import SHEAR_NAMES, chart
 
 
@@ -54,7 +53,7 @@ def arrow(src: str, dst: str) -> Arrow:
 
 
 def eps_ring() -> Ring:
-    return Ring(SHEAR_NAMES + ("eps",), {"eps": "epsilon"})
+    return Ring(SHEAR_NAMES + ("eps",))
 
 
 def scaled_chart_coords(a: Arrow) -> list:
@@ -87,26 +86,6 @@ def confluent_limit(a: Arrow) -> Certificate:
                    f"{a.src} -> {a.dst}", not bad,
                    detail=f"{a.label}; leading degrees {degs}",
                    residue=bad[0] if bad else "")
-
-
-def degree_bound_check(a: Arrow) -> bool:
-    """min eps-degree of phi(x(eps)) >= a crude product bound from the x-degrees."""
-    from .cubics import cubic, mon_mf
-    ring = eps_ring()
-    scaled = scaled_chart_coords(a)
-    G = {name: g.cast(ring).substitute(
-            {z: ring.monomial({z: 1, "eps": Fraction(c, 2)}) for z, c in a.shift.items()},
-            ring=ring).as_poly()
-         for name, g in chart(a.src).G.items()}
-    omega = [w.substitute(G, ring=ring).as_poly() for w in cubic(a.src).omega]
-    x1, x2, x3 = scaled
-    e1, e2, e3 = cubic(a.src).eps
-    phi = (x1 * x2 * x3 + e1 * x1 ** 2 + e2 * x2 ** 2 + e3 * x3 ** 2
-           + omega[0] * x1 + omega[1] * x2 + omega[2] * x3 + omega[3])
-    if phi.is_zero():
-        return True
-    worst = min(x.epsilon_min_degree() for x in scaled)
-    return phi.epsilon_min_degree() >= 2 * worst
 
 
 def two_route_check() -> Certificate:

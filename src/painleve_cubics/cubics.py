@@ -14,7 +14,6 @@ the canonical parametrisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catalog
 from .certificates import Certificate, certify
@@ -67,7 +66,7 @@ def cubic(tag: str) -> CubicSurface:
     ring = base_ring()
     omega = tuple(parse_poly(s, ring) for s in entry["omega"])
     eps = tuple(int(v) for v in entry["eps"])
-    phi = mon_mf(ring, eps, omega)
+    phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
     spec = {name: parse_poly(s, ring) for name, s in entry["specialization"].items()}
     phi_spec = phi.substitute(spec).as_poly() if spec else phi
     symbols = {w: parse_expr(s, ring) for w, s in entry["table1_params"].items()}
@@ -89,13 +88,17 @@ def cubic(tag: str) -> CubicSurface:
     )
 
 
-def mon_mf(ring: Ring, eps: tuple, omega: tuple) -> LaurentPoly:
-    """x1 x2 x3 + sum eps_i x_i^2 + sum w_i x_i + w4 over ``ring``."""
-    x1, x2, x3 = (ring.gen(n) for n in X_NAMES)
+def cubic_form(x: tuple, eps: tuple, omega: tuple):
+    """x1 x2 x3 + sum eps_i x_i^2 + sum w_i x_i + w4 at the values ``x``.
+
+    The values and coefficients may be LaurentPoly, RationalExpr or
+    scalars; the result has the type their arithmetic gives.
+    """
+    x1, x2, x3 = x
     phi = x1 * x2 * x3 + omega[0] * x1 + omega[1] * x2 + omega[2] * x3 + omega[3]
-    for e, x in zip(eps, (x1, x2, x3)):
+    for e, xi in zip(eps, x):
         if e:
-            phi = phi + x * x
+            phi = phi + xi * xi
     return phi
 
 
@@ -182,7 +185,7 @@ def torus_param_check() -> Certificate:
     ring = Ring(["u", "v"])
     u, v = ring.gen("u"), ring.gen("v")
     xs = (-u - u ** -1, -v - v ** -1, -u * v - (u * v) ** -1)
-    phi = xs[0] * xs[1] * xs[2] + xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2 - 4
+    phi = cubic_form(xs, (1, 1, 1), (0, 0, 0, -4))
     inv = {"u": u ** -1, "v": v ** -1}
     inv_fixed = all(x.substitute(inv).as_poly() == x for x in xs)
     spot = phi.evaluate({"u": 2, "v": 3}) == 0
@@ -204,10 +207,9 @@ def fn_jm_diffeo_check() -> Certificate:
         "x2": as_expr(x2 * s ** -1),
         "x3": (s ** 2 * x1 ** 2 - (1 + x1 * x2) * x3 * s ** -1) / (x1 * x2),
     }
-    w1 = -(s ** -2)
-    fn = x1 * x2 * x3 + x1 ** 2 + w1 * x1 - x2 + 1
+    fn = cubic_form((x1, x2, x3), (1, 0, 0), (-(s ** -2), -1, 0, 1))
     lhs = fn.substitute(images)
-    classical = x1 * x2 * x3 + x1 - x2 + x3 + s
+    classical = cubic_form((x1, x2, x3), (0, 0, 0), (1, -1, 1, s))
     ok = lhs == as_expr(classical) * (s ** -1)
     # s = 2 spot check on a rational surface point of the classical cubic
     point = {"x1": 1, "x2": 1, "x3": -1, "sp": 2}

@@ -10,13 +10,12 @@ generator) to nonzero Fraction coefficients.  No zero coefficients are
 kept and terms carry a fixed graded-lexicographic order, so equality is
 structural and printing is deterministic.
 
-Convention for exponentiated coordinates: a generator named ``z`` of
-shear/perimeter/cusp kind stands for e^{z/2}, so e^{z} is g_z^2 and
-e^{z/2} is g_z^1.  Under this convention every exponent occurring in the
-catalogs is an integer.  The single exception is the confluence
-parameter (kind ``epsilon``), whose generator stands for the parameter
-itself and may carry half-integer exponents produced by scalings like
-z -> z - log(eps).
+Convention for exponentiated coordinates: a generator named ``z`` stands
+for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Under this
+convention every exponent occurring in the catalogs is an integer.  The
+single exception is the generator named ``eps``: it stands for the
+confluence parameter itself and may carry half-integer exponents
+produced by scalings like z -> z - log(eps).
 
 ``RationalExpr`` is a quotient num/den of two polynomials.  Quotients by
 monomials collapse back into the Laurent ring during normalisation;
@@ -26,21 +25,9 @@ equality of genuine quotients is tested by cross-multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
-
-KINDS = (
-    "shear",
-    "perimeter",
-    "cusp",
-    "parameter-G",
-    "surface-x",
-    "cluster-y",
-    "lambda",
-    "epsilon",
-    "auxiliary",
-)
 
 
 class RingError(ValueError):
@@ -61,30 +48,22 @@ def _q(x: Scalar) -> Scalar:
 class Ring:
     """A context of named invertible generators.
 
-    Polynomials from different Ring objects never mix; use ``extend`` and
-    ``LaurentPoly.cast`` to move between compatible contexts.
+    Polynomials from different Ring objects never mix; use
+    ``LaurentPoly.cast`` to move between rings sharing generator names.
+    The generator named ``eps``, if any, is the only one allowed
+    non-integer exponents.
     """
 
-    __slots__ = ("names", "kinds", "index", "_zero", "_eps_index")
+    __slots__ = ("names", "index", "_zero", "_eps_index")
 
-    def __init__(self, names: Sequence[str], kinds: Mapping[str, str] | None = None):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise RingError(f"duplicate generator names in {names}")
-        kinds = dict(kinds or {})
-        for name, kind in kinds.items():
-            if kind not in KINDS:
-                raise RingError(f"unknown generator kind {kind!r}")
-            if name not in names:
-                raise RingError(f"kind given for unregistered generator {name!r}")
         self.names = names
-        self.kinds = tuple(kinds.get(n, _default_kind(n)) for n in names)
         self.index = {n: i for i, n in enumerate(names)}
         self._zero = (0,) * len(names)
-        eps = [i for i, k in enumerate(self.kinds) if k == "epsilon"]
-        if len(eps) > 1:
-            raise RingError("at most one epsilon generator per ring")
-        self._eps_index = eps[0] if eps else None
+        self._eps_index = self.index.get("eps")
 
     def __repr__(self) -> str:
         return f"Ring({', '.join(self.names)})"
@@ -149,37 +128,6 @@ class Ring:
                 raise RingError(
                     f"non-integer exponent {e} on generator {self.names[i]!r}"
                 )
-
-    # -- derived rings -----------------------------------------------
-
-    def extend(self, names: Sequence[str], kinds: Mapping[str, str] | None = None) -> "Ring":
-        extra = dict(kinds or {})
-        merged = dict(zip(self.names, self.kinds))
-        merged.update(extra)
-        return Ring(self.names + tuple(names), merged)
-
-    def kind_of(self, name: str) -> str:
-        return self.kinds[self.index[name]]
-
-
-def _default_kind(name: str) -> str:
-    if name == "eps":
-        return "epsilon"
-    if name.startswith("s"):
-        return "shear"
-    if name.startswith("p"):
-        return "perimeter"
-    if name.startswith("k"):
-        return "cusp"
-    if name.startswith("G"):
-        return "parameter-G"
-    if name.startswith("x"):
-        return "surface-x"
-    if name.startswith("y"):
-        return "cluster-y"
-    if name.startswith("w"):
-        return "auxiliary"
-    return "auxiliary"
 
 
 def _grlex_key(exps: tuple):
@@ -532,14 +480,6 @@ class LaurentPoly:
                     entry["e"][self.ring.names[i]] = str(e)
             out.append(entry)
         return out
-
-    @staticmethod
-    def from_terms_json(ring: Ring, data: Iterable[Mapping]) -> "LaurentPoly":
-        total = ring.zero()
-        for entry in data:
-            exps = {n: Fraction(e) for n, e in entry["e"].items()}
-            total = total + ring.monomial(exps, Fraction(entry["c"]))
-        return total
 
 
 class GenImage:

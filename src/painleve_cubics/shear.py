@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from . import catalog
 from .certificates import Certificate, certify
-from .cubics import G_NAMES, X_NAMES, cubic, mon_mf
+from .cubics import X_NAMES, cubic, cubic_form
 from .exprs import parse_expr, parse_poly
 from .poisson import PoissonStructure
-from .ring import GenImage, LaurentPoly, RationalExpr, Ring, as_expr
+from .ring import GenImage, LaurentPoly, Ring, as_expr
 
 SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
 
@@ -55,10 +55,7 @@ def chart_phi_residue(tag: str) -> LaurentPoly:
     """phi(x1,x2,x3) with the chart's parameter values; zero iff the chart lies on the cubic."""
     ch = chart(tag)
     omega = tuple(w.substitute(ch.G, ring=ch.ring).as_poly() for w in cubic(tag).omega)
-    phi = mon_mf(ch.ring.extend(X_NAMES), cubic(tag).eps,
-                 tuple(w.cast(ch.ring.extend(X_NAMES)) for w in omega))
-    images = {n: ch.x[i].cast(ch.ring.extend(X_NAMES)) for i, n in enumerate(X_NAMES)}
-    return phi.substitute(images).as_poly().cast(ch.ring)
+    return cubic_form(ch.x, cubic(tag).eps, omega)
 
 
 def verify_chart(tag: str) -> Certificate:
@@ -247,20 +244,3 @@ def pv_to_piii_change() -> Certificate:
     return certify("pv-to-piii-change", "flipped coordinates have the stated brackets",
                    "PV flipped-chart coordinate brackets", not bad,
                    detail=detail, residue=bad[:4] if bad else "")
-
-
-def pv_to_piii_bracket_table() -> dict:
-    """The computed constant brackets {hat u, hat v} (log level), for display."""
-    ring, S = _pv_structure()
-    images = pv_to_piii_hat_images()
-    names = list(images)
-    out = {}
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            u, v = names[a], names[b]
-            expr = S.bracket_expr(images[u], images[v]) / (images[u] * images[v])
-            if expr.is_poly() and expr.num.is_constant():
-                val = expr.num.constant_value()
-                if val != 0:
-                    out[f"{u},{v}"] = str(val)
-    return out

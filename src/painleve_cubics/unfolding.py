@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import catalog, linalg
 from .certificates import Certificate, certify
+from .cubics import X_NAMES, cubic, cubic_form, singular_point_check
 from .exprs import parse_expr, parse_poly
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
 
@@ -99,12 +100,10 @@ def unfold_d4() -> Certificate:
     """Exact decomposition: shifted cubic = Morse term + quartic tail + normal form."""
     entry = _data()["d4"]
     ring = W_RING
-    x1, x2, x3 = (ring.gen(n) for n in ("x1", "x2", "x3"))
-    w1, w2, w3, w4 = (ring.gen(n) for n in ("w1", "w2", "w3", "w4"))
-    phi = (x1 * x2 * x3 + x1 ** 2 + x2 ** 2 + x3 ** 2
-           + w1 * x1 + w2 * x2 + w3 * x3 + w4)
+    x3 = ring.gen("x3")
     shift = entry["pre_shift"]
-    shifted = phi.substitute({n: ring.gen(n) + shift for n in ("x1", "x2", "x3")}).as_poly()
+    shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
+                         tuple(ring.gen(n) for n in ("w1", "w2", "w3", "w4")))
     result = _substituted(shifted, entry["diffeo"], ring).as_poly()
     # split off the x3 directions: nothing mixed, quadratic coefficient constant
     i3 = ring.index["x3"]
@@ -133,13 +132,8 @@ def _implicit_case(key: str) -> Certificate:
     if "cubic" in entry:
         phi = parse_poly(entry["cubic"], ring)
     else:
-        omega = {w: parse_poly(text, ring) for w, text in entry["omega"].items()}
-        x1, x2, x3 = (ring.gen(n) for n in ("x1", "x2", "x3"))
-        eps = {"a3": (1, 1, 0), "a2": (1, 0, 0)}[key]
-        phi = x1 * x2 * x3 + omega["w1"] * x1 + omega["w2"] * x2 + omega["w3"] * x3 + omega["w4"]
-        for e, name in zip(eps, ("x1", "x2", "x3")):
-            if e:
-                phi = phi + ring.gen(name) ** 2
+        omega = tuple(parse_poly(entry["omega"][w], ring) for w in ("w1", "w2", "w3", "w4"))
+        phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(entry["tag"]).eps, omega)
     out = _substituted(phi, entry["substitution"], ring).as_poly()
     target = parse_poly(entry["target"], ring)
     clear_pow = int(entry["relation_clear_power"])
@@ -192,8 +186,6 @@ def unfold_a1_pvdeg() -> Certificate:
 
 def singular_points_check() -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
-    from .cubics import singular_point_check
-
     entry = _data()["a1_pvdeg"]["singular_fibre"]
     gvals = {"G1": -int(entry["params"]["w1"]), "G2": -int(entry["params"]["w2"])}
     ok = all(singular_point_check("PVdeg", gvals, tuple(pt))
@@ -203,7 +195,3 @@ def singular_points_check() -> Certificate:
                    "PVdeg singular fibre", ok and not probe_singular,
                    detail=f"points {entry['singular_points']} singular; probe {entry['regular_probe']} is not")
 
-
-def all_unfold_certs() -> list:
-    return [unfold_d4(), hat_param_rank_check(), unfold_a3(), unfold_a2(),
-            unfold_a1_pvdeg(), unfold_a1_pii(), singular_points_check()]

@@ -9,29 +9,26 @@ from __future__ import annotations
 
 from typing import Callable
 
-from . import arcs, cluster, confluence, cubics, shear, unfolding
+from . import arcs, catalog, cluster, confluence, cubics, shear, unfolding
 from .certificates import Certificate
 
 GROUPS = ("charts", "atlas", "cubics", "nambu", "confluence",
           "lambda", "casimirs", "commutant", "cluster", "twists",
           "signatures", "unfolding", "arcs")
 
-SOLVE_TAGS = ("PV", "PVdeg", "PIV", "PIII_tilde", "PII_JM", "PII_FN")
-TABLE_TAGS = ("PV", "PVdeg", "PIV", "PIII_hat", "PIII_tilde", "PII_JM", "PII_FN")
-CASIMIR_TAGS = ("PV", "PVdeg", "PIV", "PIII_tilde", "PIII_D7", "PIII_D8",
-                "PII_JM", "PII_FN")
-COMMUTANT_TAGS = ("PV", "PVdeg", "PII_FN")
-COUNT_TAGS = ("PV", "PVdeg", "PIV", "PIII_tilde", "PII_JM", "PII_FN")
-SIGNATURE_TAGS = ("PVI", "PV", "PVdeg", "PIV", "PIII_D6", "PIII_D7", "PIII_D8",
-                  "PII_FN", "PII_JM", "PI", "Weierstrass", "Airy")
 TWIST_CASES = ("PV", "PVdeg", "PIII_D6", "PIII_D8")
 
 
 def _suite() -> list:
     jobs: list = []
+    lambdas = catalog.load("lambdas")["catalogs"]
 
     def add(group: str, fn: Callable, *args):
         jobs.append((group, fn, args))
+
+    def having(*keys) -> list:
+        """Arc catalog tags whose entry carries one of ``keys``."""
+        return [tag for tag, entry in lambdas.items() if any(k in entry for k in keys)]
 
     for tag in cubics.tags():
         add("charts", shear.verify_chart, tag)
@@ -52,13 +49,13 @@ def _suite() -> list:
     for emb in confluence.embeddings():
         add("confluence", confluence.embedding_check, emb)
     add("confluence", confluence.composite_embedding_check)
-    for tag in TABLE_TAGS:
+    for tag in having("table", "table_ref"):
         add("lambda", arcs.verify_lambda_table, tag)
-    for tag in SOLVE_TAGS:
+    for tag in having("solved_log_brackets"):
         add("lambda", arcs.solve_structure_check, tag)
-    for tag in CASIMIR_TAGS:
+    for tag in having("casimirs"):
         add("casimirs", arcs.casimir_check, tag)
-    for tag in COMMUTANT_TAGS:
+    for tag in having("xexprs"):
         add("commutant", arcs.commutant_check, tag)
     add("commutant", arcs.pvi_from_pv_check)
     for i in (1, 2, 3):
@@ -71,9 +68,9 @@ def _suite() -> list:
     for case in TWIST_CASES:
         add("twists", cluster.twist_invariants, case)
         add("twists", cluster.twist_frozen_commutation, case)
-    for tag in SIGNATURE_TAGS:
+    for tag in catalog.load("signatures")["signatures"]:
         add("signatures", arcs.signature_check, tag)
-    for tag in COUNT_TAGS:
+    for tag in having("params"):
         add("signatures", arcs.lamination_count_check, tag)
     add("unfolding", unfolding.unfold_d4)
     add("unfolding", unfolding.hat_param_rank_check)

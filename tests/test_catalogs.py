@@ -74,3 +74,23 @@ def test_signature_rows_are_consistent():
         else:
             assert row == holes, tag
         assert all(c >= 0 for c in holes)
+
+
+def test_new_arc_catalog_entry_is_certified(tmp_path):
+    # the suite's tag lists follow the catalog keys, so a new entry gets
+    # its table, solve and Casimir certificates with no code change
+    import json
+    import shutil
+    from importlib import resources
+    from painleve_cubics import verify
+    src = resources.files("painleve_cubics.data")
+    for name in ("cubics", "charts", "lambdas", "arrows", "signatures", "unfoldings"):
+        shutil.copy(str(src / f"{name}.json"), tmp_path / f"{name}.json")
+    data = json.loads((tmp_path / "lambdas.json").read_text())
+    data["catalogs"]["PVcopy"] = data["catalogs"]["PV"]
+    (tmp_path / "lambdas.json").write_text(json.dumps(data))
+    catalog.set_catalog_root(tmp_path)
+    certs = {c.cid: c.passed for c in verify.run(["lambda", "casimirs"])}
+    assert certs["lambda-table-PVcopy"] and certs["lambda-solve-PVcopy"]
+    assert certs["casimirs-PVcopy"]
+    assert len(certs) == 15 + 9

@@ -128,3 +128,27 @@ def test_catalog_env_override(tmp_path, monkeypatch, capsys):
     assert code == 0 and "x1 x2 x3" in out
     monkeypatch.delenv(catalog.ENV_VAR)
     catalog.clear_caches()
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_depth_below_one_is_exit_2(capsys, depth):
+    code, out, err = run_cli(capsys, "--depth", depth, "verify", "cluster")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_malformed_catalog_expression_is_exit_2(tmp_path, capsys):
+    import shutil
+    from importlib import resources
+    src = resources.files("painleve_cubics.data")
+    for name in ("cubics", "charts", "lambdas", "arrows", "signatures", "unfoldings"):
+        shutil.copy(str(src / f"{name}.json"), tmp_path / f"{name}.json")
+    data = json.loads((tmp_path / "charts.json").read_text())
+    data["charts"]["PVI"]["x1"] = "s1 +* ("
+    (tmp_path / "charts.json").write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "--catalog", str(tmp_path), "chart", "PVI")
+    assert code == 2
+    assert err.startswith("error:") and "s1 +* (" in err
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics.cluster import (base_values, braid_apply, braid_images,
+from painleve_cubics.cluster import (base_values, braid_images,
                                      braid_involution_check, braid_preserves_cubic,
                                      braid_ring, cluster_ring, dehn_twist,
                                      initial_cluster, laurent_check, mutate,
@@ -29,7 +29,9 @@ def test_braid_formula_shape():
 
 
 def test_braid_on_points():
-    moved = braid_apply(1, (1, 2, 3), (5, 0, 0, 0))
+    m = braid_images(1)
+    point = {"x1": 1, "x2": 2, "x3": 3, "w1": 5}
+    moved = tuple(m[n].evaluate(point) for n in ("x1", "x2", "x3"))
     assert moved == (-1 - 6 - 5, 3, 2)
 
 

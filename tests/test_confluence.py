@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics.confluence import (arrow, arrows, composite_embedding_check,
-                                        confluence_dot, confluent_limit,
-                                        degree_bound_check, embedding,
-                                        embedding_check, embeddings, graph_json,
-                                        inclusion_dot, limit_chart_coords,
-                                        two_route_check)
+                                        confluence_dot, confluent_limit, embedding,
+                                        embedding_check, embeddings, eps_ring,
+                                        graph_json, inclusion_dot, limit_chart_coords,
+                                        scaled_chart_coords, two_route_check)
+from painleve_cubics.cubics import cubic, cubic_form
+from painleve_cubics.shear import chart
 
 EXPECTED_ARROWS = {
     ("PVI", "PV"), ("PV", "PVdeg"), ("PV", "PIV"), ("PV", "PIII_D6"),
@@ -44,6 +45,21 @@ def test_half_integer_degrees_on_cusp_removal():
 
 def test_two_routes_agree():
     assert two_route_check().passed
+
+
+def degree_bound_check(a):
+    """min eps-degree of phi(x(eps)) >= a crude product bound from the x-degrees."""
+    ring = eps_ring()
+    scaled = scaled_chart_coords(a)
+    shift = {z: ring.monomial({z: 1, "eps": Fraction(c, 2)}) for z, c in a.shift.items()}
+    G = {name: g.cast(ring).substitute(shift, ring=ring).as_poly()
+         for name, g in chart(a.src).G.items()}
+    omega = [w.substitute(G, ring=ring).as_poly() for w in cubic(a.src).omega]
+    phi = cubic_form(scaled, cubic(a.src).eps, omega)
+    if phi.is_zero():
+        return True
+    worst = min(x.epsilon_min_degree() for x in scaled)
+    return phi.epsilon_min_degree() >= 2 * worst
 
 
 @pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))

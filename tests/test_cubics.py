@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, parse_poly
-from painleve_cubics.cubics import (cubic, fn_jm_diffeo_check, nambu_context,
+from painleve_cubics.cubics import (cubic, cubic_form, fn_jm_diffeo_check, nambu_context,
                                     omega_from_G, singular_point_check, tags,
                                     table1_check, torus_param_check,
                                     volume_form_check)
@@ -28,6 +28,20 @@ def test_pvi_eps():
     assert cubic("PVI").eps == (1, 1, 1)
     assert cubic("PII_JM").eps == (0, 0, 0)
     assert cubic("PII_FN").eps == (1, 0, 0)
+
+
+def test_cubic_form_on_values():
+    # 1*2*3 + 1^2 + (1*1 + 1*2 + 1*3) + 1
+    assert cubic_form((1, 2, 3), (1, 0, 0), (1, 1, 1, 1)) == 14
+    c = cubic("PIV")
+    ring = c.ring
+    xs = tuple(ring.gen(n) for n in ("x1", "x2", "x3"))
+    assert cubic_form(xs, c.eps, c.omega) == c.phi
+    ratios = tuple(x / (x + 1) for x in xs)
+    value = cubic_form(ratios, c.eps, c.omega)
+    point = {"x1": 2, "x2": 3, "x3": 5, "G1": 7, "G2": 11, "G3": 13, "Ginf": 17}
+    at = {n: Fraction(point[n], point[n] + 1) for n in ("x1", "x2", "x3")}
+    assert value.evaluate(point) == c.phi.evaluate({**point, **at})
 
 
 def test_weierstrass_phi():

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, parse_poly
-from painleve_cubics.cubics import tags
+from painleve_cubics.cubics import G_NAMES, tags
 from painleve_cubics.ring import as_expr
 from painleve_cubics.shear import (PV_TO_PIII_EXPECTED, chart, chart_phi_residue,
-                                   flip, flip_involution_check,
-                                   pv_to_piii_bracket_table, pv_to_piii_change,
-                                   shear_ring, verify_chart, verify_flip_braid)
+                                   SHEAR_NAMES, flip, flip_involution_check,
+                                   pv_to_piii_change, shear_ring, verify_chart,
+                                   verify_flip_braid)
 
 ALL_TAGS = tags()
 
@@ -22,7 +22,7 @@ def test_chart_satisfies_cubic(tag):
 
 def test_chart_term_counts():
     # symbolic forms: parameters left uninterpreted
-    ring = shear_ring().extend(["G1", "G2", "G3", "Ginf"])
+    ring = Ring(SHEAR_NAMES + G_NAMES)
     pvi_x1 = parse_poly(chart("PVI").x_sym[0], ring)
     assert pvi_x1.num_terms() == 5
     d8_x2 = parse_poly(chart("PIII_D8").x_sym[1], ring)
@@ -74,14 +74,12 @@ def test_flip_braid_match(i, expected):
 
 
 def test_pv_to_piii_brackets():
+    # the certificate compares every computed pair with the quoted table,
+    # unlisted pairs as zero
     cert = pv_to_piii_change()
     assert cert.passed
-    table = pv_to_piii_bracket_table()
-    assert table["s2,p2"] == "2"
-    assert table["k1,k2"] == "1"
-    # the full computed table equals the quoted one (unlisted pairs zero)
-    expect = {f"{u},{v}": str(c) for (u, v), c in PV_TO_PIII_EXPECTED.items()}
-    assert table == expect
+    assert PV_TO_PIII_EXPECTED[("s2", "p2")] == 2
+    assert PV_TO_PIII_EXPECTED[("k1", "k2")] == 1
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
