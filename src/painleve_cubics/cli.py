@@ -122,6 +122,8 @@ def _cmd_confluence(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    if args.tag not in cubics.tags():
+        raise RingError(f"unknown cubic tag {args.tag!r} (have {sorted(cubics.tags())})")
     word = []
     for ch in args.sequence.replace(",", ""):
         if ch not in "123":
@@ -142,11 +144,7 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_twist(args) -> int:
-    try:
-        case = cluster.twist_case(args.case)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    case = cluster.twist_case(args.case)
     vals = cluster.base_values(case)
     for n in range(args.repeat):
         vals = cluster.dehn_twist(case, vals)
@@ -160,18 +158,11 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
-    table = {
-        "PVI": ("d4", [unfolding.unfold_d4, unfolding.hat_param_rank_check]),
-        "PV": ("a3", [unfolding.unfold_a3]),
-        "PIV": ("a2", [unfolding.unfold_a2]),
-        "PVdeg": ("a1_pvdeg", [unfolding.unfold_a1_pvdeg, unfolding.singular_points_check]),
-        "PII_JM": ("a1_pii", [unfolding.unfold_a1_pii]),
-    }
-    if args.tag not in table:
-        print(f"no unfolding case for {args.tag!r} (have {sorted(table)})", file=sys.stderr)
+    keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
+    if args.tag not in keys:
+        print(f"no unfolding case for {args.tag!r} (have {sorted(keys)})", file=sys.stderr)
         return 2
-    key, fns = table[args.tag]
-    entry = catalog.load("unfoldings")[key]
+    entry = unfolding.cases()[keys[args.tag]]
     if args.format != "json":
         for field in ("substitution", "diffeo"):
             if field in entry:
@@ -184,7 +175,7 @@ def _cmd_unfold(args) -> int:
         if "hat_params" in entry:
             for name, text in entry["hat_params"].items():
                 print(f"  {name} = {text}")
-    certs = [fn() for fn in fns]
+    certs = [fn(*fargs) for fn, fargs in unfolding.checks(keys[args.tag])]
     return _emit_certs(certs, args.format)
 
 
@@ -278,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", help="e.g. 121 or 1,2,1")
     p.set_defaults(fn=_cmd_mutate)
     p = sub.add_parser("twist", help="apply a Dehn twist and check its invariants")
-    p.add_argument("case", help="PV, PVdeg, PIII_D6 or PIII_D8")
+    p.add_argument("case", help="a case of the twists table in lambdas.json")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(fn=_cmd_twist)
     p = sub.add_parser("unfold", help="run the normal-form certificates for a tag")

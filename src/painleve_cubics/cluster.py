@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import catalog
 from .arcs import lambda_catalog
 from .certificates import Certificate, certify
 from .cubics import cubic_form, omega_from_G
+from .exprs import parse_expr
+from .poisson import PoissonStructure
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr, divide_exact
 
 W_NAMES = ("w1", "w2", "w3", "w4")
@@ -179,6 +182,8 @@ def laurent_check(max_depth: int = 4) -> Certificate:
     (monomial content stripping plus trial division); a variable that stays
     a genuine quotient is reported with its denominator.
     """
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     witnesses = []
     count = 0
     for word in reduced_words(max_depth):
@@ -198,78 +203,51 @@ def laurent_check(max_depth: int = 4) -> Certificate:
 @dataclass
 class TwistCase:
     name: str
-    catalog_tag: str
     variables: tuple      # mutating arc names, in role order
     frozen: tuple
     ring: Ring
+    structure: PoissonStructure
     invariants: dict      # label -> RationalExpr
+    steps: tuple          # {arc: expression}, each applied at once
 
 
+@catalog.cached
 def twist_case(name: str) -> TwistCase:
-    """The three catalogued twists (+ the degenerate alias of the first)."""
-    if name == "PV":
-        ring = lambda_catalog("PV").lambda_ring
-        a, b, c = ring.gen("a"), ring.gen("b"), ring.gen("c")
-        G1, G2 = ring.gen("G1"), ring.gen("G2")
-        ggamma = G2 * c / b + G1 * c / a + a / b + b / a + c ** 2 / (a * b)
-        return TwistCase(name=name, catalog_tag="PV", variables=("a", "b"),
-                         frozen=("c", "d", "e", "G1", "G2"), ring=ring,
-                         invariants={"G_gamma": ggamma})
-    if name == "PVdeg":
-        # degenerate alias: same formulas with the boundary arc d in the c-role
-        ring = Ring(("a", "b", "d", "G1", "G2"))
-        a, b, c = ring.gen("a"), ring.gen("b"), ring.gen("d")
-        G1, G2 = ring.gen("G1"), ring.gen("G2")
-        ggamma = G2 * c / b + G1 * c / a + a / b + b / a + c ** 2 / (a * b)
-        return TwistCase(name=name, catalog_tag="PVdeg", variables=("a", "b"),
-                         frozen=("d", "G1", "G2"), ring=ring,
-                         invariants={"G_gamma": ggamma})
-    if name == "PIII_D6":
-        cat = lambda_catalog("PIII_tilde")
-        ring = cat.lambda_ring
-        a, b, c, f, g, h = (ring.gen(n) for n in ("a", "b", "c", "f", "g", "h"))
-        ggamma = a / b + b / a + h * c / (f * b) + g * c / (f * a)
-        lam44 = g * b / f + h * a / f
-        return TwistCase(name=name, catalog_tag="PIII_tilde",
-                         variables=("b", "f", "a"), frozen=("c", "d", "e", "g", "h"),
-                         ring=ring, invariants={"G_gamma": ggamma, "lambda_44": lam44})
-    if name == "PIII_D8":
-        ring = Ring(("a", "b", "lam11", "lam44"))
-        a, b, c, w = (ring.gen(n) for n in ring.names)
-        ggamma = a / b + b / a + c * w / (a * b)
-        return TwistCase(name=name, catalog_tag="PIII_D8",
-                         variables=("b", "a"), frozen=("lam11", "lam44"),
-                         ring=ring, invariants={"G_gamma": ggamma})
-    raise KeyError(f"unknown twist case {name!r} (PV, PVdeg, PIII_D6, PIII_D8)")
+    """A case of the ``twists`` table in lambdas.json, with every name checked."""
+    table = catalog.load("lambdas")["twists"]
+    if name not in table:
+        raise KeyError(f"unknown twist case {name!r} (have {', '.join(table)})")
+    entry = table[name]
+    try:
+        if "arcs" in entry:
+            cat = lambda_catalog(entry["arcs"])
+            ring, structure = cat.lambda_ring, cat.structure
+        else:
+            ring = Ring(tuple(entry["generators"]))
+            structure = PoissonStructure(ring, {tuple(k.split(",")): Fraction(v)
+                                                for k, v in entry["table"].items()})
+        steps = tuple(entry["steps"])
+        names = [*entry["variables"], *entry["frozen"], *(arc for step in steps for arc in step)]
+        unknown = [n for n in names if n not in ring.index]
+        if unknown:
+            raise RingError(f"{unknown} are not generators of {ring.names}")
+        for step in steps:
+            for text in step.values():
+                parse_expr(text, ring)
+        invariants = {label: parse_expr(text, ring) for label, text in entry["invariants"].items()}
+    except (KeyError, ValueError, RingError) as exc:
+        raise catalog.CatalogError(f"lambdas.json twists.{name}: {exc}") from exc
+    return TwistCase(name=name, variables=tuple(entry["variables"]),
+                     frozen=tuple(entry["frozen"]), ring=ring, structure=structure,
+                     invariants=invariants, steps=steps)
 
 
 def dehn_twist(case: TwistCase, values: dict) -> dict:
-    """One full twist applied to the mutating variables (others fixed)."""
-    ring = case.ring
+    """One full twist; each step maps its arcs at once, from the values before it."""
     vals = dict(values)
-    if case.name in ("PV", "PVdeg"):
-        third = "c" if case.name == "PV" else "d"
-        a, b = vals["a"], vals["b"]
-        c = vals[third]
-        G1, G2 = as_expr(ring.gen("G1")), as_expr(ring.gen("G2"))
-        a2 = (b ** 2 + c ** 2 + G1 * b * c) / a
-        b2 = (a2 ** 2 + c ** 2 + G2 * a2 * c) / b
-        vals["a"], vals["b"] = a2, b2
-        return vals
-    if case.name == "PIII_D6":
-        b, f, a = vals["b"], vals["f"], vals["a"]
-        c, g, h = (as_expr(ring.gen(n)) for n in ("c", "g", "h"))
-        vals["b"] = a
-        vals["f"] = (f * a + h * c) / b
-        vals["a"] = a ** 2 / b + h * c * a / (b * f) + g * c / f
-        return vals
-    if case.name == "PIII_D8":
-        b, a = vals["b"], vals["a"]
-        c, w = as_expr(ring.gen("lam11")), as_expr(ring.gen("lam44"))
-        vals["b"] = a
-        vals["a"] = (a ** 2 + c * w) / b
-        return vals
-    raise KeyError(case.name)
+    for step in case.steps:
+        vals.update({arc: parse_expr(text, case.ring, symbols=vals) for arc, text in step.items()})
+    return vals
 
 
 def base_values(case: TwistCase) -> dict:
@@ -293,25 +271,13 @@ def twist_invariants(case_name: str) -> Certificate:
 
 def twist_frozen_commutation(case_name: str) -> Certificate:
     """Twisted variables keep log-canonical brackets with the frozen arcs."""
-    from .poisson import PoissonStructure
-
     case = twist_case(case_name)
-    if case.name == "PV":
-        S = lambda_catalog("PV").structure
-    elif case.name == "PVdeg":
-        # the alias ring: only {a,b} = ab survives, the boundary arc is central
-        S = PoissonStructure(case.ring, {("a", "b"): Fraction(1)})
-    elif case.name == "PIII_D6":
-        S = lambda_catalog("PIII_tilde").structure
-    else:  # PIII_D8: lam11 central, lam44 central on the mutating pair
-        S = PoissonStructure(case.ring, {("a", "b"): Fraction(1, 2)})
+    S = case.structure
     before = base_values(case)
     after = dehn_twist(case, before)
     bad = []
     for vname in case.variables:
         for frozen in case.frozen:
-            if frozen not in case.ring.index:
-                continue
             coeff = S.pair(vname, frozen)
             moved = after[vname]
             fro = as_expr(case.ring.gen(frozen))

@@ -11,7 +11,6 @@ monomial, so division is exact) must leave zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, linalg
@@ -155,18 +154,6 @@ def _udeg(relation: LaurentPoly, ring: Ring) -> int:
     return max(exps[ui] for exps in relation.terms)
 
 
-def unfold_a3() -> Certificate:
-    return _implicit_case("a3")
-
-
-def unfold_a2() -> Certificate:
-    return _implicit_case("a2")
-
-
-def unfold_a1_pii() -> Certificate:
-    return _implicit_case("a1_pii")
-
-
 def unfold_a1_pvdeg() -> Certificate:
     """Both explicit charts map onto the Morse normal form, as rational identities."""
     entry = _data()["a1_pvdeg"]
@@ -195,3 +182,21 @@ def singular_points_check() -> Certificate:
                    "PVdeg singular fibre", ok and not probe_singular,
                    detail=f"points {entry['singular_points']} singular; probe {entry['regular_probe']} is not")
 
+
+def cases() -> dict:
+    """The unfolding entries of unfoldings.json, by key."""
+    return {key: entry for key, entry in _data().items() if isinstance(entry, dict)}
+
+
+def checks(key: str) -> list:
+    """(fn, args) of every certificate that the fields of entry ``key`` call for."""
+    entry = cases()[key]
+    jobs = [(fn, args) for field, fn, args in (
+        ("diffeo", unfold_d4, ()),
+        ("hat_params", hat_param_rank_check, ()),
+        ("relation_lhs", _implicit_case, (key,)),
+        ("charts", unfold_a1_pvdeg, ()),
+        ("singular_fibre", singular_points_check, ())) if field in entry]
+    if not jobs:
+        raise catalog.CatalogError(f"unfoldings.json {key}: no certificate follows from its fields")
+    return jobs

@@ -10,25 +10,22 @@ from __future__ import annotations
 from typing import Callable
 
 from . import arcs, catalog, cluster, confluence, cubics, shear, unfolding
-from .certificates import Certificate
 
 GROUPS = ("charts", "atlas", "cubics", "nambu", "confluence",
           "lambda", "casimirs", "commutant", "cluster", "twists",
           "signatures", "unfolding", "arcs")
 
-TWIST_CASES = ("PV", "PVdeg", "PIII_D6", "PIII_D8")
-
 
 def _suite() -> list:
     jobs: list = []
-    lambdas = catalog.load("lambdas")["catalogs"]
+    lambdas = catalog.load("lambdas")
 
     def add(group: str, fn: Callable, *args):
         jobs.append((group, fn, args))
 
     def having(*keys) -> list:
         """Arc catalog tags whose entry carries one of ``keys``."""
-        return [tag for tag, entry in lambdas.items() if any(k in entry for k in keys)]
+        return [tag for tag, entry in lambdas["catalogs"].items() if any(k in entry for k in keys)]
 
     for tag in cubics.tags():
         add("charts", shear.verify_chart, tag)
@@ -65,20 +62,16 @@ def _suite() -> list:
         add("cluster", cluster.mutation_involution_check, i)
     add("cluster", cluster.shifted_cubic_check)
     add("cluster", cluster.laurent_check)
-    for case in TWIST_CASES:
+    for case in lambdas["twists"]:
         add("twists", cluster.twist_invariants, case)
         add("twists", cluster.twist_frozen_commutation, case)
     for tag in catalog.load("signatures")["signatures"]:
         add("signatures", arcs.signature_check, tag)
     for tag in having("params"):
         add("signatures", arcs.lamination_count_check, tag)
-    add("unfolding", unfolding.unfold_d4)
-    add("unfolding", unfolding.hat_param_rank_check)
-    add("unfolding", unfolding.unfold_a3)
-    add("unfolding", unfolding.unfold_a2)
-    add("unfolding", unfolding.unfold_a1_pvdeg)
-    add("unfolding", unfolding.unfold_a1_pii)
-    add("unfolding", unfolding.singular_points_check)
+    for key in unfolding.cases():
+        for fn, args in unfolding.checks(key):
+            add("unfolding", fn, *args)
     add("arcs", arcs.arc_trace_check)
     add("arcs", arcs.comb_bracket_check)
     return jobs

@@ -19,9 +19,7 @@ from painleve_cubics.cluster import (braid_preserves_cubic, laurent_check,
 from painleve_cubics.confluence import (arrows, confluent_limit, two_route_check)
 from painleve_cubics.cubics import fn_jm_diffeo_check, nambu_casimir_check, tags, torus_param_check
 from painleve_cubics.shear import verify_chart, verify_flip_braid
-from painleve_cubics.unfolding import (hat_param_rank_check, singular_points_check,
-                                       unfold_a1_pii, unfold_a1_pvdeg, unfold_a2,
-                                       unfold_a3, unfold_d4)
+from painleve_cubics.unfolding import cases, checks
 
 
 def report(criterion: str, certs) -> None:
@@ -121,8 +119,10 @@ def test_criterion_09_signature_arithmetic():
 
 def test_criterion_10_unfoldings():
     """Normal-form identities: corank 3 with parameter table, corank 1 cases."""
-    certs = [unfold_d4(), hat_param_rank_check(), unfold_a3(), unfold_a2(),
-             unfold_a1_pvdeg(), unfold_a1_pii(), singular_points_check()]
+    certs = [fn(*args) for key in cases() for fn, args in checks(key)]
+    assert sorted(c.cid for c in certs) == [
+        "singular-points-pvdeg", "unfold-a1-pvdeg", "unfold-a1_pii", "unfold-a2",
+        "unfold-a3", "unfold-d4", "unfold-d4-params"]
     report("10. unfolding normal forms (exact, modulo defining relations)", certs)
 
 

@@ -65,6 +65,20 @@ def test_mutate_command(capsys):
     assert code == 2
 
 
+def test_mutate_unknown_tag_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "mutate", "NOSUCHTAG", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "NOSUCHTAG" in err
+
+
+def test_twist_unknown_case_lists_the_table(capsys):
+    code, out, err = run_cli(capsys, "twist", "PVII")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "PV, PVdeg, PIII_D6, PIII_D8" in err
+
+
 def test_twist_command(capsys):
     code, out, _ = run_cli(capsys, "twist", "PIII_D8", "--repeat", "2")
     assert code == 0

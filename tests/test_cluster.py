@@ -88,6 +88,16 @@ def test_laurent_phenomenon_depth_four():
     assert "45" in cert.anchor
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_laurent_depth_below_one_raises(depth):
+    # "all 0 reduced sequences" would be a vacuous pass
+    from painleve_cubics import run_suite
+    with pytest.raises(ValueError, match="at least 1"):
+        laurent_check(depth)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite(["cluster"], depth=depth)
+
+
 def test_composite_mutations_stay_on_surface():
     # the cubic transported along a length-2 sequence is still divisible by it
     ring = cluster_ring()

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import Ring
+from painleve_cubics import Ring, catalog, unfolding
 from painleve_cubics.ring import LaurentPoly
-from painleve_cubics.unfolding import (W_RING, hat_param_rank_check, hat_param_table,
-                                       reduce_mod_u, singular_points_check, unfold_a1_pii,
-                                       unfold_a1_pvdeg, unfold_a2, unfold_a3, unfold_d4)
+from painleve_cubics.unfolding import (W_RING, _implicit_case, hat_param_rank_check,
+                                       hat_param_table, reduce_mod_u, singular_points_check,
+                                       unfold_a1_pvdeg, unfold_d4)
 
 
 def test_hat_parameters():
@@ -40,8 +40,8 @@ def test_d4_certificate():
 
 
 def test_a3_and_a2():
-    assert unfold_a3().passed
-    assert unfold_a2().passed
+    assert _implicit_case("a3").passed
+    assert _implicit_case("a2").passed
 
 
 def test_a1_pii_relation_is_monic_quadratic():
@@ -50,12 +50,30 @@ def test_a1_pii_relation_is_monic_quadratic():
     u, x2 = ring.gen("u"), ring.gen("x2")
     relation = ((-(u ** -1) - u) - x2 ** 2) * u
     assert relation == -(u ** 2 + x2 ** 2 * u + 1)
-    assert unfold_a1_pii().passed
+    assert _implicit_case("a1_pii").passed
 
 
 def test_a1_pvdeg_charts_and_points():
     assert unfold_a1_pvdeg().passed
     assert singular_points_check().passed
+
+
+def test_checks_follow_the_entry_fields():
+    jobs = {key: [fn.__name__ for fn, _ in unfolding.checks(key)] for key in unfolding.cases()}
+    assert jobs == {
+        "d4": ["unfold_d4", "hat_param_rank_check"],
+        "a3": ["_implicit_case"], "a2": ["_implicit_case"], "a1_pii": ["_implicit_case"],
+        "a1_pvdeg": ["unfold_a1_pvdeg", "singular_points_check"],
+    }
+    assert unfolding.checks("a2") == [(_implicit_case, ("a2",))]
+
+
+def test_entry_without_checks_is_catalog_error(tmp_path):
+    import json
+    (tmp_path / "unfoldings.json").write_text(json.dumps({"x": {"tag": "PI"}}))
+    catalog.set_catalog_root(tmp_path)
+    with pytest.raises(catalog.CatalogError, match="unfoldings.json x"):
+        unfolding.checks("x")
 
 
 def test_parameter_specialisation_still_zero():
