@@ -108,11 +108,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_confluence(args) -> int:
-    try:
-        a = confluence.arrow(args.src, args.dst)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    a = confluence.arrow(args.src, args.dst)
     degrees, _ = confluence.limit_chart_coords(a)
     cert = confluence.confluent_limit(a)
     print(f"substitution: {a.label}")
@@ -180,11 +176,7 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    try:
-        sig = arcs.signature(args.tag)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    sig = arcs.signature(args.tag)
     katz = ",".join(str(k) for k in sig.katz())
     print(f"s={len(sig.holes)} n={sum(sig.holes)} dim={sig.dimension()} katz={katz}")
     print(f"stokes rays: {','.join(map(str, sig.stokes_rays()))}  "
@@ -298,7 +290,8 @@ def main(argv=None) -> int:
         print(f"catalog error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, RingError, ExprSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

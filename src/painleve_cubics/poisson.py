@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -70,14 +71,16 @@ class PoissonStructure:
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.ring != self.ring or g.ring != self.ring:
             raise RingError("bracket arguments outside the structure's ring")
-        out = self.ring.zero()
+        out: dict = {}
+        get = out.get
+        right = g.terms.items()
         for ea, ca in f.terms.items():
-            for eb, cb in g.terms.items():
+            for eb, cb in right:
                 coeff = self.pair_exps(ea, eb)
-                if coeff == 0:
-                    continue
-                out = out + LaurentPoly(self.ring, {tuple(x + y for x, y in zip(ea, eb)): ca * cb * coeff})
-        return out
+                if coeff:
+                    exps = tuple(map(add, ea, eb))
+                    out[exps] = get(exps, 0) + ca * cb * coeff
+        return self.ring.collect(out)
 
     def bracket_expr(self, A, B) -> RationalExpr:
         """Bracket extended to quotients via the Leibniz rule."""

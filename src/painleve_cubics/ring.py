@@ -6,9 +6,12 @@ invertible generators with exact rational coefficients:
     poly  =  sum of   coeff * g1^e1 * g2^e2 * ...
 
 stored as a dict mapping exponent tuples (one slot per registered
-generator) to nonzero Fraction coefficients.  No zero coefficients are
-kept and terms carry a fixed graded-lexicographic order, so equality is
-structural and printing is deterministic.
+generator) to nonzero exact coefficients: an ``int`` when the value is
+integral on construction, a ``Fraction`` otherwise, so products of
+integral coefficients are plain integer arithmetic.  Reciprocals are built
+as ``Fraction(1) / c``, since ``1 / c`` of an int is inexact.  No zero
+coefficients are kept and terms carry a fixed graded-lexicographic order,
+so equality is structural and printing is deterministic.
 
 Convention for exponentiated coordinates: a generator named ``z`` stands
 for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Under this
@@ -19,12 +22,18 @@ produced by scalings like z -> z - log(eps).
 
 ``RationalExpr`` is a quotient num/den of two polynomials.  Quotients by
 monomials collapse back into the Laurent ring during normalisation;
-equality of genuine quotients is tested by cross-multiplication.
+equality of genuine quotients is tested by cross-multiplication.  Exact
+division (``divide_exact``) is lead-term division on one mutable remainder
+dict whose graded-lex leading term comes from a heap with lazy deletion,
+after Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors" (CASC 2007).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -43,6 +52,30 @@ def _q(x: Scalar) -> Scalar:
     if isinstance(x, int):
         return x
     raise RingError(f"non-exact scalar {x!r}")
+
+
+def _scalar(x) -> Scalar:
+    """An exact coefficient or exponent: an int when integral, else a Fraction."""
+    return x if type(x) is int else _q(Fraction(x))
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a/b of two coefficients, an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _q(Fraction(a, b))
+
+
+def _eps_int(exps: tuple, i: int | None) -> tuple:
+    """``exps`` with an integral Fraction in the eps column ``i`` made an int."""
+    if i is None:
+        return exps
+    e = exps[i]
+    if type(e) is int or e.denominator != 1:
+        return exps
+    return exps[:i] + (e.numerator,) + exps[i + 1:]
 
 
 class Ring:
@@ -80,24 +113,24 @@ class Ring:
         return LaurentPoly(self, {})
 
     def one(self) -> "LaurentPoly":
-        return LaurentPoly(self, {self._zero: Fraction(1)})
+        return LaurentPoly(self, {self._zero: 1})
 
     def const(self, c: Scalar) -> "LaurentPoly":
-        c = Fraction(c)
-        return LaurentPoly(self, {} if c == 0 else {self._zero: c})
+        c = _scalar(c)
+        return LaurentPoly(self, {self._zero: c} if c else {})
 
     def gen(self, name: str, power: Scalar = 1) -> "LaurentPoly":
         return self.monomial({name: power})
 
     def monomial(self, exps: Mapping[str, Scalar], coeff: Scalar = 1) -> "LaurentPoly":
-        c = Fraction(coeff)
-        if c == 0:
+        c = _scalar(coeff)
+        if not c:
             return self.zero()
         vec = [0] * len(self.names)
         for name, e in exps.items():
             if name not in self.index:
                 raise RingError(f"generator {name!r} not in {self}")
-            vec[self.index[name]] = _q(Fraction(e))
+            vec[self.index[name]] = _scalar(e)
         self._check_exps(vec)
         return LaurentPoly(self, {tuple(vec): c})
 
@@ -112,15 +145,21 @@ class Ring:
     def poly(self, terms: Mapping[tuple, Scalar]) -> "LaurentPoly":
         out: dict = {}
         for exps, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            vec = tuple(_q(Fraction(e)) for e in exps)
+            vec = tuple(_scalar(e) for e in exps)
             if len(vec) != len(self.names):
                 raise RingError("exponent tuple length mismatch")
             self._check_exps(vec)
-            out[vec] = out.get(vec, Fraction(0)) + c
-        return LaurentPoly(self, {k: v for k, v in out.items() if v != 0})
+            out[vec] = out.get(vec, 0) + _scalar(c)
+        return LaurentPoly(self, {k: _q(v) for k, v in out.items() if v})
+
+    def collect(self, sums: dict) -> "LaurentPoly":
+        """The polynomial of accumulated term sums: zero sums dropped, eps slot made int.
+
+        Equal keys merge in ``sums`` whatever the type of their eps slot
+        (Fraction(2) hashes as 2), so only the kept keys need normalising.
+        """
+        i = self._eps_index
+        return LaurentPoly(self, {_eps_int(e, i): c for e, c in sums.items() if c})
 
     def _check_exps(self, vec: Sequence[Scalar]) -> None:
         for i, e in enumerate(vec):
@@ -149,7 +188,8 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {self.ring._zero: Fraction(1)}
+        terms = self.terms
+        return len(terms) == 1 and terms.get(self.ring._zero) == 1
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {self.ring._zero}
@@ -160,7 +200,7 @@ class LaurentPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise RingError(f"not a constant: {self}")
-        return self.terms.get(self.ring._zero, Fraction(0))
+        return self.terms.get(self.ring._zero, 0)
 
     def monomial_exps(self) -> tuple:
         if not self.is_monomial():
@@ -211,12 +251,13 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            v = out.get(exps, Fraction(0)) + c
-            if v == 0:
-                out.pop(exps, None)
-            else:
+            v = get(exps, 0) + c
+            if v:
                 out[exps] = v
+            else:
+                del out[exps]
         return LaurentPoly(self.ring, out)
 
     __radd__ = __add__
@@ -240,15 +281,13 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(_q(a + b) for a, b in zip(e1, e2))
-                v = out.get(exps, Fraction(0)) + c1 * c2
-                if v == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = v
-        return LaurentPoly(self.ring, out)
+            for e2, c2 in right:
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0) + c1 * c2
+        return self.ring.collect(out)
 
     __rmul__ = __mul__
 
@@ -258,17 +297,20 @@ class LaurentPoly:
         if n < 0:
             if self.is_monomial():
                 exps, c = next(iter(self.terms.items()))
-                inv = LaurentPoly(self.ring, {tuple(_q(-e) for e in exps): 1 / c})
+                inv = LaurentPoly(self.ring, {tuple(map(neg, exps)): _q(Fraction(1) / c)})
                 return inv ** (-n)
             return RationalExpr.from_poly(self) ** n
-        result = self.ring.one()
+        if n == 0:
+            return self.ring.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __truediv__(self, other):
         if isinstance(other, RationalExpr):
@@ -311,7 +353,7 @@ class LaurentPoly:
             new = list(exps)
             new[i] = _q(e - 1)
             key = tuple(new)
-            v = out.get(key, Fraction(0)) + c * e
+            v = out.get(key, 0) + c * e
             if v == 0:
                 out.pop(key, None)
             else:
@@ -358,7 +400,7 @@ class LaurentPoly:
                     )
                 vec[positions[i]] = e
             key = tuple(vec)
-            v = out.get(key, Fraction(0)) + c
+            v = out.get(key, 0) + c
             if v == 0:
                 out.pop(key, None)
             else:
@@ -498,7 +540,7 @@ class GenImage:
         exps, c = next(iter(self.expr.num.terms.items()))
         ratio = Fraction(e) / self.granularity
         if ratio.denominator == 1:
-            coeff = c ** int(ratio)
+            coeff = Fraction(c) ** int(ratio)
         elif c == 1:
             coeff = Fraction(1)
         else:
@@ -520,8 +562,14 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
     """Exact quotient f/g in the Laurent ring, or None when not divisible.
 
     Both arguments are reduced by their monomial content (units here), then
-    ordinary multivariate lead-term division is run; a nonzero remainder
-    means no quotient exists.
+    ordinary multivariate lead-term division is run on one mutable remainder
+    dict; a nonzero remainder means no quotient exists.  The quotient may
+    carry fractional exponents on ``eps``, like its arguments.  The remainder's
+    graded-lex leading term comes from a heap keyed by the negated order key.
+    A key stays in the heap after its term cancels (lazy deletion) and is
+    skipped when popped; a key is pushed again only when it re-enters the
+    remainder.  Every step cancels the current leading term and adds only
+    smaller ones, so no key is processed twice.
     """
     if g.is_zero():
         raise RingError("division by the zero polynomial")
@@ -529,25 +577,39 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
         return f.ring.zero()
     if f.ring != g.ring:
         raise RingError("mixed ring contexts in divide_exact")
-    ring = f.ring
+    eps = f.ring._eps_index
     cf, cg = f.content_exps(), g.content_exps()
-    shift = tuple(_q(a - b) for a, b in zip(cf, cg))
-    fred = LaurentPoly(ring, {tuple(_q(a - b) for a, b in zip(e, cf)): c for e, c in f.terms.items()})
-    gred = LaurentPoly(ring, {tuple(_q(a - b) for a, b in zip(e, cg)): c for e, c in g.terms.items()})
-    glead_exps, glead_c = gred.lead()
+    shift = tuple(map(sub, cf, cg))
+    rem = {tuple(map(sub, e, cf)): c for e, c in f.terms.items()}
+    gred = sorted(((tuple(map(sub, e, cg)), c) for e, c in g.terms.items()),
+                  key=lambda t: _grlex_key(t[0]), reverse=True)
+    (glead, glc), tail = gred[0], gred[1:]
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapify(heap)
     quotient: dict = {}
-    rem = fred
-    while not rem.is_zero():
-        rexps, rc = rem.lead()
-        diff = tuple(_q(a - b) for a, b in zip(rexps, glead_exps))
-        if any((not isinstance(e, int)) or e < 0 for e in diff):
+    while rem:
+        rexps = heappop(heap)[2]
+        rc = rem.pop(rexps, None)
+        if rc is None:
+            continue
+        diff = tuple(map(sub, rexps, glead))
+        if min(diff, default=0) < 0:
             return None
-        qc = rc / glead_c
-        quotient[diff] = quotient.get(diff, Fraction(0)) + qc
-        rem = rem - LaurentPoly(ring, {diff: qc}) * gred
-    return LaurentPoly(ring, {e: c for e, c in quotient.items() if c != 0}) * LaurentPoly(
-        ring, {shift: Fraction(1)}
-    )
+        qc = _div(rc, glc)
+        quotient[_eps_int(tuple(map(add, diff, shift)), eps)] = qc
+        for ge, gc in tail:
+            key = tuple(map(add, diff, ge))
+            v = rem.get(key)
+            if v is None:
+                rem[key] = -qc * gc
+                heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+            else:
+                v -= qc * gc
+                if v:
+                    rem[key] = v
+                else:
+                    del rem[key]
+    return LaurentPoly(f.ring, quotient)
 
 
 class RationalExpr:
@@ -565,6 +627,9 @@ class RationalExpr:
             raise RingError("numerator/denominator ring mismatch")
         if den.is_zero():
             raise RingError("zero denominator")
+        if den.is_one():
+            self.num, self.den = num, den
+            return
         ring = num.ring
         if num.is_zero():
             self.num, self.den = num, ring.one()
@@ -576,14 +641,15 @@ class RationalExpr:
         if q is not None:
             self.num, self.den = q, ring.one()
             return
-        cn, cd = num.content_exps(), den.content_exps()
-        unit = LaurentPoly(ring, {tuple(_q(-e) for e in cd): Fraction(1)})
+        cd = den.content_exps()
+        unit = LaurentPoly(ring, {tuple(map(neg, cd)): 1})
         num = num * unit
         den = den * unit
         _, lc = den.lead()
         if lc != 1:
-            num = num * ring.const(1 / lc)
-            den = den * ring.const(1 / lc)
+            inv = ring.const(Fraction(1) / lc)
+            num = num * inv
+            den = den * inv
         self.num, self.den = num, den
 
     @property
@@ -618,6 +684,8 @@ class RationalExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalExpr(self.num + other.num, self.den)
         return RationalExpr(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -638,6 +706,8 @@ class RationalExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalExpr(self.num * other.num, self.den)
         return RationalExpr(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -648,6 +718,8 @@ class RationalExpr:
             return NotImplemented
         if other.is_zero():
             raise RingError("division by zero expression")
+        if self.den.is_one() and other.den.is_one():
+            return RationalExpr(self.num, other.num)
         return RationalExpr(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -663,12 +735,16 @@ class RationalExpr:
             if self.is_zero():
                 raise RingError("negative power of zero")
             return RationalExpr(self.den, self.num) ** (-n)
+        if self.den.is_one():
+            return RationalExpr(self.num ** n, self.den)
         return RationalExpr(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __ne__(self, other) -> bool:

@@ -62,14 +62,15 @@ def _data() -> dict:
     return catalog.load("unfoldings")
 
 
-def hat_param_table() -> dict:
-    entry = _data()["d4"]
+def hat_param_table(key: str = "d4") -> dict:
+    """The hat parameters of entry ``key`` (by default the corank-3 entry d4)."""
+    entry = _data()[key]
     return {name: parse_poly(text, W_RING) for name, text in entry["hat_params"].items()}
 
 
-def hat_param_rank_check() -> Certificate:
+def hat_param_rank_check(key: str) -> Certificate:
     """The affine-linear part of w -> w-hat has full rank 4."""
-    table = hat_param_table()
+    table = hat_param_table(key)
     rows = []
     for name in ("wh1", "wh2", "wh3", "wh4"):
         poly = table[name]
@@ -90,14 +91,14 @@ def hat_param_rank_check() -> Certificate:
             p = p.substitute({w: W_RING.const(0)}).as_poly()
         at_zero.append(p.constant_value())
     ok = rank == 4 and at_zero == [Fraction(-8), Fraction(0), Fraction(8), Fraction(4)]
-    return certify("unfold-d4-params", "unfolding parameters are independent",
+    return certify(f"unfold-{key}-params", "unfolding parameters are independent",
                    "corank-3 parameter map", ok,
                    detail=f"linear rank {rank}; value at 0 is (-8, 0, 8, 4)")
 
 
-def unfold_d4() -> Certificate:
+def unfold_d4(key: str) -> Certificate:
     """Exact decomposition: shifted cubic = Morse term + quartic tail + normal form."""
-    entry = _data()["d4"]
+    entry = _data()[key]
     ring = W_RING
     x3 = ring.gen("x3")
     shift = entry["pre_shift"]
@@ -114,11 +115,11 @@ def unfold_d4() -> Certificate:
     tail = parse_poly(entry["tail"], ring)
     corrected = plane + tail
     moved = corrected.substitute({"x1": parse_expr(entry["post_shift_x1"], ring)}).as_poly()
-    hats = hat_param_table()
+    hats = hat_param_table(key)
     target = parse_poly(entry["target"], ring, symbols=hats)
     res = moved - target
     ok = pure and kappa.is_one() and res.is_zero()
-    return certify("unfold-d4", "corank-3 normal form",
+    return certify(f"unfold-{key}", "corank-3 normal form",
                    "four-hole cubic unfolding", ok,
                    detail="Morse coefficient 1; tail -(x1^2 - x2^2/4)^2/4 recorded",
                    residue=res)
@@ -154,9 +155,9 @@ def _udeg(relation: LaurentPoly, ring: Ring) -> int:
     return max(exps[ui] for exps in relation.terms)
 
 
-def unfold_a1_pvdeg() -> Certificate:
+def unfold_a1_pvdeg(key: str) -> Certificate:
     """Both explicit charts map onto the Morse normal form, as rational identities."""
-    entry = _data()["a1_pvdeg"]
+    entry = _data()[key]
     ring = Ring(("x1", "x2", "x3") + tuple(entry["param_generators"]))
     phi = parse_poly(entry["cubic"], ring)
     bad = []
@@ -165,22 +166,23 @@ def unfold_a1_pvdeg() -> Certificate:
         target = parse_poly(chart["target"], ring)
         if out != as_expr(target):
             bad.append((i, out - as_expr(target)))
-    return certify("unfold-a1-pvdeg", "corank-1 normal form (two charts)",
+    return certify(f"unfold-{key.replace('_', '-')}", "corank-1 normal form (two charts)",
                    "degenerate fifth-equation unfolding", not bad,
                    detail="both chart maps verified by cross-multiplication",
                    residue=bad[:1])
 
 
-def singular_points_check() -> Certificate:
+def singular_points_check(key: str) -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
-    entry = _data()["a1_pvdeg"]["singular_fibre"]
-    gvals = {"G1": -int(entry["params"]["w1"]), "G2": -int(entry["params"]["w2"])}
-    ok = all(singular_point_check("PVdeg", gvals, tuple(pt))
-             for pt in entry["singular_points"])
-    probe_singular = singular_point_check("PVdeg", gvals, tuple(entry["regular_probe"]))
-    return certify("singular-points-pvdeg", "singular points of the degenerate fibre",
-                   "PVdeg singular fibre", ok and not probe_singular,
-                   detail=f"points {entry['singular_points']} singular; probe {entry['regular_probe']} is not")
+    tag = _data()[key]["tag"]
+    fibre = _data()[key]["singular_fibre"]
+    gvals = {"G1": -int(fibre["params"]["w1"]), "G2": -int(fibre["params"]["w2"])}
+    ok = all(singular_point_check(tag, gvals, tuple(pt))
+             for pt in fibre["singular_points"])
+    probe_singular = singular_point_check(tag, gvals, tuple(fibre["regular_probe"]))
+    return certify(f"singular-points-{tag.lower()}", "singular points of the degenerate fibre",
+                   f"{tag} singular fibre", ok and not probe_singular,
+                   detail=f"points {fibre['singular_points']} singular; probe {fibre['regular_probe']} is not")
 
 
 def cases() -> dict:
@@ -191,12 +193,12 @@ def cases() -> dict:
 def checks(key: str) -> list:
     """(fn, args) of every certificate that the fields of entry ``key`` call for."""
     entry = cases()[key]
-    jobs = [(fn, args) for field, fn, args in (
-        ("diffeo", unfold_d4, ()),
-        ("hat_params", hat_param_rank_check, ()),
-        ("relation_lhs", _implicit_case, (key,)),
-        ("charts", unfold_a1_pvdeg, ()),
-        ("singular_fibre", singular_points_check, ())) if field in entry]
+    jobs = [(fn, (key,)) for field, fn in (
+        ("diffeo", unfold_d4),
+        ("hat_params", hat_param_rank_check),
+        ("relation_lhs", _implicit_case),
+        ("charts", unfold_a1_pvdeg),
+        ("singular_fibre", singular_points_check)) if field in entry]
     if not jobs:
         raise catalog.CatalogError(f"unfoldings.json {key}: no certificate follows from its fields")
     return jobs

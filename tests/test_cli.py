@@ -79,6 +79,19 @@ def test_twist_unknown_case_lists_the_table(capsys):
     assert "PV, PVdeg, PIII_D6, PIII_D8" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("twist", "PVII"), "error: unknown twist case 'PVII' (have PV, PVdeg, PIII_D6, PIII_D8)"),
+    (("lambda", "PX"), "error: no lambda catalog for 'PX' (have ['PIII_D7', "),
+    (("signature", "PX"), "error: no signature for 'PX'"),
+    (("confluence", "PI", "PVI"), "error: no confluence arrow PI -> PVI"),
+])
+def test_lookup_error_is_one_unquoted_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_twist_command(capsys):
     code, out, _ = run_cli(capsys, "twist", "PIII_D8", "--repeat", "2")
     assert code == 0

@@ -94,3 +94,19 @@ def test_copied_twist_entry_is_certified(tmp_path):
     certs = {c.cid: c.passed for c in verify.run(["twists"])}
     assert certs["twist-PIII_D6copy"] and certs["twist-frozen-PIII_D6copy"]
     assert len(certs) == 2 * (len(TWISTS) + 1)
+
+
+def test_copied_unfolding_entry_checks_its_own_key(tmp_path, capsys):
+    # every unfolding certificate reads the entry it was derived from, so a
+    # perturbed copy of d4 fails under its own id while d4 still passes
+    def copy(data):
+        entry = json.loads(json.dumps(data["d4"]))
+        entry["target"] += " + 1"
+        data["d4copy"] = entry
+
+    root = catalog_copy(tmp_path, "unfoldings", copy)
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "unfolding")
+    assert code == 1
+    assert "FAIL  unfold-d4copy " in out
+    assert "PASS  unfold-d4 " in out and "PASS  unfold-d4copy-params " in out
+    assert out.count("unfold-d4-params ") == 1

@@ -1,5 +1,6 @@
 """Exact ring arithmetic: worked examples plus randomized algebra laws."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from painleve_cubics import (GenImage, LaurentPoly, RationalExpr, Ring, RingError,
                              divide_exact, parse_expr, parse_poly)
+from painleve_cubics.poisson import PoissonStructure
 from painleve_cubics.ring import as_expr
 
 
@@ -246,3 +248,46 @@ def test_library_facade():
     assert pc.chart("PV").tag == "PV"
     assert pc.signature("PV").dimension() == 7
     assert pc.lambda_catalog("PV").leaf_dim == 4
+
+
+def assert_exact(poly):
+    """Coefficients are ints or Fractions; exponents are ints, except a
+    non-integral Fraction on eps."""
+    eps = poly.ring._eps_index
+    for exps, c in poly.terms.items():
+        assert type(c) in (int, Fraction), (exps, c)
+        for i, e in enumerate(exps):
+            assert type(e) is int or (i == eps and type(e) is Fraction and e.denominator != 1), exps
+
+
+@pytest.mark.parametrize("word", list(itertools.product((1, 2, 3), repeat=3)))
+def test_mutations_stay_exact(word):
+    from painleve_cubics.cluster import cluster_ring, run_sequence
+    ring = Ring(cluster_ring().names + ("eps",))
+    for value in run_sequence(word, ring).values():
+        assert_exact(value.num)
+        assert_exact(value.den)
+
+
+def test_eps_scalings_stay_exact():
+    from painleve_cubics.confluence import arrows, scaled_chart_coords
+    for a in arrows():
+        for p in scaled_chart_coords(a):
+            assert_exact(p)
+            assert_exact(p.epsilon_leading()[1])
+    ring = Ring(["x", "y", "eps"])
+    root = ring.monomial({"x": 1, "eps": Fraction(1, 2)})
+    square = root * root
+    assert square.terms == {(2, 0, 1): 1} and type(next(iter(square.terms))[2]) is int
+    bracket = PoissonStructure(ring, {("x", "y"): Fraction(1, 2)}).bracket(
+        root, ring.monomial({"y": 1, "eps": Fraction(3, 2)}))
+    assert bracket.terms == {(1, 1, 2): Fraction(1, 2)}
+    assert_exact(bracket)
+
+
+def test_reciprocal_of_integral_coefficient_is_a_fraction():
+    x = Ring(["x"]).gen("x")
+    (coeff,) = ((3 * x) ** -1).terms.values()
+    assert type(coeff) is Fraction and coeff == Fraction(1, 3)
+    assert ((x + 1) * 3).terms == {(1,): 3, (0,): 3}
+    assert all(type(c) is int for c in ((x + 1) * 3).terms.values())

@@ -28,13 +28,13 @@ def test_hat_parameters():
 
 
 def test_hat_parameter_rank():
-    cert = hat_param_rank_check()
+    cert = hat_param_rank_check("d4")
     assert cert.passed
     assert "rank 4" in cert.detail
 
 
 def test_d4_certificate():
-    cert = unfold_d4()
+    cert = unfold_d4("d4")
     assert cert.passed
     assert "Morse coefficient 1" in cert.detail
 
@@ -54,8 +54,8 @@ def test_a1_pii_relation_is_monic_quadratic():
 
 
 def test_a1_pvdeg_charts_and_points():
-    assert unfold_a1_pvdeg().passed
-    assert singular_points_check().passed
+    assert unfold_a1_pvdeg("a1_pvdeg").passed
+    assert singular_points_check("a1_pvdeg").passed
 
 
 def test_checks_follow_the_entry_fields():
