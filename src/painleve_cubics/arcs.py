@@ -123,10 +123,8 @@ def comb_bracket(u: tuple, v: tuple) -> Fraction:
 
 def comb_bracket_check() -> Certificate:
     """Antisymmetry plus the worked index pairs against the PV table."""
-    data = catalog.load("lambdas")["catalogs"]["PV"]
-    idx = {name: tuple(tuple(pair) for pair in pairs)
-           for name, pairs in data["cusp_indices"].items()}
-    table = {tuple(k.split(",")): Fraction(v) for k, v in data["table"].items()}
+    cat = lambda_catalog("PV")
+    idx, table = cat.cusp_indices, cat.table
     checks = []
     for (uname, u) in idx.items():
         for (vname, v) in idx.items():
@@ -159,13 +157,26 @@ class LambdaCatalog:
     structure: PoissonStructure   # log-canonical structure on lambda_ring
     shear_structure: "PoissonStructure | None"
     frozen: tuple
-    identifications: dict         # cubic parameter symbol -> expression string
-    casimirs: tuple
+    identifications: dict         # cubic parameter symbol -> RationalExpr over lambda_ring
+    casimirs: tuple               # the catalog strings, e.g. "a*b^-1*h^2"
+    casimir_exps: tuple           # the same as {name: exponent} maps
     leaf_dim: int
-    xexprs: dict                  # x-name -> expression string over lambda_ring
+    xexprs: dict                  # x-name -> RationalExpr over lambda_ring
     stated_log_brackets: dict
     solved_log_brackets: dict
+    central_shear: tuple          # shear generators carrying the loop parameters
+    cusp_indices: dict            # arc -> ((hole, order), (hole, order))
+    signature: str                # signatures.json entry of the surface
     subset_of: "str | None" = None
+
+
+def _exponents(product: str) -> dict:
+    """``"a*b^-1*h^2"`` as ``{"a": 1, "b": -1, "h": 2}``."""
+    vec = {}
+    for part in product.split("*"):
+        name, _, e = part.partition("^")
+        vec[name] = int(e) if e else 1
+    return vec
 
 
 @catalog.cached
@@ -174,47 +185,40 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
     if tag not in data:
         raise KeyError(f"no lambda catalog for {tag!r} (have {sorted(data)})")
     entry = data[tag]
-    if "subset_of" in entry:
-        parent = lambda_catalog(entry["subset_of"])
-        names = tuple(entry["subset"])
-        table = {(u, v): c for (u, v), c in parent.table.items()
-                 if u in names and v in names}
-        lring = Ring(names)
-        structure = PoissonStructure(lring, {(u, v): c for (u, v), c in table.items()})
+    with catalog.context(f"lambdas.json catalogs.{tag}"):
+        stated = catalog.pairs(entry.get("stated_log_brackets", {}))
+        solved = catalog.pairs(entry.get("solved_log_brackets", {}))
+        if "subset_of" in entry:
+            parent = lambda_catalog(entry["subset_of"])
+            names = tuple(entry["subset"])
+            sring, shear_structure, params = parent.shear_ring, parent.shear_structure, ()
+            entries = {n: parent.entries[n] for n in names}
+            table = {(u, v): c for (u, v), c in parent.table.items() if u in names and v in names}
+            frozen = tuple(n for n in parent.frozen if n in names)
+        else:
+            sring = Ring(tuple(entry["shear_generators"]))
+            entries = {n: parse_poly(s, sring) for n, s in entry["entries"].items()}
+            table = catalog.pairs(entry["table"] if "table" in entry else data[entry["table_ref"]]["table"])
+            params = tuple(entry.get("params", ()))
+            frozen = tuple(entry.get("frozen", ()))
+            log = solved or stated
+            shear_structure = PoissonStructure.from_log_brackets(sring, log) if log else None
+        lring = Ring(tuple(entries) + params)
         return LambdaCatalog(
-            tag=tag, shear_ring=parent.shear_ring,
-            entries={n: parent.entries[n] for n in names},
-            table=table, params=(), lambda_ring=lring, structure=structure,
-            shear_structure=parent.shear_structure,
-            frozen=tuple(n for n in parent.frozen if n in names),
-            identifications={}, casimirs=tuple(entry["casimirs"]),
-            leaf_dim=int(entry["leaf_dim"]), xexprs={},
-            stated_log_brackets={}, solved_log_brackets={},
-            subset_of=entry["subset_of"])
-    sring = Ring(tuple(entry["shear_generators"]))
-    entries = {n: parse_poly(s, sring) for n, s in entry["entries"].items()}
-    table_src = entry["table"] if "table" in entry else data[entry["table_ref"]]["table"]
-    table = {tuple(k.split(",")): Fraction(v) for k, v in table_src.items()}
-    params = tuple(entry.get("params", ()))
-    names = tuple(entry["entries"]) + params
-    lring = Ring(names)
-    structure = PoissonStructure(lring, {k: v for k, v in table.items()})
-    stated = {tuple(k.split(",")): Fraction(v)
-              for k, v in entry.get("stated_log_brackets", {}).items()}
-    solved = {tuple(k.split(",")): Fraction(v)
-              for k, v in entry.get("solved_log_brackets", {}).items()}
-    shear_structure = (PoissonStructure.from_log_brackets(sring, solved)
-                       if solved else
-                       PoissonStructure.from_log_brackets(sring, stated) if stated else None)
-    return LambdaCatalog(
-        tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
-        lambda_ring=lring, structure=structure, shear_structure=shear_structure,
-        frozen=tuple(entry.get("frozen", ())),
-        identifications=dict(entry.get("identifications", {})),
-        casimirs=tuple(entry.get("casimirs", ())),
-        leaf_dim=int(entry.get("leaf_dim", 0)),
-        xexprs=dict(entry.get("xexprs", {})),
-        stated_log_brackets=stated, solved_log_brackets=solved)
+            tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
+            lambda_ring=lring, structure=PoissonStructure(lring, table),
+            shear_structure=shear_structure, frozen=frozen,
+            identifications={g: parse_expr(s, lring)
+                             for g, s in entry.get("identifications", {}).items()},
+            casimirs=tuple(entry.get("casimirs", ())),
+            casimir_exps=tuple(_exponents(text) for text in entry.get("casimirs", ())),
+            leaf_dim=int(entry.get("leaf_dim", 0)),
+            xexprs={n: parse_expr(s, lring) for n, s in entry.get("xexprs", {}).items()},
+            stated_log_brackets=stated, solved_log_brackets=solved,
+            central_shear=tuple(entry.get("central_shear", ())),
+            cusp_indices={name: tuple(tuple(pair) for pair in pairs)
+                          for name, pairs in entry.get("cusp_indices", {}).items()},
+            signature=entry.get("signature", tag), subset_of=entry.get("subset_of"))
 
 
 def verify_lambda_table(tag: str) -> Certificate:
@@ -229,13 +233,13 @@ def verify_lambda_table(tag: str) -> Certificate:
         rhs = c * cat.entries[u] * cat.entries[v]
         if lhs != rhs:
             bad.append((u, v, lhs - rhs))
-    central = catalog.load("lambdas")["catalogs"].get(tag, {}).get("central_shear", [])
-    for z in central:
+    for z in cat.central_shear:
         for name, m in cat.entries.items():
             br = S.bracket(cat.shear_ring.gen(z), m)
             if not br.is_zero():
                 bad.append((z, name, br))
-    form = "sum entries" if tag == "PIII_hat" else "monomial entries"
+    monomial = all(m.is_monomial() for m in cat.entries.values())
+    form = "monomial entries" if monomial else "sum entries"
     return certify(f"lambda-table-{tag}", "bracket table from the shear structure",
                    f"{tag} arc bracket table", not bad, detail=form,
                    residue=[(u, v, str(r)[:60]) for u, v, r in bad[:4]])
@@ -244,8 +248,7 @@ def verify_lambda_table(tag: str) -> Certificate:
 def solve_structure_check(tag: str) -> Certificate:
     """Re-derive the frozen shear structure from the table by a fresh exact solve."""
     cat = lambda_catalog(tag)
-    central = catalog.load("lambdas")["catalogs"][tag].get("central_shear", [])
-    res = solve_structure(cat.shear_ring, cat.entries, cat.table, central=central)
+    res = solve_structure(cat.shear_ring, cat.entries, cat.table, central=cat.central_shear)
     ok = res.consistent and not res.free_pairs
     match = True
     stated_ok = True
@@ -272,26 +275,16 @@ def casimir_check(tag: str) -> Certificate:
     perimeter); the subset catalogs use the arc pairing directly.
     """
     cat = lambda_catalog(tag)
-    central = catalog.load("lambdas")["catalogs"].get(tag, {}).get("central_shear", [])
     if cat.shear_structure is not None and all(m.is_monomial() for m in cat.entries.values()):
         structure = cat.shear_structure
         mono = dict(cat.entries)
-        for p, z in zip(cat.params, central):
+        for p, z in zip(cat.params, cat.central_shear):
             mono[p] = cat.shear_ring.gen(z)
     else:
         structure = cat.structure
         mono = {n: cat.lambda_ring.gen(n) for n in cat.lambda_ring.names}
     report = casimir_kernel(structure, mono)
-    expected = []
-    for text in cat.casimirs:
-        vec = {}
-        for part in text.split("*"):
-            if "^" in part:
-                name, e = part.split("^")
-                vec[name] = int(e)
-            else:
-                vec[part] = 1
-        expected.append(vec)
+    expected = cat.casimir_exps
     members = all(is_casimir_product(structure, vec, mono) for vec in expected)
     ok = (report.rank == cat.leaf_dim
           and len(report.kernel) == len(expected) and members)
@@ -303,16 +296,11 @@ def casimir_check(tag: str) -> Certificate:
                    residue=report.kernel_names())
 
 
-def x_in_lambda(tag: str) -> dict:
-    cat = lambda_catalog(tag)
-    return {n: parse_expr(s, cat.lambda_ring) for n, s in cat.xexprs.items()}
-
-
 def commutant_check(tag: str) -> Certificate:
     """The x-expressions commute with the frozen arcs and satisfy the cubic."""
     cat = lambda_catalog(tag)
     ring = cat.lambda_ring
-    xs = x_in_lambda(tag)
+    xs = cat.xexprs
     S = cat.structure
     bad = []
     for xname, expr in xs.items():
@@ -320,7 +308,7 @@ def commutant_check(tag: str) -> Certificate:
             br = S.bracket_expr(expr, as_expr(ring.gen(frozen)))
             if not br.is_zero():
                 bad.append((xname, frozen, "bracket does not vanish"))
-    ident = {g: parse_expr(s, ring) for g, s in cat.identifications.items()}
+    ident = cat.identifications
     omega = []
     for w in cubic(cat.tag).omega:
         img = {}
@@ -346,8 +334,9 @@ def pvi_from_pv_check() -> Certificate:
     data = catalog.load("lambdas")["pvi_from_pv"]
     cat = lambda_catalog("PV")
     ring = cat.lambda_ring
-    xs = {n: parse_expr(s, ring) for n, s in data["xexprs"].items()}
-    ident = {g: parse_expr(s, ring) for g, s in data["identifications"].items()}
+    with catalog.context("lambdas.json pvi_from_pv"):
+        xs = {n: parse_expr(s, ring) for n, s in data["xexprs"].items()}
+        ident = {g: parse_expr(s, ring) for g, s in data["identifications"].items()}
     img = {}
     for gname in G_NAMES:
         if gname in ident:
@@ -357,8 +346,7 @@ def pvi_from_pv_check() -> Certificate:
     omega = [w.substitute(img, ring=ring) for w in cubic("PVI").omega]
     phi = cubic_form(tuple(xs[n] for n in X_NAMES), cubic("PVI").eps, omega)
     # specialisation e = 1 collapses the extra parameter to the value 2
-    deg = parse_expr(data["identifications"]["G3"], ring).substitute(
-        {"e": ring.one()}).as_poly()
+    deg = ident["G3"].substitute({"e": ring.one()}).as_poly()
     point = {n: v for n, v in zip(ring.names, (2, 3, 5, 7, 11, 13, 17))}
     spot = phi.evaluate(point) == 0
     ok = phi.is_zero() and deg.constant_value() == 2 and spot
@@ -371,7 +359,7 @@ def pvi_from_pv_check() -> Certificate:
 def lamination_count_check(tag: str) -> Certificate:
     """Moduli dimension = number of arcs + number of loop parameters."""
     cat = lambda_catalog(tag)
-    sig = signature({"PIII_hat": "PIII_D6", "PIII_tilde": "PIII_D6"}.get(tag, tag))
+    sig = signature(cat.signature)
     count = len(cat.entries) + len(cat.params)
     ok = sig.dimension() == count
     return certify(f"lamination-count-{tag}", "arc count matches moduli dimension",
@@ -414,9 +402,10 @@ def signature(tag: str) -> Signature:
     if tag not in data:
         raise KeyError(f"no signature for {tag!r}")
     entry = data[tag]
-    return Signature(tag=tag, holes=tuple(entry["holes"]), row=tuple(entry["row"]),
-                     stated_dim=int(entry["dim"]), in_table=bool(entry.get("in_table", True)),
-                     phantom_hole=bool(entry.get("phantom_hole", False)))
+    with catalog.context(f"signatures.json signatures.{tag}"):
+        return Signature(tag=tag, holes=tuple(entry["holes"]), row=tuple(entry["row"]),
+                         stated_dim=int(entry["dim"]), in_table=bool(entry.get("in_table", True)),
+                         phantom_hole=bool(entry.get("phantom_hole", False)))
 
 
 def signature_check(tag: str) -> Certificate:

@@ -74,7 +74,6 @@ def _cmd_chart(args) -> int:
 def _cmd_lambda(args) -> int:
     cat = arcs.lambda_catalog(args.tag)
     if args.format == "json":
-        raw = catalog.load("lambdas")["catalogs"].get(args.tag, {})
         print(json.dumps({
             "tag": cat.tag,
             "entries": {n: p.to_text() for n, p in cat.entries.items()},
@@ -83,7 +82,7 @@ def _cmd_lambda(args) -> int:
             "frozen": list(cat.frozen),
             "casimirs": list(cat.casimirs),
             "leaf_dim": cat.leaf_dim,
-            "cusp_indices": raw.get("cusp_indices", {}),
+            "cusp_indices": cat.cusp_indices,
             "shear_structure": cat.shear_structure.to_json() if cat.shear_structure else None,
         }, indent=1))
         return 0
@@ -100,8 +99,7 @@ def _cmd_bracket(args) -> int:
     ring = cat.lambda_ring
     for name in (args.first, args.second):
         if name not in ring.index:
-            print(f"unknown arc {name!r} in {args.tag}", file=sys.stderr)
-            return 2
+            raise KeyError(f"unknown arc {name!r} in {args.tag}")
     coeff = cat.structure.pair(args.first, args.second)
     print(f"{{{args.first},{args.second}}} = {coeff} * {args.first} * {args.second}")
     return 0
@@ -123,8 +121,7 @@ def _cmd_mutate(args) -> int:
     word = []
     for ch in args.sequence.replace(",", ""):
         if ch not in "123":
-            print(f"bad mutation index {ch!r} (use 1, 2, 3)", file=sys.stderr)
-            return 2
+            raise KeyError(f"bad mutation index {ch!r} (use 1, 2, 3)")
         word.append(int(ch))
     ring = cluster.cluster_ring()
     cl = cluster.initial_cluster(ring)
@@ -156,8 +153,7 @@ def _cmd_twist(args) -> int:
 def _cmd_unfold(args) -> int:
     keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
     if args.tag not in keys:
-        print(f"no unfolding case for {args.tag!r} (have {sorted(keys)})", file=sys.stderr)
-        return 2
+        raise KeyError(f"no unfolding case for {args.tag!r} (have {sorted(keys)})")
     entry = unfolding.cases()[keys[args.tag]]
     if args.format != "json":
         for field in ("substitution", "diffeo"):
@@ -217,8 +213,7 @@ def _cmd_export(args) -> int:
             }
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
-    print(f"unknown export {args.what!r} (confluence, inclusions, catalog)", file=sys.stderr)
-    return 2
+    raise KeyError(f"unknown export {args.what!r} (confluence, inclusions, catalog)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,10 +281,7 @@ def main(argv=None) -> int:
         catalog.set_catalog_root(args.catalog)
     try:
         return args.fn(args)
-    except catalog.CatalogError as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, RingError, ExprSyntaxError) as exc:
+    except (KeyError, catalog.CatalogError, RingError, ExprSyntaxError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ y_i y_i' = y_j^2 + y_k^2 + G_i y_j y_k, whose iterates stay Laurent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catalog
 from .arcs import lambda_catalog
@@ -218,14 +217,13 @@ def twist_case(name: str) -> TwistCase:
     if name not in table:
         raise KeyError(f"unknown twist case {name!r} (have {', '.join(table)})")
     entry = table[name]
-    try:
+    with catalog.context(f"lambdas.json twists.{name}"):
         if "arcs" in entry:
             cat = lambda_catalog(entry["arcs"])
             ring, structure = cat.lambda_ring, cat.structure
         else:
             ring = Ring(tuple(entry["generators"]))
-            structure = PoissonStructure(ring, {tuple(k.split(",")): Fraction(v)
-                                                for k, v in entry["table"].items()})
+            structure = PoissonStructure(ring, catalog.pairs(entry["table"]))
         steps = tuple(entry["steps"])
         names = [*entry["variables"], *entry["frozen"], *(arc for step in steps for arc in step)]
         unknown = [n for n in names if n not in ring.index]
@@ -234,12 +232,11 @@ def twist_case(name: str) -> TwistCase:
         for step in steps:
             for text in step.values():
                 parse_expr(text, ring)
-        invariants = {label: parse_expr(text, ring) for label, text in entry["invariants"].items()}
-    except (KeyError, ValueError, RingError) as exc:
-        raise catalog.CatalogError(f"lambdas.json twists.{name}: {exc}") from exc
-    return TwistCase(name=name, variables=tuple(entry["variables"]),
-                     frozen=tuple(entry["frozen"]), ring=ring, structure=structure,
-                     invariants=invariants, steps=steps)
+        return TwistCase(name=name, variables=tuple(entry["variables"]),
+                         frozen=tuple(entry["frozen"]), ring=ring, structure=structure,
+                         invariants={label: parse_expr(text, ring)
+                                     for label, text in entry["invariants"].items()},
+                         steps=steps)
 
 
 def dehn_twist(case: TwistCase, values: dict) -> dict:

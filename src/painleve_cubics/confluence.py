@@ -38,11 +38,14 @@ class Arrow:
 
 @catalog.cached
 def arrows() -> tuple:
-    data = catalog.load("arrows")["arrows"]
-    return tuple(Arrow(src=a["src"], dst=a["dst"],
-                       shift={k: Fraction(v) for k, v in a["shift"].items()},
-                       label=a["label"], secondary=bool(a.get("secondary", False)),
-                       note=a.get("note", "")) for a in data)
+    out = []
+    for i, a in enumerate(catalog.load("arrows")["arrows"]):
+        with catalog.context(f"arrows.json arrows[{i}]"):
+            out.append(Arrow(src=a["src"], dst=a["dst"],
+                             shift={k: Fraction(v) for k, v in a["shift"].items()},
+                             label=a["label"], secondary=bool(a.get("secondary", False)),
+                             note=a.get("note", "")))
+    return tuple(out)
 
 
 def arrow(src: str, dst: str) -> Arrow:
@@ -117,15 +120,17 @@ class EmbeddingMap:
 
 @catalog.cached
 def embeddings() -> tuple:
-    data = catalog.load("arrows")["embeddings"]
-    return tuple(EmbeddingMap(
-        sub=e["sub"], ambient=e["ambient"], images=dict(e["images"]),
-        stated=tuple(e.get("stated", list(e["images"]))),
-        central_images=dict(e.get("central_images", {})),
-        param_images=dict(e.get("param_images", {})),
-        expected_mismatches={tuple(k.split(",")): Fraction(v)
-                             for k, v in e.get("expected_mismatches", {}).items()},
-        note=e.get("note", "")) for e in data)
+    out = []
+    for i, e in enumerate(catalog.load("arrows")["embeddings"]):
+        with catalog.context(f"arrows.json embeddings[{i}]"):
+            out.append(EmbeddingMap(
+                sub=e["sub"], ambient=e["ambient"], images=dict(e["images"]),
+                stated=tuple(e.get("stated", list(e["images"]))),
+                central_images=dict(e.get("central_images", {})),
+                param_images=dict(e.get("param_images", {})),
+                expected_mismatches=catalog.pairs(e.get("expected_mismatches", {})),
+                note=e.get("note", "")))
+    return tuple(out)
 
 
 def embedding(sub: str, ambient: str) -> EmbeddingMap:

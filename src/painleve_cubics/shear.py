@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
+from .arcs import lambda_catalog
 from .certificates import Certificate, certify
 from .cubics import X_NAMES, cubic, cubic_form
 from .exprs import parse_expr, parse_poly
-from .poisson import PoissonStructure
 from .ring import GenImage, LaurentPoly, Ring, as_expr
 
 SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
@@ -31,6 +31,9 @@ class ShearChart:
     x_sym: tuple        # the catalog strings (parameters symbolic)
     G: dict             # parameter name -> LaurentPoly in shear coordinates
     normalization: str
+    norm_images: dict   # the parameter-fixing constraint as substitution images
+    norm_targets: dict  # parameter name -> (catalog text, stated value)
+    norm_residual: str
 
 
 def shear_ring() -> Ring:
@@ -44,11 +47,18 @@ def chart(tag: str) -> ShearChart:
         raise KeyError(f"no chart for tag {tag!r}")
     entry = data["charts"][tag]
     ring = shear_ring()
-    G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
-    xs = tuple(parse_poly(entry[n], ring, symbols=G) for n in X_NAMES)
-    return ShearChart(tag=tag, ring=ring, x=xs,
-                      x_sym=tuple(entry[n] for n in X_NAMES),
-                      G=G, normalization=entry["normalization"])
+    with catalog.context(f"charts.json charts.{tag}"):
+        G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
+        images = {gen: GenImage(parse_expr(spec["image"], ring), 1 if spec["power"] == "half" else 2)
+                  for gen, spec in entry.get("normalization_subst", {}).items()}
+        targets = {g: (text, parse_poly(text, ring, symbols=G))
+                   for g, text in entry.get("normalization_targets", {}).items()}
+        return ShearChart(tag=tag, ring=ring,
+                          x=tuple(parse_poly(entry[n], ring, symbols=G) for n in X_NAMES),
+                          x_sym=tuple(entry[n] for n in X_NAMES),
+                          G=G, normalization=entry["normalization"], norm_images=images,
+                          norm_targets=targets,
+                          norm_residual=entry.get("normalization_residual", ""))
 
 
 def chart_phi_residue(tag: str) -> LaurentPoly:
@@ -64,35 +74,14 @@ def verify_chart(tag: str) -> Certificate:
                    f"{tag} shear chart", res.is_zero(), residue=res)
 
 
-def normalization_images(tag: str) -> dict:
-    """The chart's parameter-fixing constraint as substitution images."""
-    entry = catalog.load("charts")["charts"][tag]
-    ring = shear_ring()
-    images = {}
-    for gen, spec in entry.get("normalization_subst", {}).items():
-        granularity = 1 if spec["power"] == "half" else 2
-        images[gen] = GenImage(parse_expr(spec["image"], ring), granularity)
-    return images
-
-
 def chart_normalization_check(tag: str) -> Certificate:
     """The constraint drives the parameter definitions to their stated values."""
-    entry = catalog.load("charts")["charts"][tag]
     ch = chart(tag)
-    images = normalization_images(tag)
-    targets = entry.get("normalization_targets", {})
-    bad = []
-    for gname, want in targets.items():
-        got = ch.G[gname].substitute(images) if images else as_expr(ch.G[gname])
-        if want == "Ginf":
-            expect = ch.G["Ginf"].substitute(images)
-        else:
-            expect = as_expr(parse_expr(want, ch.ring).num)
-        if got != expect:
-            bad.append((gname, want))
-    detail = ", ".join(f"{g} = {w}" for g, w in targets.items()) or "no constraint needed"
-    if "normalization_residual" in entry:
-        detail += f"; {entry['normalization_residual']}"
+    bad = [(g, want) for g, (want, value) in ch.norm_targets.items()
+           if ch.G[g].substitute(ch.norm_images) != value.substitute(ch.norm_images)]
+    detail = ", ".join(f"{g} = {w}" for g, (w, _) in ch.norm_targets.items()) or "no constraint needed"
+    if ch.norm_residual:
+        detail += f"; {ch.norm_residual}"
     return certify(f"chart-normalization-{tag}", "normalisation fixes the parameters",
                    f"{tag} chart normalisation", not bad, detail=detail, residue=bad)
 
@@ -177,13 +166,6 @@ def verify_flip_braid(i: int) -> Certificate:
 # -- the PV -> PIII coordinate change ---------------------------------------
 
 
-def _pv_structure() -> tuple:
-    entry = catalog.load("lambdas")["catalogs"]["PV"]
-    ring = Ring(tuple(entry["shear_generators"]))
-    log = {tuple(k.split(",")): Fraction(v) for k, v in entry["solved_log_brackets"].items()}
-    return ring, PoissonStructure.from_log_brackets(ring, log)
-
-
 def pv_to_piii_hat_images() -> dict:
     """Exponentials of the flipped coordinates as expressions in the old ones.
 
@@ -191,7 +173,7 @@ def pv_to_piii_hat_images() -> dict:
     sign in the logarithm (i.e. as a denominator here); only that reading
     makes every chain-rule bracket constant.
     """
-    ring, _ = _pv_structure()
+    ring = lambda_catalog("PV").shear_ring
     E = lambda s: parse_expr(s, ring)
     return {
         "s1": E("e[-s1-p1] / (1 + e[s2])"),
@@ -221,7 +203,7 @@ PV_TO_PIII_EXPECTED = {
 
 def pv_to_piii_change() -> Certificate:
     """Chain-rule brackets of the flipped coordinates are the stated constants."""
-    ring, S = _pv_structure()
+    S = lambda_catalog("PV").shear_structure
     images = pv_to_piii_hat_images()
     names = list(images)
     bad = []

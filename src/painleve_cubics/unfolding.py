@@ -57,20 +57,18 @@ def _substituted(phi: LaurentPoly, sub: dict, ring: Ring) -> RationalExpr:
     return phi.cast(ring).substitute(images, ring=ring)
 
 
-@catalog.cached
-def _data() -> dict:
-    return catalog.load("unfoldings")
-
-
 def hat_param_table(key: str = "d4") -> dict:
     """The hat parameters of entry ``key`` (by default the corank-3 entry d4)."""
-    entry = _data()[key]
-    return {name: parse_poly(text, W_RING) for name, text in entry["hat_params"].items()}
+    with catalog.context(f"unfoldings.json {key}"):
+        hats = catalog.load("unfoldings")[key]["hat_params"]
+        return {name: parse_poly(text, W_RING) for name, text in hats.items()}
 
 
 def hat_param_rank_check(key: str) -> Certificate:
-    """The affine-linear part of w -> w-hat has full rank 4."""
+    """The affine-linear part of w -> w-hat has full rank 4 and the stated value at w = 0."""
     table = hat_param_table(key)
+    with catalog.context(f"unfoldings.json {key}"):
+        stated = [Fraction(v) for v in catalog.load("unfoldings")[key]["hat_params_at_zero"]]
     rows = []
     for name in ("wh1", "wh2", "wh3", "wh4"):
         poly = table[name]
@@ -84,27 +82,28 @@ def hat_param_rank_check(key: str) -> Certificate:
             row.append(coeff)
         rows.append(row)
     rank = linalg.rank(rows)
-    at_zero = []
-    for name in ("wh1", "wh2", "wh3", "wh4"):
-        p = table[name]
-        for w in ("w1", "w2", "w3", "w4"):
-            p = p.substitute({w: W_RING.const(0)}).as_poly()
-        at_zero.append(p.constant_value())
-    ok = rank == 4 and at_zero == [Fraction(-8), Fraction(0), Fraction(8), Fraction(4)]
+    zero = {w: W_RING.const(0) for w in ("w1", "w2", "w3", "w4")}
+    at_zero = [table[name].substitute(zero).as_poly().constant_value()
+               for name in ("wh1", "wh2", "wh3", "wh4")]
+    ok = rank == 4 and at_zero == stated
     return certify(f"unfold-{key}-params", "unfolding parameters are independent",
                    "corank-3 parameter map", ok,
-                   detail=f"linear rank {rank}; value at 0 is (-8, 0, 8, 4)")
+                   detail=f"linear rank {rank}; value at 0 is ({', '.join(map(str, stated))})")
 
 
 def unfold_d4(key: str) -> Certificate:
     """Exact decomposition: shifted cubic = Morse term + quartic tail + normal form."""
-    entry = _data()[key]
+    entry = catalog.load("unfoldings")[key]
     ring = W_RING
     x3 = ring.gen("x3")
-    shift = entry["pre_shift"]
-    shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
-                         tuple(ring.gen(n) for n in ("w1", "w2", "w3", "w4")))
-    result = _substituted(shifted, entry["diffeo"], ring).as_poly()
+    with catalog.context(f"unfoldings.json {key}"):
+        shift = entry["pre_shift"]
+        shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
+                             tuple(ring.gen(n) for n in ("w1", "w2", "w3", "w4")))
+        result = _substituted(shifted, entry["diffeo"], ring).as_poly()
+        tail = parse_poly(entry["tail"], ring)
+        post_shift = parse_expr(entry["post_shift_x1"], ring)
+        target = parse_poly(entry["target"], ring, symbols=hat_param_table(key))
     # split off the x3 directions: nothing mixed, quadratic coefficient constant
     i3 = ring.index["x3"]
     degrees = {exps[i3] for exps in result.terms}
@@ -112,11 +111,7 @@ def unfold_d4(key: str) -> Certificate:
     morse = LaurentPoly(ring, {e: c for e, c in result.terms.items() if e[i3] == 2})
     kappa = morse * x3 ** -2
     plane = LaurentPoly(ring, {e: c for e, c in result.terms.items() if e[i3] == 0})
-    tail = parse_poly(entry["tail"], ring)
-    corrected = plane + tail
-    moved = corrected.substitute({"x1": parse_expr(entry["post_shift_x1"], ring)}).as_poly()
-    hats = hat_param_table(key)
-    target = parse_poly(entry["target"], ring, symbols=hats)
+    moved = (plane + tail).substitute({"x1": post_shift}).as_poly()
     res = moved - target
     ok = pure and kappa.is_one() and res.is_zero()
     return certify(f"unfold-{key}", "corank-3 normal form",
@@ -126,26 +121,27 @@ def unfold_d4(key: str) -> Certificate:
 
 
 def _implicit_case(key: str) -> Certificate:
-    entry = _data()[key]
-    params = tuple(entry["param_generators"])
-    ring = Ring(("x1", "x2", "x3", "u") + params)
-    if "cubic" in entry:
-        phi = parse_poly(entry["cubic"], ring)
-    else:
-        omega = tuple(parse_poly(entry["omega"][w], ring) for w in ("w1", "w2", "w3", "w4"))
-        phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(entry["tag"]).eps, omega)
-    out = _substituted(phi, entry["substitution"], ring).as_poly()
-    target = parse_poly(entry["target"], ring)
-    clear_pow = int(entry["relation_clear_power"])
-    lhs = parse_expr(entry["relation_lhs"], ring)
-    rhs = parse_expr(entry["relation_rhs"], ring)
-    relation = ((lhs - rhs) * ring.gen("u", clear_pow)).as_poly()
-    diff = out - target
-    remainder, quotient, clear = reduce_mod_u(diff, relation, "u")
+    entry = catalog.load("unfoldings")[key]
+    with catalog.context(f"unfoldings.json {key}"):
+        params = tuple(entry["param_generators"])
+        ring = Ring(("x1", "x2", "x3", "u") + params)
+        if "cubic" in entry:
+            phi = parse_poly(entry["cubic"], ring)
+        else:
+            omega = tuple(parse_poly(entry["omega"][w], ring) for w in ("w1", "w2", "w3", "w4"))
+            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(entry["tag"]).eps, omega)
+        out = _substituted(phi, entry["substitution"], ring).as_poly()
+        target = parse_poly(entry["target"], ring)
+        clear_pow = int(entry["relation_clear_power"])
+        lhs = parse_expr(entry["relation_lhs"], ring)
+        rhs = parse_expr(entry["relation_rhs"], ring)
+        relation = ((lhs - rhs) * ring.gen("u", clear_pow)).as_poly()
+        diff = out - target
+        remainder, quotient, clear = reduce_mod_u(diff, relation, "u")
+        title = f"corank-1 normal form ({entry['singularity']})"
+        anchor = f"{entry['tag']} unfolding"
     reproduced = diff * ring.gen("u", clear) == quotient * relation + remainder
-    sing = entry["singularity"]
-    return certify(f"unfold-{key}", f"corank-1 normal form ({sing})",
-                   f"{entry['tag']} unfolding", remainder.is_zero() and reproduced,
+    return certify(f"unfold-{key}", title, anchor, remainder.is_zero() and reproduced,
                    detail=f"reduced modulo the degree-{_udeg(relation, ring)} relation in u",
                    residue=remainder)
 
@@ -157,15 +153,16 @@ def _udeg(relation: LaurentPoly, ring: Ring) -> int:
 
 def unfold_a1_pvdeg(key: str) -> Certificate:
     """Both explicit charts map onto the Morse normal form, as rational identities."""
-    entry = _data()[key]
-    ring = Ring(("x1", "x2", "x3") + tuple(entry["param_generators"]))
-    phi = parse_poly(entry["cubic"], ring)
+    entry = catalog.load("unfoldings")[key]
     bad = []
-    for i, chart in enumerate(entry["charts"], start=1):
-        out = _substituted(phi, chart["substitution"], ring)
-        target = parse_poly(chart["target"], ring)
-        if out != as_expr(target):
-            bad.append((i, out - as_expr(target)))
+    with catalog.context(f"unfoldings.json {key}"):
+        ring = Ring(("x1", "x2", "x3") + tuple(entry["param_generators"]))
+        phi = parse_poly(entry["cubic"], ring)
+        for i, chart in enumerate(entry["charts"], start=1):
+            out = _substituted(phi, chart["substitution"], ring)
+            target = parse_poly(chart["target"], ring)
+            if out != as_expr(target):
+                bad.append((i, out - as_expr(target)))
     return certify(f"unfold-{key.replace('_', '-')}", "corank-1 normal form (two charts)",
                    "degenerate fifth-equation unfolding", not bad,
                    detail="both chart maps verified by cross-multiplication",
@@ -174,12 +171,13 @@ def unfold_a1_pvdeg(key: str) -> Certificate:
 
 def singular_points_check(key: str) -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
-    tag = _data()[key]["tag"]
-    fibre = _data()[key]["singular_fibre"]
-    gvals = {"G1": -int(fibre["params"]["w1"]), "G2": -int(fibre["params"]["w2"])}
-    ok = all(singular_point_check(tag, gvals, tuple(pt))
-             for pt in fibre["singular_points"])
-    probe_singular = singular_point_check(tag, gvals, tuple(fibre["regular_probe"]))
+    entry = catalog.load("unfoldings")[key]
+    with catalog.context(f"unfoldings.json {key}"):
+        tag, fibre = entry["tag"], entry["singular_fibre"]
+        gvals = {"G1": -int(fibre["params"]["w1"]), "G2": -int(fibre["params"]["w2"])}
+        ok = all(singular_point_check(tag, gvals, tuple(pt))
+                 for pt in fibre["singular_points"])
+        probe_singular = singular_point_check(tag, gvals, tuple(fibre["regular_probe"]))
     return certify(f"singular-points-{tag.lower()}", "singular points of the degenerate fibre",
                    f"{tag} singular fibre", ok and not probe_singular,
                    detail=f"points {fibre['singular_points']} singular; probe {fibre['regular_probe']} is not")
@@ -187,7 +185,7 @@ def singular_points_check(key: str) -> Certificate:
 
 def cases() -> dict:
     """The unfolding entries of unfoldings.json, by key."""
-    return {key: entry for key, entry in _data().items() if isinstance(entry, dict)}
+    return {key: entry for key, entry in catalog.load("unfoldings").items() if isinstance(entry, dict)}
 
 
 def checks(key: str) -> list:

@@ -94,19 +94,17 @@ def test_commutants(tag):
 
 
 def test_pv_x1_commutes_with_frozen_arc():
-    from painleve_cubics.arcs import x_in_lambda
     cat = lambda_catalog("PV")
-    xs = x_in_lambda("PV")
+    xs = cat.xexprs
     from painleve_cubics.ring import as_expr
     br = cat.structure.bracket_expr(xs["x1"], as_expr(cat.lambda_ring.gen("e")))
     assert br.is_zero()
 
 
 def test_fn_x1_is_minus_bf():
-    from painleve_cubics.arcs import x_in_lambda
     cat = lambda_catalog("PII_FN")
     ring = cat.lambda_ring
-    assert x_in_lambda("PII_FN")["x1"].as_poly() == -(ring.gen("b") * ring.gen("f"))
+    assert cat.xexprs["x1"].as_poly() == -(ring.gen("b") * ring.gen("f"))
 
 
 def test_pvi_from_pv():

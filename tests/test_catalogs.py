@@ -1,8 +1,10 @@
 """Internal consistency of the shipped catalog files."""
 
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from painleve_cubics import catalog, parse_expr, parse_poly
+from painleve_cubics import catalog, parse_expr, parse_poly, verify
 from painleve_cubics.cubics import tags
 
 
@@ -94,3 +96,18 @@ def test_new_arc_catalog_entry_is_certified(tmp_path):
     assert certs["lambda-table-PVcopy"] and certs["lambda-solve-PVcopy"]
     assert certs["casimirs-PVcopy"]
     assert len(certs) == 15 + 9
+
+
+def test_suite_reads_each_catalog_file_once(monkeypatch):
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads[path.name] += 1
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    catalog.clear_caches()
+    verify.run()
+    stems = ("cubics", "charts", "lambdas", "arrows", "signatures", "unfoldings")
+    assert reads == Counter({f"{stem}.json": 1 for stem in stems})

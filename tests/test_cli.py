@@ -84,6 +84,10 @@ def test_twist_unknown_case_lists_the_table(capsys):
     (("lambda", "PX"), "error: no lambda catalog for 'PX' (have ['PIII_D7', "),
     (("signature", "PX"), "error: no signature for 'PX'"),
     (("confluence", "PI", "PVI"), "error: no confluence arrow PI -> PVI"),
+    (("unfold", "PX"), "error: no unfolding case for 'PX' (have ['PII_JM', "),
+    (("bracket", "PV", "a", "z"), "error: unknown arc 'z' in PV"),
+    (("mutate", "PVI", "14"), "error: bad mutation index '4' (use 1, 2, 3)"),
+    (("export", "nothing"), "error: unknown export 'nothing' (confluence, inclusions, catalog)"),
 ])
 def test_lookup_error_is_one_unquoted_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -177,5 +181,5 @@ def test_malformed_catalog_expression_is_exit_2(tmp_path, capsys):
     (tmp_path / "charts.json").write_text(json.dumps(data))
     code, _, err = run_cli(capsys, "--catalog", str(tmp_path), "chart", "PVI")
     assert code == 2
-    assert err.startswith("error:") and "s1 +* (" in err
+    assert err.startswith("error: charts.json charts.PVI: ") and "s1 +* (" in err
     assert "Traceback" not in err

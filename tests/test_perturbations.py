@@ -1,4 +1,5 @@
-"""Perturbations of the twist and unfolding tables make their certificates fail.
+"""Perturbations of the catalogs make their certificates fail, and malformed
+entries exit 2 naming their file and key.
 
 Each test edits a copy of the catalogs under ``tmp_path`` and points the
 CLI (``--catalog``) or the library at it.
@@ -110,3 +111,76 @@ def test_copied_unfolding_entry_checks_its_own_key(tmp_path, capsys):
     assert "FAIL  unfold-d4copy " in out
     assert "PASS  unfold-d4 " in out and "PASS  unfold-d4copy-params " in out
     assert out.count("unfold-d4-params ") == 1
+
+
+def test_copied_corank3_entry_states_its_own_value_at_zero(tmp_path, capsys):
+    # the value of the hat parameters at w = 0 is read from the entry, so a
+    # copy of d4 with + 1 on wh4 (and - 1 on its target) passes once it
+    # states (-8, 0, 8, 5), and fails when the stated value is off by one
+    def copy(value_at_zero):
+        def edit(data):
+            entry = json.loads(json.dumps(data["d4"]))
+            entry["hat_params"]["wh4"] += " + 1"
+            entry["target"] += " - 1"
+            entry["hat_params_at_zero"] = value_at_zero
+            data["d4copy"] = entry
+        return edit
+
+    root = catalog_copy(tmp_path, "unfoldings", copy([-8, 0, 8, 5]))
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "unfolding")
+    assert code == 0
+    assert "PASS  unfold-d4copy " in out
+    assert "PASS  unfold-d4copy-params " in out and "value at 0 is (-8, 0, 8, 5)" in out
+
+    root = catalog_copy(tmp_path, "unfoldings", copy([-8, 0, 8, 6]))
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "unfolding")
+    assert code == 1
+    assert "PASS  unfold-d4copy " in out and "FAIL  unfold-d4copy-params " in out
+
+
+def test_copied_arc_catalog_keeps_its_signature(tmp_path, capsys):
+    # the signature an arc catalog is counted against is a field of its entry
+    def copy(data):
+        data["catalogs"]["PIII_tilde_copy"] = data["catalogs"]["PIII_tilde"]
+
+    root = catalog_copy(tmp_path, "lambdas", copy)
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "signatures")
+    assert code == 0
+    assert "PASS  lamination-count-PIII_tilde_copy " in out
+
+
+def put(path: tuple, value):
+    """An edit that sets ``value`` at ``path``, a tuple of keys and list indices."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, path, value, where", [
+    pytest.param("charts", ("charts", "PVI", "x1"), "s1 +* (", "charts.json charts.PVI",
+                 id="charts.PVI.x1"),
+    pytest.param("cubics", ("cubics", "PV", "omega", 0), "G1 +* (", "cubics.json cubics.PV",
+                 id="cubics.PV.omega[0]"),
+    pytest.param("lambdas", ("catalogs", "PV", "entries", "a"), "e[k1 +* (",
+                 "lambdas.json catalogs.PV", id="catalogs.PV.entries.a"),
+    pytest.param("cubics", ("cubics", "PIV", "table1_residue"), "x1 +* (",
+                 "cubics.json cubics.PIV", id="cubics.PIV.table1_residue"),
+    pytest.param("lambdas", ("catalogs", "PV", "xexprs", "x1"), "a +* (",
+                 "lambdas.json catalogs.PV", id="catalogs.PV.xexprs.x1"),
+    pytest.param("lambdas", ("catalogs", "PV", "casimirs", 2), "d*e^x",
+                 "lambdas.json catalogs.PV", id="catalogs.PV.casimirs[2]"),
+    pytest.param("arrows", ("arrows", 0, "shift", "p3"), "minus two", "arrows.json arrows[0]",
+                 id="arrows[0].shift"),
+    pytest.param("signatures", ("signatures", "PV", "dim"), "seven",
+                 "signatures.json signatures.PV", id="signatures.PV.dim"),
+    pytest.param("unfoldings", ("a3", "target"), "x1 +* (", "unfoldings.json a3",
+                 id="a3.target"),
+])
+def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, value, where):
+    root = catalog_copy(tmp_path, name, put(path, value))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

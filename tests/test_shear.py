@@ -89,7 +89,7 @@ def test_chart_normalizations(tag):
 
 
 def test_pv_normalization_hits_unit_parameter():
-    from painleve_cubics.shear import chart, normalization_images
+    from painleve_cubics.shear import chart
     ch = chart("PV")
-    constrained = ch.G["Ginf"].substitute(normalization_images("PV"))
+    constrained = ch.G["Ginf"].substitute(ch.norm_images)
     assert constrained.is_poly() and constrained.as_poly().is_one()
