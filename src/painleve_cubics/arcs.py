@@ -183,7 +183,7 @@ def _exponents(product: str) -> dict:
 def lambda_catalog(tag: str) -> LambdaCatalog:
     data = catalog.load("lambdas")["catalogs"]
     if tag not in data:
-        raise KeyError(f"no lambda catalog for {tag!r} (have {sorted(data)})")
+        raise catalog.UnknownEntry(f"no lambda catalog for {tag!r} (have {sorted(data)})")
     entry = data[tag]
     with catalog.context(f"lambdas.json catalogs.{tag}"):
         stated = catalog.pairs(entry.get("stated_log_brackets", {}))
@@ -400,7 +400,7 @@ class Signature:
 def signature(tag: str) -> Signature:
     data = catalog.load("signatures")["signatures"]
     if tag not in data:
-        raise KeyError(f"no signature for {tag!r}")
+        raise catalog.UnknownEntry(f"no signature for {tag!r}")
     entry = data[tag]
     with catalog.context(f"signatures.json signatures.{tag}"):
         return Signature(tag=tag, holes=tuple(entry["holes"]), row=tuple(entry["row"]),

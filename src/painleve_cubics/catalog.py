@@ -10,7 +10,8 @@ Each file is read and parsed once (``load`` is cached like every loader
 built on it; ``set_catalog_root`` and ``clear_caches`` reset them all).
 Every loader builds an entry inside ``context("<file>.json <section>.<key>")``,
 so a malformed entry surfaces as one ``CatalogError`` naming its file and
-key.  ``pairs`` reads the ``{"u,v": coefficient}`` tables.
+key; a failed lookup by name raises ``UnknownEntry``.  ``pairs`` reads the
+``{"u,v": coefficient}`` tables.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ _cache_clearers: list = []
 
 class CatalogError(ValueError):
     pass
+
+
+class UnknownEntry(KeyError):
+    """A lookup by name that no table holds; the message is a whole sentence."""
 
 
 def cached(fn):
@@ -80,15 +85,21 @@ def context(where: str):
     """Build one catalog entry: a KeyError, ValueError or TypeError inside
     becomes a CatalogError prefixed with ``where`` ("<file>.json <section>.<key>").
 
-    A CatalogError already raised by an inner entry passes unchanged, so the
-    innermost entry is the one named.
+    A missing field reads ``missing key 'x'``; an UnknownEntry keeps its own
+    sentence.  A CatalogError already raised by an inner entry passes
+    unchanged, so the innermost entry is the one named.
     """
     try:
         yield
     except CatalogError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
-        message = f"missing key {exc}" if type(exc) is KeyError else str(exc)
+        if isinstance(exc, UnknownEntry):
+            message = exc.args[0]
+        elif isinstance(exc, KeyError):
+            message = f"missing key {exc}"
+        else:
+            message = str(exc)
         raise CatalogError(f"{where}: {message}") from exc
 
 

@@ -99,7 +99,7 @@ def _cmd_bracket(args) -> int:
     ring = cat.lambda_ring
     for name in (args.first, args.second):
         if name not in ring.index:
-            raise KeyError(f"unknown arc {name!r} in {args.tag}")
+            raise catalog.UnknownEntry(f"unknown arc {name!r} in {args.tag}")
     coeff = cat.structure.pair(args.first, args.second)
     print(f"{{{args.first},{args.second}}} = {coeff} * {args.first} * {args.second}")
     return 0
@@ -121,7 +121,7 @@ def _cmd_mutate(args) -> int:
     word = []
     for ch in args.sequence.replace(",", ""):
         if ch not in "123":
-            raise KeyError(f"bad mutation index {ch!r} (use 1, 2, 3)")
+            raise catalog.UnknownEntry(f"bad mutation index {ch!r} (use 1, 2, 3)")
         word.append(int(ch))
     ring = cluster.cluster_ring()
     cl = cluster.initial_cluster(ring)
@@ -153,7 +153,7 @@ def _cmd_twist(args) -> int:
 def _cmd_unfold(args) -> int:
     keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
     if args.tag not in keys:
-        raise KeyError(f"no unfolding case for {args.tag!r} (have {sorted(keys)})")
+        raise catalog.UnknownEntry(f"no unfolding case for {args.tag!r} (have {sorted(keys)})")
     entry = unfolding.cases()[keys[args.tag]]
     if args.format != "json":
         for field in ("substitution", "diffeo"):
@@ -213,7 +213,7 @@ def _cmd_export(args) -> int:
             }
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
-    raise KeyError(f"unknown export {args.what!r} (confluence, inclusions, catalog)")
+    raise catalog.UnknownEntry(f"unknown export {args.what!r} (confluence, inclusions, catalog)")
 
 
 def build_parser() -> argparse.ArgumentParser:

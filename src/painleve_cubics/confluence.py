@@ -52,7 +52,7 @@ def arrow(src: str, dst: str) -> Arrow:
     for a in arrows():
         if a.src == src and a.dst == dst:
             return a
-    raise KeyError(f"no confluence arrow {src} -> {dst}")
+    raise catalog.UnknownEntry(f"no confluence arrow {src} -> {dst}")
 
 
 def eps_ring() -> Ring:
@@ -116,20 +116,22 @@ class EmbeddingMap:
     param_images: dict    # sub parameter carried to an ambient parameter
     expected_mismatches: dict
     note: str
+    where: str            # "arrows.json embeddings[<i>]", for parse errors
 
 
 @catalog.cached
 def embeddings() -> tuple:
     out = []
     for i, e in enumerate(catalog.load("arrows")["embeddings"]):
-        with catalog.context(f"arrows.json embeddings[{i}]"):
+        where = f"arrows.json embeddings[{i}]"
+        with catalog.context(where):
             out.append(EmbeddingMap(
                 sub=e["sub"], ambient=e["ambient"], images=dict(e["images"]),
                 stated=tuple(e.get("stated", list(e["images"]))),
                 central_images=dict(e.get("central_images", {})),
                 param_images=dict(e.get("param_images", {})),
                 expected_mismatches=catalog.pairs(e.get("expected_mismatches", {})),
-                note=e.get("note", "")))
+                note=e.get("note", ""), where=where))
     return tuple(out)
 
 
@@ -137,28 +139,34 @@ def embedding(sub: str, ambient: str) -> EmbeddingMap:
     for e in embeddings():
         if e.sub == sub and e.ambient == ambient:
             return e
-    raise KeyError(f"no embedding of {sub} into {ambient}")
+    raise catalog.UnknownEntry(f"no embedding of {sub} into {ambient}")
 
 
-def _image_monomials(emb: EmbeddingMap) -> dict:
-    amb = lambda_catalog(emb.ambient)
-    ring = amb.lambda_ring
-    out = {}
-    for name, text in emb.images.items():
-        mono = parse_poly(text, ring)
-        if not mono.is_monomial():
-            raise RingError(f"embedding image of {name} is not a monomial")
-        out[name] = mono
-    for pname, text in emb.param_images.items():
-        out[pname] = parse_poly(text, ring)
-    return out
+def _parsed_images(emb: EmbeddingMap) -> tuple:
+    """(images, carriers) over the ambient arcs, parsed in the entry's context.
+
+    ``images`` holds the arc images (monomials) and the carried parameters;
+    ``carriers`` the ambient monomial standing in for each sub parameter.
+    """
+    with catalog.context(emb.where):
+        ring = lambda_catalog(emb.ambient).lambda_ring
+        images = {}
+        for name, text in emb.images.items():
+            mono = parse_poly(text, ring)
+            if not mono.is_monomial():
+                raise RingError(f"embedding image of {name} is not a monomial")
+            images[name] = mono
+        images.update({p: parse_poly(t, ring) for p, t in emb.param_images.items()})
+        carriers = {p: parse_poly(t, ring) for p, t in emb.central_images.items()}
+        carriers.update({p: images[p] for p in emb.param_images})
+    return images, carriers
 
 
 def embedding_check(emb: EmbeddingMap) -> Certificate:
     """Ambient brackets of the images reproduce the sub-catalog's table."""
     sub = lambda_catalog(emb.sub)
     amb = lambda_catalog(emb.ambient)
-    images = _image_monomials(emb)
+    images, carriers = _parsed_images(emb)
     S = amb.structure
     bad, documented = [], []
     for (u, v), c in sub.table.items():
@@ -173,8 +181,7 @@ def embedding_check(emb: EmbeddingMap) -> Certificate:
         else:
             bad.append((u, v, got, c))
     # parameters carried across stay central on the image set
-    for pname, text in {**emb.central_images, **emb.param_images}.items():
-        carrier = parse_poly(text, amb.lambda_ring)
+    for pname, carrier in carriers.items():
         for name, img in images.items():
             if S.monomial_coefficient(carrier, img) != 0:
                 bad.append((pname, name, "carrier not central", 0))
@@ -192,18 +199,15 @@ def composite_embedding_check() -> Certificate:
     first = embedding("PV", "PIV")
     second = embedding("PIV", "PII_JM")
     jm = lambda_catalog("PII_JM")
-    ring = jm.lambda_ring
-    second_imgs = {n: parse_poly(t, ring) for n, t in second.images.items()}
+    first_imgs, _ = _parsed_images(first)
+    second_imgs, _ = _parsed_images(second)
+    piv_names = lambda_catalog("PIV").lambda_ring.names
     composite = {}
-    for name, text in first.images.items():
-        piv_mono = parse_poly(text, lambda_catalog("PIV").lambda_ring)
-        product = ring.one()
-        exps = piv_mono.monomial_exps()
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            gname = lambda_catalog("PIV").lambda_ring.names[i]
-            product = product * second_imgs[gname] ** int(e)
+    for name in first.images:
+        product = jm.lambda_ring.one()
+        for gname, e in zip(piv_names, first_imgs[name].monomial_exps()):
+            if e != 0:
+                product = product * second_imgs[gname] ** int(e)
         composite[name] = product
     sub = lambda_catalog("PV")
     bad = []

@@ -2,7 +2,10 @@
 
 A PoissonStructure is a constant antisymmetric pairing P on the
 generators of a ring, inducing {g^a, g^b} = (a^T P b) g^{a+b} on
-monomials and extending bilinearly.  On exponentiated coordinates
+monomials and extending bilinearly.  P is stored twice: as the pair
+table ``_pairs`` and as the antisymmetric integer matrix M = den * P over
+one common denominator, so a bracket takes M b once per right-hand term
+and one integer dot product per term pair.  On exponentiated coordinates
 (g_z = e^{z/2}) the pairing is the coordinate bracket over 4:
 {z_i, z_j} = c  <=>  P(z_i, z_j) = c/4; ``from_log_brackets`` performs
 that conversion, ``log_bracket`` inverts it.
@@ -17,15 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from math import lcm
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from . import linalg
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
+from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, as_expr
 
 
 class PoissonStructure:
-    __slots__ = ("ring", "_pairs")
+    __slots__ = ("ring", "_pairs", "_den", "_matrix")
 
     def __init__(self, ring: Ring, pairs: Mapping[tuple, Fraction]):
         """pairs maps (name_i, name_j) -> P(i,j); antisymmetry is implied."""
@@ -46,6 +50,17 @@ class PoissonStructure:
             if existing is not None and existing != c:
                 raise RingError(f"conflicting pairing on ({u},{v})")
             self._pairs[(i, j)] = c
+        # P over one common denominator: an antisymmetric int matrix
+        self._den = lcm(*(c.denominator for c in self._pairs.values()))
+        n = len(ring.names)
+        self._matrix = [[0] * n for _ in range(n)]
+        for (i, j), c in self._pairs.items():
+            m = c.numerator * (self._den // c.denominator)
+            self._matrix[i][j], self._matrix[j][i] = m, -m
+
+    def _times(self, b: Sequence) -> list:
+        """M b for the integer pairing matrix M = den * P."""
+        return [sum(map(mul, row, b)) for row in self._matrix]
 
     @classmethod
     def from_log_brackets(cls, ring: Ring, log_pairs: Mapping[tuple, Fraction]) -> "PoissonStructure":
@@ -63,24 +78,24 @@ class PoissonStructure:
         return 4 * self.pair(u, v)
 
     def pair_exps(self, a: Sequence, b: Sequence) -> Fraction:
-        total = Fraction(0)
-        for (i, j), c in self._pairs.items():
-            total += c * (a[i] * b[j] - a[j] * b[i])
-        return total
+        """a^T P b."""
+        return Fraction(sum(map(mul, a, self._times(b))), self._den)
 
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if f.ring != self.ring or g.ring != self.ring:
             raise RingError("bracket arguments outside the structure's ring")
+        # sums of den * coefficient, with M b computed once per right-hand term
         out: dict = {}
         get = out.get
-        right = g.terms.items()
+        right = [(eb, cb, self._times(eb)) for eb, cb in g.terms.items()]
         for ea, ca in f.terms.items():
-            for eb, cb in right:
-                coeff = self.pair_exps(ea, eb)
-                if coeff:
+            for eb, cb, mb in right:
+                k = sum(map(mul, ea, mb))
+                if k:
                     exps = tuple(map(add, ea, eb))
-                    out[exps] = get(exps, 0) + ca * cb * coeff
-        return self.ring.collect(out)
+                    out[exps] = get(exps, 0) + ca * cb * k
+        den = self._den
+        return self.ring.collect({e: _div(c, den) for e, c in out.items()})
 
     def bracket_expr(self, A, B) -> RationalExpr:
         """Bracket extended to quotients via the Leibniz rule."""
@@ -136,14 +151,14 @@ def casimir_kernel(structure: PoissonStructure, monomials: Mapping[str, LaurentP
     gram = [[structure.pair_exps(a, b) for b in vecs] for a in vecs]
     basis = linalg.kernel_basis(gram, len(names))
     kernel = [{names[i]: int(v[i]) for i in range(len(names)) if v[i] != 0} for v in basis]
-    return CasimirReport(rank=linalg.rank(gram), kernel=kernel)
+    return CasimirReport(rank=len(names) - len(basis), kernel=kernel)
 
 
 def is_casimir_product(structure: PoissonStructure, candidate: Mapping[str, int],
                        monomials: Mapping[str, LaurentPoly]) -> bool:
     """Does the monomial product named by ``candidate`` commute with every input?"""
     ring = structure.ring
-    vec = [Fraction(0)] * len(ring.names)
+    vec = [0] * len(ring.names)
     for name, e in candidate.items():
         for i, x in enumerate(monomials[name].monomial_exps()):
             vec[i] += e * x

@@ -44,7 +44,7 @@ def shear_ring() -> Ring:
 def chart(tag: str) -> ShearChart:
     data = catalog.load("charts")
     if tag not in data["charts"]:
-        raise KeyError(f"no chart for tag {tag!r}")
+        raise catalog.UnknownEntry(f"no chart for tag {tag!r}")
     entry = data["charts"][tag]
     ring = shear_ring()
     with catalog.context(f"charts.json charts.{tag}"):

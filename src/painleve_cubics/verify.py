@@ -82,7 +82,7 @@ def run(groups=None, depth: int | None = None) -> list:
     selected = set(GROUPS if not groups else groups)
     unknown = selected - set(GROUPS)
     if unknown:
-        raise KeyError(f"unknown suite group(s) {sorted(unknown)}; have {GROUPS}")
+        raise catalog.UnknownEntry(f"unknown suite group(s) {sorted(unknown)}; have {GROUPS}")
     results = []
     for group, fn, args in _suite():
         if group not in selected:

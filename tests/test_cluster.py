@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from painleve_cubics import cluster
 from painleve_cubics.cluster import (base_values, braid_images,
                                      braid_involution_check, braid_preserves_cubic,
                                      braid_ring, cluster_ring, dehn_twist,
                                      initial_cluster, laurent_check, mutate,
-                                     mutation_involution_check, reduced_words,
+                                     mutation_involution_check, orbit_representatives,
+                                     reduced_words, relabelling_failures,
                                      run_sequence, shifted_cubic, shifted_cubic_check,
                                      surface_invariance, twist_case,
                                      twist_frozen_commutation, twist_invariants)
+from painleve_cubics.ring import as_expr
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -86,6 +89,54 @@ def test_laurent_phenomenon_depth_four():
     cert = laurent_check(4)
     assert cert.passed
     assert "45" in cert.anchor
+
+
+def test_laurent_phenomenon_depth_five():
+    cert = laurent_check(5)
+    assert cert.passed
+    assert cert.anchor == "all 93 reduced sequences of length <= 5"
+
+
+def test_exchange_polynomials_are_relabelling_equivariant():
+    assert relabelling_failures() == []
+
+
+@pytest.mark.parametrize("depth, count", [(1, 1), (2, 2), (4, 8), (5, 16)])
+def test_orbit_representatives_cover_every_word(depth, count):
+    # each reduced word is the relabelling of exactly one representative
+    reps = orbit_representatives(depth)
+    assert len(reps) == count
+    perms = [dict(zip((1, 2, 3), p)) for p in
+             ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))]
+    orbit = {tuple(p[i] for i in w) for w in reps for p in perms}
+    assert orbit == set(reduced_words(depth))
+
+
+def test_relabelled_word_gives_relabelled_cluster():
+    # sigma = (1 2 3) carries the word (1, 2, 3) to (2, 3, 1) and y_t, G_t to y_s(t), G_s(t)
+    ring = cluster_ring()
+    sigma = {1: 2, 2: 3, 3: 1}
+    images = {f"{s}{t}": ring.gen(f"{s}{sigma[t]}") for s in ("y", "G") for t in sigma}
+    base = run_sequence((1, 2, 3), ring)
+    moved = run_sequence((2, 3, 1), ring)
+    for t in (1, 2, 3):
+        assert moved[sigma[t]] == base[t].substitute(images)
+
+
+def test_asymmetric_exchange_fails_through_the_symmetry_check(monkeypatch):
+    # 2*y_j^2 + y_k^2 + G_i*y_j*y_k keeps both depth-2 representatives Laurent
+    # but is not equivariant, so the orbit reduction must not be trusted
+    def lopsided(i, cl, ring):
+        j, k = [t for t in (1, 2, 3) if t != i]
+        return 2 * cl[j] ** 2 + cl[k] ** 2 + as_expr(ring.gen(f"G{i}")) * cl[j] * cl[k]
+
+    monkeypatch.setattr(cluster, "exchange_polynomial", lopsided)
+    assert all(run_sequence(w)[i].is_poly() for w in orbit_representatives(2) for i in (1, 2, 3))
+    cert = laurent_check(2)
+    assert not cert.passed
+    assert cert.anchor == "all 9 reduced sequences of length <= 2"
+    assert cert.detail == "relabelling symmetry fails"
+    assert all(f"({a} {b}) breaks" in cert.residue for a, b in ((1, 2), (1, 3), (2, 3)))
 
 
 @pytest.mark.parametrize("depth", [0, -3])

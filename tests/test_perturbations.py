@@ -177,6 +177,8 @@ def put(path: tuple, value):
                  "signatures.json signatures.PV", id="signatures.PV.dim"),
     pytest.param("unfoldings", ("a3", "target"), "x1 +* (", "unfoldings.json a3",
                  id="a3.target"),
+    pytest.param("arrows", ("embeddings", 0, "images", "a"), "a*b +* (",
+                 "arrows.json embeddings[0]", id="embeddings[0].images.a"),
 ])
 def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, value, where):
     root = catalog_copy(tmp_path, name, put(path, value))
@@ -184,3 +186,22 @@ def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, va
     assert code == 2 and out == ""
     assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
+    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PIII_D7", "subset_of"), "NOPE"))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    assert code == 2 and out == ""
+    assert err.startswith("error: lambdas.json catalogs.PIII_D7: "
+                          "no lambda catalog for 'NOPE' (have [")
+    assert "missing key" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_missing_field_reads_missing_key(tmp_path, capsys):
+    def drop_label(data):
+        del data["arrows"][0]["label"]
+
+    root = catalog_copy(tmp_path, "arrows", drop_label)
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    assert code == 2 and out == ""
+    assert err == "error: arrows.json arrows[0]: missing key 'label'\n"
