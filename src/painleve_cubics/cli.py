@@ -25,13 +25,19 @@ def _emit_certs(certs: list, fmt: str) -> int:
     return 0 if all(c.passed for c in certs) else 1
 
 
-def _cmd_verify_all(args) -> int:
-    groups = [args.suite] if args.suite else None
+def _emit_suite(args, groups) -> int:
+    if args.depth is not None and args.depth < 1:
+        print(f"error: --depth must be at least 1, got {args.depth}", file=sys.stderr)
+        return 2
     return _emit_certs(verify.run(groups, depth=args.depth), args.format)
 
 
+def _cmd_verify_all(args) -> int:
+    return _emit_suite(args, None)
+
+
 def _cmd_verify(args) -> int:
-    return _emit_certs(verify.run([args.group], depth=args.depth), args.format)
+    return _emit_suite(args, [args.group])
 
 
 def _cmd_show(args) -> int:
@@ -221,16 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="painleve-cubics",
         description="Exact verification of the monodromy cubic catalog")
     parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="mutation search depth for the Laurent certificates")
     parser.add_argument("--catalog", default=None,
                         help="directory of catalog JSON files overriding the built-in ones")
-    parser.add_argument("--suite", default=None, choices=verify.GROUPS,
-                        help="restrict verify-all to one certificate group")
     sub = parser.add_subparsers(dest="verb", required=True)
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=None,
+                       help="mutation search depth for the Laurent certificate (default 4)")
 
-    sub.add_parser("verify-all", help="run every certificate").set_defaults(fn=_cmd_verify_all)
-    p = sub.add_parser("verify", help="run one certificate group")
+    sub.add_parser("verify-all", parents=[depth],
+                   help="run every certificate").set_defaults(fn=_cmd_verify_all)
+    p = sub.add_parser("verify", parents=[depth], help="run one certificate group")
     p.add_argument("group", choices=verify.GROUPS)
     p.set_defaults(fn=_cmd_verify)
     p = sub.add_parser("show", help="print a cubic")
@@ -274,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.depth is not None and args.depth < 1:
-        print(f"error: --depth must be at least 1, got {args.depth}", file=sys.stderr)
-        return 2
     if args.catalog:
         catalog.set_catalog_root(args.catalog)
     try:

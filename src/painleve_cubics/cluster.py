@@ -300,17 +300,11 @@ def twist_frozen_commutation(case_name: str) -> Certificate:
     """Twisted variables keep log-canonical brackets with the frozen arcs."""
     case = twist_case(case_name)
     S = case.structure
-    before = base_values(case)
-    after = dehn_twist(case, before)
-    bad = []
-    for vname in case.variables:
-        for frozen in case.frozen:
-            coeff = S.pair(vname, frozen)
-            moved = after[vname]
-            fro = as_expr(case.ring.gen(frozen))
-            residue = S.bracket_expr(moved, fro) - coeff * moved * fro
-            if not residue.is_zero():
-                bad.append((vname, frozen))
+    after = dehn_twist(case, base_values(case))
+    images = {**{v: after[v] for v in case.variables},
+              **{f: case.ring.gen(f) for f in case.frozen}}
+    table = {(v, f): S.pair(v, f) for v in case.variables for f in case.frozen}
+    bad = [(v, f) for v, f, _ in S.table_residues(images, table)]
     return certify(f"twist-frozen-{case_name}", "twists respect the frozen brackets",
                    f"{case_name} Dehn twist vs frozen arcs", not bad,
                    detail="twisted variables bracket like the originals", residue=bad)

@@ -37,7 +37,6 @@ class CubicSurface:
     omega: tuple                  # four LaurentPoly in the G symbols
     phi: LaurentPoly              # canonical cubic over `ring`
     phi_specialized: LaurentPoly  # redundant parameters fixed
-    specialization: dict
     table1: str                   # reference row as printed (w-symbols)
     table1_expr: RationalExpr     # reference row with parameters tied in
     table1_status: str
@@ -79,7 +78,6 @@ def cubic(tag: str) -> CubicSurface:
             omega=omega,
             phi=phi,
             phi_specialized=phi_spec,
-            specialization=spec,
             table1=entry["table1"],
             table1_expr=parse_expr(entry["table1"], ring, symbols=symbols),
             table1_status=entry["table1_status"],
@@ -103,6 +101,13 @@ def cubic_form(x: tuple, eps: tuple, omega: tuple):
         if e:
             phi = phi + xi * xi
     return phi
+
+
+def pulled_back(tag: str, xs, params: dict, ring: Ring):
+    """The cubic of ``tag`` at the values ``xs``, each G of ``params`` replaced
+    by its value over ``ring``; an unmapped G must be a generator of ``ring``."""
+    c = cubic(tag)
+    return cubic_form(tuple(xs), c.eps, [w.substitute(params, ring=ring) for w in c.omega])
 
 
 def omega_from_G(eps: tuple, ring: Ring | None = None) -> tuple:
@@ -191,9 +196,8 @@ def torus_param_check() -> Certificate:
     phi = cubic_form(xs, (1, 1, 1), (0, 0, 0, -4))
     inv = {"u": u ** -1, "v": v ** -1}
     inv_fixed = all(x.substitute(inv).as_poly() == x for x in xs)
-    spot = phi.evaluate({"u": 2, "v": 3}) == 0
     return certify("torus-parametrization", "two-torus cover of the PVI cubic",
-                   "PVI torus parametrization", phi.is_zero() and inv_fixed and spot,
+                   "PVI torus parametrization", phi.is_zero() and inv_fixed,
                    detail="involution u,v -> 1/u,1/v fixes x", residue=phi)
 
 
@@ -213,12 +217,8 @@ def fn_jm_diffeo_check() -> Certificate:
     fn = cubic_form((x1, x2, x3), (1, 0, 0), (-(s ** -2), -1, 0, 1))
     lhs = fn.substitute(images)
     classical = cubic_form((x1, x2, x3), (0, 0, 0), (1, -1, 1, s))
-    ok = lhs == as_expr(classical) * (s ** -1)
-    # s = 2 spot check on a rational surface point of the classical cubic
-    point = {"x1": 1, "x2": 1, "x3": -1, "sp": 2}
-    spot = classical.evaluate(point) == 0 and lhs.evaluate(point) == 0
     return certify("fn-classical-diffeo", "diffeomorphism onto the classical form",
-                   "PII_FN coordinate change", ok and spot,
+                   "PII_FN coordinate change", lhs == as_expr(classical) * (s ** -1),
                    detail="holds with w1 = -1/s^2, factor 1/s",
                    residue=(lhs * s - classical))
 

@@ -25,7 +25,7 @@ from operator import add, mul
 from typing import Mapping, Sequence
 
 from . import linalg
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, as_expr
+from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
 
 
 class PoissonStructure:
@@ -81,37 +81,54 @@ class PoissonStructure:
         """a^T P b."""
         return Fraction(sum(map(mul, a, self._times(b))), self._den)
 
-    def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    def bracket(self, f: LaurentPoly, g: LaurentPoly, c: Fraction = 0) -> LaurentPoly:
+        """{f, g} - c f g: the bracket itself for c = 0, in one pass over the term pairs."""
         if f.ring != self.ring or g.ring != self.ring:
             raise RingError("bracket arguments outside the structure's ring")
         # sums of den * coefficient, with M b computed once per right-hand term
         out: dict = {}
         get = out.get
         right = [(eb, cb, self._times(eb)) for eb, cb in g.terms.items()]
+        shift = _q(c * self._den)
         for ea, ca in f.terms.items():
             for eb, cb, mb in right:
-                k = sum(map(mul, ea, mb))
+                k = sum(map(mul, ea, mb)) - shift
                 if k:
                     exps = tuple(map(add, ea, eb))
                     out[exps] = get(exps, 0) + ca * cb * k
         den = self._den
         return self.ring.collect({e: _div(c, den) for e, c in out.items()})
 
-    def bracket_expr(self, A, B) -> RationalExpr:
-        """Bracket extended to quotients via the Leibniz rule."""
+    def bracket_expr(self, A, B, c: Fraction = 0) -> RationalExpr:
+        """{A, B} - c A B for quotients, via the Leibniz rule."""
         A, B = as_expr(A), as_expr(B)
         p, q, r, s = A.num, A.den, B.num, B.den
         br = self.bracket
-        num = (br(p, r) * q * s - br(p, s) * q * r - br(q, r) * p * s + br(q, s) * p * r)
+        num = (br(p, r, c) * q * s - br(p, s) * q * r - br(q, r) * p * s + br(q, s) * p * r)
         return RationalExpr(num, q * q * s * s)
 
     def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
         br = self.bracket
         return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
 
-    def monomial_coefficient(self, f: LaurentPoly, g: LaurentPoly) -> Fraction:
-        """c with {f,g} = c f g, for monomial f, g."""
-        return self.pair_exps(f.monomial_exps(), g.monomial_exps())
+    def table_residues(self, images: Mapping, table: Mapping[tuple, Fraction]) -> list:
+        """(u, v, residue) for each entry of ``table`` whose images break
+        {U, V} = c U V, the residue being {U, V} - c U V.
+
+        ``images`` maps the table's names to LaurentPoly or RationalExpr over
+        the structure's ring; two polynomials stay on ``bracket``, a quotient
+        goes through ``bracket_expr``.
+        """
+        out = []
+        for (u, v), c in table.items():
+            U, V = images[u], images[v]
+            if isinstance(U, LaurentPoly) and isinstance(V, LaurentPoly):
+                residue = self.bracket(U, V, c)
+            else:
+                residue = self.bracket_expr(U, V, c)
+            if not residue.is_zero():
+                out.append((u, v, residue))
+        return out
 
     def to_json(self) -> dict:
         out = {}
@@ -179,12 +196,10 @@ class SolveResult:
 def solve_structure(ring: Ring,
                     monomials: Mapping[str, LaurentPoly],
                     table: Mapping[tuple, Fraction],
-                    fixed_log: Mapping[tuple, Fraction] | None = None,
                     central: Sequence[str] = ()) -> SolveResult:
     """Recover a generator pairing from pairwise bracket coefficients.
 
-    ``table`` maps (name_u, name_v) to c_uv with {u, v} = c_uv * u * v.
-    ``fixed_log`` pins individual coordinate brackets {z_i, z_j} (log level);
+    ``table`` maps (name_u, name_v) to c_uv with {u, v} = c_uv * u * v;
     ``central`` lists generators whose pairings are forced to zero.  The
     system is solved exactly; leftover freedom is reported (free pairs set
     to zero), and inconsistencies are returned as readable equations.
@@ -192,30 +207,13 @@ def solve_structure(ring: Ring,
     central = set(central)
     gens = [n for n in ring.names if n not in central]
     unknowns = [(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    col = {p: k for k, p in enumerate(unknowns)}
-
     rows, rhs, labels = [], [], []
-
-    def add_equation(vec_u, vec_v, value, label):
-        row = [Fraction(0)] * len(unknowns)
-        iu = {ring.names[i]: vec_u[i] for i in range(len(vec_u))}
-        iv = {ring.names[i]: vec_v[i] for i in range(len(vec_v))}
-        for (a, b), k in col.items():
-            row[k] = iu.get(a, 0) * iv.get(b, 0) - iu.get(b, 0) * iv.get(a, 0)
-        rows.append(row)
-        rhs.append(Fraction(value))
-        labels.append(label)
-
     for (u, v), c in table.items():
-        add_equation(monomials[u].monomial_exps(), monomials[v].monomial_exps(),
-                     Fraction(c), f"{{{u},{v}}} = {c}*{u}*{v}")
-    for (zu, zv), c in (fixed_log or {}).items():
-        eu = [Fraction(0)] * len(ring.names)
-        ev = [Fraction(0)] * len(ring.names)
-        eu[ring.index[zu]] = Fraction(1)
-        ev[ring.index[zv]] = Fraction(1)
-        add_equation(eu, ev, Fraction(c) / 4, f"{{{zu},{zv}}} = {c}")
-
+        iu = dict(zip(ring.names, monomials[u].monomial_exps()))
+        iv = dict(zip(ring.names, monomials[v].monomial_exps()))
+        rows.append([iu[a] * iv[b] - iu[b] * iv[a] for a, b in unknowns])
+        rhs.append(Fraction(c))
+        labels.append(f"{{{u},{v}}} = {c}*{u}*{v}")
     if not rows:
         return SolveResult(structure=PoissonStructure(ring, {}),
                            free_pairs=list(unknowns), violations=[])

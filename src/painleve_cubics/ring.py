@@ -335,9 +335,6 @@ class LaurentPoly:
             and self.terms == other.terms
         )
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     __hash__ = None  # type: ignore[assignment]
 
     # -- calculus-style helpers ------------------------------------------
@@ -746,9 +743,6 @@ class RationalExpr:
         if self.den.is_one() and other.den.is_one():
             return self.num == other.num
         return self.num * other.den == other.num * self.den
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -16,7 +16,7 @@ GROUPS = ("charts", "atlas", "cubics", "nambu", "confluence",
           "signatures", "unfolding", "arcs")
 
 
-def _suite() -> list:
+def _suite(depth: int | None) -> list:
     jobs: list = []
     lambdas = catalog.load("lambdas")
 
@@ -61,7 +61,7 @@ def _suite() -> list:
         add("cluster", cluster.surface_invariance, i)
         add("cluster", cluster.mutation_involution_check, i)
     add("cluster", cluster.shifted_cubic_check)
-    add("cluster", cluster.laurent_check)
+    add("cluster", cluster.laurent_check, *(() if depth is None else (depth,)))
     for case in lambdas["twists"]:
         add("twists", cluster.twist_invariants, case)
         add("twists", cluster.twist_frozen_commutation, case)
@@ -83,15 +83,7 @@ def run(groups=None, depth: int | None = None) -> list:
     unknown = selected - set(GROUPS)
     if unknown:
         raise catalog.UnknownEntry(f"unknown suite group(s) {sorted(unknown)}; have {GROUPS}")
-    results = []
-    for group, fn, args in _suite():
-        if group not in selected:
-            continue
-        if fn is cluster.laurent_check and depth is not None:
-            cert = fn(depth)
-        else:
-            cert = fn(*args)
-        results.append((group, cert))
+    results = [(group, fn(*args)) for group, fn, args in _suite(depth) if group in selected]
     order = {g: i for i, g in enumerate(GROUPS)}
     results.sort(key=lambda gc: (order[gc[0]], gc[1].cid))
     return [c for _, c in results]

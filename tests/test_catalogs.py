@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from painleve_cubics import catalog, parse_expr, parse_poly, verify
+from painleve_cubics import catalog, parse_expr, parse_poly, signature, verify
 from painleve_cubics.cubics import tags
 
 
@@ -68,14 +68,14 @@ def test_all_catalog_expressions_parse():
 
 
 def test_signature_rows_are_consistent():
+    # the row is derived: the holes, after a phantom 0 where the entry sets one
     sigs = catalog.load("signatures")["signatures"]
     for tag, entry in sigs.items():
-        holes, row = entry["holes"], entry["row"]
-        if entry.get("phantom_hole"):
-            assert row == [0] + holes, tag
-        else:
-            assert row == holes, tag
+        row, holes = signature(tag).row, tuple(entry["holes"])
+        assert row == ((0,) + holes if entry.get("phantom_hole") else holes), tag
         assert all(c >= 0 for c in holes)
+    assert signature("PIII_D6").row == (0, 2, 2) and signature("PV").row == (0, 0, 2)
+    assert signature("PIII_D7").pole_orders() == (2, 3, 4)
 
 
 def test_new_arc_catalog_entry_is_certified(tmp_path):

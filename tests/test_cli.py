@@ -161,9 +161,13 @@ def test_catalog_env_override(tmp_path, monkeypatch, capsys):
     catalog.clear_caches()
 
 
-@pytest.mark.parametrize("depth", ["0", "-3"])
-def test_depth_below_one_is_exit_2(capsys, depth):
-    code, out, err = run_cli(capsys, "--depth", depth, "verify", "cluster")
+@pytest.mark.parametrize("argv", [
+    pytest.param(("verify", "cluster", "--depth", "0"), id="0"),
+    pytest.param(("verify", "cluster", "--depth", "-3"), id="-3"),
+    pytest.param(("verify-all", "--depth", "0"), id="verify-all-0"),
+])
+def test_depth_below_one_is_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1

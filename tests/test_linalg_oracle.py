@@ -163,3 +163,13 @@ def test_bracket_matches_the_pair_sum(pairs, f, g):
     assert got == RING.poly(sums)
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
     assert all(type(e[-1]) is int or e[-1].denominator != 1 for e in got.terms)
+
+
+@SETTINGS
+@given(pairings, laurent, laurent, entries)
+def test_shifted_bracket_is_the_bracket_minus_c_f_g(pairs, f, g, c):
+    S = PoissonStructure(RING, pairs)
+    got = S.bracket(f, g, c)
+    assert got == S.bracket(f, g) - c * f * g
+    assert all(type(x) is int or x.denominator != 1 for x in got.terms.values())
+    assert all(type(e[-1]) is int or e[-1].denominator != 1 for e in got.terms)

@@ -205,3 +205,34 @@ def test_missing_field_reads_missing_key(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
     assert code == 2 and out == ""
     assert err == "error: arrows.json arrows[0]: missing key 'label'\n"
+
+
+@pytest.mark.parametrize("table, key, value, residue", [
+    ("solved_log_brackets", "s1,s2", "5", "('s1', 's2', 'solved 1, catalog 5')"),
+    ("stated_log_brackets", "k1,k2", "3", "('k1', 'k2', 'solved 1, catalog 3')"),
+])
+def test_quoted_log_bracket_mismatch_is_named(tmp_path, capsys, table, key, value, residue):
+    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", table, key), value))
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
+    line = next(line for line in out.splitlines() if " lambda-solve-PV " in line)
+    assert code == 1 and line.startswith("FAIL") and f"residue: [{residue}]" in line
+
+
+@pytest.mark.parametrize("name, path, value, group, cid", [
+    pytest.param("lambdas", ("catalogs", "PV", "table", "a,b"), "2", "lambda",
+                 "lambda-table-PV", id="table-coefficient"),
+    pytest.param("arrows", ("embeddings", 0, "images", "a"), "a*b^3", "confluence",
+                 "embedding-PV-in-PIV", id="embedding-exponent"),
+    pytest.param("arrows", ("embeddings", 6, "expected_mismatches", "d,f"), "1/2", "confluence",
+                 "embedding-PII_FN-in-PIV", id="documented-mismatch"),
+    pytest.param("lambdas", ("catalogs", "PV", "xexprs", "x1"), "-e*a/c + d*b/c", "commutant",
+                 "commutant-PV", id="xexprs-sign"),
+    pytest.param("lambdas", ("twists", "PVdeg", "table", "a,d"), "1", "twists",
+                 "twist-frozen-PVdeg", id="twist-frozen-pair"),
+    pytest.param("signatures", ("signatures", "PV", "dim"), 8, "signatures",
+                 "signature-PV", id="signature-dim"),
+])
+def test_value_perturbation_fails(tmp_path, capsys, name, path, value, group, cid):
+    root = catalog_copy(tmp_path, name, put(path, value))
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", group)
+    assert code == 1 and f"FAIL  {cid} " in out

@@ -121,8 +121,21 @@ def test_solve_structure_pv_reproduces_quoted_brackets():
     assert S.log_bracket("s3", "k1") == 1
     assert S.log_bracket("k1", "k2") == 1
     assert S.log_bracket("k2", "s3") == 1
-    for (u, v), c in cat.table.items():
-        assert S.monomial_coefficient(cat.entries[u], cat.entries[v]) == c
+    assert S.table_residues(cat.entries, cat.table) == []
+
+
+def test_table_residues_name_each_broken_entry(xy_structure):
+    ring, S = xy_structure
+    x, y = ring.gen("x"), ring.gen("y")
+    images = {"x": x, "y": y, "q": x / (1 + y)}
+    assert S.table_residues(images, {("x", "y"): Fraction(1, 4)}) == []
+    # a wrong coefficient on polynomials, a quotient that does not commute
+    bad = S.table_residues(images, {("x", "y"): 1, ("y", "x"): Fraction(-1, 4), ("x", "q"): 0})
+    assert [(u, v) for u, v, _ in bad] == [("x", "y"), ("x", "q")]
+    assert bad[0][2] == Fraction(-3, 4) * x * y
+    assert not bad[1][2].is_poly()
+    q = images["q"]
+    assert S.bracket_expr(q, y, 2) == S.bracket_expr(q, y) - 2 * q * y
 
 
 def test_solve_structure_trivial_and_inconsistent():
