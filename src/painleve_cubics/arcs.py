@@ -82,23 +82,20 @@ def word_trace(ring: Ring, letters: list, close_with_K: bool = False) -> Laurent
     return m[0][0] + m[1][1]
 
 
-PV_ARC_WORD = ["X(k1)", "R", "X(s3)", "R", "X(s2)", "R", "X(p2)", "R",
-               "X(s2)", "L", "X(s3)", "L", "X(k1)"]
-
-
 def arc_trace_check() -> Certificate:
-    """The worked arc: the K-closed trace of the stated word against the catalog arc b."""
-    ring = Ring(["s2", "s3", "p2", "k1"])
-    trace = word_trace(ring, PV_ARC_WORD, close_with_K=True)
-    b = ring.e({"k1": 1, "s2": 1, "s3": 1, "p2": Fraction(1, 2)})
-    bare = word_matrix(ring, PV_ARC_WORD)
-    unimodular = mat_det(bare).is_one()
-    # deterministic documented outcome: the trace equals b exactly (factor 1)
-    ok = (trace == b) and unimodular
-    return certify("arc-trace-b", "worked arc trace equals the catalog monomial",
-                   "PV arc b word trace", ok,
-                   detail="trace = b exactly (discrepancy factor 1); det of the open word is 1",
-                   residue=trace - b)
+    """The worked arc of ``lambdas.json arc_trace``: its K-closed word trace is the catalog arc."""
+    with catalog.context("lambdas.json arc_trace"):
+        data = catalog.load("lambdas")["arc_trace"]
+        cat, arc, word = lambda_catalog(data["catalog"]), data["arc"], data["word"]
+        if arc not in cat.entries:
+            raise catalog.UnknownEntry(f"no arc {arc!r} in lambda catalog {cat.tag!r}")
+        trace = word_trace(cat.shear_ring, word, close_with_K=True)
+        unimodular = mat_det(word_matrix(cat.shear_ring, word)).is_one()
+    target = cat.entries[arc]
+    return certify(f"arc-trace-{arc}", "worked arc trace equals the catalog monomial",
+                   f"{cat.tag} arc {arc} word trace", trace == target and unimodular,
+                   detail=f"trace = {arc} exactly (discrepancy factor 1); det of the open word is 1",
+                   residue=trace - target)
 
 
 # -- combinatorial cusp bracket ----------------------------------------------
@@ -168,14 +165,9 @@ class LambdaCatalog:
     cusp_indices: dict            # arc -> ((hole, order), (hole, order))
     signature: str                # signatures.json entry of the surface
 
-
-def _exponents(product: str) -> dict:
-    """``"a*b^-1*h^2"`` as ``{"a": 1, "b": -1, "h": 2}``."""
-    vec = {}
-    for part in product.split("*"):
-        name, _, e = part.partition("^")
-        vec[name] = int(e) if e else 1
-    return vec
+    def table_between(self, names) -> dict:
+        """The entries of the bracket table between two of ``names``."""
+        return {(u, v): c for (u, v), c in self.table.items() if u in names and v in names}
 
 
 @catalog.cached
@@ -192,7 +184,7 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             names = tuple(entry["subset"])
             sring, shear_structure, params = parent.shear_ring, parent.shear_structure, ()
             entries = {n: parent.entries[n] for n in names}
-            table = {(u, v): c for (u, v), c in parent.table.items() if u in names and v in names}
+            table = parent.table_between(names)
             frozen = tuple(n for n in parent.frozen if n in names)
         else:
             sring = Ring(tuple(entry["shear_generators"]))
@@ -210,7 +202,8 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             identifications={g: parse_expr(s, lring)
                              for g, s in entry.get("identifications", {}).items()},
             casimirs=tuple(entry.get("casimirs", ())),
-            casimir_exps=tuple(_exponents(text) for text in entry.get("casimirs", ())),
+            casimir_exps=tuple(dict(zip(lring.names, parse_poly(text, lring).monomial_exps()))
+                               for text in entry.get("casimirs", ())),
             leaf_dim=int(entry.get("leaf_dim", 0)),
             xexprs={n: parse_expr(s, lring) for n, s in entry.get("xexprs", {}).items()},
             stated_log_brackets=stated, solved_log_brackets=solved,

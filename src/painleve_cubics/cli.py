@@ -122,8 +122,7 @@ def _cmd_confluence(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    if args.tag not in cubics.tags():
-        raise RingError(f"unknown cubic tag {args.tag!r} (have {sorted(cubics.tags())})")
+    cubics.cubic(args.tag)  # the lookup: an unknown tag exits 2
     word = []
     for ch in args.sequence.replace(",", ""):
         if ch not in "123":

@@ -157,12 +157,6 @@ def _parsed_images(emb: EmbeddingMap) -> tuple:
     return images, carriers
 
 
-def _sub_table(tag: str, images: dict) -> dict:
-    """The entries of catalog ``tag``'s bracket table between imaged arcs."""
-    return {(u, v): c for (u, v), c in lambda_catalog(tag).table.items()
-            if u in images and v in images}
-
-
 def embedding_check(emb: EmbeddingMap) -> Certificate:
     """Ambient brackets of the images reproduce the sub-catalog's table.
 
@@ -170,7 +164,12 @@ def embedding_check(emb: EmbeddingMap) -> Certificate:
     ambient one; the parameters carried across stay central on the images.
     """
     images, carriers = _parsed_images(emb)
-    own = _sub_table(emb.sub, images)
+    own = lambda_catalog(emb.sub).table_between(images)
+    stray = [f"{u},{v}" for u, v in emb.expected_mismatches if (u, v) not in own]
+    if stray:
+        with catalog.context(emb.where):
+            raise catalog.UnknownEntry(f"expected_mismatches {stray[0]} names no pair "
+                                       f"of the {emb.sub} table between imaged arcs")
     table = {**{k: emb.expected_mismatches.get(k, c) for k, c in own.items()},
              **{(p, name): 0 for p in carriers for name in images}}
     bad = [(u, v, str(r)[:60]) for u, v, r in
@@ -196,7 +195,7 @@ def composite_embedding_check() -> Certificate:
     composite = {name: first_imgs[name].substitute(second_imgs, ring=jm.lambda_ring).as_poly()
                  for name in first.images}
     bad = [(u, v, str(r)[:60]) for u, v, r in
-           jm.structure.table_residues(composite, _sub_table("PV", composite))]
+           jm.structure.table_residues(composite, lambda_catalog("PV").table_between(composite))]
     return certify("embedding-composite-PV-PIIJM",
                    "embeddings compose along the diagram",
                    "PV inside PII_JM through PIV", not bad, residue=bad[:4])

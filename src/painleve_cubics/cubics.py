@@ -19,7 +19,7 @@ from . import catalog
 from .certificates import Certificate, certify
 from .exprs import parse_expr, parse_poly
 from .poisson import NambuContext
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
+from .ring import LaurentPoly, RationalExpr, Ring, as_expr
 
 G_NAMES = ("G1", "G2", "G3", "Ginf")
 X_NAMES = ("x1", "x2", "x3")
@@ -61,7 +61,7 @@ def base_ring() -> Ring:
 def cubic(tag: str) -> CubicSurface:
     data = catalog.load("cubics")["cubics"]
     if tag not in data:
-        raise RingError(f"unknown cubic tag {tag!r} (have {sorted(data)})")
+        raise catalog.UnknownEntry(f"unknown cubic tag {tag!r} (have {sorted(data)})")
     entry = data[tag]
     ring = base_ring()
     with catalog.context(f"cubics.json cubics.{tag}"):

@@ -1,22 +1,25 @@
 """Parser for the compact expression strings used by the catalog files.
 
-The catalogs store polynomials the way the formulas are usually written,
-e.g.
+The catalogs store polynomials the way the formulas are usually written:
 
     -e[s2+s3+p2/2+p3/2] - G3*e[s2+p2/2]
     x1*x2*x3 + x1^2 - (G1*Ginf + G2*G3)*x1 + Ginf^2
 
-``e[...]`` is a monomial e^{linear combination of coordinates} on the
-g_z = e^{z/2} convention; bare names are generators of the target ring or
-entries of a caller-supplied symbol table (used to expand G-symbols into
-their shear definitions at load time).  ``/`` builds genuine quotients,
-so parsing always yields a RationalExpr; use ``.as_poly()`` when a
-polynomial is expected.
+The grammar is Python's expression syntax, read by ``ast``, with ``^`` for
+powers: ``+ - * /``, unary signs, integer literals, names, and ``base^n``
+with a signed integer literal ``n``.  ``e[...]`` is e^{linear form} on the
+g_z = e^{z/2} convention; the form combines coordinates with rational
+coefficients.  A bare name is an entry of the caller's symbol table (used to
+expand G-symbols into their shear definitions), else a generator of the ring.
+``/`` builds genuine quotients, so parsing yields a RationalExpr;
+``parse_poly`` is for strings that must be polynomials.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 from typing import Mapping
 
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
@@ -26,173 +29,86 @@ class ExprSyntaxError(ValueError):
     pass
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list = []
-        self._scan()
-        self.i = 0
-
-    def _scan(self) -> None:
-        t, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = t[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^()[],":
-                self.toks.append((ch, ch))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and t[j].isdigit():
-                    j += 1
-                self.toks.append(("num", int(t[i:j])))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                self.toks.append(("name", t[i:j]))
-                i = j
-                continue
-            raise ExprSyntaxError(f"bad character {ch!r} in {self.text!r}")
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, got {tok} in {self.text!r}")
-        return tok
+_ARITHMETIC = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
+_SIGNS = {ast.UAdd: 1, ast.USub: -1}
 
 
-class _Parser:
-    def __init__(self, text: str, ring: Ring, symbols: Mapping[str, object]):
-        self.toks = _Tokens(text)
-        self.ring = ring
-        self.symbols = symbols
+def _integer(node, text: str) -> int:
+    """A signed integer literal: the only exponent ``^`` takes."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        sign, node = _SIGNS[type(node.op)], node.operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    raise ExprSyntaxError(f"exponent must be an integer literal in {text!r}")
 
-    def parse(self) -> RationalExpr:
-        value = self._sum()
-        if self.toks.peek()[0] is not None:
-            raise ExprSyntaxError(f"trailing input in {self.toks.text!r}")
-        return value
 
-    def _sum(self) -> RationalExpr:
-        sign = 1
-        kind, _ = self.toks.peek()
-        if kind in ("+", "-"):
-            self.toks.next()
-            sign = -1 if kind == "-" else 1
-        total = self._product() * sign
-        while True:
-            kind, _ = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                total = total + self._product()
-            elif kind == "-":
-                self.toks.next()
-                total = total - self._product()
-            else:
-                return total
+def _scaled(form, c: Fraction):
+    return form * c if isinstance(form, Fraction) else {n: v * c for n, v in form.items()}
 
-    def _product(self) -> RationalExpr:
-        total = self._power()
-        while True:
-            kind, _ = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                total = total * self._power()
-            elif kind == "/":
-                self.toks.next()
-                total = total / self._power()
-            else:
-                return total
 
-    def _power(self) -> RationalExpr:
-        base = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            sign = 1
-            if self.toks.peek()[0] == "-":
-                self.toks.next()
-                sign = -1
-            n = self.toks.expect("num")[1]
-            return base ** (sign * n)
-        return base
+def _form(node, text: str, ring: Ring):
+    """The inside of e[...]: a Fraction for a number, {coordinate: Fraction} for a form."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Fraction(node.value)
+    if isinstance(node, ast.Name):
+        if node.id not in ring.index:
+            raise ExprSyntaxError(f"unknown coordinate {node.id!r} in e[...] of {text!r}")
+        return {node.id: Fraction(1)}
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        return _scaled(_form(node.operand, text, ring), _SIGNS[type(node.op)])
+    if isinstance(node, ast.BinOp):
+        a, b, op = _form(node.left, text, ring), _form(node.right, text, ring), type(node.op)
+        if op in (ast.Add, ast.Sub) and type(a) is type(b):
+            b = _scaled(b, 1 if op is ast.Add else -1)
+            return a + b if isinstance(a, Fraction) else {n: a.get(n, 0) + b.get(n, 0) for n in {**a, **b}}
+        if op is ast.Mult and Fraction in (type(a), type(b)):
+            return _scaled(b, a) if isinstance(a, Fraction) else _scaled(a, b)
+        if op is ast.Div and isinstance(b, Fraction):
+            if not b:
+                raise ExprSyntaxError(f"division by zero in e[...] of {text!r}")
+            return _scaled(a, 1 / b)
+    raise ExprSyntaxError(f"e[...] takes a linear form of coordinates in {text!r}")
 
-    def _atom(self) -> RationalExpr:
-        kind, val = self.toks.next()
-        if kind == "num":
-            return as_expr(self.ring.const(val))
-        if kind == "(":
-            inner = self._sum()
-            self.toks.expect(")")
-            return inner
-        if kind == "name":
-            if val == "e" and self.toks.peek()[0] == "[":
-                self.toks.next()
-                mono = self._exponent_monomial()
-                self.toks.expect("]")
-                return as_expr(mono)
-            if val in self.symbols:
-                sym = self.symbols[val]
-                return as_expr(sym)
-            if val in self.ring.index:
-                return as_expr(self.ring.gen(val))
-            raise ExprSyntaxError(f"unknown symbol {val!r} in {self.toks.text!r}")
-        raise ExprSyntaxError(f"unexpected token {(kind, val)} in {self.toks.text!r}")
 
-    def _exponent_monomial(self) -> LaurentPoly:
-        """Linear combination inside e[...]: items like s2, 2*s1, p2/2, 3*k1/2."""
-        halves: dict = {}
-        sign = 1
-        kind, _ = self.toks.peek()
-        if kind in ("+", "-"):
-            self.toks.next()
-            sign = -1 if kind == "-" else 1
-        while True:
-            coeff = Fraction(sign)
-            kind, val = self.toks.peek()
-            if kind == "num":
-                self.toks.next()
-                coeff *= val
-                if self.toks.peek()[0] == "*":
-                    self.toks.next()
-            kind, val = self.toks.next()
-            if kind != "name":
-                raise ExprSyntaxError(f"expected coordinate name in e[...] of {self.toks.text!r}")
-            if val not in self.ring.index:
-                raise ExprSyntaxError(f"unknown coordinate {val!r} in e[...]")
-            if self.toks.peek()[0] == "/":
-                self.toks.next()
-                coeff /= self.toks.expect("num")[1]
-            halves[val] = halves.get(val, Fraction(0)) + coeff
-            kind, _ = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                sign = 1
-            elif kind == "-":
-                self.toks.next()
-                sign = -1
-            else:
-                return self.ring.e(halves)
+def _value(node, text: str, ring: Ring, symbols: Mapping[str, object]):
+    """A LaurentPoly, or a RationalExpr once a quotient is genuine."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _value(node.left, text, ring, symbols) ** _integer(node.right, text)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        return _ARITHMETIC[type(node.op)](_value(node.left, text, ring, symbols),
+                                          _value(node.right, text, ring, symbols))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        operand = _value(node.operand, text, ring, symbols)
+        return -operand if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return ring.const(node.value)
+    if isinstance(node, ast.Name):
+        if node.id in symbols:
+            return symbols[node.id]
+        if node.id in ring.index:
+            return ring.gen(node.id)
+        raise ExprSyntaxError(f"unknown symbol {node.id!r} in {text!r}")
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "e"):
+        form = _form(node.slice, text, ring)
+        if isinstance(form, dict):
+            return ring.e(form)
+        raise ExprSyntaxError(f"e[...] takes a linear form of coordinates in {text!r}")
+    raise ExprSyntaxError(f"unsupported {type(node).__name__} in {text!r}")
 
 
 def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> RationalExpr:
     """Parse an expression string over ``ring`` (see module docstring)."""
-    return _Parser(text, ring, symbols or {}).parse()
+    if "**" in text:
+        raise ExprSyntaxError(f"powers are written '^', not '**', in {text!r}")
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+        value = _value(tree.body, text, ring, symbols or {})
+    except (SyntaxError, UnicodeError, RecursionError) as exc:
+        # ast's own refusals: bad syntax, unencodable text, nesting too deep
+        raise ExprSyntaxError(f"cannot parse {text!r}") from exc
+    return as_expr(value)
 
 
 def parse_poly(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> LaurentPoly:

@@ -166,48 +166,24 @@ def verify_flip_braid(i: int) -> Certificate:
 # -- the PV -> PIII coordinate change ---------------------------------------
 
 
-def pv_to_piii_hat_images() -> dict:
-    """Exponentials of the flipped coordinates as expressions in the old ones.
-
-    The product of exchange factors enters the new perimeter with a minus
-    sign in the logarithm (i.e. as a denominator here); only that reading
-    makes every chain-rule bracket constant.
-    """
-    ring = lambda_catalog("PV").shear_ring
-    E = lambda s: parse_expr(s, ring)
-    return {
-        "s1": E("e[-s1-p1] / (1 + e[s2])"),
-        "s2": E("e[-s2] * (1 + e[p1+s1] + e[p1+s1+s2]) * (1 + e[s1] + e[s1+s2])"),
-        "s3": E("e[s3] / (1 + e[-s2])"),
-        "p1": E("e[p1]"),
-        "p2": E("e[p2+s2+p1+2*s1] * (1 + e[s2])^2"
-                " / ((1 + e[p1+s1] + e[p1+s1+s2]) * (1 + e[s1] + e[s1+s2]))"),
-        "k1": E("e[k1]"),
-        "k2": E("e[k2]"),
-    }
-
-
-# log-level brackets of the flipped coordinates: the quoted list, with
-# unlisted pairs zero and {s1, p1} = 0 forced by the cusp splitting of p1.
-PV_TO_PIII_EXPECTED = {
-    ("s1", "s2"): Fraction(1),
-    ("s2", "s3"): Fraction(-1),
-    ("s2", "p2"): Fraction(2),
-    ("s1", "p2"): Fraction(-1),
-    ("s3", "p2"): Fraction(-1),
-    ("s3", "k1"): Fraction(1),
-    ("s3", "k2"): Fraction(-1),
-    ("k1", "k2"): Fraction(1),
-}
-
-
 def pv_to_piii_change() -> Certificate:
-    """Chain-rule brackets of the flipped coordinates are the stated constants."""
-    images = pv_to_piii_hat_images()
-    E = PV_TO_PIII_EXPECTED
-    table = {(u, v): E.get((u, v), -E.get((v, u), 0)) for u, v in combinations(images, 2)}
-    bad = [(u, v, str(r)[:60])
-           for u, v, r in lambda_catalog("PV").shear_structure.table_residues(images, table)]
+    """Chain-rule brackets of the flipped coordinates are the quoted constants.
+
+    ``lambdas.json pv_to_piii`` gives the flipped coordinates as images in the
+    PV shear coordinates and their quoted log brackets; unlisted pairs are 0.
+    """
+    structure = lambda_catalog("PV").shear_structure
+    with catalog.context("lambdas.json pv_to_piii"):
+        if structure is None:
+            raise catalog.UnknownEntry("the PV arc catalog has no shear-level structure")
+        data = catalog.load("lambdas")["pv_to_piii"]
+        images = {z: parse_expr(text, structure.ring) for z, text in data["images"].items()}
+        quoted = catalog.pairs(data["log_brackets"])
+        stray = [f"{u},{v}" for u, v in quoted if not images.keys() >= {u, v}]
+        if stray:
+            raise catalog.UnknownEntry(f"log_brackets {stray[0]} names no pair of the images")
+    table = {(u, v): quoted.get((u, v), -quoted.get((v, u), 0)) for u, v in combinations(images, 2)}
+    bad = [(u, v, str(r)[:60]) for u, v, r in structure.table_residues(images, table)]
     detail = "all chain-rule brackets constant; quoted values reproduced"
     return certify("pv-to-piii-change", "flipped coordinates have the stated brackets",
                    "PV flipped-chart coordinate brackets", not bad,

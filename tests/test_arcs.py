@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import Ring
-from painleve_cubics.arcs import (PV_ARC_WORD, arc_trace_check, casimir_check,
+from painleve_cubics import Ring, catalog
+from painleve_cubics.arcs import (arc_trace_check, casimir_check,
                                   comb_bracket, comb_bracket_check, commutant_check,
                                   edge_matrix, lambda_catalog, lamination_count_check,
                                   mat_det, mat_mul, pvi_from_pv_check, signature,
@@ -29,7 +29,8 @@ def test_edge_matrix_squares_to_minus_identity():
 
 def test_worked_arc_trace():
     ring = Ring(["s2", "s3", "p2", "k1"])
-    trace = word_trace(ring, PV_ARC_WORD, close_with_K=True)
+    word = catalog.load("lambdas")["arc_trace"]["word"]
+    trace = word_trace(ring, word, close_with_K=True)
     b = ring.e({"k1": 1, "s2": 1, "s3": 1, "p2": Fraction(1, 2)})
     assert trace == b
     assert arc_trace_check().passed

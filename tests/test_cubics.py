@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import Ring, parse_poly
+from painleve_cubics import Ring, catalog, parse_poly
 from painleve_cubics.cubics import (cubic, cubic_form, fn_jm_diffeo_check, nambu_context,
                                     omega_from_G, singular_point_check, tags,
                                     table1_check, torus_param_check,
@@ -14,6 +14,11 @@ from painleve_cubics.cubics import (cubic, cubic_form, fn_jm_diffeo_check, nambu
 def test_tag_list():
     assert tags() == ["PVI", "PV", "PVdeg", "PIV", "PIII_D6", "PIII_D7",
                       "PIII_D8", "PII_JM", "PII_FN", "PI", "Weierstrass"]
+
+
+def test_unknown_cubic_tag_is_an_unknown_entry():
+    with pytest.raises(catalog.UnknownEntry, match=r"unknown cubic tag 'PX' \(have \['PI', "):
+        cubic("PX")
 
 
 def test_pi_reference_polynomial():

@@ -1,0 +1,132 @@
+"""The catalog expression parser against direct ring arithmetic.
+
+Random expression trees over a small ring are rendered in catalog syntax,
+with the fewest parentheses the precedence allows plus some redundant
+ones, and parsed back; the result must equal the tree evaluated by ring
+operations on RationalExpr values.  A table of malformed strings must each
+raise ExprSyntaxError and nothing else.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from painleve_cubics import ExprSyntaxError, Ring, RingError, parse_expr
+from painleve_cubics.ring import as_expr
+
+RING = Ring(("x", "y", "s1", "s2"))
+SUM, PRODUCT, UNARY, POWER, ATOM = range(5)
+
+# an e[...] term: coordinate, coefficient in halves k/2, written with the
+# numerator and denominator scaled by m, in one of four layouts
+form_terms = st.lists(st.tuples(st.sampled_from(("s1", "s2")), st.integers(-4, 4),
+                                st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3)
+leaves = st.one_of(st.integers(0, 5).map(lambda n: ("int", n)),
+                   st.sampled_from(("x", "y")).map(lambda n: ("name", n)),
+                   form_terms.map(lambda terms: ("e", tuple(terms))))
+
+
+def extend(children):
+    return st.one_of(
+        st.tuples(st.just("add"), st.sampled_from("+-"), children, children),
+        st.tuples(st.just("mul"), st.sampled_from("*/"), children, children),
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("pow"), children, st.integers(-2, 3), st.booleans()),
+        st.tuples(st.just("paren"), children),
+    )
+
+
+trees = st.recursive(leaves, extend, max_leaves=8)
+
+
+def value(tree):
+    kind = tree[0]
+    if kind == "int":
+        return as_expr(RING.const(tree[1]))
+    if kind == "name":
+        return as_expr(RING.gen(tree[1]))
+    if kind == "e":
+        halves = {}
+        for z, k, _, _ in tree[1]:
+            halves[z] = halves.get(z, 0) + Fraction(k, 2)
+        return as_expr(RING.e(halves))
+    if kind == "add":
+        a, b = value(tree[2]), value(tree[3])
+        return a + b if tree[1] == "+" else a - b
+    if kind == "mul":
+        a, b = value(tree[2]), value(tree[3])
+        return a * b if tree[1] == "*" else a / b
+    if kind == "neg":
+        return -value(tree[1])
+    if kind == "pow":
+        return value(tree[1]) ** tree[2]
+    return value(tree[1])
+
+
+def form_text(terms) -> str:
+    parts = []
+    for i, (z, k, m, layout) in enumerate(terms):
+        n, d = abs(k) * m, 2 * m
+        text = (f"{n}*{z}/{d}", f"{z}*{n}/{d}", f"{n}/{d}*{z}", f"({n}*{z})/{d}")[layout]
+        if i == 0:
+            parts.append("-" + text if k < 0 else text)
+        else:
+            parts.append((" - " if k < 0 else " + ") + text)
+    return "".join(parts)
+
+
+def render(tree) -> tuple:
+    """(text, precedence level) of a tree in catalog syntax."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1]), ATOM
+    if kind == "name":
+        return tree[1], ATOM
+    if kind == "e":
+        return f"e[{form_text(tree[1])}]", ATOM
+    if kind == "paren":
+        return f"({render(tree[1])[0]})", ATOM
+    if kind == "add":
+        return f"{wrap(tree[2], SUM)} {tree[1]} {wrap(tree[3], PRODUCT)}", SUM
+    if kind == "mul":
+        return f"{wrap(tree[2], PRODUCT)}{tree[1]}{wrap(tree[3], UNARY)}", PRODUCT
+    if kind == "neg":
+        return f"-{wrap(tree[1], UNARY)}", UNARY
+    sign = "+" if tree[3] and tree[2] >= 0 else ""
+    return f"{wrap(tree[1], ATOM)}^{sign}{tree[2]}", POWER
+
+
+def wrap(tree, level: int) -> str:
+    text, prec = render(tree)
+    return text if prec >= level else f"({text})"
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+def test_parse_matches_ring_arithmetic(tree):
+    text = render(tree)[0]
+    try:
+        expected = value(tree)
+    except RingError:
+        # a zero divisor or a negative power of zero: the parse must refuse too
+        with pytest.raises(RingError):
+            parse_expr(text, RING)
+        return
+    assert parse_expr(text, RING) == expected, text
+
+
+def test_rendering_exercises_precedence():
+    tree = ("neg", ("pow", ("add", "-", ("name", "x"), ("e", (("s1", -3, 2, 0),))), -2, True))
+    assert render(tree)[0] == "-(x - e[-6*s1/4])^-2"
+    x, g = RING.gen("x"), RING.e({"s1": Fraction(-3, 2)})
+    assert parse_expr(render(tree)[0], RING) == -((x - g) ** -2)
+
+
+@pytest.mark.parametrize("text", [
+    "x**2", "x^y", "x^1.5", "2.5*x", "e[s1*s2]", "e[s1/0]", "f(x)", "x.y", "x +", "e[q]",
+    "e[2s1]", "e[2]", "x^2^2", "x % y", "e[s1, s2]", "True", "",
+])
+def test_malformed_text_raises_expr_syntax_error(text):
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(text, RING)

@@ -15,6 +15,7 @@ from painleve_cubics import catalog, verify
 from painleve_cubics.cli import main
 
 TWISTS = list(catalog.load("lambdas")["twists"])
+ARC_WORD = catalog.load("lambdas")["arc_trace"]["word"]
 UNFOLD_KEYS = [key for key, entry in catalog.load("unfoldings").items()
                if isinstance(entry, dict)]
 
@@ -179,6 +180,12 @@ def put(path: tuple, value):
                  id="a3.target"),
     pytest.param("arrows", ("embeddings", 0, "images", "a"), "a*b +* (",
                  "arrows.json embeddings[0]", id="embeddings[0].images.a"),
+    pytest.param("charts", ("charts", "PVI", "x1"), "-e[s1/0+s2+s3] - G3*e[s2+p2/2]",
+                 "charts.json charts.PVI", id="charts.PVI.x1-zero-divisor"),
+    pytest.param("lambdas", ("pv_to_piii", "log_brackets", "s1,zz"), "1",
+                 "lambdas.json pv_to_piii", id="pv_to_piii.log_brackets-stray"),
+    pytest.param("lambdas", ("arc_trace", "arc"), "zz", "lambdas.json arc_trace",
+                 id="arc_trace.arc"),
 ])
 def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, value, where):
     root = catalog_copy(tmp_path, name, put(path, value))
@@ -195,6 +202,30 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
     assert err.startswith("error: lambdas.json catalogs.PIII_D7: "
                           "no lambda catalog for 'NOPE' (have [")
     assert "missing key" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_stray_expected_mismatch_is_exit_2(tmp_path, capsys):
+    # a documented mismatch that names no pair of the imaged sub-table is a
+    # catalog error, not a silently ignored key
+    path = ("embeddings", 6, "expected_mismatches", "a,z")
+    assert catalog.load("arrows")["embeddings"][6]["sub"] == "PII_FN"
+    root = catalog_copy(tmp_path, "arrows", put(path, "5"))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "confluence")
+    assert code == 2 and out == ""
+    assert err.startswith("error: arrows.json embeddings[6]: expected_mismatches a,z ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_pv_without_log_brackets_is_exit_2(tmp_path, capsys):
+    def drop(data):
+        for table in ("solved_log_brackets", "stated_log_brackets"):
+            del data["catalogs"]["PV"][table]
+
+    root = catalog_copy(tmp_path, "lambdas", drop)
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "atlas")
+    assert code == 2 and out == ""
+    assert err == ("error: lambdas.json pv_to_piii: "
+                   "the PV arc catalog has no shear-level structure\n")
 
 
 def test_missing_field_reads_missing_key(tmp_path, capsys):
@@ -231,6 +262,10 @@ def test_quoted_log_bracket_mismatch_is_named(tmp_path, capsys, table, key, valu
                  "twist-frozen-PVdeg", id="twist-frozen-pair"),
     pytest.param("signatures", ("signatures", "PV", "dim"), 8, "signatures",
                  "signature-PV", id="signature-dim"),
+    pytest.param("lambdas", ("pv_to_piii", "log_brackets", "s2,p2"), "-2", "atlas",
+                 "pv-to-piii-change", id="pv-to-piii-log-bracket"),
+    pytest.param("lambdas", ("arc_trace", "word"), ARC_WORD[:-1], "arcs",
+                 "arc-trace-b", id="arc-trace-letter-dropped"),
 ])
 def test_value_perturbation_fails(tmp_path, capsys, name, path, value, group, cid):
     root = catalog_copy(tmp_path, name, put(path, value))

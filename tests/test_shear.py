@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import Ring, parse_poly
+from painleve_cubics import Ring, catalog, parse_poly
 from painleve_cubics.cubics import G_NAMES, tags
 from painleve_cubics.ring import as_expr
-from painleve_cubics.shear import (PV_TO_PIII_EXPECTED, chart, chart_phi_residue,
+from painleve_cubics.shear import (chart, chart_phi_residue,
                                    SHEAR_NAMES, flip, flip_involution_check,
                                    pv_to_piii_change, shear_ring, verify_chart,
                                    verify_flip_braid)
@@ -78,8 +78,9 @@ def test_pv_to_piii_brackets():
     # unlisted pairs as zero
     cert = pv_to_piii_change()
     assert cert.passed
-    assert PV_TO_PIII_EXPECTED[("s2", "p2")] == 2
-    assert PV_TO_PIII_EXPECTED[("k1", "k2")] == 1
+    quoted = catalog.pairs(catalog.load("lambdas")["pv_to_piii"]["log_brackets"])
+    assert quoted[("s2", "p2")] == 2
+    assert quoted[("k1", "k2")] == 1
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
