@@ -18,7 +18,7 @@ from .certificates import Certificate, certify
 from .cubics import G_NAMES, X_NAMES, pulled_back
 from .exprs import parse_expr, parse_poly
 from .poisson import PoissonStructure, casimir_kernel, is_casimir_product, solve_structure
-from .ring import LaurentPoly, Ring, RingError
+from .ring import LaurentPoly, Ring
 
 Matrix = tuple  # 2x2 nested tuples of LaurentPoly
 
@@ -217,7 +217,8 @@ def verify_lambda_table(tag: str) -> Certificate:
     """The shear-level structure reproduces every bracket coefficient of the table."""
     cat = lambda_catalog(tag)
     if cat.shear_structure is None:
-        raise RingError(f"{tag} has no shear-level structure to verify against")
+        with catalog.context(f"lambdas.json catalogs.{tag}"):
+            raise catalog.UnknownEntry(f"{tag} has no shear-level structure to verify against")
     images = {**cat.entries, **{z: cat.shear_ring.gen(z) for z in cat.central_shear}}
     table = {**cat.table, **{(z, name): 0 for z in cat.central_shear for name in cat.entries}}
     bad = cat.shear_structure.table_residues(images, table)

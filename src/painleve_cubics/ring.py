@@ -78,6 +78,11 @@ def _eps_int(exps: tuple, i: int | None) -> tuple:
     return exps[:i] + (e.numerator,) + exps[i + 1:]
 
 
+def _collect_sums(ring: "Ring", sums: dict) -> "LaurentPoly":
+    """``ring.collect`` of term sums whose integral Fraction coefficients become ints."""
+    return ring.collect({e: c if type(c) is int else _q(c) for e, c in sums.items()})
+
+
 class Ring:
     """A context of named invertible generators.
 
@@ -413,7 +418,16 @@ class LaurentPoly:
         GenImage values (all over one target ring); unmapped generators pass
         through unchanged and must exist in the target ring.  A GenImage of
         granularity k gives the image of g_name^k; occurrences whose exponent
-        is not a multiple of k are an error.
+        is not a multiple of k are an error, unless the image is a monomial.
+
+        The sum stays in the Laurent ring as long as it can.  The image of
+        each (generator, exponent) pair is computed once per call.  A term
+        whose factors are all polynomials is multiplied out and its terms
+        are added to one dict.  The other terms are summed per denominator:
+        every image denominator is normalised (content 0, leading
+        coefficient 1), and so is a product of them, so equal denominators
+        have equal term tuples.  Each of those sums becomes one quotient,
+        the first one with the polynomial part folded into its numerator.
         """
         norm: dict[str, GenImage] = {}
         target = ring
@@ -428,25 +442,55 @@ class LaurentPoly:
                 raise RingError("substitution images live in mixed ring contexts")
         if target is None:
             target = self.ring
-        total = RationalExpr.from_poly(target.zero())
+        names = self.ring.names
+        zero = target._zero
+
+        def image_power(name: str, e: Scalar) -> tuple:
+            """(numerator, denominator or None) of the image of g_name^e."""
+            gi = norm.get(name)
+            if gi is None:
+                return target.gen(name, e), None
+            if not isinstance(e, int) or e % gi.granularity != 0:
+                if gi.expr.is_poly() and gi.expr.num.is_monomial():
+                    return gi.monomial_root_power(e).num, None
+                raise RingError("substitution requires half-power of non-monomial")
+            p = gi.expr ** (e // gi.granularity)
+            return p.num, None if p.den.is_one() else p.den
+
+        powers: dict = {}
+        polys: dict = {}
+        quotients: dict = {}  # denominator terms -> (denominator, numerator sums)
         for exps, c in self.terms.items():
-            factor = RationalExpr.from_poly(target.const(c))
+            num = den = None
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                name = self.ring.names[i]
-                gi = norm.get(name)
-                if gi is None:
-                    factor = factor * RationalExpr.from_poly(target.gen(name, e))
-                    continue
-                if not isinstance(e, int) or e % gi.granularity != 0:
-                    if gi.expr.is_poly() and gi.expr.num.is_monomial():
-                        factor = factor * gi.monomial_root_power(e)
-                        continue
-                    raise RingError("substitution requires half-power of non-monomial")
-                factor = factor * (gi.expr ** (e // gi.granularity))
-            total = total + factor
-        return total
+                factor = powers.get((i, e))
+                if factor is None:
+                    factor = powers[i, e] = image_power(names[i], e)
+                fnum, fden = factor
+                num = fnum if num is None else num * fnum
+                if fden is not None:
+                    den = fden if den is None else den * fden
+            if den is None:
+                sums = polys
+            else:
+                sums = quotients.setdefault(tuple(sorted(den.terms.items())), (den, {}))[1]
+            if num is None:
+                sums[zero] = sums.get(zero, 0) + c
+                continue
+            get = sums.get
+            for e, v in num.terms.items():
+                sums[e] = get(e, 0) + c * v
+        poly = _collect_sums(target, polys)
+        total = None
+        for den, sums in quotients.values():
+            num = _collect_sums(target, sums)
+            if total is None:
+                total = RationalExpr(num + poly * den if poly.terms else num, den)
+            else:
+                total = total + RationalExpr(num, den)
+        return RationalExpr.from_poly(poly) if total is None else total
 
     # -- epsilon bookkeeping -----------------------------------------------
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve_cubics import RationalExpr, Ring, divide_exact
+from painleve_cubics import GenImage, RationalExpr, Ring, divide_exact
+from painleve_cubics.ring import as_expr
 
 sympy = pytest.importorskip("sympy")
 
@@ -26,6 +27,13 @@ exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
 laurent = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(RING.poly)
 # substitution images stay small: the sympy side expands their fourth powers
 images = st.dictionaries(exponents, coeffs, min_size=1, max_size=2).map(RING.poly)
+# quotients by a two-term (so non-monomial) denominator
+quotients = st.builds(RationalExpr, images,
+                      st.dictionaries(exponents, coeffs, min_size=2, max_size=2).map(RING.poly))
+# (a, b, c) for the monomial x^2a y^2b eps^c with coefficient 1, the image of g^2
+# under granularity 2: its square root x^a y^b eps^(c/2) has a half-integer eps
+# exponent when c is odd
+roots = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-2, 2))
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -77,6 +85,82 @@ def test_substitute_matches_expand(f, gx, gy):
                         for (i, j, e), c in f.terms.items())
     assert sympy.expand(to_sympy(got.num) * to_sympy(gx) ** a * to_sympy(gy) ** b
                         - to_sympy(got.den) * cleared_image) == 0
+
+
+# sympy's field Q(x, y, s): each element is kept reduced by its gcd, as cancel does
+FIELD, FX, FY, FS = sympy.field("x,y,s", sympy.QQ)
+
+
+def to_field(r):
+    """A LaurentPoly or RationalExpr as an element of FIELD, eps^(1/2) written as s."""
+    if isinstance(r, RationalExpr):
+        return to_field(r.num) / to_field(r.den)
+    total = FIELD(0)
+    for (a, b, e), c in r.terms.items():
+        total += sympy.QQ(c.numerator, c.denominator) * FX ** a * FY ** b * FS ** int(2 * e)
+    return total
+
+
+def image_sum(f, px, py=lambda j: FY ** j, ps=lambda t: FS ** t):
+    """f with x^i, y^j and s^t replaced by px(i), py(j) and ps(t), summed in FIELD."""
+    total = FIELD(0)
+    for (i, j, e), c in f.terms.items():
+        total += sympy.QQ(c.numerator, c.denominator) * px(i) * py(j) * ps(int(2 * e))
+    return total
+
+
+@SETTINGS
+@given(laurent, quotients, st.one_of(images.map(as_expr), quotients))
+def test_substitute_quotients_matches_cancel(f, gx, gy):
+    # x and y carry positive and negative exponents: quotients and their inverses
+    got = f.substitute({"x": gx, "y": gy})
+    qx, qy = to_field(gx), to_field(gy)
+    assert to_field(got) == image_sum(f, lambda i: qx ** i, lambda j: qy ** j)
+
+
+same_power = st.tuples(
+    st.integers(-2, 2).filter(bool),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3).map(lambda k: Fraction(k, 2)),
+                       coeffs), min_size=2, max_size=4, unique_by=lambda t: t[:2]))
+
+
+@SETTINGS
+@given(same_power, quotients, images)
+def test_substitute_repeated_powers_matches_cancel(spec, gx, gy):
+    # every term carries x^k, so all terms but the first take x^k from the power table
+    k, terms = spec
+    f = RING.poly({(k, j, e): c for j, e, c in terms})
+    got = f.substitute({"x": gx, "y": gy})
+    qx, qy = to_field(gx), to_field(gy)
+    assert to_field(got) == image_sum(f, lambda i: qx ** i, lambda j: qy ** j)
+
+
+even_exponents = st.tuples(st.integers(-2, 2).map(lambda k: 2 * k), st.integers(-2, 2),
+                           st.integers(-3, 3).map(lambda k: Fraction(k, 2)))
+
+
+@SETTINGS
+@given(st.dictionaries(even_exponents, coeffs, min_size=1, max_size=4).map(RING.poly),
+       st.one_of(images.map(as_expr), quotients))
+def test_substitute_granularity_two_matches_cancel(f, gx):
+    # gx is the image of g_x^2, and every x exponent of f is even
+    got = f.substitute({"x": GenImage(gx, 2)})
+    qx = to_field(gx)
+    assert to_field(got) == image_sum(f, lambda i: qx ** (i // 2))
+
+
+@SETTINGS
+@given(laurent, roots, roots)
+def test_substitute_monomial_roots_matches_cancel(f, rx, reps):
+    # odd powers of g_x and half-integer powers of eps take monomial square roots
+    (a, b, c), (a2, b2, c2) = rx, reps
+    mx = RING.monomial({"x": 2 * a, "y": 2 * b, "eps": c})
+    meps = RING.monomial({"x": 2 * a2, "y": 2 * b2, "eps": c2})
+    got = f.substitute({"x": GenImage(mx, 2), "eps": meps})
+    assert got.is_poly()
+    # the square roots of mx and meps: the images of g_x and of s = eps^(1/2)
+    root_x, root_s = FX ** a * FY ** b * FS ** c, FX ** a2 * FY ** b2 * FS ** c2
+    assert to_field(got) == image_sum(f, lambda i: root_x ** i, ps=lambda t: root_s ** t)
 
 
 @SETTINGS

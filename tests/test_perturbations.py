@@ -228,6 +228,18 @@ def test_pv_without_log_brackets_is_exit_2(tmp_path, capsys):
                    "the PV arc catalog has no shear-level structure\n")
 
 
+def test_table_without_log_brackets_names_its_catalog(tmp_path, capsys):
+    def drop(data):
+        for table in ("solved_log_brackets", "stated_log_brackets"):
+            del data["catalogs"]["PV"][table]
+
+    root = catalog_copy(tmp_path, "lambdas", drop)
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "lambda")
+    assert code == 2 and out == ""
+    assert err == ("error: lambdas.json catalogs.PV: "
+                   "PV has no shear-level structure to verify against\n")
+
+
 def test_missing_field_reads_missing_key(tmp_path, capsys):
     def drop_label(data):
         del data["arrows"][0]["label"]

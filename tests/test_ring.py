@@ -89,6 +89,50 @@ def test_substitute_half_power_refused():
         ring.e({"s2": Fraction(1, 2)}).substitute({"s2": image})
 
 
+def test_substitute_power_table_is_per_call(ring):
+    gx, gy, gz = ring.gen("x"), ring.gen("y"), ring.gen("z")
+    f = gx ** 2 + 3 * gx ** 2 * gy
+    first = {"x": gy + 1}
+    second = {"x": gz - 2}
+    expect_first = (gy + 1) ** 2 * (1 + 3 * gy)
+    expect_second = (gz - 2) ** 2 * (1 + 3 * gy)
+    assert f.substitute(first).as_poly() == expect_first
+    assert f.substitute(second).as_poly() == expect_second
+    assert f.substitute(first).as_poly() == expect_first
+
+
+def test_substitute_unmapped_generator_passes_through(ring):
+    gx, gy, gz = ring.gen("x"), ring.gen("y"), ring.gen("z")
+    f = gx * gz ** -2 + gz ** 3
+    out = f.substitute({"x": gy + 1})
+    assert out.as_poly() == gy * gz ** -2 + gz ** -2 + gz ** 3
+
+
+def test_substitute_zero_is_zero(ring):
+    out = ring.zero().substitute({"x": ring.one() / (ring.gen("y") + 1)})
+    assert out.is_poly() and out.is_zero()
+
+
+def test_substitute_integral_coefficients_are_ints(ring):
+    gx, gy, gz = ring.gen("x"), ring.gen("y"), ring.gen("z")
+    out = ((gx + 2 * gy) ** 3).substitute({"x": gy - 3 * gz, "y": gz + 5})
+    assert out.is_poly()
+    assert all(type(c) is int for c in out.num.terms.values())
+    # Fraction coefficients whose products with the images are integral
+    half = (Fraction(1, 2) * gx + Fraction(1, 3) * gy).substitute(
+        {"x": 2 * gz, "y": 3 * gz})
+    assert half.as_poly().terms == {(0, 0, 1): 2}
+    assert type(half.as_poly().terms[(0, 0, 1)]) is int
+
+
+def test_substitute_error_messages(ring):
+    other = Ring(["u", "v"])
+    with pytest.raises(RingError, match="substitution for unknown generator 'w'"):
+        ring.gen("x").substitute({"w": ring.gen("y")})
+    with pytest.raises(RingError, match="substitution images live in mixed ring contexts"):
+        ring.gen("x").substitute({"x": ring.gen("y"), "y": other.gen("u")})
+
+
 def test_epsilon_leading_examples():
     ring = Ring(["a", "b", "c", "eps"])
     A, B, C = ring.gen("a"), ring.gen("b"), ring.gen("c")
