@@ -10,8 +10,8 @@ coefficients from arrival-order indices alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import catalog
 from .certificates import Certificate, certify
@@ -143,8 +143,7 @@ def comb_bracket_check() -> Certificate:
 # -- lambda catalogs -----------------------------------------------------------
 
 
-@dataclass
-class LambdaCatalog:
+class LambdaCatalog(NamedTuple):
     tag: str
     shear_ring: Ring
     entries: dict                 # name -> LaurentPoly in shear coordinates
@@ -325,8 +324,7 @@ def lamination_count_check(tag: str) -> Certificate:
 # -- signatures (irregularity bookkeeping) ------------------------------------
 
 
-@dataclass
-class Signature:
+class Signature(NamedTuple):
     tag: str
     holes: tuple       # cusps per hole of the actual (genus 0) surface
     stated_dim: int

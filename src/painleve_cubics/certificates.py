@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     cid: str
     title: str
     anchor: str          # which catalog identity this audits

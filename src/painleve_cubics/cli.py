@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import arcs, catalog, cluster, confluence, cubics, shear, unfolding, verify
+from . import catalog, verify
 from .exprs import ExprSyntaxError
 from .ring import RingError
 
@@ -41,6 +41,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_show(args) -> int:
+    from . import cubics
     c = cubics.cubic(args.tag)
     if args.format == "json":
         print(json.dumps({
@@ -59,6 +60,7 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_chart(args) -> int:
+    from . import shear
     ch = shear.chart(args.tag)
     if args.format == "json":
         print(json.dumps({
@@ -78,6 +80,7 @@ def _cmd_chart(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
+    from . import arcs
     cat = arcs.lambda_catalog(args.tag)
     if args.format == "json":
         print(json.dumps({
@@ -101,6 +104,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
+    from . import arcs
     cat = arcs.lambda_catalog(args.tag)
     ring = cat.lambda_ring
     for name in (args.first, args.second):
@@ -112,6 +116,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_confluence(args) -> int:
+    from . import confluence
     a = confluence.arrow(args.src, args.dst)
     degrees, _ = confluence.limit_chart_coords(a)
     cert = confluence.confluent_limit(a)
@@ -122,6 +127,7 @@ def _cmd_confluence(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    from . import cluster, cubics
     cubics.cubic(args.tag)  # the lookup: an unknown tag exits 2
     word = []
     for ch in args.sequence.replace(",", ""):
@@ -142,6 +148,7 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from . import cluster
     case = cluster.twist_case(args.case)
     vals = cluster.base_values(case)
     for n in range(args.repeat):
@@ -156,6 +163,7 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
+    from . import unfolding
     keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
     if args.tag not in keys:
         raise catalog.UnknownEntry(f"no unfolding case for {args.tag!r} (have {sorted(keys)})")
@@ -177,6 +185,7 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    from . import arcs
     sig = arcs.signature(args.tag)
     katz = ",".join(str(k) for k in sig.katz())
     print(f"s={len(sig.holes)} n={sum(sig.holes)} dim={sig.dimension()} katz={katz}")
@@ -187,6 +196,7 @@ def _cmd_signature(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.what == "confluence":
+        from . import confluence
         if args.format == "dot":
             print(confluence.confluence_dot(), end="")
         elif args.format == "json":
@@ -197,12 +207,14 @@ def _cmd_export(args) -> int:
                 print(f"{a.src} -> {a.dst}: {a.label}{mark}")
         return 0
     if args.what == "inclusions":
+        from . import confluence
         if args.format == "dot":
             print(confluence.inclusion_dot(), end="")
         else:
             print(confluence.graph_json(), end="")
         return 0
     if args.what == "catalog":
+        from . import cubics
         payload = {"cubics": {}}
         for t in cubics.tags():
             c = cubics.cubic(t)

@@ -10,7 +10,7 @@ y_i y_i' = y_j^2 + y_k^2 + G_i y_j y_k, whose iterates stay Laurent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .arcs import lambda_catalog
@@ -229,8 +229,7 @@ def laurent_check(max_depth: int = 4) -> Certificate:
 # -- Dehn twists ----------------------------------------------------------------
 
 
-@dataclass
-class TwistCase:
+class TwistCase(NamedTuple):
     name: str
     variables: tuple      # mutating arc names, in role order
     frozen: tuple

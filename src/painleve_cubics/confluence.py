@@ -15,8 +15,8 @@ monomials of the bigger one, preserving every bracket coefficient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import catalog
 from .certificates import Certificate, certify
@@ -26,8 +26,7 @@ from .ring import Ring, RingError
 from .shear import SHEAR_NAMES, chart
 
 
-@dataclass
-class Arrow:
+class Arrow(NamedTuple):
     src: str
     dst: str
     shift: dict          # coordinate -> coefficient of log(eps)
@@ -104,8 +103,7 @@ def two_route_check() -> Certificate:
 # -- reversed embeddings ------------------------------------------------------
 
 
-@dataclass
-class EmbeddingMap:
+class EmbeddingMap(NamedTuple):
     sub: str
     ambient: str
     images: dict          # sub arc name -> monomial string over the ambient arcs

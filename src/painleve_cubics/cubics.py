@@ -13,7 +13,7 @@ the canonical parametrisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .certificates import Certificate, certify
@@ -29,8 +29,7 @@ def tags() -> list:
     return list(catalog.load("cubics")["tags"])
 
 
-@dataclass
-class CubicSurface:
+class CubicSurface(NamedTuple):
     tag: str
     eps: tuple
     ring: Ring                    # x1,x2,x3,G1,G2,G3,Ginf

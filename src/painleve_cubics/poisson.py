@@ -18,11 +18,10 @@ which the certificates confirm symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
@@ -137,8 +136,7 @@ class PoissonStructure:
         return out
 
 
-@dataclass
-class CasimirReport:
+class CasimirReport(NamedTuple):
     rank: int
     kernel: list  # list of {name: int} exponent dicts over the input monomials
 
@@ -182,11 +180,10 @@ def is_casimir_product(structure: PoissonStructure, candidate: Mapping[str, int]
     return all(structure.pair_exps(vec, m.monomial_exps()) == 0 for m in monomials.values())
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     structure: "PoissonStructure | None"
-    free_pairs: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    free_pairs: Sequence = ()
+    violations: Sequence = ()
 
     @property
     def consistent(self) -> bool:

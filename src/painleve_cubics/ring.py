@@ -78,9 +78,12 @@ def _eps_int(exps: tuple, i: int | None) -> tuple:
     return exps[:i] + (e.numerator,) + exps[i + 1:]
 
 
-def _collect_sums(ring: "Ring", sums: dict) -> "LaurentPoly":
-    """``ring.collect`` of term sums whose integral Fraction coefficients become ints."""
-    return ring.collect({e: c if type(c) is int else _q(c) for e, c in sums.items()})
+def _exact_root(n: int, k: int) -> int | None:
+    """The k-th root of the positive integer ``n`` when it is an integer, else None."""
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) is at least the root
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s  # Newton's step from above stops at the floor of the root
+    return r if r ** k == n else None
 
 
 class Ring:
@@ -158,13 +161,14 @@ class Ring:
         return LaurentPoly(self, {k: _q(v) for k, v in out.items() if v})
 
     def collect(self, sums: dict) -> "LaurentPoly":
-        """The polynomial of accumulated term sums: zero sums dropped, eps slot made int.
+        """Polynomial of term sums: zeros dropped, eps slot and integral coefficients made int.
 
         Equal keys merge in ``sums`` whatever the type of their eps slot
         (Fraction(2) hashes as 2), so only the kept keys need normalising.
         """
         i = self._eps_index
-        return LaurentPoly(self, {_eps_int(e, i): c for e, c in sums.items() if c})
+        return LaurentPoly(self, {_eps_int(e, i): c if type(c) is int else _q(c)
+                                  for e, c in sums.items() if c})
 
     def _check_exps(self, vec: Sequence[Scalar]) -> None:
         for i, e in enumerate(vec):
@@ -482,10 +486,10 @@ class LaurentPoly:
             get = sums.get
             for e, v in num.terms.items():
                 sums[e] = get(e, 0) + c * v
-        poly = _collect_sums(target, polys)
+        poly = target.collect(polys)
         total = None
         for den, sums in quotients.values():
-            num = _collect_sums(target, sums)
+            num = target.collect(sums)
             if total is None:
                 total = RationalExpr(num + poly * den if poly.terms else num, den)
             else:
@@ -580,15 +584,14 @@ class GenImage:
         """Image of g_name^e when the image is a monomial (fractional powers ok)."""
         exps, c = next(iter(self.expr.num.terms.items()))
         ratio = Fraction(e) / self.granularity
-        if ratio.denominator == 1:
-            coeff = Fraction(c) ** int(ratio)
-        elif c == 1:
-            coeff = Fraction(1)
-        else:
-            raise RingError("substitution requires half-power of non-monomial")
+        k = ratio.denominator
+        roots = (c, 1) if k == 1 else [_exact_root(n, k) if c > 0 else None
+                                       for n in (c.numerator, c.denominator)]
+        if None in roots:
+            raise RingError(f"monomial image coefficient {c} has no positive rational root of order {k}")
         ring = self.expr.num.ring
         vec = {ring.names[i]: e_i * ratio for i, e_i in enumerate(exps) if e_i != 0}
-        return RationalExpr.from_poly(ring.monomial(vec, coeff))
+        return RationalExpr.from_poly(ring.monomial(vec, Fraction(*roots) ** ratio.numerator))
 
 
 def as_expr(x) -> "RationalExpr":

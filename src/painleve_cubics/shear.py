@@ -10,9 +10,9 @@ their images are registered with granularity 2 on the half-generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import catalog
 from .arcs import lambda_catalog
@@ -24,8 +24,7 @@ from .ring import GenImage, LaurentPoly, Ring, as_expr
 SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
 
 
-@dataclass
-class ShearChart:
+class ShearChart(NamedTuple):
     tag: str
     ring: Ring
     x: tuple            # three LaurentPoly with parameters expanded

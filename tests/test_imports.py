@@ -1,6 +1,10 @@
-"""Every import in the package is read: a stdlib ``ast`` pass over its modules."""
+"""Imports: every one in the package is read (a stdlib ``ast`` pass over its
+modules), and a cold CLI call loads only the subsystems its verb runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,36 @@ def test_checker_finds_an_unused_import():
     source = ('from dataclasses import dataclass, field\nimport os.path\n'
               'def f(x: "Ring") -> int:\n    return dataclass\n')
     assert unused_imports(source) == [(1, "field"), (2, "os")]
+
+
+SUBSYSTEMS = {f"painleve_cubics.{m}" for m in
+              ("certificates", "cubics", "shear", "arcs", "confluence", "cluster", "unfolding")}
+
+
+def loaded_modules(*argv) -> set:
+    """``sys.modules`` of a fresh interpreter after importing the CLI and,
+    when ``argv`` is given, running it (stdout discarded; exit code 0)."""
+    code = ("import contextlib, io, sys\n"
+            "from painleve_cubics.cli import main\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(sys.argv[1:]) == 0\n"
+            "print(*sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ((), SUBSYSTEMS),
+    (("show", "PV"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.cluster",
+                      "painleve_cubics.confluence", "painleve_cubics.unfolding"}),
+    (("export", "confluence"), {"painleve_cubics.cluster", "painleve_cubics.unfolding"}),
+    (("verify", "charts"), {"painleve_cubics.cluster", "painleve_cubics.confluence",
+                            "painleve_cubics.unfolding"}),
+], ids=["import", "show-PV", "export-confluence", "verify-charts"])
+def test_cold_call_loads_only_its_subsystem(argv, absent):
+    loaded = loaded_modules(*argv)
+    assert "painleve_cubics.cli" in loaded
+    assert sorted(loaded & (absent | {"dataclasses"})) == []

@@ -133,6 +133,36 @@ def test_substitute_error_messages(ring):
         ring.gen("x").substitute({"x": ring.gen("y"), "y": other.gen("u")})
 
 
+def test_monomial_image_takes_the_rational_root_of_its_coefficient(ring):
+    gx, gy = ring.gen("x"), ring.gen("y")
+    root = gx.substitute({"x": GenImage(4 * gy ** 2, 2)}).as_poly()
+    assert root.terms == {(0, 1, 0): 2} and type(root.terms[(0, 1, 0)]) is int
+    assert ((gx ** 3).substitute({"x": GenImage(Fraction(9, 4) * gy ** 2, 2)}).as_poly()
+            == Fraction(27, 8) * gy ** 3)
+    assert ((gx ** -1).substitute({"x": GenImage(Fraction(8, 27) * gy ** 3, 3)}).as_poly()
+            == Fraction(3, 2) * gy ** -1)
+    big = 12345678901234567891
+    assert (gx.substitute({"x": GenImage(big ** 2 * gy ** 2, 2)}).as_poly()
+            == big * gy)
+
+
+@pytest.mark.parametrize("coeff", [2, Fraction(4, 3), Fraction(3, 4), -4,
+                                   12345678901234567891 ** 2 + 1])
+def test_monomial_image_without_a_rational_root_is_refused(ring, coeff):
+    image = GenImage(coeff * ring.gen("y") ** 2, 2)
+    with pytest.raises(RingError, match=f"coefficient {coeff} has no positive rational root of order 2"):
+        ring.gen("x").substitute({"x": image})
+
+
+def test_integral_product_of_fractions_is_an_int(ring):
+    gx, gy = ring.gen("x"), ring.gen("y")
+    product = (Fraction(1, 2) * gx) * (2 * gy)
+    assert product.terms == {(1, 1, 0): 1} and type(product.terms[(1, 1, 0)]) is int
+    mixed = (Fraction(1, 3) * gx + Fraction(1, 2)) * (3 * gy + Fraction(2, 3))
+    assert {type(c) for c in mixed.terms.values()} == {int, Fraction}
+    assert mixed.terms[(1, 1, 0)] == 1 and type(mixed.terms[(1, 1, 0)]) is int
+    assert mixed.terms[(0, 0, 0)] == Fraction(1, 3)
+
 def test_epsilon_leading_examples():
     ring = Ring(["a", "b", "c", "eps"])
     A, B, C = ring.gen("a"), ring.gen("b"), ring.gen("c")
