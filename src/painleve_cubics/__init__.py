@@ -2,7 +2,6 @@
 
 from .ring import GenImage, LaurentPoly, RationalExpr, Ring, RingError, divide_exact
 from .exprs import ExprSyntaxError, parse_expr, parse_poly
-from .poisson import NambuContext, PoissonStructure, casimir_kernel, solve_structure
 
 __version__ = "0.1.0"
 
@@ -27,6 +26,19 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+
+_POISSON = ("NambuContext", "PoissonStructure", "casimir_kernel", "solve_structure")
+
+
+def __getattr__(name: str):
+    """The Poisson names, imported on first use (PEP 562), so that a call that
+    needs no bracket loads neither ``poisson`` nor ``linalg``."""
+    if name in _POISSON:
+        from . import poisson
+
+        return getattr(poisson, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cubic(tag: str):

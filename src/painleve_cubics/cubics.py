@@ -18,7 +18,6 @@ from typing import NamedTuple
 from . import catalog
 from .certificates import Certificate, certify
 from .exprs import parse_expr, parse_poly
-from .poisson import NambuContext
 from .ring import LaurentPoly, RationalExpr, Ring, as_expr
 
 G_NAMES = ("G1", "G2", "G3", "Ginf")
@@ -123,6 +122,8 @@ def omega_from_G(eps: tuple, ring: Ring | None = None) -> tuple:
 
 
 def nambu_context(tag: str) -> NambuContext:
+    from .poisson import NambuContext
+
     return NambuContext(cubic(tag).phi, X_NAMES)
 
 

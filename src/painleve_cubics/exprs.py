@@ -18,11 +18,10 @@ expand G-symbols into their shear definitions), else a generator of the ring.
 from __future__ import annotations
 
 import ast
-from fractions import Fraction
 from operator import add, mul, sub, truediv
 from typing import Mapping
 
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
+from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, as_expr
 
 
 class ExprSyntaxError(ValueError):
@@ -43,31 +42,36 @@ def _integer(node, text: str) -> int:
     raise ExprSyntaxError(f"exponent must be an integer literal in {text!r}")
 
 
-def _scaled(form, c: Fraction):
-    return form * c if isinstance(form, Fraction) else {n: v * c for n, v in form.items()}
+def _scaled(form, c):
+    return {n: v * c for n, v in form.items()} if isinstance(form, dict) else form * c
 
 
 def _form(node, text: str, ring: Ring):
-    """The inside of e[...]: a Fraction for a number, {coordinate: Fraction} for a form."""
+    """The inside of e[...]: a number, or {coordinate: generator exponent} for a form.
+
+    On g_z = e^{z/2} a coordinate z is the generator exponent 2, so the
+    exponents stay ints; a Fraction is only a value that is not an integer.
+    """
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return Fraction(node.value)
+        return node.value
     if isinstance(node, ast.Name):
         if node.id not in ring.index:
             raise ExprSyntaxError(f"unknown coordinate {node.id!r} in e[...] of {text!r}")
-        return {node.id: Fraction(1)}
+        return {node.id: 2}
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
         return _scaled(_form(node.operand, text, ring), _SIGNS[type(node.op)])
     if isinstance(node, ast.BinOp):
         a, b, op = _form(node.left, text, ring), _form(node.right, text, ring), type(node.op)
-        if op in (ast.Add, ast.Sub) and type(a) is type(b):
+        a_form, b_form = isinstance(a, dict), isinstance(b, dict)
+        if op in (ast.Add, ast.Sub) and a_form == b_form:
             b = _scaled(b, 1 if op is ast.Add else -1)
-            return a + b if isinstance(a, Fraction) else {n: a.get(n, 0) + b.get(n, 0) for n in {**a, **b}}
-        if op is ast.Mult and Fraction in (type(a), type(b)):
-            return _scaled(b, a) if isinstance(a, Fraction) else _scaled(a, b)
-        if op is ast.Div and isinstance(b, Fraction):
+            return {n: a.get(n, 0) + b.get(n, 0) for n in {**a, **b}} if a_form else a + b
+        if op is ast.Mult and not (a_form and b_form):
+            return _scaled(a, b) if a_form else _scaled(b, a)
+        if op is ast.Div and not b_form:
             if not b:
                 raise ExprSyntaxError(f"division by zero in e[...] of {text!r}")
-            return _scaled(a, 1 / b)
+            return {n: _div(v, b) for n, v in a.items()} if a_form else _div(a, b)
     raise ExprSyntaxError(f"e[...] takes a linear form of coordinates in {text!r}")
 
 
@@ -93,7 +97,7 @@ def _value(node, text: str, ring: Ring, symbols: Mapping[str, object]):
             and node.value.id == "e"):
         form = _form(node.slice, text, ring)
         if isinstance(form, dict):
-            return ring.e(form)
+            return ring.monomial(form)
         raise ExprSyntaxError(f"e[...] takes a linear form of coordinates in {text!r}")
     raise ExprSyntaxError(f"unsupported {type(node).__name__} in {text!r}")
 

@@ -56,7 +56,9 @@ def _q(x: Scalar) -> Scalar:
 
 def _scalar(x) -> Scalar:
     """An exact coefficient or exponent: an int when integral, else a Fraction."""
-    return x if type(x) is int else _q(Fraction(x))
+    if type(x) is int:
+        return x
+    return _q(x if type(x) is Fraction else Fraction(x))
 
 
 def _div(a: Scalar, b: Scalar) -> Scalar:
@@ -110,7 +112,7 @@ class Ring:
         return f"Ring({', '.join(self.names)})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and self.names == other.names
+        return other is self or (isinstance(other, Ring) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)
@@ -128,7 +130,12 @@ class Ring:
         return LaurentPoly(self, {self._zero: c} if c else {})
 
     def gen(self, name: str, power: Scalar = 1) -> "LaurentPoly":
-        return self.monomial({name: power})
+        i = self.index.get(name)
+        if i is None:
+            raise RingError(f"generator {name!r} not in {self}")
+        vec = self._zero[:i] + (_scalar(power),) + self._zero[i + 1:]
+        self._check_exps(vec)
+        return LaurentPoly(self, {vec: 1})
 
     def monomial(self, exps: Mapping[str, Scalar], coeff: Scalar = 1) -> "LaurentPoly":
         c = _scalar(coeff)
@@ -148,7 +155,7 @@ class Ring:
         The value for key ``z`` is the coefficient of z in the exponent of
         e, so the generator exponent is 2*c_z.
         """
-        return self.monomial({n: 2 * Fraction(c) for n, c in halves.items()}, coeff)
+        return self.monomial({n: 2 * _scalar(c) for n, c in halves.items()}, coeff)
 
     def poly(self, terms: Mapping[tuple, Scalar]) -> "LaurentPoly":
         out: dict = {}
@@ -248,26 +255,30 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError(f"mixed ring contexts {self.ring} vs {other.ring}")
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _merged(self, other: "LaurentPoly", op) -> "LaurentPoly":
+        """self + other or self - other (``op`` is add or sub), in one pass over other."""
+        out = dict(self.terms)
+        get = out.get
+        for exps, c in other.terms.items():
+            v = op(get(exps, 0), c)
+            if v:
+                out[exps] = v if type(v) is int else _q(v)
+            else:
+                del out[exps]
+        return LaurentPoly(self.ring, out)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        get = out.get
-        for exps, c in other.terms.items():
-            v = get(exps, 0) + c
-            if v:
-                out[exps] = v
-            else:
-                del out[exps]
-        return LaurentPoly(self.ring, out)
+        return self._merged(other, add)
 
     __radd__ = __add__
 
@@ -278,7 +289,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._merged(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -289,6 +300,8 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return self.ring.zero()
         out: dict = {}
         get = out.get
         right = other.terms.items()
@@ -351,20 +364,9 @@ class LaurentPoly:
     def derivative(self, name: str) -> "LaurentPoly":
         """Formal d/dg_name (the generator itself, not e^{z/2} chain rules)."""
         i = self.ring.index[name]
-        out: dict = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = _q(e - 1)
-            key = tuple(new)
-            v = out.get(key, 0) + c * e
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return LaurentPoly(self.ring, out)
+        # lowering the exponent of one generator is injective on the terms
+        return self.ring.collect({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                                  for exps, c in self.terms.items() if exps[i]})
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         vals = {}
@@ -667,7 +669,7 @@ class RationalExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if num.ring != den.ring:
+        if num.ring is not den.ring and num.ring != den.ring:
             raise RingError("numerator/denominator ring mismatch")
         if den.is_zero():
             raise RingError("zero denominator")

@@ -3,8 +3,9 @@
 Random expression trees over a small ring are rendered in catalog syntax,
 with the fewest parentheses the precedence allows plus some redundant
 ones, and parsed back; the result must equal the tree evaluated by ring
-operations on RationalExpr values.  A table of malformed strings must each
-raise ExprSyntaxError and nothing else.
+operations on RationalExpr values.  ``e[...]`` forms over a ring with
+``eps`` are compared with ``Ring.e`` and must come out in exact types.  A
+table of malformed strings must each raise ExprSyntaxError and nothing else.
 """
 
 from fractions import Fraction
@@ -16,15 +17,31 @@ from painleve_cubics import ExprSyntaxError, Ring, RingError, parse_expr
 from painleve_cubics.ring import as_expr
 
 RING = Ring(("x", "y", "s1", "s2"))
+EPS_RING = Ring(("s1", "s2", "eps"))
 SUM, PRODUCT, UNARY, POWER, ATOM = range(5)
 
-# an e[...] term: coordinate, coefficient in halves k/2, written with the
+
+def denominator(z: str) -> int:
+    """Coefficients of e[...] come in halves, and in quarters on eps, whose
+    generator exponent may be a half-integer."""
+    return 4 if z == "eps" else 2
+
+
+# an e[...] term: coordinate, coefficient k/denominator(z), written with the
 # numerator and denominator scaled by m, in one of four layouts
-form_terms = st.lists(st.tuples(st.sampled_from(("s1", "s2")), st.integers(-4, 4),
-                                st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3)
+def form_terms(names, max_size=3):
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(-4, 4),
+                              st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=max_size)
+
+
+def form_value(terms) -> dict:
+    halves = {}
+    for z, k, _, _ in terms:
+        halves[z] = halves.get(z, 0) + Fraction(k, denominator(z))
+    return halves
 leaves = st.one_of(st.integers(0, 5).map(lambda n: ("int", n)),
                    st.sampled_from(("x", "y")).map(lambda n: ("name", n)),
-                   form_terms.map(lambda terms: ("e", tuple(terms))))
+                   form_terms(("s1", "s2")).map(lambda terms: ("e", tuple(terms))))
 
 
 def extend(children):
@@ -47,10 +64,7 @@ def value(tree):
     if kind == "name":
         return as_expr(RING.gen(tree[1]))
     if kind == "e":
-        halves = {}
-        for z, k, _, _ in tree[1]:
-            halves[z] = halves.get(z, 0) + Fraction(k, 2)
-        return as_expr(RING.e(halves))
+        return as_expr(RING.e(form_value(tree[1])))
     if kind == "add":
         a, b = value(tree[2]), value(tree[3])
         return a + b if tree[1] == "+" else a - b
@@ -67,7 +81,7 @@ def value(tree):
 def form_text(terms) -> str:
     parts = []
     for i, (z, k, m, layout) in enumerate(terms):
-        n, d = abs(k) * m, 2 * m
+        n, d = abs(k) * m, denominator(z) * m
         text = (f"{n}*{z}/{d}", f"{z}*{n}/{d}", f"{n}/{d}*{z}", f"({n}*{z})/{d}")[layout]
         if i == 0:
             parts.append("-" + text if k < 0 else text)
@@ -121,6 +135,41 @@ def test_rendering_exercises_precedence():
     assert render(tree)[0] == "-(x - e[-6*s1/4])^-2"
     x, g = RING.gen("x"), RING.e({"s1": Fraction(-3, 2)})
     assert parse_expr(render(tree)[0], RING) == -((x - g) ** -2)
+
+
+def assert_exact(poly):
+    """Exponents and coefficients are ints when integral, else Fractions."""
+    for exps, c in poly.terms.items():
+        for value in (*exps, c):
+            assert type(value) is int or (type(value) is Fraction and value.denominator != 1), exps
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_terms(("s1", "s2", "eps"), max_size=4), st.integers(-3, 3))
+def test_eps_forms_match_ring_e_in_exact_types(terms, coeff):
+    text = f"{coeff}*e[{form_text(terms)}] + s1"
+    expected = EPS_RING.e(form_value(terms), coeff) + EPS_RING.gen("s1")
+    parsed = parse_expr(text, EPS_RING)
+    assert parsed.is_poly() and parsed.num == expected, text
+    assert_exact(parsed.num)
+    assert_exact(expected)
+
+
+@pytest.mark.parametrize("text, power", [
+    ("e[1/2*s1]", 1), ("e[s1/2]", 1), ("e[s1*(1/2)]", 1), ("e[(2/4)*s1]", 1),
+    ("e[s1 - s1/2 + s1/2]", 2), ("e[-s1/(-1)]", 2), ("e[(1/2+1/2)*s1]", 2), ("e[s1*0]", 0),
+])
+def test_form_values(text, power):
+    parsed = parse_expr(text, RING).as_poly()
+    assert parsed == RING.gen("s1", power)
+    assert all(type(e) is int for e in parsed.monomial_exps())
+
+
+def test_quarter_coordinate_is_a_ring_error_naming_it():
+    with pytest.raises(RingError, match="non-integer exponent 1/2 on generator 's1'"):
+        parse_expr("e[s1/4]", RING)
+    with pytest.raises(ExprSyntaxError, match=r"division by zero in e\[\.\.\.\] of"):
+        parse_expr("e[s1/(1 - 1)]", RING)
 
 
 @pytest.mark.parametrize("text", [

@@ -68,14 +68,20 @@ def loaded_modules(*argv) -> set:
     return set(out.stdout.split())
 
 
+BRACKETS = {"painleve_cubics.poisson", "painleve_cubics.linalg"}
+
+
 @pytest.mark.parametrize("argv, absent", [
-    ((), SUBSYSTEMS),
+    ((), SUBSYSTEMS | BRACKETS),
     (("show", "PV"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.cluster",
-                      "painleve_cubics.confluence", "painleve_cubics.unfolding"}),
+                      "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
+    (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.certificates"}
+     | BRACKETS),
+    (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}),
     (("export", "confluence"), {"painleve_cubics.cluster", "painleve_cubics.unfolding"}),
     (("verify", "charts"), {"painleve_cubics.cluster", "painleve_cubics.confluence",
                             "painleve_cubics.unfolding"}),
-], ids=["import", "show-PV", "export-confluence", "verify-charts"])
+], ids=["import", "show-PV", "export-catalog", "unfold-PVI", "export-confluence", "verify-charts"])
 def test_cold_call_loads_only_its_subsystem(argv, absent):
     loaded = loaded_modules(*argv)
     assert "painleve_cubics.cli" in loaded

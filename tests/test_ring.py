@@ -163,6 +163,19 @@ def test_integral_product_of_fractions_is_an_int(ring):
     assert mixed.terms[(1, 1, 0)] == 1 and type(mixed.terms[(1, 1, 0)]) is int
     assert mixed.terms[(0, 0, 0)] == Fraction(1, 3)
 
+
+def test_integral_sum_difference_and_derivative_are_ints(ring):
+    half = Fraction(1, 2) * ring.gen("x")
+    for value in (half + half, Fraction(3, 2) * ring.gen("x") - half):
+        assert value.terms == {(1, 0, 0): 1} and type(value.terms[(1, 0, 0)]) is int
+    eps_ring = Ring(["x", "eps"])
+    slope = (2 * eps_ring.gen("eps", Fraction(1, 2))).derivative("eps")
+    assert slope.terms == {(0, Fraction(-1, 2)): 1} and type(slope.terms[(0, Fraction(-1, 2))]) is int
+    linear = (Fraction(2, 3) * eps_ring.gen("eps", Fraction(3, 2))).derivative("eps")
+    (key, coeff), = linear.terms.items()
+    assert key == (0, Fraction(1, 2)) and type(coeff) is int and coeff == 1
+
+
 def test_epsilon_leading_examples():
     ring = Ring(["a", "b", "c", "eps"])
     A, B, C = ring.gen("a"), ring.gen("b"), ring.gen("c")
