@@ -13,11 +13,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
-from .arcs import lambda_catalog
 from .certificates import Certificate, certify
 from .cubics import cubic_form, omega_from_G
 from .exprs import parse_expr
-from .poisson import PoissonStructure
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr, divide_exact
 
 W_NAMES = ("w1", "w2", "w3", "w4")
@@ -234,7 +232,7 @@ class TwistCase(NamedTuple):
     variables: tuple      # mutating arc names, in role order
     frozen: tuple
     ring: Ring
-    structure: PoissonStructure
+    structure: PoissonStructure  # from poisson, which twist_case imports
     invariants: dict      # label -> RationalExpr
     steps: tuple          # {arc: expression}, each applied at once
 
@@ -242,6 +240,9 @@ class TwistCase(NamedTuple):
 @catalog.cached
 def twist_case(name: str) -> TwistCase:
     """A case of the ``twists`` table in lambdas.json, with every name checked."""
+    # brackets and arc catalogs load only for the twists, not for mutate
+    from .arcs import lambda_catalog
+    from .poisson import PoissonStructure
     table = catalog.load("lambdas")["twists"]
     if name not in table:
         raise catalog.UnknownEntry(f"unknown twist case {name!r} (have {', '.join(table)})")

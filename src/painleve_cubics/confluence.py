@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from . import catalog
 from .certificates import Certificate, certify
-from .arcs import lambda_catalog
 from .exprs import parse_poly
 from .ring import Ring, RingError
 from .shear import SHEAR_NAMES, chart
@@ -141,6 +140,7 @@ def _parsed_images(emb: EmbeddingMap) -> tuple:
     ``images`` holds the arc images (monomials) and the carried parameters;
     ``carriers`` the ambient monomial standing in for each sub parameter.
     """
+    from .arcs import lambda_catalog  # the embeddings alone need the arc catalogs
     with catalog.context(emb.where):
         ring = lambda_catalog(emb.ambient).lambda_ring
         images = {}
@@ -161,6 +161,7 @@ def embedding_check(emb: EmbeddingMap) -> Certificate:
     A documented mismatch replaces the sub-catalog's coefficient by the
     ambient one; the parameters carried across stay central on the images.
     """
+    from .arcs import lambda_catalog
     images, carriers = _parsed_images(emb)
     own = lambda_catalog(emb.sub).table_between(images)
     stray = [f"{u},{v}" for u, v in emb.expected_mismatches if (u, v) not in own]
@@ -186,6 +187,7 @@ def embedding_check(emb: EmbeddingMap) -> Certificate:
 
 def composite_embedding_check() -> Certificate:
     """The PV arcs pushed through PIV land in PII_JM with the PV brackets."""
+    from .arcs import lambda_catalog
     first = embedding("PV", "PIV")
     first_imgs, _ = _parsed_images(first)
     second_imgs, _ = _parsed_images(embedding("PIV", "PII_JM"))

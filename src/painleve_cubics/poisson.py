@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -85,18 +85,23 @@ class PoissonStructure:
         if f.ring != self.ring or g.ring != self.ring:
             raise RingError("bracket arguments outside the structure's ring")
         # sums of den * coefficient, with M b computed once per right-hand term
+        ring = self.ring
+        unpack = ring.unpack
         out: dict = {}
         get = out.get
-        right = [(eb, cb, self._times(eb)) for eb, cb in g.terms.items()]
+        right = [(kb, cb, self._times(unpack(kb))) for kb, cb in g.terms.items()]
         shift = _q(c * self._den)
-        for ea, ca in f.terms.items():
-            for eb, cb, mb in right:
+        zero = ring._zero
+        for ka, ca in f.terms.items():
+            ea = unpack(ka)
+            ka -= zero
+            for kb, cb, mb in right:
                 k = sum(map(mul, ea, mb)) - shift
                 if k:
-                    exps = tuple(map(add, ea, eb))
-                    out[exps] = get(exps, 0) + ca * cb * k
+                    key = ka + kb
+                    out[key] = get(key, 0) + ca * cb * k
         den = self._den
-        return self.ring.collect({e: _div(c, den) for e, c in out.items()})
+        return ring.collect({key: _div(c, den) for key, c in out.items()})
 
     def bracket_expr(self, A, B, c: Fraction = 0) -> RationalExpr:
         """{A, B} - c A B for quotients, via the Leibniz rule."""
@@ -232,7 +237,7 @@ class NambuContext:
         for name in self.xnames:
             if name not in self.ring.index:
                 raise RingError(f"missing coordinate {name!r}")
-        for exps in phi.terms:
+        for exps, _ in phi.items():
             for name in self.xnames:
                 if exps[self.ring.index[name]] < 0:
                     raise RingError("phi must be polynomial in the surface coordinates")

@@ -5,13 +5,30 @@ invertible generators with exact rational coefficients:
 
     poly  =  sum of   coeff * g1^e1 * g2^e2 * ...
 
-stored as a dict mapping exponent tuples (one slot per registered
-generator) to nonzero exact coefficients: an ``int`` when the value is
-integral on construction, a ``Fraction`` otherwise, so products of
-integral coefficients are plain integer arithmetic.  Reciprocals are built
-as ``Fraction(1) / c``, since ``1 / c`` of an int is inexact.  No zero
-coefficients are kept and terms carry a fixed graded-lexicographic order,
-so equality is structural and printing is deterministic.
+stored as a dict mapping one packed int per monomial to a nonzero exact
+coefficient: an ``int`` when the value is integral on construction, a
+``Fraction`` otherwise, so products of integral coefficients are plain
+integer arithmetic.  Reciprocals are built as ``_div(1, c)``, an int for
+c = 1 or -1 and a ``Fraction`` otherwise, since ``1 / c`` of an int is
+inexact.  No zero coefficients are kept, so equality is structural;
+printing sorts the terms in graded-lexicographic order of their
+exponents, so it is deterministic.
+
+Packed exponents, after Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  Each
+generator owns one ``FIELD_BITS``-wide field of the key, generator 0 in the
+most significant bits.  A field holds its exponent plus the bias
+B = 2^(FIELD_BITS - 2), so exponents -B .. B-1 are stored as 0 .. 2B-1 and
+the top bit of every field, its guard, is clear.  The key of the monomial
+1, ``Ring._zero``, has B in every field; a product of monomials has key
+k1 + k2 - zero.  The field of ``eps`` holds twice its exponent, so its
+half-integer exponents are integers too.  An exponent that leaves its
+field range sets a guard bit: the lowest such field either reaches 2B or
+borrows from the field above it, and borrowing leaves it at 3B or more.
+``Ring.collect`` tests the guards of every key it is given and raises
+``RingError`` naming the ring, so a key never wraps into a wrong one.
+Readers that need exponent vectors decode the keys with ``Ring.unpack``
+or ``LaurentPoly.items()``.
 
 Convention for exponentiated coordinates: a generator named ``z`` stands
 for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Under this
@@ -24,19 +41,25 @@ produced by scalings like z -> z - log(eps).
 monomials collapse back into the Laurent ring during normalisation;
 equality of genuine quotients is tested by cross-multiplication.  Exact
 division (``divide_exact``) is lead-term division on one mutable remainder
-dict whose graded-lex leading term comes from a heap with lazy deletion,
-after Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors" (CASC 2007).
+dict whose leading key comes from a heap of plain ints with lazy deletion.
+Integer order of keys is lexicographic order of the exponents, a monomial
+order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add, or_, sub
+from struct import Struct
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+FIELD_BITS = 16  # ``Ring.unpack`` reads the fields back as 16-bit signed ints
+_BIAS = 1 << (FIELD_BITS - 2)
+_MASK = (1 << FIELD_BITS) - 1
 
 
 class RingError(ValueError):
@@ -50,15 +73,13 @@ def _q(x: Scalar) -> Scalar:
             return int(x)
         return x
     if isinstance(x, int):
-        return x
+        return int(x)
     raise RingError(f"non-exact scalar {x!r}")
 
 
 def _scalar(x) -> Scalar:
     """An exact coefficient or exponent: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    return _q(x if type(x) is Fraction else Fraction(x))
+    return x if type(x) is int else _q(x)
 
 
 def _div(a: Scalar, b: Scalar) -> Scalar:
@@ -70,14 +91,9 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     return _q(Fraction(a, b))
 
 
-def _eps_int(exps: tuple, i: int | None) -> tuple:
-    """``exps`` with an integral Fraction in the eps column ``i`` made an int."""
-    if i is None:
-        return exps
-    e = exps[i]
-    if type(e) is int or e.denominator != 1:
-        return exps
-    return exps[:i] + (e.numerator,) + exps[i + 1:]
+def _half(v: int) -> Scalar:
+    """The eps exponent of the eps field value ``v`` (twice the exponent)."""
+    return Fraction(v, 2) if v & 1 else v >> 1
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -94,10 +110,10 @@ class Ring:
     Polynomials from different Ring objects never mix; use
     ``LaurentPoly.cast`` to move between rings sharing generator names.
     The generator named ``eps``, if any, is the only one allowed
-    non-integer exponents.
+    non-integer exponents: multiples of 1/2.
     """
 
-    __slots__ = ("names", "index", "_zero", "_eps_index")
+    __slots__ = ("names", "index", "_zero", "_guard", "_shifts", "_eps_index", "_fields")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -105,8 +121,11 @@ class Ring:
             raise RingError(f"duplicate generator names in {names}")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        self._zero = (0,) * len(names)
+        self._shifts = tuple(FIELD_BITS * i for i in reversed(range(len(names))))
+        self._zero = sum(_BIAS << s for s in self._shifts)
+        self._guard = self._zero << 1
         self._eps_index = self.index.get("eps")
+        self._fields = Struct(f">{len(names)}h")
 
     def __repr__(self) -> str:
         return f"Ring({', '.join(self.names)})"
@@ -116,6 +135,50 @@ class Ring:
 
     def __hash__(self) -> int:
         return hash(self.names)
+
+    # -- packed exponent keys ----------------------------------------
+
+    def _field(self, i: int, e) -> int:
+        """The field value, before the bias, of exponent ``e`` on generator ``i``."""
+        v = e = _scalar(e)
+        if i == self._eps_index:
+            v = _q(2 * e)
+            if type(v) is not int:
+                raise RingError(f"exponent {e} on generator 'eps' is not a multiple of 1/2")
+        elif type(e) is not int:
+            raise RingError(f"non-integer exponent {e} on generator {self.names[i]!r}")
+        if not -_BIAS <= v < _BIAS:
+            raise RingError(f"exponent {e} on generator {self.names[i]!r} overflows "
+                            f"its {FIELD_BITS}-bit field in {self}")
+        return v
+
+    def pack(self, exps: Sequence[Scalar]) -> int:
+        """The key of the exponent vector ``exps`` (one entry per generator)."""
+        if len(exps) != len(self.names):
+            raise RingError("exponent tuple length mismatch")
+        key = self._zero
+        for i, e in enumerate(exps):
+            if e:
+                key += self._field(i, e) << self._shifts[i]
+        return key
+
+    def _values(self, key: int) -> tuple:
+        """The field values of ``key`` less the bias: the exponents, eps doubled.
+
+        Adding the zero key makes each field v + 2B, which flipping the guard
+        bit turns into v in 16-bit two's complement, with no carry between
+        fields; ``struct`` then reads every field at once.
+        """
+        fields = self._fields
+        return fields.unpack(((key + self._zero) ^ self._guard).to_bytes(fields.size, "big"))
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent vector of ``key``: ints, and a Fraction on eps when not integral."""
+        exps = self._values(key)
+        i = self._eps_index
+        if i is None:
+            return exps
+        return exps[:i] + (_half(exps[i]),) + exps[i + 1:]
 
     # -- constructors ------------------------------------------------
 
@@ -133,21 +196,19 @@ class Ring:
         i = self.index.get(name)
         if i is None:
             raise RingError(f"generator {name!r} not in {self}")
-        vec = self._zero[:i] + (_scalar(power),) + self._zero[i + 1:]
-        self._check_exps(vec)
-        return LaurentPoly(self, {vec: 1})
+        return LaurentPoly(self, {self._zero + (self._field(i, power) << self._shifts[i]): 1})
 
     def monomial(self, exps: Mapping[str, Scalar], coeff: Scalar = 1) -> "LaurentPoly":
         c = _scalar(coeff)
         if not c:
             return self.zero()
-        vec = [0] * len(self.names)
+        key = self._zero
         for name, e in exps.items():
-            if name not in self.index:
+            i = self.index.get(name)
+            if i is None:
                 raise RingError(f"generator {name!r} not in {self}")
-            vec[self.index[name]] = _scalar(e)
-        self._check_exps(vec)
-        return LaurentPoly(self, {tuple(vec): c})
+            key += self._field(i, e) << self._shifts[i]
+        return LaurentPoly(self, {key: c})
 
     def e(self, halves: Mapping[str, Scalar], coeff: Scalar = 1) -> "LaurentPoly":
         """Monomial e^{sum c_z * z} on the g_z = e^{z/2} convention.
@@ -158,31 +219,24 @@ class Ring:
         return self.monomial({n: 2 * _scalar(c) for n, c in halves.items()}, coeff)
 
     def poly(self, terms: Mapping[tuple, Scalar]) -> "LaurentPoly":
+        """The polynomial of {exponent vector: coefficient}."""
         out: dict = {}
         for exps, c in terms.items():
-            vec = tuple(_scalar(e) for e in exps)
-            if len(vec) != len(self.names):
-                raise RingError("exponent tuple length mismatch")
-            self._check_exps(vec)
-            out[vec] = out.get(vec, 0) + _scalar(c)
-        return LaurentPoly(self, {k: _q(v) for k, v in out.items() if v})
+            key = self.pack(exps)
+            out[key] = out.get(key, 0) + _scalar(c)
+        return self.collect(out)
 
     def collect(self, sums: dict) -> "LaurentPoly":
-        """Polynomial of term sums: zeros dropped, eps slot and integral coefficients made int.
+        """Polynomial of {key: coefficient sum}: zeros dropped, integral coefficients made int.
 
-        Equal keys merge in ``sums`` whatever the type of their eps slot
-        (Fraction(2) hashes as 2), so only the kept keys need normalising.
+        Raises RingError when a key has a guard bit set, that is when an
+        exponent left its field while the key was computed.
         """
-        i = self._eps_index
-        return LaurentPoly(self, {_eps_int(e, i): c if type(c) is int else _q(c)
-                                  for e, c in sums.items() if c})
-
-    def _check_exps(self, vec: Sequence[Scalar]) -> None:
-        for i, e in enumerate(vec):
-            if not isinstance(e, int) and i != self._eps_index:
-                raise RingError(
-                    f"non-integer exponent {e} on generator {self.names[i]!r}"
-                )
+        if reduce(or_, sums, 0) & self._guard:
+            raise RingError(f"exponent overflow in {self}: an exponent left its "
+                            f"{FIELD_BITS}-bit field")
+        return LaurentPoly(self, {k: c if type(c) is int else _q(c)
+                                  for k, c in sums.items() if c})
 
 
 def _grlex_key(exps: tuple):
@@ -221,35 +275,49 @@ class LaurentPoly:
     def monomial_exps(self) -> tuple:
         if not self.is_monomial():
             raise RingError(f"not a monomial: {self}")
-        return next(iter(self.terms))
+        return self.ring.unpack(next(iter(self.terms)))
 
     def num_terms(self) -> int:
         return len(self.terms)
 
+    def items(self) -> list:
+        """(exponent vector, coefficient) of every term, in storage order."""
+        unpack = self.ring.unpack
+        return [(unpack(k), c) for k, c in self.terms.items()]
+
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return sorted(self.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def lead(self) -> tuple:
         """(exps, coeff) of the graded-lex leading term."""
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        return max(self.items(), key=lambda t: _grlex_key(t[0]))
 
     def support_names(self) -> list:
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e != 0:
-                    used.add(i)
-        return [self.ring.names[i] for i in sorted(used)]
+        zero = self.ring._zero
+        used = reduce(or_, (k ^ zero for k in self.terms), 0)
+        return [n for n, s in zip(self.ring.names, self.ring._shifts) if (used >> s) & _MASK]
+
+    def _content_key(self) -> int:
+        """The key of the componentwise minimum exponent over the support.
+
+        All fields at once: a field of (m | guard) - k is m_i + 2B - k_i,
+        positive, so no field borrows, and its guard bit is set exactly when
+        m_i >= k_i; those fields of m are replaced by the fields of k.
+        """
+        if not self.terms:
+            raise RingError("zero polynomial has no content")
+        guard = self.ring._guard
+        keys = iter(self.terms)
+        m = next(keys)
+        for k in keys:
+            m ^= (m ^ k) & ((((m | guard) - k) & guard) >> (FIELD_BITS - 1)) * _MASK
+        return m
 
     def content_exps(self) -> tuple:
         """Componentwise minimum exponent over the support (Laurent content)."""
-        if not self.terms:
-            raise RingError("zero polynomial has no content")
-        cols = zip(*self.terms)
-        return tuple(min(col) for col in cols) if self.ring.names else ()
+        return self.ring.unpack(self._content_key())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -305,10 +373,12 @@ class LaurentPoly:
         out: dict = {}
         get = out.get
         right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                exps = tuple(map(add, e1, e2))
-                out[exps] = get(exps, 0) + c1 * c2
+        zero = self.ring._zero
+        for k1, c1 in self.terms.items():
+            k1 -= zero
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
         return self.ring.collect(out)
 
     __rmul__ = __mul__
@@ -318,9 +388,9 @@ class LaurentPoly:
             raise RingError(f"exponent must be an integer, got {n!r}")
         if n < 0:
             if self.is_monomial():
-                exps, c = next(iter(self.terms.items()))
-                inv = LaurentPoly(self.ring, {tuple(map(neg, exps)): _q(Fraction(1) / c)})
-                return inv ** (-n)
+                (k, c), = self.terms.items()
+                inv = self.ring.collect({2 * self.ring._zero - k: _div(1, c)})
+                return inv if n == -1 else inv ** -n
             return RationalExpr.from_poly(self) ** n
         if n == 0:
             return self.ring.one()
@@ -363,10 +433,18 @@ class LaurentPoly:
 
     def derivative(self, name: str) -> "LaurentPoly":
         """Formal d/dg_name (the generator itself, not e^{z/2} chain rules)."""
-        i = self.ring.index[name]
+        ring = self.ring
+        i = ring.index[name]
+        s = ring._shifts[i]
+        eps = i == ring._eps_index
+        step = (2 if eps else 1) << s
+        out = {}
         # lowering the exponent of one generator is injective on the terms
-        return self.ring.collect({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-                                  for exps, c in self.terms.items() if exps[i]})
+        for k, c in self.terms.items():
+            v = ((k >> s) & _MASK) - _BIAS
+            if v:
+                out[k - step] = c * (_half(v) if eps else v)
+        return ring.collect(out)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         vals = {}
@@ -378,7 +456,7 @@ class LaurentPoly:
                 raise RingError(f"generators must evaluate to nonzero values ({name})")
             vals[self.ring.index[name]] = v
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             term = c
             for i, e in enumerate(exps):
                 if e == 0:
@@ -393,26 +471,18 @@ class LaurentPoly:
         """Re-express in a ring containing (by name) every used generator."""
         if ring == self.ring:
             return self
-        positions = []
-        for i, name in enumerate(self.ring.names):
-            positions.append(ring.index.get(name))
+        src = self.ring
+        # the target field of each source field: both layouts double eps
+        shifts = [ring._shifts[ring.index[n]] if n in ring.index else None for n in src.names]
         out: dict = {}
-        for exps, c in self.terms.items():
-            vec = [0] * len(ring.names)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if positions[i] is None:
-                    raise RingError(
-                        f"generator {self.ring.names[i]!r} missing from {ring}"
-                    )
-                vec[positions[i]] = e
-            key = tuple(vec)
-            v = out.get(key, 0) + c
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
+        for k, c in self.terms.items():
+            key = ring._zero
+            for i, v in enumerate(src._values(k)):
+                if v:
+                    if shifts[i] is None:
+                        raise RingError(f"generator {src.names[i]!r} missing from {ring}")
+                    key += v << shifts[i]
+            out[key] = c  # distinct generators stay distinct, so no two terms meet
         return LaurentPoly(ring, out)
 
     # -- substitution ------------------------------------------------------
@@ -449,6 +519,7 @@ class LaurentPoly:
         if target is None:
             target = self.ring
         names = self.ring.names
+        unpack = self.ring.unpack
         zero = target._zero
 
         def image_power(name: str, e: Scalar) -> tuple:
@@ -466,9 +537,9 @@ class LaurentPoly:
         powers: dict = {}
         polys: dict = {}
         quotients: dict = {}  # denominator terms -> (denominator, numerator sums)
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             num = den = None
-            for i, e in enumerate(exps):
+            for i, e in enumerate(unpack(key)):
                 if e == 0:
                     continue
                 factor = powers.get((i, e))
@@ -506,25 +577,23 @@ class LaurentPoly:
             raise RingError(f"{self.ring} has no epsilon generator")
         return i
 
-    def epsilon_min_degree(self) -> Fraction:
+    def _eps_min_field(self) -> tuple:
+        """(shift of the eps field, least eps field value over the terms)."""
         if not self.terms:
             raise RingError("no leading part: zero polynomial")
-        i = self._eps_column()
-        return Fraction(min(exps[i] for exps in self.terms))
+        s = self.ring._shifts[self._eps_column()]
+        return s, min((k >> s) & _MASK for k in self.terms)
+
+    def epsilon_min_degree(self) -> Fraction:
+        _, d = self._eps_min_field()
+        return Fraction(d - _BIAS, 2)
 
     def epsilon_leading(self) -> tuple:
         """(min eps-degree, eps-free coefficient polynomial of that degree)."""
-        if not self.terms:
-            raise RingError("no leading part: zero polynomial")
-        i = self._eps_column()
-        d = min(exps[i] for exps in self.terms)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == d:
-                vec = list(exps)
-                vec[i] = 0
-                out[tuple(vec)] = c
-        return Fraction(d), LaurentPoly(self.ring, out)
+        s, d = self._eps_min_field()
+        clear = (d - _BIAS) << s
+        out = {k - clear: c for k, c in self.terms.items() if (k >> s) & _MASK == d}
+        return Fraction(d - _BIAS, 2), LaurentPoly(self.ring, out)
 
     # -- printing / serialisation -------------------------------------------
 
@@ -584,7 +653,7 @@ class GenImage:
 
     def monomial_root_power(self, e: Scalar) -> "RationalExpr":
         """Image of g_name^e when the image is a monomial (fractional powers ok)."""
-        exps, c = next(iter(self.expr.num.terms.items()))
+        (exps, c), = self.expr.num.items()
         ratio = Fraction(e) / self.granularity
         k = ratio.denominator
         roots = (c, 1) if k == 1 else [_exact_root(n, k) if c > 0 else None
@@ -610,12 +679,21 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
     Both arguments are reduced by their monomial content (units here), then
     ordinary multivariate lead-term division is run on one mutable remainder
     dict; a nonzero remainder means no quotient exists.  The quotient may
-    carry fractional exponents on ``eps``, like its arguments.  The remainder's
-    graded-lex leading term comes from a heap keyed by the negated order key.
-    A key stays in the heap after its term cancels (lazy deletion) and is
-    skipped when popped; a key is pushed again only when it re-enters the
-    remainder.  Every step cancels the current leading term and adds only
-    smaller ones, so no key is processed twice.
+    carry fractional exponents on ``eps``, like its arguments.  The term order
+    is the integer order of the keys, lexicographic on the exponents, so the
+    remainder's leading key comes from a heap of negated keys.  A key stays in
+    the heap after its term cancels (lazy deletion) and is skipped when popped;
+    a key is pushed again only when it re-enters the remainder.  Every step
+    cancels the current leading term and adds only smaller ones, so no key is
+    processed twice.
+
+    After the reduction every exponent of f and g lies in 0 .. B-1, B the
+    field bias, or RingError is raised.  A remainder key r then has fields
+    below 3B, and r - glead + zero has its bias bit set in every field exactly
+    when glead divides r with a quotient exponent below B, so keys formed
+    from it stay below 3B and no field carries.  When g divides f every term
+    the division forms lies in the Newton polytope of f, where exponents are
+    below B, so the test refuses only what no quotient could produce.
     """
     if g.is_zero():
         raise RingError("division by the zero polynomial")
@@ -623,39 +701,44 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
         return f.ring.zero()
     if f.ring != g.ring:
         raise RingError("mixed ring contexts in divide_exact")
-    eps = f.ring._eps_index
-    cf, cg = f.content_exps(), g.content_exps()
-    shift = tuple(map(sub, cf, cg))
-    rem = {tuple(map(sub, e, cf)): c for e, c in f.terms.items()}
-    gred = sorted(((tuple(map(sub, e, cg)), c) for e, c in g.terms.items()),
-                  key=lambda t: _grlex_key(t[0]), reverse=True)
-    (glead, glc), tail = gred[0], gred[1:]
-    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    ring = f.ring
+    zero, guard = ring._zero, ring._guard
+    cf, cg = f._content_key(), g._content_key()
+    rem = {k - cf + zero: c for k, c in f.terms.items()}
+    gred = {k - cg + zero: c for k, c in g.terms.items()}
+    if (reduce(or_, rem, 0) | reduce(or_, gred, 0)) & guard:
+        raise RingError(f"exponent overflow in {ring}: an exponent span exceeds "
+                        f"{_BIAS - 1} in divide_exact")
+    glead = max(gred)
+    glc = gred.pop(glead)
+    tail = list(gred.items())
+    shift = cf - cg
+    heap = [-k for k in rem]
     heapify(heap)
     quotient: dict = {}
     while rem:
-        rexps = heappop(heap)[2]
-        rc = rem.pop(rexps, None)
+        rkey = -heappop(heap)
+        rc = rem.pop(rkey, None)
         if rc is None:
             continue
-        diff = tuple(map(sub, rexps, glead))
-        if min(diff, default=0) < 0:
+        step = rkey - glead
+        if (step + zero) & zero != zero:
             return None
         qc = _div(rc, glc)
-        quotient[_eps_int(tuple(map(add, diff, shift)), eps)] = qc
-        for ge, gc in tail:
-            key = tuple(map(add, diff, ge))
+        quotient[step + zero + shift] = qc
+        for gk, gc in tail:
+            key = step + gk
             v = rem.get(key)
             if v is None:
                 rem[key] = -qc * gc
-                heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                heappush(heap, -key)
             else:
                 v -= qc * gc
                 if v:
                     rem[key] = v
                 else:
                     del rem[key]
-    return LaurentPoly(f.ring, quotient)
+    return ring.collect(quotient)
 
 
 class RationalExpr:
@@ -687,13 +770,12 @@ class RationalExpr:
         if q is not None:
             self.num, self.den = q, ring.one()
             return
-        cd = den.content_exps()
-        unit = LaurentPoly(ring, {tuple(map(neg, cd)): 1})
+        unit = LaurentPoly(ring, {den._content_key(): 1}) ** -1
         num = num * unit
         den = den * unit
         _, lc = den.lead()
         if lc != 1:
-            inv = ring.const(Fraction(1) / lc)
+            inv = ring.const(_div(1, lc))
             num = num * inv
             den = den * inv
         self.num, self.den = num, den

@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import catalog
-from .arcs import lambda_catalog
 from .certificates import Certificate, certify
 from .cubics import X_NAMES, cubic, pulled_back
 from .exprs import parse_expr, parse_poly
@@ -171,6 +170,7 @@ def pv_to_piii_change() -> Certificate:
     ``lambdas.json pv_to_piii`` gives the flipped coordinates as images in the
     PV shear coordinates and their quoted log brackets; unlisted pairs are 0.
     """
+    from .arcs import lambda_catalog  # only this check needs the arc catalogs
     structure = lambda_catalog("PV").shear_structure
     with catalog.context("lambdas.json pv_to_piii"):
         if structure is None:

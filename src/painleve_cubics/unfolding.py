@@ -22,6 +22,16 @@ from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
 W_RING = Ring(("x1", "x2", "x3", "w1", "w2", "w3", "w4"))
 
 
+def _by_degree(poly: LaurentPoly, name: str) -> dict:
+    """{d: the terms of ``poly`` of degree d in the generator ``name``}."""
+    ring = poly.ring
+    i = ring.index[name]
+    parts: dict = {}
+    for key, c in poly.terms.items():
+        parts.setdefault(ring.unpack(key)[i], {})[key] = c
+    return {d: LaurentPoly(ring, terms) for d, terms in parts.items()}
+
+
 def reduce_mod_u(poly: LaurentPoly, relation: LaurentPoly, uname: str) -> tuple:
     """Remainder and quotient of ``poly`` modulo ``relation`` as polynomials in u.
 
@@ -30,23 +40,20 @@ def reduce_mod_u(poly: LaurentPoly, relation: LaurentPoly, uname: str) -> tuple:
     are cleared first (the clearing power is returned).
     """
     ring = poly.ring
-    ui = ring.index[uname]
-    neg = min((exps[ui] for exps in poly.terms), default=0)
-    clear = -min(0, neg)
+    clear = -min(0, min(_by_degree(poly, uname), default=0))
     work = poly * ring.gen(uname, clear) if clear else poly
-    rel_deg = max(exps[ui] for exps in relation.terms)
-    lead = {exps: c for exps, c in relation.terms.items() if exps[ui] == rel_deg}
-    if len(lead) != 1:
+    rel = _by_degree(relation, uname)
+    rel_deg = max(rel)
+    lead_mono = rel[rel_deg]
+    if not lead_mono.is_monomial():
         raise RingError("relation leading u-coefficient is not a monomial")
-    (lead_exps, lead_c), = lead.items()
-    lead_mono = LaurentPoly(ring, {lead_exps: lead_c})
     quotient = ring.zero()
     while not work.is_zero():
-        deg = max(exps[ui] for exps in work.terms)
+        parts = _by_degree(work, uname)
+        deg = max(parts)
         if deg < rel_deg:
             break
-        top = LaurentPoly(ring, {e: c for e, c in work.terms.items() if e[ui] == deg})
-        factor = top * lead_mono ** -1
+        factor = parts[deg] * lead_mono ** -1
         work = work - factor * relation
         quotient = quotient + factor
     return work, quotient, clear
@@ -72,15 +79,9 @@ def hat_param_rank_check(key: str) -> Certificate:
     rows = []
     for name in ("wh1", "wh2", "wh3", "wh4"):
         poly = table[name]
-        row = []
-        for w in ("w1", "w2", "w3", "w4"):
-            i = W_RING.index[w]
-            coeff = Fraction(0)
-            for exps, c in poly.terms.items():
-                if exps[i] == 1 and sum(abs(e) for e in exps) == 1:
-                    coeff = c
-            row.append(coeff)
-        rows.append(row)
+        terms = dict(poly.items())
+        rows.append([terms.get(W_RING.gen(w).monomial_exps(), Fraction(0))
+                     for w in ("w1", "w2", "w3", "w4")])
     rank = linalg.rank(rows)
     zero = {w: W_RING.const(0) for w in ("w1", "w2", "w3", "w4")}
     at_zero = [table[name].substitute(zero).as_poly().constant_value()
@@ -105,12 +106,10 @@ def unfold_d4(key: str) -> Certificate:
         post_shift = parse_expr(entry["post_shift_x1"], ring)
         target = parse_poly(entry["target"], ring, symbols=hat_param_table(key))
     # split off the x3 directions: nothing mixed, quadratic coefficient constant
-    i3 = ring.index["x3"]
-    degrees = {exps[i3] for exps in result.terms}
-    pure = degrees <= {0, 2}
-    morse = LaurentPoly(ring, {e: c for e, c in result.terms.items() if e[i3] == 2})
-    kappa = morse * x3 ** -2
-    plane = LaurentPoly(ring, {e: c for e, c in result.terms.items() if e[i3] == 0})
+    parts = _by_degree(result, "x3")
+    pure = set(parts) <= {0, 2}
+    kappa = parts.get(2, ring.zero()) * x3 ** -2
+    plane = parts.get(0, ring.zero())
     moved = (plane + tail).substitute({"x1": post_shift}).as_poly()
     res = moved - target
     ok = pure and kappa.is_one() and res.is_zero()
@@ -138,17 +137,13 @@ def _implicit_case(key: str) -> Certificate:
         relation = ((lhs - rhs) * ring.gen("u", clear_pow)).as_poly()
         diff = out - target
         remainder, quotient, clear = reduce_mod_u(diff, relation, "u")
+        udeg = max(_by_degree(relation, "u"))
         title = f"corank-1 normal form ({entry['singularity']})"
         anchor = f"{entry['tag']} unfolding"
     reproduced = diff * ring.gen("u", clear) == quotient * relation + remainder
     return certify(f"unfold-{key}", title, anchor, remainder.is_zero() and reproduced,
-                   detail=f"reduced modulo the degree-{_udeg(relation, ring)} relation in u",
+                   detail=f"reduced modulo the degree-{udeg} relation in u",
                    residue=remainder)
-
-
-def _udeg(relation: LaurentPoly, ring: Ring) -> int:
-    ui = ring.index["u"]
-    return max(exps[ui] for exps in relation.terms)
 
 
 def unfold_a1_pvdeg(key: str) -> Certificate:

@@ -139,7 +139,7 @@ def test_rendering_exercises_precedence():
 
 def assert_exact(poly):
     """Exponents and coefficients are ints when integral, else Fractions."""
-    for exps, c in poly.terms.items():
+    for exps, c in poly.items():
         for value in (*exps, c):
             assert type(value) is int or (type(value) is Fraction and value.denominator != 1), exps
 

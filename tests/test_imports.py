@@ -78,10 +78,19 @@ BRACKETS = {"painleve_cubics.poisson", "painleve_cubics.linalg"}
     (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.certificates"}
      | BRACKETS),
     (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}),
-    (("export", "confluence"), {"painleve_cubics.cluster", "painleve_cubics.unfolding"}),
-    (("verify", "charts"), {"painleve_cubics.cluster", "painleve_cubics.confluence",
-                            "painleve_cubics.unfolding"}),
-], ids=["import", "show-PV", "export-catalog", "unfold-PVI", "export-confluence", "verify-charts"])
+    (("export", "confluence"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
+                                "painleve_cubics.unfolding"} | BRACKETS),
+    (("verify", "charts"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
+                            "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
+    (("chart", "PV"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.certificates",
+                                    "painleve_cubics.shear"} | BRACKETS),
+    (("confluence", "PVI", "PV"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
+                                   "painleve_cubics.unfolding"} | BRACKETS),
+    (("mutate", "PVI", "12"), {"painleve_cubics.arcs", "painleve_cubics.shear",
+                               "painleve_cubics.confluence", "painleve_cubics.unfolding"}
+     | BRACKETS),
+], ids=["import", "show-PV", "export-catalog", "unfold-PVI", "export-confluence", "verify-charts",
+        "chart-PV", "confluence-PVI-PV", "mutate-PVI"])
 def test_cold_call_loads_only_its_subsystem(argv, absent):
     loaded = loaded_modules(*argv)
     assert "painleve_cubics.cli" in loaded

@@ -41,14 +41,14 @@ SETTINGS = settings(max_examples=60, deadline=None)
 def to_sympy(p):
     """The sympy expression of a LaurentPoly, with eps^(1/2) written as s."""
     total = sympy.Integer(0)
-    for (a, b, e), c in p.terms.items():
+    for (a, b, e), c in p.items():
         total += sympy.Rational(c.numerator, c.denominator) * X ** a * Y ** b * S ** int(2 * e)
     return total
 
 
 def cleared(p):
     """``p`` times the monomial that makes its least exponent in each variable 0."""
-    lows = [min(col) for col in zip(*p.terms)]
+    lows = [min(col) for col in zip(*(exps for exps, _ in p.items()))]
     return sympy.expand(to_sympy(p) * X ** -lows[0] * Y ** -lows[1] * S ** -int(2 * lows[2]))
 
 
@@ -79,10 +79,10 @@ def test_divide_exact_matches_div(h, g, f, divisible):
 def test_substitute_matches_expand(f, gx, gy):
     got = f.substitute({"x": gx, "y": gy})
     # f(gx, gy) * gx^a * gy^b is a polynomial expression in gx and gy
-    a, b = (-min(0, min(col)) for col in list(zip(*f.terms))[:2])
+    a, b = (-min(0, min(col)) for col in list(zip(*(exps for exps, _ in f.items())))[:2])
     cleared_image = sum(sympy.Rational(c.numerator, c.denominator) * to_sympy(gx) ** (i + a)
                         * to_sympy(gy) ** (j + b) * S ** int(2 * e)
-                        for (i, j, e), c in f.terms.items())
+                        for (i, j, e), c in f.items())
     assert sympy.expand(to_sympy(got.num) * to_sympy(gx) ** a * to_sympy(gy) ** b
                         - to_sympy(got.den) * cleared_image) == 0
 
@@ -96,7 +96,7 @@ def to_field(r):
     if isinstance(r, RationalExpr):
         return to_field(r.num) / to_field(r.den)
     total = FIELD(0)
-    for (a, b, e), c in r.terms.items():
+    for (a, b, e), c in r.items():
         total += sympy.QQ(c.numerator, c.denominator) * FX ** a * FY ** b * FS ** int(2 * e)
     return total
 
@@ -104,7 +104,7 @@ def to_field(r):
 def image_sum(f, px, py=lambda j: FY ** j, ps=lambda t: FS ** t):
     """f with x^i, y^j and s^t replaced by px(i), py(j) and ps(t), summed in FIELD."""
     total = FIELD(0)
-    for (i, j, e), c in f.terms.items():
+    for (i, j, e), c in f.items():
         total += sympy.QQ(c.numerator, c.denominator) * px(i) * py(j) * ps(int(2 * e))
     return total
 

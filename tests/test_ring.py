@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from painleve_cubics import (GenImage, LaurentPoly, RationalExpr, Ring, RingError,
                              divide_exact, parse_expr, parse_poly)
 from painleve_cubics.poisson import PoissonStructure
-from painleve_cubics.ring import as_expr
+from painleve_cubics.ring import FIELD_BITS, as_expr
 
 
 @pytest.fixture
@@ -31,8 +31,8 @@ def naive_product(f, g):
     """Independent schoolbook expansion: explicit list-of-terms convolution."""
     ring = f.ring
     acc = {}
-    for e1, c1 in list(f.terms.items()):
-        for e2, c2 in list(g.terms.items()):
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
             key = tuple(a + b for a, b in zip(e1, e2))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
     return ring.poly(acc)
@@ -121,8 +121,8 @@ def test_substitute_integral_coefficients_are_ints(ring):
     # Fraction coefficients whose products with the images are integral
     half = (Fraction(1, 2) * gx + Fraction(1, 3) * gy).substitute(
         {"x": 2 * gz, "y": 3 * gz})
-    assert half.as_poly().terms == {(0, 0, 1): 2}
-    assert type(half.as_poly().terms[(0, 0, 1)]) is int
+    assert dict(half.as_poly().items()) == {(0, 0, 1): 2}
+    assert type(dict(half.as_poly().items())[(0, 0, 1)]) is int
 
 
 def test_substitute_error_messages(ring):
@@ -136,7 +136,7 @@ def test_substitute_error_messages(ring):
 def test_monomial_image_takes_the_rational_root_of_its_coefficient(ring):
     gx, gy = ring.gen("x"), ring.gen("y")
     root = gx.substitute({"x": GenImage(4 * gy ** 2, 2)}).as_poly()
-    assert root.terms == {(0, 1, 0): 2} and type(root.terms[(0, 1, 0)]) is int
+    assert dict(root.items()) == {(0, 1, 0): 2} and type(dict(root.items())[(0, 1, 0)]) is int
     assert ((gx ** 3).substitute({"x": GenImage(Fraction(9, 4) * gy ** 2, 2)}).as_poly()
             == Fraction(27, 8) * gy ** 3)
     assert ((gx ** -1).substitute({"x": GenImage(Fraction(8, 27) * gy ** 3, 3)}).as_poly()
@@ -157,22 +157,23 @@ def test_monomial_image_without_a_rational_root_is_refused(ring, coeff):
 def test_integral_product_of_fractions_is_an_int(ring):
     gx, gy = ring.gen("x"), ring.gen("y")
     product = (Fraction(1, 2) * gx) * (2 * gy)
-    assert product.terms == {(1, 1, 0): 1} and type(product.terms[(1, 1, 0)]) is int
+    assert dict(product.items()) == {(1, 1, 0): 1} and type(dict(product.items())[(1, 1, 0)]) is int
     mixed = (Fraction(1, 3) * gx + Fraction(1, 2)) * (3 * gy + Fraction(2, 3))
     assert {type(c) for c in mixed.terms.values()} == {int, Fraction}
-    assert mixed.terms[(1, 1, 0)] == 1 and type(mixed.terms[(1, 1, 0)]) is int
-    assert mixed.terms[(0, 0, 0)] == Fraction(1, 3)
+    assert dict(mixed.items())[(1, 1, 0)] == 1 and type(dict(mixed.items())[(1, 1, 0)]) is int
+    assert dict(mixed.items())[(0, 0, 0)] == Fraction(1, 3)
 
 
 def test_integral_sum_difference_and_derivative_are_ints(ring):
     half = Fraction(1, 2) * ring.gen("x")
     for value in (half + half, Fraction(3, 2) * ring.gen("x") - half):
-        assert value.terms == {(1, 0, 0): 1} and type(value.terms[(1, 0, 0)]) is int
+        assert dict(value.items()) == {(1, 0, 0): 1} and type(dict(value.items())[(1, 0, 0)]) is int
     eps_ring = Ring(["x", "eps"])
     slope = (2 * eps_ring.gen("eps", Fraction(1, 2))).derivative("eps")
-    assert slope.terms == {(0, Fraction(-1, 2)): 1} and type(slope.terms[(0, Fraction(-1, 2))]) is int
+    assert (dict(slope.items()) == {(0, Fraction(-1, 2)): 1}
+            and type(dict(slope.items())[(0, Fraction(-1, 2))]) is int)
     linear = (Fraction(2, 3) * eps_ring.gen("eps", Fraction(3, 2))).derivative("eps")
-    (key, coeff), = linear.terms.items()
+    (key, coeff), = linear.items()
     assert key == (0, Fraction(1, 2)) and type(coeff) is int and coeff == 1
 
 
@@ -341,7 +342,7 @@ def assert_exact(poly):
     """Coefficients are ints or Fractions; exponents are ints, except a
     non-integral Fraction on eps."""
     eps = poly.ring._eps_index
-    for exps, c in poly.terms.items():
+    for exps, c in poly.items():
         assert type(c) in (int, Fraction), (exps, c)
         for i, e in enumerate(exps):
             assert type(e) is int or (i == eps and type(e) is Fraction and e.denominator != 1), exps
@@ -365,10 +366,10 @@ def test_eps_scalings_stay_exact():
     ring = Ring(["x", "y", "eps"])
     root = ring.monomial({"x": 1, "eps": Fraction(1, 2)})
     square = root * root
-    assert square.terms == {(2, 0, 1): 1} and type(next(iter(square.terms))[2]) is int
+    assert dict(square.items()) == {(2, 0, 1): 1} and type(square.monomial_exps()[2]) is int
     bracket = PoissonStructure(ring, {("x", "y"): Fraction(1, 2)}).bracket(
         root, ring.monomial({"y": 1, "eps": Fraction(3, 2)}))
-    assert bracket.terms == {(1, 1, 2): Fraction(1, 2)}
+    assert dict(bracket.items()) == {(1, 1, 2): Fraction(1, 2)}
     assert_exact(bracket)
 
 
@@ -376,5 +377,113 @@ def test_reciprocal_of_integral_coefficient_is_a_fraction():
     x = Ring(["x"]).gen("x")
     (coeff,) = ((3 * x) ** -1).terms.values()
     assert type(coeff) is Fraction and coeff == Fraction(1, 3)
-    assert ((x + 1) * 3).terms == {(1,): 3, (0,): 3}
+    assert dict(((x + 1) * 3).items()) == {(1,): 3, (0,): 3}
     assert all(type(c) is int for c in ((x + 1) * 3).terms.values())
+
+
+# -- exact scalars and the packed exponent layout --------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: r.const(0.1),
+    lambda r: r.gen("eps", 0.5),
+    lambda r: r.monomial({"x": 2.0}),
+    lambda r: r.const("1/3"),
+    lambda r: r.monomial({"x": 1}, coeff=1.5),
+], ids=["float-const", "float-eps-power", "float-exponent", "string-const", "float-coeff"])
+def test_inexact_scalars_are_refused(build):
+    with pytest.raises(RingError, match="non-exact scalar"):
+        build(Ring(["x", "eps"]))
+
+
+B = 2 ** (FIELD_BITS - 2)
+
+
+@pytest.fixture
+def ay():
+    return Ring(["a", "x", "y"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: r.gen("x", B - 1) * r.gen("x"),
+    lambda r: r.gen("x", -B) * r.gen("x", -1),  # x borrows from a, and a^-1 x^(3B-1) is no answer
+    lambda r: r.gen("a", -B) * r.gen("a", -1),  # the top field borrows: a negative key
+    lambda r: (r.gen("x") + r.gen("y", B - 1)) * (r.gen("x") + r.gen("y", 2)),
+    lambda r: r.gen("x", -B) ** -1,
+    lambda r: (r.gen("a") * r.gen("y", -B) + 1).derivative("y"),
+    lambda r: divide_exact(r.gen("x", B - 1) * (1 + r.gen("y")), r.gen("x", -1) * (1 + r.gen("y"))),
+    lambda r: divide_exact(r.gen("x", -B) * (1 + r.gen("y")), r.gen("x") * (1 + r.gen("y"))),
+    lambda r: r.gen("x", B),
+    lambda r: r.monomial({"y": -B - 1}),
+], ids=["product", "product-borrow", "product-top-field", "product-one-term-of-four",
+        "negative-power", "derivative", "quotient-high", "quotient-low", "gen", "monomial"])
+def test_exponent_overflow_is_a_ring_error(ay, build):
+    with pytest.raises(RingError, match="overflow"):
+        build(ay)
+
+
+def test_exponents_at_the_field_ends_stay_exact(ay):
+    top, bottom = ay.gen("x", B - 1), ay.gen("x", -B)
+    assert (top * bottom).monomial_exps() == (0, -1, 0)
+    assert (bottom * ay.gen("x")).monomial_exps() == (0, 1 - B, 0)
+    assert ay.gen("x", 1 - B) ** -1 == top
+    assert divide_exact(top * (1 + ay.gen("y")), 1 + ay.gen("y")) == top
+    # the quotient of x^3 + 1 by x - y^(B-1) would need y^(2B-2): refused, not wrapped
+    g = ay.gen("x") - ay.gen("y", B - 1)
+    assert divide_exact(ay.gen("x", 3) + 1, g) is None
+    assert divide_exact(g * (ay.gen("x") + 1), g) == ay.gen("x") + 1
+    eps = Ring(["eps"])
+    assert eps.gen("eps", Fraction(B - 1, 2)).monomial_exps() == (Fraction(B - 1, 2),)
+    with pytest.raises(RingError, match="overflow"):
+        eps.gen("eps", Fraction(B, 2))
+    with pytest.raises(RingError, match="not a multiple of 1/2"):
+        eps.gen("eps", Fraction(1, 3))
+
+
+def test_division_with_a_span_wider_than_a_field_is_a_ring_error(ay):
+    x = ay.gen("x")
+    with pytest.raises(RingError, match="overflow"):
+        divide_exact(ay.gen("x", B - 1) + ay.gen("x", -B), x + 1)
+
+
+field_exps = st.integers(-B, B - 1)
+eps_exps = st.integers(-B, B - 1).map(lambda v: Fraction(v, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(field_exps, field_exps, eps_exps), st.tuples(field_exps, field_exps, eps_exps))
+def test_pack_round_trip_and_lex_order(u, v):
+    ring = Ring(["a", "b", "eps"])
+    ku, kv = ring.pack(u), ring.pack(v)
+    assert ring.unpack(ku) == u and ring.unpack(kv) == v
+    assert all(type(e) is int for e in ring.unpack(ku)[:2])
+    assert type(ring.unpack(ku)[2]) is (int if u[2].denominator == 1 else Fraction)
+    assert (ku < kv) == (u < v)
+
+
+def test_grlex_printing_and_denominators_disagreeing_with_packed_order():
+    ring = Ring(["x", "y"])
+    x, y = ring.gen("x"), ring.gen("y")
+    p = 3 * x * y + 2 * y ** 3 - 5
+    assert max(p.terms) == ring.pack((1, 1))  # the packed (lex) leader
+    assert p.lead() == ((0, 3), 2)  # the grlex leader
+    assert p.to_text() == "2 * y^3 + 3 * x * y - 5"
+    assert p.to_terms_json() == [{"c": "2", "e": {"y": "3"}},
+                                 {"c": "3", "e": {"x": "1", "y": "1"}},
+                                 {"c": "-5", "e": {}}]
+    for den, num in ((p, "1/2 * x + 1/2"),
+                     (p * x ** -2 * y, "1/2 * x^3 * y^-1 + 1/2 * x^2 * y^-1")):
+        q = (x + 1) / den
+        assert str(q.num) == num
+        assert str(q.den) == "y^3 + 3/2 * x * y - 5/2"
+
+
+def test_cast_moves_fields_between_layouts():
+    source = Ring(["x", "eps", "y"])
+    target = Ring(["eps", "y", "z", "x"])
+    f = source.monomial({"x": -3, "eps": Fraction(-5, 2), "y": 7}, 2) + source.gen("eps", Fraction(1, 2))
+    g = f.cast(target)
+    assert dict(g.items()) == {(Fraction(-5, 2), 7, 0, -3): 2, (Fraction(1, 2), 0, 0, 0): 1}
+    assert g.cast(source) == f
+    with pytest.raises(RingError, match="generator 'z' missing from Ring\\(x, eps, y\\)"):
+        (g * target.gen("z")).cast(source)

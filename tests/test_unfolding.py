@@ -99,4 +99,4 @@ def test_reduce_mod_u_reproduces_difference():
     remainder, quotient, clear = reduce_mod_u(poly, relation, "u")
     assert poly * u ** clear == quotient * relation + remainder
     ui = ring.index["u"]
-    assert all(exps[ui] < 2 for exps in remainder.terms)
+    assert all(exps[ui] < 2 for exps, _ in remainder.items())
