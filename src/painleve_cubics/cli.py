@@ -8,12 +8,21 @@ a depth below 1).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
 from . import catalog, verify
 from .exprs import ExprSyntaxError
 from .ring import RingError
+
+# Atexit handlers run before the interpreter's final garbage collections, so
+# freezing here moves every object still alive into the permanent generation:
+# those collections have nothing left to traverse, and the memory goes back
+# to the OS with the process.  Streams are still flushed and other atexit
+# handlers still run.  Registered once, at import: ``main`` may run many times.
+atexit.register(gc.freeze)
 
 
 def _emit_certs(certs: list, fmt: str) -> int:

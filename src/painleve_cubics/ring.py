@@ -451,7 +451,7 @@ class LaurentPoly:
         for name in self.support_names():
             if name not in point:
                 raise RingError(f"no value given for generator {name!r}")
-            v = Fraction(point[name])
+            v = Fraction(_scalar(point[name]))  # RingError on a float or a string
             if v == 0:
                 raise RingError(f"generators must evaluate to nonzero values ({name})")
             vals[self.ring.index[name]] = v

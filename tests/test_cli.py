@@ -1,6 +1,13 @@
-"""Command-line behaviour: output shapes, determinism, exit codes."""
+"""Command-line behaviour: output shapes, determinism, exit codes, in
+process and in fresh interpreters, and the freeze at interpreter exit."""
 
+import ast
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +194,68 @@ def test_malformed_catalog_expression_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: charts.json charts.PVI: ") and "s1 +* (" in err
     assert "Traceback" not in err
+
+
+# -- fresh processes ------------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_cubics"
+LAUNCHER = "import sys; from painleve_cubics.cli import main; sys.exit(main())"
+
+
+def run_python(*args):
+    """A fresh interpreter running ``args``, with the package on its path."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+
+
+def test_objects_alive_at_exit_are_frozen():
+    # atexit runs its handlers last in, first out, so this hook, registered
+    # before the CLI module registers gc.freeze, runs after the freeze
+    done = run_python("-c", "import atexit, gc\n"
+                            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                            "import painleve_cubics.cli\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_process_show_pi():
+    done = run_python("-c", LAUNCHER, "show", "PI")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "x1 x2 x3 - x1 - x2 + 1\n", "")
+
+
+def test_process_unknown_tag_exits_2():
+    done = run_python("-c", LAUNCHER, "show", "P99")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "unknown" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_process_perturbed_chart_exits_1(tmp_path):
+    root = tmp_path / "catalogs"
+    shutil.copytree(PACKAGE / "data", root, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    data = json.loads((root / "charts.json").read_text())
+    data["charts"]["PI"]["x1"] += " + 1"
+    (root / "charts.json").write_text(json.dumps(data))
+    done = run_python("-c", LAUNCHER, "--catalog", str(root), "verify", "charts")
+    assert done.returncode == 1 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["chart-PI"]
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} certificates passed"
+
+
+def test_nothing_in_the_package_needs_a_finalizer_at_exit():
+    """Objects frozen at exit are never collected, so no package object may
+    need finalizing: no ``__del__``, no ``weakref``, no ``open`` outside ``with``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        managed = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
+                   for item in node.items}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "__del__", path.name
+            elif isinstance(node, ast.Import):
+                assert "weakref" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "weakref", path.name
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                assert id(node) in managed, f"{path.name}:{node.lineno}"

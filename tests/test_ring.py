@@ -396,6 +396,25 @@ def test_inexact_scalars_are_refused(build):
         build(Ring(["x", "eps"]))
 
 
+@pytest.mark.parametrize("value", [0.1, "1/3", 2.0], ids=["float", "string", "integral-float"])
+@pytest.mark.parametrize("evaluate", [
+    lambda x, point: (x + 1).evaluate(point),
+    lambda x, point: RationalExpr(x + 1, x ** 2 + 2).evaluate(point),
+], ids=["poly", "rational"])
+def test_evaluate_refuses_inexact_point_values(evaluate, value):
+    x = Ring(["x", "y"]).gen("x")
+    with pytest.raises(RingError, match="non-exact scalar"):
+        evaluate(x, {"x": value, "y": 1})
+
+
+def test_evaluate_keeps_exact_point_values():
+    r = Ring(["x", "y"])
+    x, y = r.gen("x"), r.gen("y")
+    value = RationalExpr(x + 1, y).evaluate({"x": Fraction(1, 3), "y": 2})
+    assert type(value) is Fraction and value == Fraction(2, 3)
+    assert (x ** -2).evaluate({"x": 2}) == Fraction(1, 4)
+
+
 B = 2 ** (FIELD_BITS - 2)
 
 
