@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested certificates pass, 1 at least one fails,
 2 unusable input (unknown verbs/tags, unreadable or malformed catalogs,
-a depth below 1).
+a depth below 1), 141 the reader closed stdout before the output ended.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 
 from . import catalog, verify
@@ -126,9 +127,10 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_confluence(args) -> int:
     from . import confluence
+    from .checks import confluence as confluence_checks
     a = confluence.arrow(args.src, args.dst)
     degrees, _ = confluence.limit_chart_coords(a)
-    cert = confluence.confluent_limit(a)
+    cert = confluence_checks.confluent_limit(a)
     print(f"substitution: {a.label}")
     print(f"leading eps-degrees: {', '.join(str(d) for d in degrees)}")
     print(cert.line())
@@ -158,14 +160,15 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_twist(args) -> int:
     from . import cluster
+    from .checks import cluster as cluster_checks
     case = cluster.twist_case(args.case)
     vals = cluster.base_values(case)
     for n in range(args.repeat):
         vals = cluster.dehn_twist(case, vals)
     for name in case.variables:
         print(f"{name} -> {vals[name]}")
-    certs = [cluster.twist_invariants(args.case),
-             cluster.twist_frozen_commutation(args.case)]
+    certs = [cluster_checks.twist_invariants(args.case),
+             cluster_checks.twist_frozen_commutation(args.case)]
     for c in certs:
         print(c.line())
     return 0 if all(c.passed for c in certs) else 1
@@ -173,6 +176,7 @@ def _cmd_twist(args) -> int:
 
 def _cmd_unfold(args) -> int:
     from . import unfolding
+    from .checks import unfolding as unfolding_checks
     keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
     if args.tag not in keys:
         raise catalog.UnknownEntry(f"no unfolding case for {args.tag!r} (have {sorted(keys)})")
@@ -189,7 +193,7 @@ def _cmd_unfold(args) -> int:
         if "hat_params" in entry:
             for name, text in entry["hat_params"].items():
                 print(f"  {name} = {text}")
-    certs = [fn(*fargs) for fn, fargs in unfolding.checks(keys[args.tag])]
+    certs = [fn(*fargs) for fn, fargs in unfolding_checks.checks(keys[args.tag])]
     return _emit_certs(certs, args.format)
 
 
@@ -303,11 +307,21 @@ def main(argv=None) -> int:
     if args.catalog:
         catalog.set_catalog_root(args.catalog)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader must show up here, not at exit
+        return code
     except (KeyError, catalog.CatalogError, RingError, ExprSyntaxError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  Point stdout at devnull so
+        # that the interpreter's flush at exit cannot raise again, as the
+        # ``signal`` module documentation recommends, and exit as a shell
+        # reports a process that SIGPIPE ended: 128 + 13.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,11 +1,9 @@
-"""Braid action, generalized exchange mutations, and Dehn twists.
+"""Generalized exchange mutations and Dehn twists.
 
-The braid generators act on the cubic's coordinates as Vieta involutions
-composed with transpositions; with the parameters transported alongside
-(w_j <-> w_k) the cubic is preserved as an exact polynomial identity.
 At the puncture value Ginf = 2 the shift y_i = x_i - G_i turns the braid
-relation into the generalized exchange relation
-y_i y_i' = y_j^2 + y_k^2 + G_i y_j y_k, whose iterates stay Laurent.
+relation of the cubic into the generalized exchange relation
+y_i y_i' = y_j^2 + y_k^2 + G_i y_j y_k, whose iterates stay Laurent.  The
+braid action and the certificates are in ``checks.cluster``.
 """
 
 from __future__ import annotations
@@ -13,56 +11,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
-from .certificates import Certificate, certify
-from .cubics import cubic_form, omega_from_G
 from .exprs import parse_expr
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr, divide_exact
-
-W_NAMES = ("w1", "w2", "w3", "w4")
-
-
-def braid_ring() -> Ring:
-    return Ring(("x1", "x2", "x3") + W_NAMES)
-
-
-def braid_images(i: int, ring: Ring | None = None) -> dict:
-    """x_i -> -x_i - x_j x_k - w_i with x_j <-> x_k and w_j <-> w_k.
-
-    This is the Vieta involution for the cubic with +w_i x_i linear terms;
-    with the opposite sign convention on the w's it reads -x_i - x_j x_k + w_i.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError("braid index must be 1, 2 or 3")
-    ring = ring or braid_ring()
-    j, k = [t for t in (1, 2, 3) if t != i]
-    x = {t: ring.gen(f"x{t}") for t in (1, 2, 3)}
-    w = {t: ring.gen(f"w{t}") for t in (1, 2, 3)}
-    return {
-        f"x{i}": -x[i] - x[j] * x[k] - w[i],
-        f"x{j}": x[k],
-        f"x{k}": x[j],
-        f"w{j}": w[k],
-        f"w{k}": w[j],
-    }
-
-
-def braid_preserves_cubic(i: int) -> Certificate:
-    ring = braid_ring()
-    phi = cubic_form(tuple(ring.gen(n) for n in ("x1", "x2", "x3")), (1, 1, 1),
-                     tuple(ring.gen(n) for n in W_NAMES))
-    res = phi.substitute(braid_images(i, ring)).as_poly() - phi
-    return certify(f"braid-{i}", "braid preserves the cubic",
-                   f"braid generator {i} on the four-hole cubic", res.is_zero(),
-                   detail="with parameter transport w_j <-> w_k", residue=res)
-
-
-def braid_involution_check(i: int) -> Certificate:
-    ring = braid_ring()
-    m = braid_images(i, ring)
-    twice = {n: e.substitute(m).as_poly() for n, e in m.items()}
-    ok = all(twice[n] == ring.gen(n) for n in twice)
-    return certify(f"braid-involution-{i}", "braid squared is the identity",
-                   f"braid generator {i}", ok)
+from .ring import RationalExpr, Ring, RingError, as_expr
 
 
 # -- generalized mutations -----------------------------------------------------
@@ -70,33 +20,6 @@ def braid_involution_check(i: int) -> Certificate:
 
 def cluster_ring() -> Ring:
     return Ring(("y1", "y2", "y3", "G1", "G2", "G3"))
-
-
-def shifted_form(y: tuple, G: tuple):
-    """y1 y2 y3 + sum y_i^2 + G1 y2 y3 + G2 y1 y3 + G3 y1 y2 at the values ``y``."""
-    y1, y2, y3 = y
-    G1, G2, G3 = G
-    return (y1 * y2 * y3 + y1 ** 2 + y2 ** 2 + y3 ** 2
-            + G1 * y2 * y3 + G2 * y1 * y3 + G3 * y1 * y2)
-
-
-def shifted_cubic(ring: Ring | None = None) -> LaurentPoly:
-    ring = ring or cluster_ring()
-    return shifted_form(tuple(ring.gen(n) for n in ("y1", "y2", "y3")),
-                        tuple(ring.gen(n) for n in ("G1", "G2", "G3")))
-
-
-def shifted_cubic_check() -> Certificate:
-    """At Ginf = 2 the shift y_i = x_i - G_i kills linear and constant terms."""
-    ring = Ring(("y1", "y2", "y3", "G1", "G2", "G3", "Ginf"))
-    x = tuple(ring.gen(f"y{i}") + ring.gen(f"G{i}") for i in (1, 2, 3))
-    phi = cubic_form(x, (1, 1, 1), omega_from_G((1, 1, 1), ring))
-    shifted = phi.substitute({"Ginf": ring.const(2)}).as_poly()
-    target = shifted_cubic(ring)
-    res = shifted - target
-    return certify("shifted-cubic", "puncture normalisation of the cluster form",
-                   "shifted cubic at Ginf = 2", res.is_zero(),
-                   detail="linear and constant terms vanish identically", residue=res)
 
 
 def exchange_polynomial(i: int, cluster: dict, ring: Ring) -> RationalExpr:
@@ -118,110 +41,6 @@ def mutate(i: int, cluster: dict, ring: Ring | None = None) -> dict:
 def initial_cluster(ring: Ring | None = None) -> dict:
     ring = ring or cluster_ring()
     return {i: as_expr(ring.gen(f"y{i}")) for i in (1, 2, 3)}
-
-
-def surface_invariance(i: int) -> Certificate:
-    """The mutated cubic's numerator is exactly divisible by the cubic."""
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
-    mutated = mutate(i, cl, ring)
-    phi = shifted_cubic(ring)
-    value = shifted_form(tuple(mutated[t] for t in (1, 2, 3)),
-                         tuple(as_expr(ring.gen(n)) for n in ("G1", "G2", "G3")))
-    numerator = (value * (cl[i] ** 2)).as_poly()
-    q = divide_exact(numerator, phi)
-    expected = exchange_polynomial(i, cl, ring).as_poly()
-    ok = q is not None and q == expected
-    return certify(f"mutation-surface-{i}", "mutation maps the surface to itself",
-                   f"exchange mutation {i} on the shifted cubic", ok,
-                   detail="numerator = exchange polynomial times the cubic",
-                   residue="not divisible" if q is None else "")
-
-
-def mutation_involution_check(i: int) -> Certificate:
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
-    back = mutate(i, mutate(i, cl, ring), ring)
-    ok = all(back[t] == cl[t] for t in (1, 2, 3))
-    return certify(f"mutation-involution-{i}", "exchange relation is involutive",
-                   f"exchange mutation {i}", ok)
-
-
-def reduced_words(max_depth: int) -> list:
-    words = []
-
-    def grow(prefix: tuple, depth: int):
-        if depth == 0:
-            words.append(prefix)
-            return
-        for i in (1, 2, 3):
-            if prefix and prefix[-1] == i:
-                continue
-            grow(prefix + (i,), depth - 1)
-
-    for d in range(1, max_depth + 1):
-        grow((), d)
-    return words
-
-
-def run_sequence(word: tuple, ring: Ring | None = None) -> dict:
-    ring = ring or cluster_ring()
-    cl = initial_cluster(ring)
-    for i in word:
-        cl = mutate(i, cl, ring)
-    return cl
-
-
-def relabelling_failures() -> list:
-    """Transpositions tau of {1, 2, 3} that break tau(E_i) = E_tau(i).
-
-    tau relabels the y and G generators together, and E_i is the exchange
-    polynomial of the initial cluster; each failure names tau and its i.
-    """
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
-    bad = []
-    for a, b in ((1, 2), (1, 3), (2, 3)):
-        tau = {1: 1, 2: 2, 3: 3, a: b, b: a}
-        images = {f"{s}{t}": ring.gen(f"{s}{tau[t]}") for s in ("y", "G") for t in tau}
-        broken = [f"E_{i}" for i in (1, 2, 3)
-                  if exchange_polynomial(i, cl, ring).substitute(images)
-                  != exchange_polynomial(tau[i], cl, ring)]
-        if broken:
-            bad.append(f"({a} {b}) breaks {', '.join(broken)}")
-    return bad
-
-
-def orbit_representatives(max_depth: int) -> list:
-    """One reduced word per S3 relabelling orbit: it starts 1, then 2."""
-    return [w for w in reduced_words(max_depth) if w[:2] in ((1,), (1, 2))]
-
-
-def laurent_check(max_depth: int = 4) -> Certificate:
-    """Every mutation sequence of length <= max_depth yields Laurent variables.
-
-    First the exchange polynomials are certified equivariant under the
-    relabellings of {1, 2, 3}; then the variables of a relabelled word are
-    the relabelled variables of the word, so one word per orbit is run.
-    Certification is by exact division during expression normalisation
-    (monomial content stripping plus trial division); a variable that stays
-    a genuine quotient is reported with its denominator.
-    """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-    anchor = f"all {len(reduced_words(max_depth))} reduced sequences of length <= {max_depth}"
-    asymmetric = relabelling_failures()
-    if asymmetric:
-        return certify("laurent-phenomenon", "iterated mutations stay Laurent", anchor,
-                       False, detail="relabelling symmetry fails", residue=asymmetric)
-    witnesses = []
-    for word in orbit_representatives(max_depth):
-        cl = run_sequence(word)
-        for i in (1, 2, 3):
-            if not cl[i].is_poly():
-                witnesses.append((word, i, str(cl[i].den)[:80]))
-    return certify("laurent-phenomenon", "iterated mutations stay Laurent", anchor,
-                   not witnesses, residue=witnesses[:3])
 
 
 # -- Dehn twists ----------------------------------------------------------------
@@ -279,32 +98,3 @@ def dehn_twist(case: TwistCase, values: dict) -> dict:
 
 def base_values(case: TwistCase) -> dict:
     return {n: as_expr(case.ring.gen(n)) for n in case.ring.names}
-
-
-def twist_invariants(case_name: str) -> Certificate:
-    case = twist_case(case_name)
-    before = base_values(case)
-    after = dehn_twist(case, before)
-    bad = []
-    for label, inv in case.invariants.items():
-        moved = inv.substitute({n: after[n] for n in case.variables})
-        if moved != inv:
-            bad.append((label, "not invariant"))
-    return certify(f"twist-{case_name}", "twist invariants are preserved",
-                   f"{case_name} Dehn twist", not bad,
-                   detail=f"invariants: {', '.join(case.invariants)}",
-                   residue=bad)
-
-
-def twist_frozen_commutation(case_name: str) -> Certificate:
-    """Twisted variables keep log-canonical brackets with the frozen arcs."""
-    case = twist_case(case_name)
-    S = case.structure
-    after = dehn_twist(case, base_values(case))
-    images = {**{v: after[v] for v in case.variables},
-              **{f: case.ring.gen(f) for f in case.frozen}}
-    table = {(v, f): S.pair(v, f) for v in case.variables for f in case.frozen}
-    bad = [(v, f) for v, f, _ in S.table_residues(images, table)]
-    return certify(f"twist-frozen-{case_name}", "twists respect the frozen brackets",
-                   f"{case_name} Dehn twist vs frozen arcs", not bad,
-                   detail="twisted variables bracket like the originals", residue=bad)

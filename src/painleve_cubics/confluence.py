@@ -10,6 +10,7 @@ must coincide with the target chart exactly.
 The inclusion direction of the arc algebras runs opposite to the
 cusp-removal arrows: each embedding sends the smaller catalog's arcs to
 monomials of the bigger one, preserving every bracket coefficient.
+Both are certified in ``checks.confluence``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import catalog
-from .certificates import Certificate, certify
-from .exprs import parse_poly
-from .ring import Ring, RingError
+from .ring import Ring
 from .shear import SHEAR_NAMES, chart
 
 
@@ -75,30 +74,6 @@ def limit_chart_coords(a: Arrow) -> tuple:
     return degrees, leads
 
 
-def confluent_limit(a: Arrow) -> Certificate:
-    ring = eps_ring()
-    degrees, leads = limit_chart_coords(a)
-    target = [x.cast(ring) for x in chart(a.dst).x]
-    bad = [lead - t for lead, t in zip(leads, target) if lead != t]
-    degs = ",".join(str(d) for d in degrees)
-    return certify(f"confluence-{a.src}-{a.dst}", "confluence limit lands on the target chart",
-                   f"{a.src} -> {a.dst}", not bad,
-                   detail=f"{a.label}; leading degrees {degs}",
-                   residue=bad[0] if bad else "")
-
-
-def two_route_check() -> Certificate:
-    """Both routes into the doubly-degenerate third-equation chart agree."""
-    via_d6 = arrow("PIII_D6", "PIII_D7")
-    via_deg = arrow("PVdeg", "PIII_D7")
-    _, leads_a = limit_chart_coords(via_d6)
-    _, leads_b = limit_chart_coords(via_deg)
-    bad = [p - q for p, q in zip(leads_a, leads_b) if p != q]
-    return certify("confluence-two-route", "route independence of the limit",
-                   "PV -> PIII_D7 via PIII_D6 vs via PVdeg", not bad,
-                   residue=bad[0] if bad else "")
-
-
 # -- reversed embeddings ------------------------------------------------------
 
 
@@ -125,80 +100,6 @@ def embeddings() -> tuple:
                 expected_mismatches=catalog.pairs(e.get("expected_mismatches", {})),
                 where=where))
     return tuple(out)
-
-
-def embedding(sub: str, ambient: str) -> EmbeddingMap:
-    for e in embeddings():
-        if e.sub == sub and e.ambient == ambient:
-            return e
-    raise catalog.UnknownEntry(f"no embedding of {sub} into {ambient}")
-
-
-def _parsed_images(emb: EmbeddingMap) -> tuple:
-    """(images, carriers) over the ambient arcs, parsed in the entry's context.
-
-    ``images`` holds the arc images (monomials) and the carried parameters;
-    ``carriers`` the ambient monomial standing in for each sub parameter.
-    """
-    from .arcs import lambda_catalog  # the embeddings alone need the arc catalogs
-    with catalog.context(emb.where):
-        ring = lambda_catalog(emb.ambient).lambda_ring
-        images = {}
-        for name, text in emb.images.items():
-            mono = parse_poly(text, ring)
-            if not mono.is_monomial():
-                raise RingError(f"embedding image of {name} is not a monomial")
-            images[name] = mono
-        images.update({p: parse_poly(t, ring) for p, t in emb.param_images.items()})
-        carriers = {p: parse_poly(t, ring) for p, t in emb.central_images.items()}
-        carriers.update({p: images[p] for p in emb.param_images})
-    return images, carriers
-
-
-def embedding_check(emb: EmbeddingMap) -> Certificate:
-    """Ambient brackets of the images reproduce the sub-catalog's table.
-
-    A documented mismatch replaces the sub-catalog's coefficient by the
-    ambient one; the parameters carried across stay central on the images.
-    """
-    from .arcs import lambda_catalog
-    images, carriers = _parsed_images(emb)
-    own = lambda_catalog(emb.sub).table_between(images)
-    stray = [f"{u},{v}" for u, v in emb.expected_mismatches if (u, v) not in own]
-    if stray:
-        with catalog.context(emb.where):
-            raise catalog.UnknownEntry(f"expected_mismatches {stray[0]} names no pair "
-                                       f"of the {emb.sub} table between imaged arcs")
-    table = {**{k: emb.expected_mismatches.get(k, c) for k, c in own.items()},
-             **{(p, name): 0 for p in carriers for name in images}}
-    bad = [(u, v, str(r)[:60]) for u, v, r in
-           lambda_catalog(emb.ambient).structure.table_residues({**images, **carriers}, table)]
-    documented = [f"{{{u},{v}}}: ambient {emb.expected_mismatches[u, v]} vs own {c}"
-                  for (u, v), c in own.items()
-                  if emb.expected_mismatches.get((u, v), c) != c]
-    detail = f"{len(emb.images)} images"
-    if documented:
-        detail += f"; documented mismatches: {'; '.join(documented)}"
-    return certify(f"embedding-{emb.sub}-in-{emb.ambient}",
-                   "arc algebra inclusion preserves brackets",
-                   f"{emb.sub} inside {emb.ambient}", not bad, detail=detail,
-                   residue=bad[:4])
-
-
-def composite_embedding_check() -> Certificate:
-    """The PV arcs pushed through PIV land in PII_JM with the PV brackets."""
-    from .arcs import lambda_catalog
-    first = embedding("PV", "PIV")
-    first_imgs, _ = _parsed_images(first)
-    second_imgs, _ = _parsed_images(embedding("PIV", "PII_JM"))
-    jm = lambda_catalog("PII_JM")
-    composite = {name: first_imgs[name].substitute(second_imgs, ring=jm.lambda_ring).as_poly()
-                 for name in first.images}
-    bad = [(u, v, str(r)[:60]) for u, v, r in
-           jm.structure.table_residues(composite, lambda_catalog("PV").table_between(composite))]
-    return certify("embedding-composite-PV-PIIJM",
-                   "embeddings compose along the diagram",
-                   "PV inside PII_JM through PIV", not bad, residue=bad[:4])
 
 
 # -- graph exports ------------------------------------------------------------

@@ -17,6 +17,9 @@ NambuContext carries the bracket a cubic polynomial phi induces on
 C[x1,x2,x3]: {x1,x2} = d(phi)/d(x3) and cyclic, extended as a
 biderivation; phi itself is a Casimir by construction of the formula,
 which the certificates confirm symbolically.
+
+``casimir_kernel`` and ``solve_structure`` import ``linalg`` when called, so
+building a structure or taking a bracket never loads it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from math import lcm
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from . import linalg
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
 
 
@@ -172,6 +174,8 @@ def casimir_kernel(structure: PoissonStructure, monomials: Mapping[str, LaurentP
     Kernel vectors name monomial Casimirs (products of the inputs); the rank
     of the restricted pairing is the symplectic leaf dimension.
     """
+    from . import linalg
+
     names = list(monomials)
     vecs = []
     for name in names:
@@ -217,6 +221,8 @@ def solve_structure(ring: Ring,
     system is solved exactly; leftover freedom is reported (free pairs set
     to zero), and inconsistencies are returned as readable equations.
     """
+    from . import linalg
+
     central = set(central)
     gens = [n for n in ring.names if n not in central]
     unknowns = [(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]

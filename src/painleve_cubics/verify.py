@@ -16,86 +16,92 @@ GROUPS = ("charts", "atlas", "cubics", "nambu", "confluence",
 
 def _suite(depth: int | None, selected: set):
     """Yield (group, fn, args) for each certificate of the ``selected`` groups,
-    importing only their subsystems and reading only their catalogs."""
+    importing only their subsystems and ``checks`` modules and reading only
+    their catalogs."""
     def having(*keys) -> list:
         """Arc catalog tags whose entry carries one of ``keys``."""
         return [tag for tag, entry in catalog.load("lambdas")["catalogs"].items()
                 if any(k in entry for k in keys)]
 
     if "charts" in selected:
-        from . import cubics, shear
+        from . import cubics
+        from .checks import shear as shear_checks
         for tag in cubics.tags():
-            yield "charts", shear.verify_chart, (tag,)
-            yield "charts", shear.chart_normalization_check, (tag,)
+            yield "charts", shear_checks.verify_chart, (tag,)
+            yield "charts", shear_checks.chart_normalization_check, (tag,)
     if "atlas" in selected:
-        from . import shear
+        from .checks import shear as shear_checks
         for i in (1, 2, 3):
-            yield "atlas", shear.flip_involution_check, (i,)
-            yield "atlas", shear.verify_flip_braid, (i,)
-        yield "atlas", shear.pv_to_piii_change, ()
+            yield "atlas", shear_checks.flip_involution_check, (i,)
+            yield "atlas", shear_checks.verify_flip_braid, (i,)
+        yield "atlas", shear_checks.pv_to_piii_change, ()
     if "cubics" in selected:
         from . import cubics
+        from .checks import cubics as cubic_checks
         for tag in cubics.tags():
-            yield "cubics", cubics.table1_check, (tag,)
-            yield "cubics", cubics.volume_form_check, (tag,)
-        yield "cubics", cubics.torus_param_check, ()
-        yield "cubics", cubics.fn_jm_diffeo_check, ()
+            yield "cubics", cubic_checks.table1_check, (tag,)
+            yield "cubics", cubic_checks.volume_form_check, (tag,)
+        yield "cubics", cubic_checks.torus_param_check, ()
+        yield "cubics", cubic_checks.fn_jm_diffeo_check, ()
     if "nambu" in selected:
         from . import cubics
+        from .checks import cubics as cubic_checks
         for tag in cubics.tags():
-            yield "nambu", cubics.nambu_casimir_check, (tag,)
+            yield "nambu", cubic_checks.nambu_casimir_check, (tag,)
     if "confluence" in selected:
         from . import confluence
+        from .checks import confluence as confluence_checks
         for a in confluence.arrows():
-            yield "confluence", confluence.confluent_limit, (a,)
-        yield "confluence", confluence.two_route_check, ()
+            yield "confluence", confluence_checks.confluent_limit, (a,)
+        yield "confluence", confluence_checks.two_route_check, ()
         for emb in confluence.embeddings():
-            yield "confluence", confluence.embedding_check, (emb,)
-        yield "confluence", confluence.composite_embedding_check, ()
+            yield "confluence", confluence_checks.embedding_check, (emb,)
+        yield "confluence", confluence_checks.composite_embedding_check, ()
     if "lambda" in selected:
-        from . import arcs
+        from .checks import arcs as arc_checks
         for tag in having("table", "table_ref"):
-            yield "lambda", arcs.verify_lambda_table, (tag,)
+            yield "lambda", arc_checks.verify_lambda_table, (tag,)
         for tag in having("solved_log_brackets"):
-            yield "lambda", arcs.solve_structure_check, (tag,)
+            yield "lambda", arc_checks.solve_structure_check, (tag,)
     if "casimirs" in selected:
-        from . import arcs
+        from .checks import arcs as arc_checks
         for tag in having("casimirs"):
-            yield "casimirs", arcs.casimir_check, (tag,)
+            yield "casimirs", arc_checks.casimir_check, (tag,)
     if "commutant" in selected:
-        from . import arcs
+        from .checks import arcs as arc_checks
         for tag in having("xexprs"):
-            yield "commutant", arcs.commutant_check, (tag,)
-        yield "commutant", arcs.pvi_from_pv_check, ()
+            yield "commutant", arc_checks.commutant_check, (tag,)
+        yield "commutant", arc_checks.pvi_from_pv_check, ()
     if "cluster" in selected:
-        from . import cluster
+        from .checks import cluster as cluster_checks
         for i in (1, 2, 3):
-            yield "cluster", cluster.braid_preserves_cubic, (i,)
-            yield "cluster", cluster.braid_involution_check, (i,)
-            yield "cluster", cluster.surface_invariance, (i,)
-            yield "cluster", cluster.mutation_involution_check, (i,)
-        yield "cluster", cluster.shifted_cubic_check, ()
-        yield "cluster", cluster.laurent_check, () if depth is None else (depth,)
+            yield "cluster", cluster_checks.braid_preserves_cubic, (i,)
+            yield "cluster", cluster_checks.braid_involution_check, (i,)
+            yield "cluster", cluster_checks.surface_invariance, (i,)
+            yield "cluster", cluster_checks.mutation_involution_check, (i,)
+        yield "cluster", cluster_checks.shifted_cubic_check, ()
+        yield "cluster", cluster_checks.laurent_check, () if depth is None else (depth,)
     if "twists" in selected:
-        from . import cluster
+        from .checks import cluster as cluster_checks
         for case in catalog.load("lambdas")["twists"]:
-            yield "twists", cluster.twist_invariants, (case,)
-            yield "twists", cluster.twist_frozen_commutation, (case,)
+            yield "twists", cluster_checks.twist_invariants, (case,)
+            yield "twists", cluster_checks.twist_frozen_commutation, (case,)
     if "signatures" in selected:
-        from . import arcs
+        from .checks import arcs as arc_checks
         for tag in catalog.load("signatures")["signatures"]:
-            yield "signatures", arcs.signature_check, (tag,)
+            yield "signatures", arc_checks.signature_check, (tag,)
         for tag in having("params"):
-            yield "signatures", arcs.lamination_count_check, (tag,)
+            yield "signatures", arc_checks.lamination_count_check, (tag,)
     if "unfolding" in selected:
         from . import unfolding
+        from .checks import unfolding as unfolding_checks
         for key in unfolding.cases():
-            for fn, args in unfolding.checks(key):
+            for fn, args in unfolding_checks.checks(key):
                 yield "unfolding", fn, args
     if "arcs" in selected:
-        from . import arcs
-        yield "arcs", arcs.arc_trace_check, ()
-        yield "arcs", arcs.comb_bracket_check, ()
+        from .checks import arcs as arc_checks
+        yield "arcs", arc_checks.arc_trace_check, ()
+        yield "arcs", arc_checks.comb_bracket_check, ()
 
 
 def run(groups=None, depth: int | None = None) -> list:

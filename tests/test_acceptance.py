@@ -9,17 +9,21 @@ doubles as the acceptance report.  The CLI equivalent is
 import pytest
 
 from painleve_cubics import verify
-from painleve_cubics.arcs import (arc_trace_check, casimir_check, commutant_check,
-                                  lambda_catalog, pvi_from_pv_check, signature,
-                                  solve_structure_check, verify_lambda_table)
+from painleve_cubics.arcs import lambda_catalog, signature
 from painleve_cubics.certificates import Certificate
-from painleve_cubics.cluster import (braid_preserves_cubic, laurent_check,
-                                     surface_invariance, twist_frozen_commutation,
-                                     twist_invariants)
-from painleve_cubics.confluence import (arrows, confluent_limit, two_route_check)
-from painleve_cubics.cubics import fn_jm_diffeo_check, nambu_casimir_check, tags, torus_param_check
-from painleve_cubics.shear import verify_chart, verify_flip_braid
-from painleve_cubics.unfolding import cases, checks
+from painleve_cubics.checks.arcs import (arc_trace_check, casimir_check, commutant_check,
+                                         pvi_from_pv_check, solve_structure_check,
+                                         verify_lambda_table)
+from painleve_cubics.checks.cluster import (braid_preserves_cubic, laurent_check,
+                                            surface_invariance, twist_frozen_commutation,
+                                            twist_invariants)
+from painleve_cubics.checks.confluence import confluent_limit, two_route_check
+from painleve_cubics.checks.cubics import fn_jm_diffeo_check, nambu_casimir_check, torus_param_check
+from painleve_cubics.checks.shear import verify_chart, verify_flip_braid
+from painleve_cubics.checks.unfolding import checks
+from painleve_cubics.confluence import arrows
+from painleve_cubics.cubics import tags
+from painleve_cubics.unfolding import cases
 
 
 def report(criterion: str, certs) -> None:
@@ -110,7 +114,7 @@ def test_criterion_09_signature_arithmetic():
     pv = signature("PV")
     assert pv.katz() == (0, 0, 1) and pv.stokes_rays() == (0, 0, 2)
     assert pv.pole_orders() == (2, 2, 4)
-    from painleve_cubics.arcs import signature_check
+    from painleve_cubics.checks.arcs import signature_check
     certs = [signature_check(tag) for tag in
              ("PVI", "PV", "PVdeg", "PIV", "PIII_D6", "PIII_D7", "PIII_D8",
               "PII_FN", "PII_JM", "PI")]

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, catalog
-from painleve_cubics.arcs import (arc_trace_check, casimir_check,
-                                  comb_bracket, comb_bracket_check, commutant_check,
-                                  edge_matrix, lambda_catalog, lamination_count_check,
-                                  mat_det, mat_mul, pvi_from_pv_check, signature,
-                                  signature_check, solve_structure_check,
-                                  verify_lambda_table, word_matrix, word_trace)
+from painleve_cubics.arcs import lambda_catalog, signature
+from painleve_cubics.checks.arcs import (arc_trace_check, casimir_check, comb_bracket,
+                                         comb_bracket_check, commutant_check, edge_matrix,
+                                         lamination_count_check, mat_det, mat_mul,
+                                         pvi_from_pv_check, signature_check, solve_structure_check,
+                                         verify_lambda_table, word_matrix, word_trace)
 
 
 def test_word_matrices_unimodular():
@@ -140,7 +140,7 @@ def test_lamination_counts(tag):
 
 def test_random_words_are_unimodular():
     import random
-    from painleve_cubics.arcs import cusp_matrix
+    from painleve_cubics.checks.arcs import cusp_matrix
     rng = random.Random(11)
     ring = Ring(["z1", "z2", "z3"])
     alphabet = ["R", "L", "X(z1)", "X(z2)", "X(z3)"]

@@ -202,10 +202,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_cubics"
 LAUNCHER = "import sys; from painleve_cubics.cli import main; sys.exit(main())"
 
 
+def package_env() -> dict:
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(*args):
     """A fresh interpreter running ``args``, with the package on its path."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *args], env=package_env(),
                           capture_output=True, text=True)
 
 
@@ -243,10 +247,21 @@ def test_process_perturbed_chart_exits_1(tmp_path):
     assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} certificates passed"
 
 
+@pytest.mark.parametrize("argv", [("verify", "charts"), ("--format", "json", "verify-all")])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the reader is gone before the first write, as with ``| head -0``
+    proc = subprocess.Popen([sys.executable, "-c", LAUNCHER, *argv], env=package_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+
+
 def test_nothing_in_the_package_needs_a_finalizer_at_exit():
     """Objects frozen at exit are never collected, so no package object may
     need finalizing: no ``__del__``, no ``weakref``, no ``open`` outside ``with``."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text())
         managed = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
                    for item in node.items}

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import cluster
-from painleve_cubics.cluster import (base_values, braid_images,
-                                     braid_involution_check, braid_preserves_cubic,
-                                     braid_ring, cluster_ring, dehn_twist,
-                                     initial_cluster, laurent_check, mutate,
-                                     mutation_involution_check, orbit_representatives,
-                                     reduced_words, relabelling_failures,
-                                     run_sequence, shifted_cubic, shifted_cubic_check,
-                                     surface_invariance, twist_case,
-                                     twist_frozen_commutation, twist_invariants)
+from painleve_cubics.checks.cluster import (braid_images, braid_involution_check,
+                                            braid_preserves_cubic, braid_ring, laurent_check,
+                                            mutation_involution_check, orbit_representatives,
+                                            reduced_words, relabelling_failures, run_sequence,
+                                            shifted_cubic, shifted_cubic_check, surface_invariance,
+                                            twist_frozen_commutation, twist_invariants)
+from painleve_cubics.cluster import (base_values, cluster_ring, dehn_twist, initial_cluster, mutate,
+                                     twist_case)
 from painleve_cubics.ring import as_expr
 
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics.confluence import (arrow, arrows, composite_embedding_check,
-                                        confluence_dot, confluent_limit, embedding,
-                                        embedding_check, embeddings, eps_ring,
+from painleve_cubics.checks.confluence import (composite_embedding_check, confluent_limit,
+                                               embedding, embedding_check, two_route_check)
+from painleve_cubics.confluence import (arrow, arrows, confluence_dot, embeddings, eps_ring,
                                         graph_json, inclusion_dot, limit_chart_coords,
-                                        scaled_chart_coords, two_route_check)
+                                        scaled_chart_coords)
 from painleve_cubics.cubics import cubic, cubic_form
 from painleve_cubics.shear import chart
 

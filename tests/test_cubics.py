@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, catalog, parse_poly
-from painleve_cubics.cubics import (cubic, cubic_form, fn_jm_diffeo_check, nambu_context,
-                                    omega_from_G, singular_point_check, tags,
-                                    table1_check, torus_param_check,
-                                    volume_form_check)
+from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, nambu_context, singular_point_check,
+                                           table1_check, torus_param_check, volume_form_check)
+from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags
 
 
 def test_tag_list():

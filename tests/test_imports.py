@@ -1,5 +1,6 @@
 """Imports: every one in the package is read (a stdlib ``ast`` pass over its
-modules), and a cold CLI call loads only the subsystems its verb runs."""
+modules), and a cold CLI call loads only the subsystems and the ``checks``
+modules its verb runs."""
 
 import ast
 import os
@@ -38,7 +39,8 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -53,45 +55,81 @@ SUBSYSTEMS = {f"painleve_cubics.{m}" for m in
               ("certificates", "cubics", "shear", "arcs", "confluence", "cluster", "unfolding")}
 
 
-def loaded_modules(*argv) -> set:
-    """``sys.modules`` of a fresh interpreter after importing the CLI and,
-    when ``argv`` is given, running it (stdout discarded; exit code 0)."""
-    code = ("import contextlib, io, sys\n"
-            "from painleve_cubics.cli import main\n"
-            "if sys.argv[1:]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(sys.argv[1:]) == 0\n"
-            "print(*sys.modules)\n")
+def modules_after(code: str, *argv) -> set:
+    """``sys.modules`` of a fresh interpreter after running ``code`` with ``argv``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=path),
+    out = subprocess.run([sys.executable, "-c", code + "import sys\nprint(*sys.modules)\n", *argv],
+                         env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     return set(out.stdout.split())
 
 
+def loaded_modules(*argv) -> set:
+    """``sys.modules`` of a fresh interpreter after importing the CLI and,
+    when ``argv`` is given, running it (stdout discarded; exit code 0)."""
+    return modules_after("import contextlib, io, sys\n"
+                         "from painleve_cubics.cli import main\n"
+                         "if sys.argv[1:]:\n"
+                         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "        assert main(sys.argv[1:]) == 0\n", *argv)
+
+
 BRACKETS = {"painleve_cubics.poisson", "painleve_cubics.linalg"}
+CHECKS = {"painleve_cubics.checks"} | {f"painleve_cubics.checks.{m}" for m in
+                                      ("cubics", "shear", "arcs", "confluence", "cluster", "unfolding")}
+LINALG = {"painleve_cubics.linalg"}
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ((), SUBSYSTEMS | BRACKETS),
+    ((), SUBSYSTEMS | BRACKETS | CHECKS),
     (("show", "PV"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.cluster",
-                      "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
-    (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.certificates"}
-     | BRACKETS),
+                      "painleve_cubics.confluence", "painleve_cubics.unfolding"}
+     | BRACKETS | CHECKS),
+    (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics"} | BRACKETS | CHECKS),
     (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}),
     (("export", "confluence"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
-                                "painleve_cubics.unfolding"} | BRACKETS),
+                                "painleve_cubics.unfolding"} | BRACKETS | CHECKS),
     (("verify", "charts"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
                             "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
-    (("chart", "PV"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.certificates",
-                                    "painleve_cubics.shear"} | BRACKETS),
+    (("chart", "PV"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.shear"}
+     | BRACKETS | CHECKS),
     (("confluence", "PVI", "PV"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
                                    "painleve_cubics.unfolding"} | BRACKETS),
     (("mutate", "PVI", "12"), {"painleve_cubics.arcs", "painleve_cubics.shear",
                                "painleve_cubics.confluence", "painleve_cubics.unfolding"}
-     | BRACKETS),
+     | BRACKETS | CHECKS),
+    (("lambda", "PV"), CHECKS | LINALG),
+    (("bracket", "PV", "a", "b"), CHECKS | LINALG),
+    (("signature", "PV"), CHECKS | LINALG),
+    (("export", "inclusions"), CHECKS),
 ], ids=["import", "show-PV", "export-catalog", "unfold-PVI", "export-confluence", "verify-charts",
-        "chart-PV", "confluence-PVI-PV", "mutate-PVI"])
+        "chart-PV", "confluence-PVI-PV", "mutate-PVI", "lambda-PV", "bracket-PV", "signature-PV",
+        "export-inclusions"])
 def test_cold_call_loads_only_its_subsystem(argv, absent):
     loaded = loaded_modules(*argv)
     assert "painleve_cubics.cli" in loaded
     assert sorted(loaded & (absent | {"dataclasses"})) == []
+
+
+def test_verify_charts_loads_only_the_shear_checks():
+    assert loaded_modules("verify", "charts") & CHECKS == {"painleve_cubics.checks",
+                                                          "painleve_cubics.checks.shear"}
+
+
+# what perfbench's set-up probe does: import the CLI, build every catalog object
+BUILD_EVERY_OBJECT = (
+    "import painleve_cubics as pc, painleve_cubics.cli\n"
+    "from painleve_cubics import catalog, confluence, unfolding\n"
+    "for tag in catalog.load('cubics')['tags']:\n"
+    "    pc.cubic(tag), pc.chart(tag)\n"
+    "for tag in catalog.load('lambdas')['catalogs']:\n"
+    "    pc.lambda_catalog(tag)\n"
+    "for tag in catalog.load('signatures')['signatures']:\n"
+    "    pc.signature(tag)\n"
+    "confluence.arrows(), confluence.embeddings(), unfolding.hat_param_table()\n")
+
+
+def test_building_every_catalog_object_loads_no_check():
+    loaded = modules_after(BUILD_EVERY_OBJECT)
+    assert {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"} <= loaded
+    assert sorted(loaded & (CHECKS | LINALG)) == []

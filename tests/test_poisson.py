@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from painleve_cubics import (NambuContext, PoissonStructure, Ring, casimir_kernel,
                              parse_poly, solve_structure)
 from painleve_cubics.arcs import lambda_catalog
-from painleve_cubics.cubics import cubic, nambu_context
+from painleve_cubics.checks.cubics import nambu_context
+from painleve_cubics.cubics import cubic
 
 
 @pytest.fixture

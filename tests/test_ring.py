@@ -350,7 +350,8 @@ def assert_exact(poly):
 
 @pytest.mark.parametrize("word", list(itertools.product((1, 2, 3), repeat=3)))
 def test_mutations_stay_exact(word):
-    from painleve_cubics.cluster import cluster_ring, run_sequence
+    from painleve_cubics.cluster import cluster_ring
+    from painleve_cubics.checks.cluster import run_sequence
     ring = Ring(cluster_ring().names + ("eps",))
     for value in run_sequence(word, ring).values():
         assert_exact(value.num)

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, catalog, parse_poly
+from painleve_cubics.checks.shear import (chart_phi_residue, flip, flip_involution_check,
+                                          pv_to_piii_change, verify_chart, verify_flip_braid)
 from painleve_cubics.cubics import G_NAMES, tags
 from painleve_cubics.ring import as_expr
-from painleve_cubics.shear import (chart, chart_phi_residue,
-                                   SHEAR_NAMES, flip, flip_involution_check,
-                                   pv_to_piii_change, shear_ring, verify_chart,
-                                   verify_flip_braid)
+from painleve_cubics.shear import chart, SHEAR_NAMES, shear_ring
 
 ALL_TAGS = tags()
 
@@ -85,7 +84,7 @@ def test_pv_to_piii_brackets():
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_chart_normalizations(tag):
-    from painleve_cubics.shear import chart_normalization_check
+    from painleve_cubics.checks.shear import chart_normalization_check
     assert chart_normalization_check(tag).passed
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, catalog, unfolding
+from painleve_cubics.checks.unfolding import (_implicit_case, checks, hat_param_rank_check,
+                                              reduce_mod_u, singular_points_check, unfold_a1_pvdeg,
+                                              unfold_d4)
 from painleve_cubics.ring import LaurentPoly
-from painleve_cubics.unfolding import (W_RING, _implicit_case, hat_param_rank_check,
-                                       hat_param_table, reduce_mod_u, singular_points_check,
-                                       unfold_a1_pvdeg, unfold_d4)
+from painleve_cubics.unfolding import W_RING, hat_param_table
 
 
 def test_hat_parameters():
@@ -59,13 +60,13 @@ def test_a1_pvdeg_charts_and_points():
 
 
 def test_checks_follow_the_entry_fields():
-    jobs = {key: [fn.__name__ for fn, _ in unfolding.checks(key)] for key in unfolding.cases()}
+    jobs = {key: [fn.__name__ for fn, _ in checks(key)] for key in unfolding.cases()}
     assert jobs == {
         "d4": ["unfold_d4", "hat_param_rank_check"],
         "a3": ["_implicit_case"], "a2": ["_implicit_case"], "a1_pii": ["_implicit_case"],
         "a1_pvdeg": ["unfold_a1_pvdeg", "singular_points_check"],
     }
-    assert unfolding.checks("a2") == [(_implicit_case, ("a2",))]
+    assert checks("a2") == [(_implicit_case, ("a2",))]
 
 
 def test_entry_without_checks_is_catalog_error(tmp_path):
@@ -73,7 +74,7 @@ def test_entry_without_checks_is_catalog_error(tmp_path):
     (tmp_path / "unfoldings.json").write_text(json.dumps({"x": {"tag": "PI"}}))
     catalog.set_catalog_root(tmp_path)
     with pytest.raises(catalog.CatalogError, match="unfoldings.json x"):
-        unfolding.checks("x")
+        checks("x")
 
 
 def test_parameter_specialisation_still_zero():
