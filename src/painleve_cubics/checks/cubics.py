@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..certificates import Certificate, certify
 from ..cubics import X_NAMES, cubic, cubic_form
 from ..ring import Ring, as_expr
+
+if TYPE_CHECKING:  # nambu_context imports poisson when it runs
+    from ..poisson import NambuContext
 
 
 def nambu_context(tag: str) -> NambuContext:

@@ -22,16 +22,6 @@ from ..unfolding import W_RING, cases, hat_param_table
 from .cubics import singular_point_check
 
 
-def _by_degree(poly: LaurentPoly, name: str) -> dict:
-    """{d: the terms of ``poly`` of degree d in the generator ``name``}."""
-    ring = poly.ring
-    i = ring.index[name]
-    parts: dict = {}
-    for key, c in poly.terms.items():
-        parts.setdefault(ring.unpack(key)[i], {})[key] = c
-    return {d: LaurentPoly(ring, terms) for d, terms in parts.items()}
-
-
 def reduce_mod_u(poly: LaurentPoly, relation: LaurentPoly, uname: str) -> tuple:
     """Remainder and quotient of ``poly`` modulo ``relation`` as polynomials in u.
 
@@ -40,20 +30,20 @@ def reduce_mod_u(poly: LaurentPoly, relation: LaurentPoly, uname: str) -> tuple:
     are cleared first (the clearing power is returned).
     """
     ring = poly.ring
-    clear = -min(0, min(_by_degree(poly, uname), default=0))
+    clear = -min(0, min(poly.coefficients(uname), default=0))
     work = poly * ring.gen(uname, clear) if clear else poly
-    rel = _by_degree(relation, uname)
+    rel = relation.coefficients(uname)
     rel_deg = max(rel)
     lead_mono = rel[rel_deg]
     if not lead_mono.is_monomial():
         raise RingError("relation leading u-coefficient is not a monomial")
     quotient = ring.zero()
     while not work.is_zero():
-        parts = _by_degree(work, uname)
+        parts = work.coefficients(uname)
         deg = max(parts)
         if deg < rel_deg:
             break
-        factor = parts[deg] * lead_mono ** -1
+        factor = parts[deg] * lead_mono ** -1 * ring.gen(uname, deg - rel_deg)
         work = work - factor * relation
         quotient = quotient + factor
     return work, quotient, clear
@@ -89,7 +79,6 @@ def unfold_d4(key: str) -> Certificate:
     """Exact decomposition: shifted cubic = Morse term + quartic tail + normal form."""
     entry = catalog.load("unfoldings")[key]
     ring = W_RING
-    x3 = ring.gen("x3")
     with catalog.context(f"unfoldings.json {key}"):
         shift = entry["pre_shift"]
         shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
@@ -99,9 +88,9 @@ def unfold_d4(key: str) -> Certificate:
         post_shift = parse_expr(entry["post_shift_x1"], ring)
         target = parse_poly(entry["target"], ring, symbols=hat_param_table(key))
     # split off the x3 directions: nothing mixed, quadratic coefficient constant
-    parts = _by_degree(result, "x3")
+    parts = result.coefficients("x3")
     pure = set(parts) <= {0, 2}
-    kappa = parts.get(2, ring.zero()) * x3 ** -2
+    kappa = parts.get(2, ring.zero())
     plane = parts.get(0, ring.zero())
     moved = (plane + tail).substitute({"x1": post_shift}).as_poly()
     res = moved - target
@@ -130,7 +119,7 @@ def _implicit_case(key: str) -> Certificate:
         relation = ((lhs - rhs) * ring.gen("u", clear_pow)).as_poly()
         diff = out - target
         remainder, quotient, clear = reduce_mod_u(diff, relation, "u")
-        udeg = max(_by_degree(relation, "u"))
+        udeg = max(relation.coefficients("u"))
         title = f"corank-1 normal form ({entry['singularity']})"
         anchor = f"{entry['tag']} unfolding"
     reproduced = diff * ring.gen("u", clear) == quotient * relation + remainder

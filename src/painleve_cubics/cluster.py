@@ -8,11 +8,14 @@ braid action and the certificates are in ``checks.cluster``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import catalog
 from .exprs import parse_expr
 from .ring import RationalExpr, Ring, RingError, as_expr
+
+if TYPE_CHECKING:  # twist_case imports poisson; mutate never loads it
+    from .poisson import PoissonStructure
 
 
 # -- generalized mutations -----------------------------------------------------
@@ -51,7 +54,7 @@ class TwistCase(NamedTuple):
     variables: tuple      # mutating arc names, in role order
     frozen: tuple
     ring: Ring
-    structure: PoissonStructure  # from poisson, which twist_case imports
+    structure: PoissonStructure
     invariants: dict      # label -> RationalExpr
     steps: tuple          # {arc: expression}, each applied at once
 

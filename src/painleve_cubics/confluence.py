@@ -1,11 +1,12 @@
 """Confluence limits between charts and the reversed algebra inclusions.
 
-An arrow rescales shear coordinates by z -> z + c log(eps); on the
-exponentiated generators this is g_z -> eps^{c/2} g_z, with half-integer
-eps-weights tracked exactly.  The limit eps -> 0 is the minimal
-eps-degree part, taken per coordinate (the three coordinates may sit at
-different leading degrees); after expanding all parameter symbols it
-must coincide with the target chart exactly.
+An arrow rescales shear coordinates by z -> z + c log(epsilon), with an
+integer c for every arrow.  The generator ``eps`` is the exponentiated
+coordinate of log(epsilon), that is epsilon^{1/2}, so on the generators
+the arrow is g_z -> eps^c g_z.  The limit epsilon -> 0 is the part of
+least eps-degree d, an epsilon-degree d/2, taken per coordinate (the
+three coordinates may sit at different leading degrees); after expanding
+all parameter symbols it must coincide with the target chart exactly.
 
 The inclusion direction of the arc algebras runs opposite to the
 cusp-removal arrows: each embedding sends the smaller catalog's arcs to
@@ -20,14 +21,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import catalog
-from .ring import Ring
+from .ring import Ring, RingError
 from .shear import SHEAR_NAMES, chart
 
 
 class Arrow(NamedTuple):
     src: str
     dst: str
-    shift: dict          # coordinate -> coefficient of log(eps)
+    shift: dict          # shear coordinate -> integer coefficient of log(epsilon)
     label: str
     secondary: bool
 
@@ -37,8 +38,13 @@ def arrows() -> tuple:
     out = []
     for i, a in enumerate(catalog.load("arrows")["arrows"]):
         with catalog.context(f"arrows.json arrows[{i}]"):
-            out.append(Arrow(src=a["src"], dst=a["dst"],
-                             shift={k: Fraction(v) for k, v in a["shift"].items()},
+            for z, c in a["shift"].items():
+                if z not in SHEAR_NAMES:
+                    raise ValueError(f"shift names {z!r}, not a shear coordinate "
+                                     f"({', '.join(SHEAR_NAMES)})")
+                if type(c) is not int:
+                    raise ValueError(f"shift coefficient {c!r} of {z} is not an integer")
+            out.append(Arrow(src=a["src"], dst=a["dst"], shift=dict(a["shift"]),
                              label=a["label"], secondary=bool(a.get("secondary", False))))
     return tuple(out)
 
@@ -51,26 +57,28 @@ def arrow(src: str, dst: str) -> Arrow:
 
 
 def eps_ring() -> Ring:
+    """The shear ring with ``eps``, the generator that stands for epsilon^{1/2}."""
     return Ring(SHEAR_NAMES + ("eps",))
 
 
 def scaled_chart_coords(a: Arrow) -> list:
-    """Source chart coordinates after the arrow's eps-rescaling."""
+    """Source chart coordinates after the arrow's rescaling g_z -> eps^c g_z."""
     ring = eps_ring()
-    images = {}
-    for z, c in a.shift.items():
-        images[z] = ring.monomial({z: 1, "eps": Fraction(c, 2)})
+    images = {z: ring.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
     return [x.cast(ring).substitute(images, ring=ring).as_poly()
             for x in chart(a.src).x]
 
 
 def limit_chart_coords(a: Arrow) -> tuple:
-    """(leading degrees, leading parts) of the rescaled source coordinates."""
+    """(leading epsilon-degrees, leading parts) of the rescaled source coordinates."""
     degrees, leads = [], []
-    for scaled in scaled_chart_coords(a):
-        d, lead = scaled.epsilon_leading()
-        degrees.append(d)
-        leads.append(lead)
+    for i, scaled in enumerate(scaled_chart_coords(a), start=1):
+        parts = scaled.coefficients("eps")
+        if not parts:
+            raise RingError(f"charts.json charts.{a.src}: x{i} is zero, so it has no leading part")
+        d = min(parts)
+        degrees.append(Fraction(d, 2))
+        leads.append(parts[d])
     return degrees, leads
 
 

@@ -21,21 +21,18 @@ most significant bits.  A field holds its exponent plus the bias
 B = 2^(FIELD_BITS - 2), so exponents -B .. B-1 are stored as 0 .. 2B-1 and
 the top bit of every field, its guard, is clear.  The key of the monomial
 1, ``Ring._zero``, has B in every field; a product of monomials has key
-k1 + k2 - zero.  The field of ``eps`` holds twice its exponent, so its
-half-integer exponents are integers too.  An exponent that leaves its
-field range sets a guard bit: the lowest such field either reaches 2B or
-borrows from the field above it, and borrowing leaves it at 3B or more.
-``Ring.collect`` tests the guards of every key it is given and raises
-``RingError`` naming the ring, so a key never wraps into a wrong one.
-Readers that need exponent vectors decode the keys with ``Ring.unpack``
-or ``LaurentPoly.items()``.
+k1 + k2 - zero.  An exponent that leaves its field range sets a guard bit:
+the lowest such field either reaches 2B or borrows from the field above it,
+and borrowing leaves it at 3B or more.  ``Ring.collect`` tests the guards
+of every key it is given and raises ``RingError`` naming the ring, so a key
+never wraps into a wrong one.  Readers that need exponent vectors decode
+the keys with ``Ring.unpack`` or ``LaurentPoly.items()``.
 
 Convention for exponentiated coordinates: a generator named ``z`` stands
-for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Under this
-convention every exponent occurring in the catalogs is an integer.  The
-single exception is the generator named ``eps``: it stands for the
-confluence parameter itself and may carry half-integer exponents
-produced by scalings like z -> z - log(eps).
+for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Every exponent is an
+``int``, and no generator name is special: the confluence generator ``eps``
+is g_z for z = log(epsilon), that is epsilon^{1/2}, so a scaling like
+z -> z - log(epsilon) weights g_z by an integer power of it.
 
 ``RationalExpr`` is a quotient num/den of two polynomials.  Quotients by
 monomials collapse back into the Laurent ring during normalisation;
@@ -91,11 +88,6 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     return _q(Fraction(a, b))
 
 
-def _half(v: int) -> Scalar:
-    """The eps exponent of the eps field value ``v`` (twice the exponent)."""
-    return Fraction(v, 2) if v & 1 else v >> 1
-
-
 def _exact_root(n: int, k: int) -> int | None:
     """The k-th root of the positive integer ``n`` when it is an integer, else None."""
     r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) is at least the root
@@ -109,11 +101,9 @@ class Ring:
 
     Polynomials from different Ring objects never mix; use
     ``LaurentPoly.cast`` to move between rings sharing generator names.
-    The generator named ``eps``, if any, is the only one allowed
-    non-integer exponents: multiples of 1/2.
     """
 
-    __slots__ = ("names", "index", "_zero", "_guard", "_shifts", "_eps_index", "_fields")
+    __slots__ = ("names", "index", "_zero", "_guard", "_shifts", "_fields")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -124,7 +114,6 @@ class Ring:
         self._shifts = tuple(FIELD_BITS * i for i in reversed(range(len(names))))
         self._zero = sum(_BIAS << s for s in self._shifts)
         self._guard = self._zero << 1
-        self._eps_index = self.index.get("eps")
         self._fields = Struct(f">{len(names)}h")
 
     def __repr__(self) -> str:
@@ -140,17 +129,13 @@ class Ring:
 
     def _field(self, i: int, e) -> int:
         """The field value, before the bias, of exponent ``e`` on generator ``i``."""
-        v = e = _scalar(e)
-        if i == self._eps_index:
-            v = _q(2 * e)
-            if type(v) is not int:
-                raise RingError(f"exponent {e} on generator 'eps' is not a multiple of 1/2")
-        elif type(e) is not int:
+        e = _scalar(e)
+        if type(e) is not int:
             raise RingError(f"non-integer exponent {e} on generator {self.names[i]!r}")
-        if not -_BIAS <= v < _BIAS:
+        if not -_BIAS <= e < _BIAS:
             raise RingError(f"exponent {e} on generator {self.names[i]!r} overflows "
                             f"its {FIELD_BITS}-bit field in {self}")
-        return v
+        return e
 
     def pack(self, exps: Sequence[Scalar]) -> int:
         """The key of the exponent vector ``exps`` (one entry per generator)."""
@@ -162,8 +147,8 @@ class Ring:
                 key += self._field(i, e) << self._shifts[i]
         return key
 
-    def _values(self, key: int) -> tuple:
-        """The field values of ``key`` less the bias: the exponents, eps doubled.
+    def unpack(self, key: int) -> tuple:
+        """The exponent vector of ``key``: the field values less the bias.
 
         Adding the zero key makes each field v + 2B, which flipping the guard
         bit turns into v in 16-bit two's complement, with no carry between
@@ -171,14 +156,6 @@ class Ring:
         """
         fields = self._fields
         return fields.unpack(((key + self._zero) ^ self._guard).to_bytes(fields.size, "big"))
-
-    def unpack(self, key: int) -> tuple:
-        """The exponent vector of ``key``: ints, and a Fraction on eps when not integral."""
-        exps = self._values(key)
-        i = self._eps_index
-        if i is None:
-            return exps
-        return exps[:i] + (_half(exps[i]),) + exps[i + 1:]
 
     # -- constructors ------------------------------------------------
 
@@ -276,9 +253,6 @@ class LaurentPoly:
         if not self.is_monomial():
             raise RingError(f"not a monomial: {self}")
         return self.ring.unpack(next(iter(self.terms)))
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def items(self) -> list:
         """(exponent vector, coefficient) of every term, in storage order."""
@@ -436,15 +410,27 @@ class LaurentPoly:
         ring = self.ring
         i = ring.index[name]
         s = ring._shifts[i]
-        eps = i == ring._eps_index
-        step = (2 if eps else 1) << s
+        step = 1 << s
         out = {}
         # lowering the exponent of one generator is injective on the terms
         for k, c in self.terms.items():
             v = ((k >> s) & _MASK) - _BIAS
             if v:
-                out[k - step] = c * (_half(v) if eps else v)
+                out[k - step] = c * v
         return ring.collect(out)
+
+    def coefficients(self, name: str) -> dict:
+        """{d: the coefficient of g_name^d}, each a polynomial free of ``name``."""
+        ring = self.ring
+        i = ring.index.get(name)
+        if i is None:
+            raise RingError(f"generator {name!r} not in {ring}")
+        s = ring._shifts[i]
+        parts: dict = {}
+        for k, c in self.terms.items():
+            d = ((k >> s) & _MASK) - _BIAS
+            parts.setdefault(d, {})[k - (d << s)] = c
+        return {d: LaurentPoly(ring, terms) for d, terms in parts.items()}
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         vals = {}
@@ -459,11 +445,8 @@ class LaurentPoly:
         for exps, c in self.items():
             term = c
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if not isinstance(e, int):
-                    raise RingError("cannot evaluate fractional exponents exactly")
-                term *= vals[i] ** e
+                if e:
+                    term *= vals[i] ** e
             total += term
         return total
 
@@ -472,12 +455,12 @@ class LaurentPoly:
         if ring == self.ring:
             return self
         src = self.ring
-        # the target field of each source field: both layouts double eps
+        # the target field of each source field
         shifts = [ring._shifts[ring.index[n]] if n in ring.index else None for n in src.names]
         out: dict = {}
         for k, c in self.terms.items():
             key = ring._zero
-            for i, v in enumerate(src._values(k)):
+            for i, v in enumerate(src.unpack(k)):
                 if v:
                     if shifts[i] is None:
                         raise RingError(f"generator {src.names[i]!r} missing from {ring}")
@@ -522,12 +505,12 @@ class LaurentPoly:
         unpack = self.ring.unpack
         zero = target._zero
 
-        def image_power(name: str, e: Scalar) -> tuple:
+        def image_power(name: str, e: int) -> tuple:
             """(numerator, denominator or None) of the image of g_name^e."""
             gi = norm.get(name)
             if gi is None:
                 return target.gen(name, e), None
-            if not isinstance(e, int) or e % gi.granularity != 0:
+            if e % gi.granularity:
                 if gi.expr.is_poly() and gi.expr.num.is_monomial():
                     return gi.monomial_root_power(e).num, None
                 raise RingError("substitution requires half-power of non-monomial")
@@ -568,32 +551,6 @@ class LaurentPoly:
             else:
                 total = total + RationalExpr(num, den)
         return RationalExpr.from_poly(poly) if total is None else total
-
-    # -- epsilon bookkeeping -----------------------------------------------
-
-    def _eps_column(self) -> int:
-        i = self.ring._eps_index
-        if i is None:
-            raise RingError(f"{self.ring} has no epsilon generator")
-        return i
-
-    def _eps_min_field(self) -> tuple:
-        """(shift of the eps field, least eps field value over the terms)."""
-        if not self.terms:
-            raise RingError("no leading part: zero polynomial")
-        s = self.ring._shifts[self._eps_column()]
-        return s, min((k >> s) & _MASK for k in self.terms)
-
-    def epsilon_min_degree(self) -> Fraction:
-        _, d = self._eps_min_field()
-        return Fraction(d - _BIAS, 2)
-
-    def epsilon_leading(self) -> tuple:
-        """(min eps-degree, eps-free coefficient polynomial of that degree)."""
-        s, d = self._eps_min_field()
-        clear = (d - _BIAS) << s
-        out = {k - clear: c for k, c in self.terms.items() if (k >> s) & _MASK == d}
-        return Fraction(d - _BIAS, 2), LaurentPoly(self.ring, out)
 
     # -- printing / serialisation -------------------------------------------
 
@@ -651,10 +608,10 @@ class GenImage:
             raise RingError("granularity must be >= 1")
         self.granularity = granularity
 
-    def monomial_root_power(self, e: Scalar) -> "RationalExpr":
+    def monomial_root_power(self, e: int) -> "RationalExpr":
         """Image of g_name^e when the image is a monomial (fractional powers ok)."""
         (exps, c), = self.expr.num.items()
-        ratio = Fraction(e) / self.granularity
+        ratio = Fraction(e, self.granularity)
         k = ratio.denominator
         roots = (c, 1) if k == 1 else [_exact_root(n, k) if c > 0 else None
                                        for n in (c.numerator, c.denominator)]
@@ -678,8 +635,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
 
     Both arguments are reduced by their monomial content (units here), then
     ordinary multivariate lead-term division is run on one mutable remainder
-    dict; a nonzero remainder means no quotient exists.  The quotient may
-    carry fractional exponents on ``eps``, like its arguments.  The term order
+    dict; a nonzero remainder means no quotient exists.  The term order
     is the integer order of the keys, lexicographic on the exponents, so the
     remainder's leading key comes from a heap of negated keys.  A key stays in
     the heap after its term cancels (lazy deletion) and is skipped when popped;

@@ -64,7 +64,7 @@ def test_lambda_table_spot_values():
     assert jm.table[("g", "i")] == Fraction(-1, 4)
     hat = lambda_catalog("PIII_hat")
     a, c = hat.entries["a"], hat.entries["c"]
-    assert a.num_terms() == 2 and hat.entries["b"].num_terms() == 3
+    assert len(a.terms) == 2 and len(hat.entries["b"].terms) == 3
     assert hat.shear_structure.bracket(a, c).is_zero()
 
 

@@ -4,7 +4,8 @@ Random expression trees over a small ring are rendered in catalog syntax,
 with the fewest parentheses the precedence allows plus some redundant
 ones, and parsed back; the result must equal the tree evaluated by ring
 operations on RationalExpr values.  ``e[...]`` forms over a ring with
-``eps`` are compared with ``Ring.e`` and must come out in exact types.  A
+``eps``, a coordinate like the others, are compared with ``Ring.e`` and must
+come out in exact types.  A
 table of malformed strings must each raise ExprSyntaxError and nothing else.
 """
 
@@ -21,14 +22,8 @@ EPS_RING = Ring(("s1", "s2", "eps"))
 SUM, PRODUCT, UNARY, POWER, ATOM = range(5)
 
 
-def denominator(z: str) -> int:
-    """Coefficients of e[...] come in halves, and in quarters on eps, whose
-    generator exponent may be a half-integer."""
-    return 4 if z == "eps" else 2
-
-
-# an e[...] term: coordinate, coefficient k/denominator(z), written with the
-# numerator and denominator scaled by m, in one of four layouts
+# an e[...] term: coordinate, coefficient k/2 (a half, on every coordinate),
+# written with the numerator and denominator scaled by m, in one of four layouts
 def form_terms(names, max_size=3):
     return st.lists(st.tuples(st.sampled_from(names), st.integers(-4, 4),
                               st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=max_size)
@@ -37,7 +32,7 @@ def form_terms(names, max_size=3):
 def form_value(terms) -> dict:
     halves = {}
     for z, k, _, _ in terms:
-        halves[z] = halves.get(z, 0) + Fraction(k, denominator(z))
+        halves[z] = halves.get(z, 0) + Fraction(k, 2)
     return halves
 leaves = st.one_of(st.integers(0, 5).map(lambda n: ("int", n)),
                    st.sampled_from(("x", "y")).map(lambda n: ("name", n)),
@@ -81,7 +76,7 @@ def value(tree):
 def form_text(terms) -> str:
     parts = []
     for i, (z, k, m, layout) in enumerate(terms):
-        n, d = abs(k) * m, denominator(z) * m
+        n, d = abs(k) * m, 2 * m
         text = (f"{n}*{z}/{d}", f"{z}*{n}/{d}", f"{n}/{d}*{z}", f"({n}*{z})/{d}")[layout]
         if i == 0:
             parts.append("-" + text if k < 0 else text)

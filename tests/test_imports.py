@@ -1,11 +1,14 @@
 """Imports: every one in the package is read (a stdlib ``ast`` pass over its
-modules), and a cold CLI call loads only the subsystems and the ``checks``
-modules its verb runs."""
+modules), every annotation names a class its module imports, and a cold CLI
+call loads only the subsystems and the ``checks`` modules its verb runs."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,32 @@ def test_checker_finds_an_unused_import():
     source = ('from dataclasses import dataclass, field\nimport os.path\n'
               'def f(x: "Ring") -> int:\n    return dataclass\n')
     assert unused_imports(source) == [(1, "field"), (2, "os")]
+
+
+def type_checking_names(module) -> dict:
+    """The names that ``module`` imports under ``if TYPE_CHECKING:``, imported for real."""
+    names: dict = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            code = compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec")
+            exec(code, {"__name__": module.__name__, "__package__": module.__package__}, names)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_every_annotation_resolves(path):
+    # typing.get_type_hints raises NameError on a name the module never imports
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    localns = type_checking_names(module)
+    for obj in list(vars(module).values()):
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [m for m in vars(obj).values() if inspect.isfunction(m)] if inspect.isclass(obj) else []
+        for target in [obj, *members]:
+            if inspect.isfunction(target) or inspect.isclass(target):
+                typing.get_type_hints(target, localns=localns)
 
 
 SUBSYSTEMS = {f"painleve_cubics.{m}" for m in

@@ -1,12 +1,10 @@
 """Differential tests of the exact kernel against sympy as an independent oracle.
 
 Laurent polynomials over Q in x, y and eps are generated with negative
-exponents, with integral and fractional coefficients, and with half-integer
-exponents on eps.  sympy sees eps^(1/2) as the variable s, so each of them is
-an ordinary Laurent polynomial in x, y and s.
+exponents and with integral and fractional coefficients.  Every exponent is
+an integer, eps like the others, so each of them is an ordinary Laurent
+polynomial in the sympy symbols x, y and eps.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +15,11 @@ from painleve_cubics.ring import as_expr
 sympy = pytest.importorskip("sympy")
 
 RING = Ring(("x", "y", "eps"))
-X, Y, S = sympy.symbols("x y s")
+X, Y, E = sympy.symbols("x y eps")
 
 coeffs = st.one_of(st.integers(-6, 6),
                    st.fractions(min_value=-6, max_value=6, max_denominator=4)).filter(bool)
-exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
-                      st.integers(-3, 3).map(lambda k: Fraction(k, 2)))
+exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3))
 # distinct keys and nonzero coefficients, so every generated polynomial is nonzero
 laurent = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(RING.poly)
 # substitution images stay small: the sympy side expands their fourth powers
@@ -30,26 +27,25 @@ images = st.dictionaries(exponents, coeffs, min_size=1, max_size=2).map(RING.pol
 # quotients by a two-term (so non-monomial) denominator
 quotients = st.builds(RationalExpr, images,
                       st.dictionaries(exponents, coeffs, min_size=2, max_size=2).map(RING.poly))
-# (a, b, c) for the monomial x^2a y^2b eps^c with coefficient 1, the image of g^2
-# under granularity 2: its square root x^a y^b eps^(c/2) has a half-integer eps
-# exponent when c is odd
+# (a, b, c) for the monomial x^2a y^2b eps^2c with coefficient 1, the image of g^2
+# under granularity 2: an odd power of g takes its square root x^a y^b eps^c
 roots = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-2, 2))
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def to_sympy(p):
-    """The sympy expression of a LaurentPoly, with eps^(1/2) written as s."""
+    """The sympy expression of a LaurentPoly."""
     total = sympy.Integer(0)
     for (a, b, e), c in p.items():
-        total += sympy.Rational(c.numerator, c.denominator) * X ** a * Y ** b * S ** int(2 * e)
+        total += sympy.Rational(c.numerator, c.denominator) * X ** a * Y ** b * E ** e
     return total
 
 
 def cleared(p):
     """``p`` times the monomial that makes its least exponent in each variable 0."""
     lows = [min(col) for col in zip(*(exps for exps, _ in p.items()))]
-    return sympy.expand(to_sympy(p) * X ** -lows[0] * Y ** -lows[1] * S ** -int(2 * lows[2]))
+    return sympy.expand(to_sympy(p) * X ** -lows[0] * Y ** -lows[1] * E ** -lows[2])
 
 
 def ratio(r: RationalExpr):
@@ -68,7 +64,7 @@ def test_divide_exact_matches_div(h, g, f, divisible):
     if divisible:
         f = g * h
     q = divide_exact(f, g)
-    _, remainder = sympy.div(cleared(f), cleared(g), X, Y, S, domain="QQ")
+    _, remainder = sympy.div(cleared(f), cleared(g), X, Y, E, domain="QQ")
     assert (q is None) == (remainder != 0)
     if q is not None:
         assert sympy.expand(to_sympy(q) * to_sympy(g) - to_sympy(f)) == 0
@@ -81,31 +77,31 @@ def test_substitute_matches_expand(f, gx, gy):
     # f(gx, gy) * gx^a * gy^b is a polynomial expression in gx and gy
     a, b = (-min(0, min(col)) for col in list(zip(*(exps for exps, _ in f.items())))[:2])
     cleared_image = sum(sympy.Rational(c.numerator, c.denominator) * to_sympy(gx) ** (i + a)
-                        * to_sympy(gy) ** (j + b) * S ** int(2 * e)
+                        * to_sympy(gy) ** (j + b) * E ** e
                         for (i, j, e), c in f.items())
     assert sympy.expand(to_sympy(got.num) * to_sympy(gx) ** a * to_sympy(gy) ** b
                         - to_sympy(got.den) * cleared_image) == 0
 
 
-# sympy's field Q(x, y, s): each element is kept reduced by its gcd, as cancel does
-FIELD, FX, FY, FS = sympy.field("x,y,s", sympy.QQ)
+# sympy's field Q(x, y, eps): each element is kept reduced by its gcd, as cancel does
+FIELD, FX, FY, FE = sympy.field("x,y,eps", sympy.QQ)
 
 
 def to_field(r):
-    """A LaurentPoly or RationalExpr as an element of FIELD, eps^(1/2) written as s."""
+    """A LaurentPoly or RationalExpr as an element of FIELD."""
     if isinstance(r, RationalExpr):
         return to_field(r.num) / to_field(r.den)
     total = FIELD(0)
     for (a, b, e), c in r.items():
-        total += sympy.QQ(c.numerator, c.denominator) * FX ** a * FY ** b * FS ** int(2 * e)
+        total += sympy.QQ(c.numerator, c.denominator) * FX ** a * FY ** b * FE ** e
     return total
 
 
-def image_sum(f, px, py=lambda j: FY ** j, ps=lambda t: FS ** t):
-    """f with x^i, y^j and s^t replaced by px(i), py(j) and ps(t), summed in FIELD."""
+def image_sum(f, px, py=lambda j: FY ** j, pe=lambda t: FE ** t):
+    """f with x^i, y^j and eps^t replaced by px(i), py(j) and pe(t), summed in FIELD."""
     total = FIELD(0)
     for (i, j, e), c in f.items():
-        total += sympy.QQ(c.numerator, c.denominator) * px(i) * py(j) * ps(int(2 * e))
+        total += sympy.QQ(c.numerator, c.denominator) * px(i) * py(j) * pe(e)
     return total
 
 
@@ -120,8 +116,8 @@ def test_substitute_quotients_matches_cancel(f, gx, gy):
 
 same_power = st.tuples(
     st.integers(-2, 2).filter(bool),
-    st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3).map(lambda k: Fraction(k, 2)),
-                       coeffs), min_size=2, max_size=4, unique_by=lambda t: t[:2]))
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3), coeffs),
+             min_size=2, max_size=4, unique_by=lambda t: t[:2]))
 
 
 @SETTINGS
@@ -136,7 +132,7 @@ def test_substitute_repeated_powers_matches_cancel(spec, gx, gy):
 
 
 even_exponents = st.tuples(st.integers(-2, 2).map(lambda k: 2 * k), st.integers(-2, 2),
-                           st.integers(-3, 3).map(lambda k: Fraction(k, 2)))
+                           st.integers(-3, 3))
 
 
 @SETTINGS
@@ -152,15 +148,15 @@ def test_substitute_granularity_two_matches_cancel(f, gx):
 @SETTINGS
 @given(laurent, roots, roots)
 def test_substitute_monomial_roots_matches_cancel(f, rx, reps):
-    # odd powers of g_x and half-integer powers of eps take monomial square roots
+    # odd powers of g_x and of eps take monomial square roots
     (a, b, c), (a2, b2, c2) = rx, reps
-    mx = RING.monomial({"x": 2 * a, "y": 2 * b, "eps": c})
-    meps = RING.monomial({"x": 2 * a2, "y": 2 * b2, "eps": c2})
-    got = f.substitute({"x": GenImage(mx, 2), "eps": meps})
+    mx = RING.monomial({"x": 2 * a, "y": 2 * b, "eps": 2 * c})
+    meps = RING.monomial({"x": 2 * a2, "y": 2 * b2, "eps": 2 * c2})
+    got = f.substitute({"x": GenImage(mx, 2), "eps": GenImage(meps, 2)})
     assert got.is_poly()
-    # the square roots of mx and meps: the images of g_x and of s = eps^(1/2)
-    root_x, root_s = FX ** a * FY ** b * FS ** c, FX ** a2 * FY ** b2 * FS ** c2
-    assert to_field(got) == image_sum(f, lambda i: root_x ** i, ps=lambda t: root_s ** t)
+    # the square roots of mx and meps: the images of g_x and of eps
+    root_x, root_e = FX ** a * FY ** b * FE ** c, FX ** a2 * FY ** b2 * FE ** c2
+    assert to_field(got) == image_sum(f, lambda i: root_x ** i, pe=lambda t: root_e ** t)
 
 
 @SETTINGS

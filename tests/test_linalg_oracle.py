@@ -4,7 +4,7 @@
 the independent oracle.  Matrices carry denominators 1 to 4, zero rows and
 duplicate rows.  ``PoissonStructure`` keeps its pairing as an integer matrix
 over one denominator; a plain Fraction sum over the stored pairs is the
-oracle for ``pair_exps`` and ``bracket``, with half-integer eps exponents.
+oracle for ``pair_exps`` and ``bracket``.
 """
 
 from fractions import Fraction
@@ -128,12 +128,11 @@ def test_solve_inconsistent_reports_the_violated_rows(rows, data):
 RING = Ring(("a", "b", "c", "d", "eps"))
 NAMES = RING.names[:4]
 
-halves = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
 pairings = st.dictionaries(
     st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)).filter(lambda p: p[0] != p[1])
     .map(lambda p: tuple(sorted(p))),
     entries, max_size=6)
-exps = st.tuples(*[st.integers(-2, 2)] * 4, halves)
+exps = st.tuples(*[st.integers(-2, 2)] * 4, st.integers(-3, 3))
 laurent = st.dictionaries(exps, entries.filter(bool), min_size=1, max_size=4).map(RING.poly)
 
 
@@ -162,7 +161,7 @@ def test_bracket_matches_the_pair_sum(pairs, f, g):
     got = S.bracket(f, g)
     assert got == RING.poly(sums)
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
-    assert all(type(e[-1]) is int or e[-1].denominator != 1 for e, _ in got.items())
+    assert all(type(x) is int for e, _ in got.items() for x in e)
 
 
 @SETTINGS
@@ -172,4 +171,4 @@ def test_shifted_bracket_is_the_bracket_minus_c_f_g(pairs, f, g, c):
     got = S.bracket(f, g, c)
     assert got == S.bracket(f, g) - c * f * g
     assert all(type(x) is int or x.denominator != 1 for x in got.terms.values())
-    assert all(type(e[-1]) is int or e[-1].denominator != 1 for e, _ in got.items())
+    assert all(type(x) is int for e, _ in got.items() for x in e)

@@ -195,6 +195,25 @@ def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, va
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("shift, message", [
+    ({"q7": -2}, "shift names 'q7', not a shear coordinate (s1, s2, s3, p1, p2, p3)"),
+    ({"p3": "1/3"}, "shift coefficient '1/3' of p3 is not an integer"),
+    ({"p3": -2.0}, "shift coefficient -2.0 of p3 is not an integer"),
+], ids=["unknown-coordinate", "fraction", "float"])
+def test_bad_arrow_shift_names_its_file_and_key(tmp_path, capsys, shift, message):
+    root = catalog_copy(tmp_path, "arrows", put(("arrows", 0, "shift"), shift))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "confluence")
+    assert code == 2 and out == ""
+    assert err == f"error: arrows.json arrows[0]: {message}\n"
+
+
+def test_zero_chart_coordinate_has_no_confluence_limit(tmp_path, capsys):
+    root = catalog_copy(tmp_path, "charts", put(("charts", "PVI", "x1"), "0"))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "confluence")
+    assert code == 2 and out == ""
+    assert err == "error: charts.json charts.PVI: x1 is zero, so it has no leading part\n"
+
+
 def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
     root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PIII_D7", "subset_of"), "NOPE"))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")

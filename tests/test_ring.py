@@ -67,10 +67,9 @@ def test_substitute_identity(ring):
 def test_substitute_eps_scaling():
     ring = Ring(["p3", "eps"])
     half_p3 = ring.e({"p3": Fraction(1, 2)})  # the monomial for e^{p3/2}
-    image = half_p3.substitute({"p3": ring.monomial({"p3": 1, "eps": -1})}).as_poly()
-    deg, lead = image.epsilon_leading()
-    assert deg == -1
-    assert lead == half_p3
+    # p3 -> p3 - 2 log(epsilon) weights g_p3 by eps^-2, eps standing for epsilon^(1/2)
+    image = half_p3.substitute({"p3": ring.monomial({"p3": 1, "eps": -2})}).as_poly()
+    assert image.coefficients("eps") == {-2: half_p3}
 
 
 def test_substitute_square_image_has_no_denominator():
@@ -169,12 +168,11 @@ def test_integral_sum_difference_and_derivative_are_ints(ring):
     for value in (half + half, Fraction(3, 2) * ring.gen("x") - half):
         assert dict(value.items()) == {(1, 0, 0): 1} and type(dict(value.items())[(1, 0, 0)]) is int
     eps_ring = Ring(["x", "eps"])
-    slope = (2 * eps_ring.gen("eps", Fraction(1, 2))).derivative("eps")
-    assert (dict(slope.items()) == {(0, Fraction(-1, 2)): 1}
-            and type(dict(slope.items())[(0, Fraction(-1, 2))]) is int)
-    linear = (Fraction(2, 3) * eps_ring.gen("eps", Fraction(3, 2))).derivative("eps")
+    slope = (Fraction(1, 2) * eps_ring.gen("eps", 2)).derivative("eps")
+    assert dict(slope.items()) == {(0, 1): 1} and type(dict(slope.items())[(0, 1)]) is int
+    linear = (Fraction(2, 3) * eps_ring.gen("eps", -3)).derivative("eps")
     (key, coeff), = linear.items()
-    assert key == (0, Fraction(1, 2)) and type(coeff) is int and coeff == 1
+    assert key == (0, -4) and type(coeff) is int and coeff == -2
 
 
 def test_epsilon_leading_examples():
@@ -182,12 +180,21 @@ def test_epsilon_leading_examples():
     A, B, C = ring.gen("a"), ring.gen("b"), ring.gen("c")
     e = ring.gen("eps")
     f = e ** -1 * A + B + e * C
-    deg, lead = f.epsilon_leading()
-    assert (deg, lead) == (-1, A)
-    deg, lead = (A + B).epsilon_leading()
-    assert (deg, lead) == (0, A + B)
-    with pytest.raises(RingError):
-        ring.zero().epsilon_leading()
+    parts = f.coefficients("eps")
+    assert min(parts) == -1 and parts[-1] == A
+    assert (A + B).coefficients("eps") == {0: A + B}
+
+
+def test_coefficients_split_by_degree_free_of_the_generator():
+    ring = Ring(["a", "b", "eps"])
+    a, b, e = ring.gen("a"), ring.gen("b"), ring.gen("eps")
+    f = 3 * a * e ** -2 - b * e ** -2 + Fraction(1, 2) * e ** -5 + a * b
+    assert f.coefficients("eps") == {-2: 3 * a - b, -5: ring.const(Fraction(1, 2)), 0: a * b}
+    assert f.coefficients("a") == {1: 3 * e ** -2 + b, 0: -b * e ** -2 + Fraction(1, 2) * e ** -5}
+    assert ring.zero().coefficients("eps") == {}
+    assert (a + b).coefficients("eps") == {0: a + b}
+    with pytest.raises(RingError, match="generator 'q' not in Ring\\(a, b, eps\\)"):
+        f.coefficients("q")
 
 
 def test_evaluate_examples(ring):
@@ -228,13 +235,14 @@ def test_canonical_text_deterministic(ring):
                                  {"c": "1/3", "e": {}}]
 
 
-def test_only_eps_takes_fractional_exponents():
+def test_no_generator_takes_fractional_exponents():
     ring = Ring(["a", "eps"])
-    assert ring.monomial({"eps": Fraction(1, 2)}).monomial_exps() == (0, Fraction(1, 2))
-    with pytest.raises(RingError, match="non-integer exponent"):
-        ring.monomial({"a": Fraction(1, 2)})
-    with pytest.raises(RingError, match="no epsilon generator"):
-        Ring(["a", "epsilon"]).gen("a").epsilon_leading()
+    for name in ring.names:
+        with pytest.raises(RingError, match=f"non-integer exponent 1/2 on generator '{name}'"):
+            ring.gen(name, Fraction(1, 2))
+        with pytest.raises(RingError, match=f"non-integer exponent 3/2 on generator '{name}'"):
+            ring.monomial({name: Fraction(3, 2)})
+    assert ring.monomial({"eps": Fraction(4, 2)}).monomial_exps() == (0, 2)
 
 
 # -- randomized algebra laws ---------------------------------------------------
@@ -297,11 +305,9 @@ def test_epsilon_leading_multiplicative(f, g):
     f, g = f.cast(ring), g.cast(ring)
     if f.is_zero() or g.is_zero():
         return
-    df, lf = f.epsilon_leading()
-    dg, lg = g.epsilon_leading()
-    dfg, lfg = (f * g).epsilon_leading()
-    assert dfg == df + dg
-    assert lfg == lf * lg
+    pf, pg, pfg = (p.coefficients("eps") for p in (f, g, f * g))
+    assert min(pfg) == min(pf) + min(pg)
+    assert pfg[min(pfg)] == pf[min(pf)] * pg[min(pg)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,13 +345,10 @@ def test_library_facade():
 
 
 def assert_exact(poly):
-    """Coefficients are ints or Fractions; exponents are ints, except a
-    non-integral Fraction on eps."""
-    eps = poly.ring._eps_index
+    """Coefficients are ints or Fractions; every exponent is an int."""
     for exps, c in poly.items():
         assert type(c) in (int, Fraction), (exps, c)
-        for i, e in enumerate(exps):
-            assert type(e) is int or (i == eps and type(e) is Fraction and e.denominator != 1), exps
+        assert all(type(e) is int for e in exps), exps
 
 
 @pytest.mark.parametrize("word", list(itertools.product((1, 2, 3), repeat=3)))
@@ -363,14 +366,16 @@ def test_eps_scalings_stay_exact():
     for a in arrows():
         for p in scaled_chart_coords(a):
             assert_exact(p)
-            assert_exact(p.epsilon_leading()[1])
+            for part in p.coefficients("eps").values():
+                assert_exact(part)
     ring = Ring(["x", "y", "eps"])
-    root = ring.monomial({"x": 1, "eps": Fraction(1, 2)})
+    root = ring.monomial({"x": 1, "eps": 1})  # e^{x/2} epsilon^(1/2)
     square = root * root
-    assert dict(square.items()) == {(2, 0, 1): 1} and type(square.monomial_exps()[2]) is int
+    assert dict(square.items()) == {(2, 0, 2): 1}
+    assert_exact(square)
     bracket = PoissonStructure(ring, {("x", "y"): Fraction(1, 2)}).bracket(
-        root, ring.monomial({"y": 1, "eps": Fraction(3, 2)}))
-    assert dict(bracket.items()) == {(1, 1, 2): Fraction(1, 2)}
+        root, ring.monomial({"y": 1, "eps": 3}))
+    assert dict(bracket.items()) == {(1, 1, 4): Fraction(1, 2)}
     assert_exact(bracket)
 
 
@@ -452,11 +457,13 @@ def test_exponents_at_the_field_ends_stay_exact(ay):
     g = ay.gen("x") - ay.gen("y", B - 1)
     assert divide_exact(ay.gen("x", 3) + 1, g) is None
     assert divide_exact(g * (ay.gen("x") + 1), g) == ay.gen("x") + 1
+    # eps has the whole field, as every generator does
     eps = Ring(["eps"])
-    assert eps.gen("eps", Fraction(B - 1, 2)).monomial_exps() == (Fraction(B - 1, 2),)
+    assert eps.gen("eps", B - 1).monomial_exps() == (B - 1,)
+    assert (eps.gen("eps", -B) * eps.gen("eps", B - 1)).monomial_exps() == (-1,)
     with pytest.raises(RingError, match="overflow"):
-        eps.gen("eps", Fraction(B, 2))
-    with pytest.raises(RingError, match="not a multiple of 1/2"):
+        eps.gen("eps", B)
+    with pytest.raises(RingError, match="non-integer exponent 1/3 on generator 'eps'"):
         eps.gen("eps", Fraction(1, 3))
 
 
@@ -467,17 +474,15 @@ def test_division_with_a_span_wider_than_a_field_is_a_ring_error(ay):
 
 
 field_exps = st.integers(-B, B - 1)
-eps_exps = st.integers(-B, B - 1).map(lambda v: Fraction(v, 2))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(field_exps, field_exps, eps_exps), st.tuples(field_exps, field_exps, eps_exps))
+@given(st.tuples(field_exps, field_exps, field_exps), st.tuples(field_exps, field_exps, field_exps))
 def test_pack_round_trip_and_lex_order(u, v):
     ring = Ring(["a", "b", "eps"])
     ku, kv = ring.pack(u), ring.pack(v)
     assert ring.unpack(ku) == u and ring.unpack(kv) == v
-    assert all(type(e) is int for e in ring.unpack(ku)[:2])
-    assert type(ring.unpack(ku)[2]) is (int if u[2].denominator == 1 else Fraction)
+    assert all(type(e) is int for e in ring.unpack(ku))
     assert (ku < kv) == (u < v)
 
 
@@ -501,9 +506,58 @@ def test_grlex_printing_and_denominators_disagreeing_with_packed_order():
 def test_cast_moves_fields_between_layouts():
     source = Ring(["x", "eps", "y"])
     target = Ring(["eps", "y", "z", "x"])
-    f = source.monomial({"x": -3, "eps": Fraction(-5, 2), "y": 7}, 2) + source.gen("eps", Fraction(1, 2))
+    f = source.monomial({"x": -3, "eps": -B, "y": B - 1}, 2) + source.gen("eps", 1)
     g = f.cast(target)
-    assert dict(g.items()) == {(Fraction(-5, 2), 7, 0, -3): 2, (Fraction(1, 2), 0, 0, 0): 1}
+    assert dict(g.items()) == {(-B, B - 1, 0, -3): 2, (1, 0, 0, 0): 1}
     assert g.cast(source) == f
     with pytest.raises(RingError, match="generator 'z' missing from Ring\\(x, eps, y\\)"):
         (g * target.gen("z")).cast(source)
+
+
+# -- no generator name is special ---------------------------------------------------
+
+# small exponents, and exponents up to the field ends, where products overflow
+any_exps = st.one_of(st.integers(-3, 3), st.integers(1 - B, B - 1))
+named_terms = st.dictionaries(st.tuples(any_exps, any_exps), coeffs.filter(bool), max_size=3)
+
+
+def outcome(op):
+    """op(), or RingError when it raises one."""
+    try:
+        return op()
+    except RingError:
+        return RingError
+
+
+def kernel_results(f, g, image, c) -> dict:
+    """Kernel operations on f and g, whose ring is (a, name), keyed by operation."""
+    ring = f.ring
+    name = ring.names[1]
+    monomial = ring.monomial({"a": image[0], name: image[1]}, c)
+    return {"mul": outcome(lambda: f * g),
+            "divide": outcome(lambda: divide_exact(f * g, g)),
+            "derivative": outcome(lambda: f.derivative(name)),
+            "substitute": outcome(lambda: f.substitute({name: monomial}).as_poly()),
+            "coefficients": outcome(lambda: f.coefficients(name)),
+            "text": f.to_text()}
+
+
+def renamed(value, ring):
+    """A kernel result with the generators renamed to those of ``ring``, by position."""
+    if isinstance(value, LaurentPoly):
+        return ring.poly(dict(value.items()))
+    if isinstance(value, dict):
+        return {d: renamed(p, ring) for d, p in value.items()}
+    if isinstance(value, str):
+        return value.replace("eps", ring.names[1])
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_terms, named_terms, st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       coeffs.filter(bool))
+def test_renaming_eps_commutes_with_the_kernel(f, g, image, c):
+    eps_ring, t_ring = Ring(["a", "eps"]), Ring(["a", "t"])
+    by_eps = kernel_results(eps_ring.poly(f), eps_ring.poly(g), image, c)
+    by_t = kernel_results(t_ring.poly(f), t_ring.poly(g), image, c)
+    assert {op: renamed(v, t_ring) for op, v in by_eps.items()} == by_t
