@@ -11,8 +11,12 @@ from ..shear import chart
 
 
 def confluent_limit(a: Arrow) -> Certificate:
+    return limit_certificate(a, *limit_chart_coords(a))
+
+
+def limit_certificate(a: Arrow, degrees: list, leads: list) -> Certificate:
+    """Certify the limit (``degrees``, ``leads``) that ``limit_chart_coords(a)`` returned."""
     ring = eps_ring()
-    degrees, leads = limit_chart_coords(a)
     target = [x.cast(ring) for x in chart(a.dst).x]
     bad = [lead - t for lead, t in zip(leads, target) if lead != t]
     degs = ",".join(str(d) for d in degrees)

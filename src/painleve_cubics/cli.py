@@ -129,8 +129,8 @@ def _cmd_confluence(args) -> int:
     from . import confluence
     from .checks import confluence as confluence_checks
     a = confluence.arrow(args.src, args.dst)
-    degrees, _ = confluence.limit_chart_coords(a)
-    cert = confluence_checks.confluent_limit(a)
+    degrees, leads = confluence.limit_chart_coords(a)
+    cert = confluence_checks.limit_certificate(a, degrees, leads)
     print(f"substitution: {a.label}")
     print(f"leading eps-degrees: {', '.join(str(d) for d in degrees)}")
     print(cert.line())

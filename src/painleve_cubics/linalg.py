@@ -72,10 +72,9 @@ def kernel_basis(rows: list, ncols: int) -> list:
 
 
 def _integerise(v: list) -> list:
+    # coprime already: v has an entry 1, and for a prime r of the lcm of the
+    # denominators, the entry whose denominator has the most factors r is scaled prime to r
     ints = _int_row(v)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 1)
     if lead < 0:
         ints = [-x for x in ints]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
 
@@ -124,10 +124,6 @@ class PoissonStructure:
         num = (br(p, r, c) * q * s - br(p, s) * q * r - br(q, r) * p * s + br(q, s) * p * r)
         return RationalExpr(num, q * q * s * s)
 
-    def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
-        br = self.bracket
-        return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
-
     def table_residues(self, images: Mapping, table: Mapping[tuple, Fraction]) -> list:
         """(u, v, residue) for each entry of ``table`` whose images break
         {U, V} = c U V, the residue being {U, V} - c U V.
@@ -205,10 +201,6 @@ class SolveResult(NamedTuple):
     free_pairs: Sequence = ()
     violations: Sequence = ()
 
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
-
 
 def solve_structure(ring: Ring,
                     monomials: Mapping[str, LaurentPoly],
@@ -270,6 +262,7 @@ class NambuContext:
             total = total + self._grad[k] * (df[i] * dg[j] - df[j] * dg[i])
         return total
 
-    def jacobiator(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
-        br = self.bracket
-        return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+
+def jacobiator(bracket: Callable, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
+    """{f, {g, h}} + {g, {h, f}} + {h, {f, g}} for the two-argument ``bracket``."""
+    return bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, bracket(f, g))

@@ -137,16 +137,6 @@ class Ring:
                             f"its {FIELD_BITS}-bit field in {self}")
         return e
 
-    def pack(self, exps: Sequence[Scalar]) -> int:
-        """The key of the exponent vector ``exps`` (one entry per generator)."""
-        if len(exps) != len(self.names):
-            raise RingError("exponent tuple length mismatch")
-        key = self._zero
-        for i, e in enumerate(exps):
-            if e:
-                key += self._field(i, e) << self._shifts[i]
-        return key
-
     def unpack(self, key: int) -> tuple:
         """The exponent vector of ``key``: the field values less the bias.
 
@@ -194,14 +184,6 @@ class Ring:
         e, so the generator exponent is 2*c_z.
         """
         return self.monomial({n: 2 * _scalar(c) for n, c in halves.items()}, coeff)
-
-    def poly(self, terms: Mapping[tuple, Scalar]) -> "LaurentPoly":
-        """The polynomial of {exponent vector: coefficient}."""
-        out: dict = {}
-        for exps, c in terms.items():
-            key = self.pack(exps)
-            out[key] = out.get(key, 0) + _scalar(c)
-        return self.collect(out)
 
     def collect(self, sums: dict) -> "LaurentPoly":
         """Polynomial of {key: coefficient sum}: zeros dropped, integral coefficients made int.
@@ -268,11 +250,6 @@ class LaurentPoly:
             raise RingError("zero polynomial has no leading term")
         return max(self.items(), key=lambda t: _grlex_key(t[0]))
 
-    def support_names(self) -> list:
-        zero = self.ring._zero
-        used = reduce(or_, (k ^ zero for k in self.terms), 0)
-        return [n for n, s in zip(self.ring.names, self.ring._shifts) if (used >> s) & _MASK]
-
     def _content_key(self) -> int:
         """The key of the componentwise minimum exponent over the support.
 
@@ -288,10 +265,6 @@ class LaurentPoly:
         for k in keys:
             m ^= (m ^ k) & ((((m | guard) - k) & guard) >> (FIELD_BITS - 1)) * _MASK
         return m
-
-    def content_exps(self) -> tuple:
-        """Componentwise minimum exponent over the support (Laurent content)."""
-        return self.ring.unpack(self._content_key())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -332,9 +305,6 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         return self._merged(other, sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, RationalExpr):
@@ -386,10 +356,6 @@ class LaurentPoly:
             return NotImplemented
         return RationalExpr(self, other)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return RationalExpr(other, self)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
@@ -431,24 +397,6 @@ class LaurentPoly:
             d = ((k >> s) & _MASK) - _BIAS
             parts.setdefault(d, {})[k - (d << s)] = c
         return {d: LaurentPoly(ring, terms) for d, terms in parts.items()}
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        vals = {}
-        for name in self.support_names():
-            if name not in point:
-                raise RingError(f"no value given for generator {name!r}")
-            v = Fraction(_scalar(point[name]))  # RingError on a float or a string
-            if v == 0:
-                raise RingError(f"generators must evaluate to nonzero values ({name})")
-            vals[self.ring.index[name]] = v
-        total = Fraction(0)
-        for exps, c in self.items():
-            term = c
-            for i, e in enumerate(exps):
-                if e:
-                    term *= vals[i] ** e
-            total += term
-        return total
 
     def cast(self, ring: Ring) -> "LaurentPoly":
         """Re-express in a ring containing (by name) every used generator."""
@@ -806,10 +754,6 @@ class RationalExpr:
             return RationalExpr(self.num, other.num)
         return RationalExpr(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other / self
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise RingError("exponent must be an integer")
@@ -833,24 +777,10 @@ class RationalExpr:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise RingError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(point) / d
-
     def substitute(self, images: Mapping[str, object], ring: Ring | None = None) -> "RationalExpr":
         num = self.num.substitute(images, ring)
         den = self.den.substitute(images, ring)
         return num / den
-
-    def cast(self, ring: Ring) -> "RationalExpr":
-        return RationalExpr(self.num.cast(ring), self.den.cast(ring))
-
-    def constant_value(self) -> Fraction:
-        if not self.is_poly():
-            raise RingError(f"not constant: {self}")
-        return self.num.constant_value()
 
     def to_text(self) -> str:
         if self.is_poly():

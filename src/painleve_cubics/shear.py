@@ -16,6 +16,9 @@ from .exprs import parse_expr, parse_poly
 from .ring import GenImage, Ring
 
 SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
+# GenImage granularity of a normalization_subst power: an image of e^{z/2} is
+# one of g_z, an image of e^{z} one of g_z^2
+GRANULARITY = {"half": 1, "full": 2}
 
 
 class ShearChart(NamedTuple):
@@ -43,8 +46,12 @@ def chart(tag: str) -> ShearChart:
     ring = shear_ring()
     with catalog.context(f"charts.json charts.{tag}"):
         G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
-        images = {gen: GenImage(parse_expr(spec["image"], ring), 1 if spec["power"] == "half" else 2)
-                  for gen, spec in entry.get("normalization_subst", {}).items()}
+        images = {}
+        for gen, spec in entry.get("normalization_subst", {}).items():
+            if spec["power"] not in GRANULARITY:
+                raise ValueError(f"normalization_subst.{gen}.power is {spec['power']!r}, "
+                                 f"not 'half' or 'full'")
+            images[gen] = GenImage(parse_expr(spec["image"], ring), GRANULARITY[spec["power"]])
         targets = {g: (text, parse_poly(text, ring, symbols=G))
                    for g, text in entry.get("normalization_targets", {}).items()}
         return ShearChart(tag=tag, ring=ring,

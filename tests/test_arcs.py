@@ -12,6 +12,8 @@ from painleve_cubics.checks.arcs import (arc_trace_check, casimir_check, comb_br
                                          pvi_from_pv_check, signature_check, solve_structure_check,
                                          verify_lambda_table, word_matrix, word_trace)
 
+from laurent import evaluate
+
 
 def test_word_matrices_unimodular():
     ring = Ring(["z1", "z2"])
@@ -36,7 +38,7 @@ def test_worked_arc_trace():
     assert arc_trace_check().passed
     # independent route: exact numeric product of 2x2 matrices at a sample point
     point = {"s2": Fraction(3), "s3": Fraction(5, 2), "p2": Fraction(7), "k1": Fraction(2)}
-    assert trace.evaluate(point) == b.evaluate(point)
+    assert evaluate(trace, point) == evaluate(b, point)
 
 
 def test_comb_bracket_worked_pairs():
@@ -152,10 +154,10 @@ def test_random_words_are_unimodular():
 def test_comb_bracket_structure_satisfies_jacobi():
     # the induced constant structure on the indexed arcs is log-canonical,
     # so its Jacobiator vanishes on the arc symbols
-    from painleve_cubics.poisson import PoissonStructure
+    from painleve_cubics.poisson import PoissonStructure, jacobiator
     b = (("1", 3), ("1", 4))
     d = (("2", 1), ("1", 8))
     ring = Ring(["gb", "gd"])
     S = PoissonStructure(ring, {("gb", "gd"): comb_bracket(b, d)})
     gb, gd = ring.gen("gb"), ring.gen("gd")
-    assert S.jacobiator(gb, gd, gb * gd).is_zero()
+    assert jacobiator(S.bracket, gb, gd, gb * gd).is_zero()

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from painleve_cubics import confluence
 from painleve_cubics.checks.confluence import (composite_embedding_check, confluent_limit,
                                                embedding, embedding_check, two_route_check)
+from painleve_cubics.cli import main
 from painleve_cubics.confluence import (arrow, arrows, confluence_dot, embeddings, eps_ring,
                                         graph_json, inclusion_dot, limit_chart_coords,
                                         scaled_chart_coords)
@@ -29,6 +31,25 @@ def test_arrow_set():
 @pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
 def test_all_limits(src, dst):
     assert confluent_limit(arrow(src, dst)).passed
+
+
+@pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
+def test_confluence_command_rescales_the_chart_once(monkeypatch, capsys, src, dst):
+    a = arrow(src, dst)
+    degrees, _ = limit_chart_coords(a)
+    expected = (f"substitution: {a.label}\n"
+                f"leading eps-degrees: {', '.join(map(str, degrees))}\n"
+                f"{confluent_limit(a).line()}\n")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return scaled_chart_coords(*args)
+
+    monkeypatch.setattr(confluence, "scaled_chart_coords", counting)
+    assert main(["confluence", src, dst]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 1
 
 
 def test_first_arrow_leading_degrees():

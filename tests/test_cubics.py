@@ -9,6 +9,8 @@ from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, nambu_context, si
                                            table1_check, torus_param_check, volume_form_check)
 from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags
 
+from laurent import evaluate
+
 
 def test_tag_list():
     assert tags() == ["PVI", "PV", "PVdeg", "PIV", "PIII_D6", "PIII_D7",
@@ -45,7 +47,7 @@ def test_cubic_form_on_values():
     value = cubic_form(ratios, c.eps, c.omega)
     point = {"x1": 2, "x2": 3, "x3": 5, "G1": 7, "G2": 11, "G3": 13, "Ginf": 17}
     at = {n: Fraction(point[n], point[n] + 1) for n in ("x1", "x2", "x3")}
-    assert value.evaluate(point) == c.phi.evaluate({**point, **at})
+    assert evaluate(value, point) == evaluate(c.phi, {**point, **at})
 
 
 def test_weierstrass_phi():
@@ -64,7 +66,7 @@ def test_omega_from_G_examples():
     assert w_jm[0] == -G1 * Gf
     # all parameters = 2
     point = {"G1": 2, "G2": 2, "G3": 2, "Ginf": 2}
-    assert w[3].evaluate(point) == 28
+    assert evaluate(w[3], point) == 28
 
 
 def test_generic_omega_matches_catalog_up_to_documented_overrides():
@@ -85,8 +87,8 @@ def test_generic_omega_matches_catalog_up_to_documented_overrides():
 def test_unit_point_on_pvi_cubic():
     # independent arithmetic: at all parameters 2 and x_i = -7 the cubic closes
     phi = cubic("PVI").phi
-    val = phi.evaluate({"x1": -7, "x2": -7, "x3": -7,
-                        "G1": 2, "G2": 2, "G3": 2, "Ginf": 2})
+    val = evaluate(phi, {"x1": -7, "x2": -7, "x3": -7,
+                         "G1": 2, "G2": 2, "G3": 2, "Ginf": 2})
     assert val == 0
     assert (-343) + 3 * 49 + 3 * ((-8) * (-7)) + 28 == 0
 
@@ -132,7 +134,7 @@ def test_fn_diffeo_excludes_vanishing_denominator():
     x1, x2, x3, s = (ring.gen(n) for n in ring.names)
     image = (s ** 2 * x1 ** 2 - (1 + x1 * x2) * x3 * s ** -1) / (x1 * x2)
     with pytest.raises(Exception):
-        image.evaluate({"x1": 1, "x2": 0, "x3": 1, "sp": 2})
+        evaluate(image, {"x1": 1, "x2": 0, "x3": 1, "sp": 2})
 
 
 def test_singular_points():

@@ -6,27 +6,32 @@ an integer, eps like the others, so each of them is an ordinary Laurent
 polynomial in the sympy symbols x, y and eps.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from painleve_cubics import GenImage, RationalExpr, Ring, divide_exact
 from painleve_cubics.ring import as_expr
 
+from laurent import poly
+
 sympy = pytest.importorskip("sympy")
 
 RING = Ring(("x", "y", "eps"))
+ring_poly = partial(poly, RING)  # {exponent vector: coefficient} -> LaurentPoly
 X, Y, E = sympy.symbols("x y eps")
 
 coeffs = st.one_of(st.integers(-6, 6),
                    st.fractions(min_value=-6, max_value=6, max_denominator=4)).filter(bool)
 exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3))
 # distinct keys and nonzero coefficients, so every generated polynomial is nonzero
-laurent = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(RING.poly)
+laurent = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(ring_poly)
 # substitution images stay small: the sympy side expands their fourth powers
-images = st.dictionaries(exponents, coeffs, min_size=1, max_size=2).map(RING.poly)
+images = st.dictionaries(exponents, coeffs, min_size=1, max_size=2).map(ring_poly)
 # quotients by a two-term (so non-monomial) denominator
 quotients = st.builds(RationalExpr, images,
-                      st.dictionaries(exponents, coeffs, min_size=2, max_size=2).map(RING.poly))
+                      st.dictionaries(exponents, coeffs, min_size=2, max_size=2).map(ring_poly))
 # (a, b, c) for the monomial x^2a y^2b eps^2c with coefficient 1, the image of g^2
 # under granularity 2: an odd power of g takes its square root x^a y^b eps^c
 roots = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-2, 2))
@@ -125,7 +130,7 @@ same_power = st.tuples(
 def test_substitute_repeated_powers_matches_cancel(spec, gx, gy):
     # every term carries x^k, so all terms but the first take x^k from the power table
     k, terms = spec
-    f = RING.poly({(k, j, e): c for j, e, c in terms})
+    f = poly(RING, {(k, j, e): c for j, e, c in terms})
     got = f.substitute({"x": gx, "y": gy})
     qx, qy = to_field(gx), to_field(gy)
     assert to_field(got) == image_sum(f, lambda i: qx ** i, lambda j: qy ** j)
@@ -136,7 +141,7 @@ even_exponents = st.tuples(st.integers(-2, 2).map(lambda k: 2 * k), st.integers(
 
 
 @SETTINGS
-@given(st.dictionaries(even_exponents, coeffs, min_size=1, max_size=4).map(RING.poly),
+@given(st.dictionaries(even_exponents, coeffs, min_size=1, max_size=4).map(ring_poly),
        st.one_of(images.map(as_expr), quotients))
 def test_substitute_granularity_two_matches_cancel(f, gx):
     # gx is the image of g_x^2, and every x exponent of f is even

@@ -8,6 +8,8 @@ oracle for ``pair_exps`` and ``bracket``.
 """
 
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from painleve_cubics import linalg
 from painleve_cubics.poisson import PoissonStructure
 from painleve_cubics.ring import Ring
+
+from laurent import poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -77,6 +81,7 @@ def test_rank_and_kernel_match_rref(rows):
     A = to_matrix(rows)
     for v in basis:
         assert A * sympy.Matrix(v) == sympy.zeros(len(rows), 1)
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
 
 
 @SETTINGS
@@ -126,6 +131,7 @@ def test_solve_inconsistent_reports_the_violated_rows(rows, data):
 # -- the pairing matrix ---------------------------------------------------------
 
 RING = Ring(("a", "b", "c", "d", "eps"))
+ring_poly = partial(poly, RING)  # {exponent vector: coefficient} -> LaurentPoly
 NAMES = RING.names[:4]
 
 pairings = st.dictionaries(
@@ -133,7 +139,7 @@ pairings = st.dictionaries(
     .map(lambda p: tuple(sorted(p))),
     entries, max_size=6)
 exps = st.tuples(*[st.integers(-2, 2)] * 4, st.integers(-3, 3))
-laurent = st.dictionaries(exps, entries.filter(bool), min_size=1, max_size=4).map(RING.poly)
+laurent = st.dictionaries(exps, entries.filter(bool), min_size=1, max_size=4).map(ring_poly)
 
 
 def naive_pair(S, a, b):
@@ -159,7 +165,7 @@ def test_bracket_matches_the_pair_sum(pairs, f, g):
             key = tuple(x + y for x, y in zip(ea, eb))
             sums[key] = sums.get(key, 0) + ca * cb * naive_pair(S, ea, eb)
     got = S.bracket(f, g)
-    assert got == RING.poly(sums)
+    assert got == poly(RING, sums)
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
     assert all(type(x) is int for e, _ in got.items() for x in e)
 

@@ -16,6 +16,7 @@ from painleve_cubics.cli import main
 
 TWISTS = list(catalog.load("lambdas")["twists"])
 ARC_WORD = catalog.load("lambdas")["arc_trace"]["word"]
+PV_ARC_A = catalog.load("lambdas")["catalogs"]["PV"]["entries"]["a"]
 UNFOLD_KEYS = [key for key, entry in catalog.load("unfoldings").items()
                if isinstance(entry, dict)]
 
@@ -186,6 +187,10 @@ def put(path: tuple, value):
                  "lambdas.json pv_to_piii", id="pv_to_piii.log_brackets-stray"),
     pytest.param("lambdas", ("arc_trace", "arc"), "zz", "lambdas.json arc_trace",
                  id="arc_trace.arc"),
+    pytest.param("charts", ("charts", "PI", "normalization_subst", "s3", "power"), "hlaf",
+                 "charts.json charts.PI", id="charts.PI.normalization_subst.s3.power"),
+    pytest.param("arrows", ("arrows", 5, "secondary"), "no", "arrows.json arrows[5]",
+                 id="arrows[5].secondary"),
 ])
 def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, value, where):
     root = catalog_copy(tmp_path, name, put(path, value))
@@ -205,6 +210,21 @@ def test_bad_arrow_shift_names_its_file_and_key(tmp_path, capsys, shift, message
     code, out, err = run_cli(capsys, "--catalog", root, "verify", "confluence")
     assert code == 2 and out == ""
     assert err == f"error: arrows.json arrows[0]: {message}\n"
+
+
+def test_half_power_on_a_full_power_generator_takes_its_monomial_root(tmp_path, capsys):
+    # Ginf at e[s3/2] needs g_s3^1, whose normalisation image is given for
+    # g_s3^2: the image is a monomial, so its square root is taken and the PI
+    # certificates fail on the changed parameter instead of the run erroring
+    def halve(data):
+        G = data["charts"]["PI"]["G"]
+        G["Ginf"] = G["Ginf"].replace("s3", "s3/2")
+
+    root = catalog_copy(tmp_path, "charts", halve)
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and err == ""
+    assert failed == ["chart-PI", "chart-normalization-PI"]
 
 
 def test_zero_chart_coordinate_has_no_confluence_limit(tmp_path, capsys):
@@ -297,6 +317,8 @@ def test_quoted_log_bracket_mismatch_is_named(tmp_path, capsys, table, key, valu
                  "pv-to-piii-change", id="pv-to-piii-log-bracket"),
     pytest.param("lambdas", ("arc_trace", "word"), ARC_WORD[:-1], "arcs",
                  "arc-trace-b", id="arc-trace-letter-dropped"),
+    pytest.param("lambdas", ("catalogs", "PV", "entries", "b"), PV_ARC_A, "lambda",
+                 "lambda-solve-PV", id="duplicated-arc-entry"),
 ])
 def test_value_perturbation_fails(tmp_path, capsys, name, path, value, group, cid):
     root = catalog_copy(tmp_path, name, put(path, value))

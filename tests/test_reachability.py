@@ -1,0 +1,132 @@
+"""Reachability: every function of the package is one that the product runs.
+
+A fresh interpreter, so that no catalog cache left by another test hides a
+function, installs a ``sys.setprofile`` hook and runs the product corpus in
+process: every CLI verb, every certificate group, the library calls of the
+benchmark's set-up probe, two error paths and one perturbed catalog.  Every
+function code object compiled from the package's source (module and class
+bodies skipped) that the corpus never entered must be listed in
+``NEVER_ENTERED`` with its reason, and every entry there must be one the
+corpus never entered: a new function that nothing runs fails the test, and
+so does a stale entry.  ``PYTHONPATH=src python tests/test_reachability.py``
+prints the names the corpus never enters.
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_cubics"
+
+NEVER_ENTERED = {
+    "ring.py:Ring.__repr__": "a debugging aid: reports print polynomials with to_text",
+    "ring.py:LaurentPoly.__repr__": "a debugging aid: reports print polynomials with to_text",
+    "ring.py:RationalExpr.__repr__": "a debugging aid: reports print quotients with to_text",
+    "ring.py:Ring.__hash__": "defining __eq__ removes the inherited hash; rings stay hashable",
+    "__init__.py:run_suite": "the public library entry point; the CLI calls verify.run itself",
+    "linalg.py:_integerise.<locals>.<listcomp>":
+        "the sign flip of a kernel vector whose first nonzero entry is negative; "
+        "no Casimir kernel of the shipped catalogs has one",
+    "checks/arcs.py:casimir_check.<locals>.<dictcomp>":
+        "the arc pairing of a catalog with Casimirs but no monomial shear-level "
+        "structure; every shipped catalog with Casimirs has one",
+}
+
+
+def package_functions() -> dict:
+    """{(file, first line, qualified name): "<module path>:<qualname>"} of every
+    function code object in the package source, module and class bodies skipped."""
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if inspect.iscode(c))
+            if code.co_flags & inspect.CO_OPTIMIZED:  # not set on module and class bodies
+                key = (code.co_filename, code.co_firstlineno, code.co_qualname)
+                out[key] = f"{path.relative_to(PACKAGE).as_posix()}:{code.co_qualname}"
+    return out
+
+
+def perturbed_catalogs(root: str) -> None:
+    """Copy the catalogs to ``root`` with two perturbations whose certificates
+    fail: the PI chart's Ginf at e[s3/2], a half power that only the monomial
+    image of a full-power normalisation generator can take, and the PV arc b
+    equal to a, which makes the solve for the shear structure inconsistent."""
+    src = PACKAGE / "data"
+    for path in src.glob("*.json"):
+        shutil.copy(path, root)
+    charts = json.loads((src / "charts.json").read_text())
+    G = charts["charts"]["PI"]["G"]
+    G["Ginf"] = G["Ginf"].replace("s3", "s3/2")
+    (Path(root) / "charts.json").write_text(json.dumps(charts))
+    lambdas = json.loads((src / "lambdas.json").read_text())
+    entries = lambdas["catalogs"]["PV"]["entries"]
+    entries["b"] = entries["a"]
+    (Path(root) / "lambdas.json").write_text(json.dumps(lambdas))
+
+
+def corpus(root: str) -> list:
+    """(argv, exit code) of every product call; ``root`` holds the perturbed catalogs."""
+    from painleve_cubics import catalog, unfolding, verify
+
+    perturbed_catalogs(root)
+
+    calls = [(("verify-all",), 0), (("--format", "json", "verify-all"), 0)]
+    calls += [(("verify", group), 0) for group in verify.GROUPS]
+    verbs = (("show", "PV"), ("chart", "PV"), ("lambda", "PV"), ("bracket", "PV", "a", "d"),
+             ("signature", "PV"), ("confluence", "PVI", "PV"), ("mutate", "PVI", "12"))
+    calls += [((f"--format={fmt}", *argv), 0) for fmt in ("text", "json") for argv in verbs]
+    calls += [(("twist", case), 0) for case in catalog.load("lambdas")["twists"]]
+    calls += [(("unfold", entry["tag"]), 0) for entry in unfolding.cases().values()]
+    calls += [((f"--format={fmt}", "export", what), 0)
+              for what in ("confluence", "inclusions", "catalog") for fmt in ("text", "json", "dot")]
+    calls += [(("show", "P99"), 2), (("verify-all", "--depth", "0"), 2)]
+    calls += [(("--catalog", root, "verify", group), 1) for group in ("charts", "lambda")]
+    return calls
+
+
+def never_entered() -> list:
+    """Run the corpus under a profile hook; the sorted names of the functions it never entered."""
+    import painleve_cubics as pc
+    from painleve_cubics import catalog
+    from painleve_cubics.cli import main
+
+    functions = package_functions()
+    with tempfile.TemporaryDirectory() as root:
+        calls = corpus(root)
+        entered = set()
+        sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+        for argv, code in calls:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(list(argv)) == code, argv
+        catalog.set_catalog_root(None)
+        for tag in catalog.load("cubics")["tags"]:
+            pc.cubic(tag), pc.chart(tag)
+        for tag in catalog.load("lambdas")["catalogs"]:
+            pc.lambda_catalog(tag)
+        for tag in catalog.load("signatures")["signatures"]:
+            pc.signature(tag)
+        sys.setprofile(None)
+    for code in entered:
+        functions.pop((code.co_filename, code.co_firstlineno, code.co_qualname), None)
+    return sorted(functions.values())
+
+
+def test_every_function_but_the_listed_ones_is_entered():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, __file__], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == sorted(NEVER_ENTERED)
+
+
+if __name__ == "__main__":
+    print(json.dumps(never_entered()))

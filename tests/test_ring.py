@@ -11,6 +11,8 @@ from painleve_cubics import (GenImage, LaurentPoly, RationalExpr, Ring, RingErro
 from painleve_cubics.poisson import PoissonStructure
 from painleve_cubics.ring import FIELD_BITS, as_expr
 
+from laurent import evaluate, poly
+
 
 @pytest.fixture
 def ring():
@@ -35,7 +37,7 @@ def naive_product(f, g):
         for e2, c2 in g.items():
             key = tuple(a + b for a, b in zip(e1, e2))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    return ring.poly(acc)
+    return poly(ring, acc)
 
 
 def test_square_expansion_oracle(ring):
@@ -198,11 +200,11 @@ def test_coefficients_split_by_degree_free_of_the_generator():
 
 
 def test_evaluate_examples(ring):
-    assert ring.one().evaluate({}) == 1
+    assert evaluate(ring.one(), {}) == 1
     f = ring.gen("x", 2) - 3 * ring.gen("y", -1)
-    assert f.evaluate({"x": 2, "y": Fraction(1, 2)}) == 4 - 6
+    assert evaluate(f, {"x": 2, "y": Fraction(1, 2)}) == 4 - 6
     with pytest.raises(RingError):
-        f.evaluate({"x": 0, "y": 1})
+        evaluate(f, {"x": 0, "y": 1})
 
 
 def test_mixing_contexts_is_an_error(ring):
@@ -259,7 +261,7 @@ def polys(draw, ring_names=("x", "y", "z"), max_terms=4):
     for _ in range(n):
         key = tuple(draw(exps) for _ in ring_names)
         terms[key] = terms.get(key, 0) + draw(coeffs)
-    return ring.poly(terms)
+    return poly(ring, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,12 +316,12 @@ def test_epsilon_leading_multiplicative(f, g):
 @given(polys(), polys())
 def test_evaluate_is_a_homomorphism(f, g):
     point = {"x": Fraction(2, 3), "y": -2, "z": Fraction(5, 7)}
-    assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
-    assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
+    assert evaluate(f * g, point) == evaluate(f, point) * evaluate(g, point)
+    assert evaluate(f + g, point) == evaluate(f, point) + evaluate(g, point)
     images = {"x": f.ring.gen("z"), "y": f.ring.gen("y") * f.ring.gen("x")}
     pushed = f.substitute(images)
     chased = {"x": point["z"], "y": point["y"] * point["x"], "z": point["z"]}
-    assert pushed.evaluate(point) == f.evaluate(chased)
+    assert evaluate(pushed, point) == evaluate(f, chased)
 
 
 def test_parser_error_paths():
@@ -402,25 +404,6 @@ def test_inexact_scalars_are_refused(build):
         build(Ring(["x", "eps"]))
 
 
-@pytest.mark.parametrize("value", [0.1, "1/3", 2.0], ids=["float", "string", "integral-float"])
-@pytest.mark.parametrize("evaluate", [
-    lambda x, point: (x + 1).evaluate(point),
-    lambda x, point: RationalExpr(x + 1, x ** 2 + 2).evaluate(point),
-], ids=["poly", "rational"])
-def test_evaluate_refuses_inexact_point_values(evaluate, value):
-    x = Ring(["x", "y"]).gen("x")
-    with pytest.raises(RingError, match="non-exact scalar"):
-        evaluate(x, {"x": value, "y": 1})
-
-
-def test_evaluate_keeps_exact_point_values():
-    r = Ring(["x", "y"])
-    x, y = r.gen("x"), r.gen("y")
-    value = RationalExpr(x + 1, y).evaluate({"x": Fraction(1, 3), "y": 2})
-    assert type(value) is Fraction and value == Fraction(2, 3)
-    assert (x ** -2).evaluate({"x": 2}) == Fraction(1, 4)
-
-
 B = 2 ** (FIELD_BITS - 2)
 
 
@@ -476,11 +459,16 @@ def test_division_with_a_span_wider_than_a_field_is_a_ring_error(ay):
 field_exps = st.integers(-B, B - 1)
 
 
+def key(ring, exps) -> int:
+    """The packed key that ``Ring.monomial`` gives the exponent vector ``exps``."""
+    return next(iter(poly(ring, {exps: 1}).terms))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(field_exps, field_exps, field_exps), st.tuples(field_exps, field_exps, field_exps))
 def test_pack_round_trip_and_lex_order(u, v):
     ring = Ring(["a", "b", "eps"])
-    ku, kv = ring.pack(u), ring.pack(v)
+    ku, kv = key(ring, u), key(ring, v)
     assert ring.unpack(ku) == u and ring.unpack(kv) == v
     assert all(type(e) is int for e in ring.unpack(ku))
     assert (ku < kv) == (u < v)
@@ -490,7 +478,7 @@ def test_grlex_printing_and_denominators_disagreeing_with_packed_order():
     ring = Ring(["x", "y"])
     x, y = ring.gen("x"), ring.gen("y")
     p = 3 * x * y + 2 * y ** 3 - 5
-    assert max(p.terms) == ring.pack((1, 1))  # the packed (lex) leader
+    assert max(p.terms) == key(ring, (1, 1))  # the packed (lex) leader
     assert p.lead() == ((0, 3), 2)  # the grlex leader
     assert p.to_text() == "2 * y^3 + 3 * x * y - 5"
     assert p.to_terms_json() == [{"c": "2", "e": {"y": "3"}},
@@ -545,7 +533,7 @@ def kernel_results(f, g, image, c) -> dict:
 def renamed(value, ring):
     """A kernel result with the generators renamed to those of ``ring``, by position."""
     if isinstance(value, LaurentPoly):
-        return ring.poly(dict(value.items()))
+        return poly(ring, dict(value.items()))
     if isinstance(value, dict):
         return {d: renamed(p, ring) for d, p in value.items()}
     if isinstance(value, str):
@@ -558,6 +546,6 @@ def renamed(value, ring):
        coeffs.filter(bool))
 def test_renaming_eps_commutes_with_the_kernel(f, g, image, c):
     eps_ring, t_ring = Ring(["a", "eps"]), Ring(["a", "t"])
-    by_eps = kernel_results(eps_ring.poly(f), eps_ring.poly(g), image, c)
-    by_t = kernel_results(t_ring.poly(f), t_ring.poly(g), image, c)
+    by_eps = kernel_results(poly(eps_ring, f), poly(eps_ring, g), image, c)
+    by_t = kernel_results(poly(t_ring, f), poly(t_ring, g), image, c)
     assert {op: renamed(v, t_ring) for op, v in by_eps.items()} == by_t
