@@ -151,14 +151,19 @@ def solve_structure_check(tag: str) -> Certificate:
     """Re-derive the frozen shear structure from the table by a fresh exact solve."""
     cat = lambda_catalog(tag)
     res = solve_structure(cat.shear_ring, cat.entries, cat.table, central=cat.central_shear)
-    bad = res.violations or res.free_pairs
-    if not bad:
+    if res.violations:
+        detail, bad = "no solution: the table is inconsistent", res.violations
+    elif res.free_pairs:
+        detail, bad = f"no unique solution: {len(res.free_pairs)} pairs left free", res.free_pairs
+    else:
         got = res.structure.log_bracket
-        quoted = [*cat.solved_log_brackets.items(), *cat.stated_log_brackets.items()]
-        bad = [(u, v, f"solved {got(u, v)}, catalog {c}") for (u, v), c in quoted if got(u, v) != c]
-    detail = "unique solution; matches frozen matrix"
-    if cat.stated_log_brackets:
-        detail += "; quoted coordinate brackets reproduced"
+        frozen, stated = ([(u, v, f"solved {got(u, v)}, catalog {c}")
+                           for (u, v), c in quoted.items() if got(u, v) != c]
+                          for quoted in (cat.solved_log_brackets, cat.stated_log_brackets))
+        detail = f"unique solution; {'differs from' if frozen else 'matches'} frozen matrix"
+        if cat.stated_log_brackets:
+            detail += f"; quoted coordinate brackets {'not ' if stated else ''}reproduced"
+        bad = frozen + stated
     return certify(f"lambda-solve-{tag}", "shear structure recovered from the table",
                    f"{tag} arc bracket table", not bad, detail=detail, residue=bad)
 
@@ -166,19 +171,18 @@ def solve_structure_check(tag: str) -> Certificate:
 def casimir_check(tag: str) -> Certificate:
     """Kernel of the exponent pairing on the catalog monomials: Casimirs and rank.
 
-    For catalogs with a shear-level structure the kernel is taken on the
-    actual shear exponent lattice (loop parameters riding on their central
-    perimeter); the subset catalogs use the arc pairing directly.
+    The kernel is taken on the actual shear exponent lattice, through the
+    monomial shear-level structure (loop parameters riding on their central
+    perimeter); the subset catalogs inherit their parent's.  Casimirs on a
+    catalog without such a structure are a catalog error.
     """
     cat = lambda_catalog(tag)
-    if cat.shear_structure is not None and all(m.is_monomial() for m in cat.entries.values()):
-        structure = cat.shear_structure
-        mono = dict(cat.entries)
-        for p, z in zip(cat.params, cat.central_shear):
-            mono[p] = cat.shear_ring.gen(z)
-    else:
-        structure = cat.structure
-        mono = {n: cat.lambda_ring.gen(n) for n in cat.lambda_ring.names}
+    if cat.shear_structure is None or not all(m.is_monomial() for m in cat.entries.values()):
+        with catalog.context(f"lambdas.json catalogs.{tag}"):
+            raise catalog.UnknownEntry(f"{tag} has Casimirs but no monomial shear-level structure")
+    structure, mono = cat.shear_structure, dict(cat.entries)
+    for p, z in zip(cat.params, cat.central_shear):
+        mono[p] = cat.shear_ring.gen(z)
     report = casimir_kernel(structure, mono)
     expected = cat.casimir_exps
     members = all(is_casimir_product(structure, vec, mono) for vec in expected)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import Ring, catalog, parse_poly
+from painleve_cubics import Ring, RingError, catalog, parse_poly
 from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, nambu_context, singular_point_check,
                                            table1_check, torus_param_check, volume_form_check)
 from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags
@@ -133,7 +133,7 @@ def test_fn_diffeo_excludes_vanishing_denominator():
     ring = Ring(["x1", "x2", "x3", "sp"])
     x1, x2, x3, s = (ring.gen(n) for n in ring.names)
     image = (s ** 2 * x1 ** 2 - (1 + x1 * x2) * x3 * s ** -1) / (x1 * x2)
-    with pytest.raises(Exception):
+    with pytest.raises(RingError):
         evaluate(image, {"x1": 1, "x2": 0, "x3": 1, "sp": 2})
 
 
@@ -145,5 +145,5 @@ def test_singular_points():
 
 
 def test_unknown_tag_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(catalog.UnknownEntry):
         cubic("P7")

@@ -7,8 +7,13 @@ operations on RationalExpr values.  ``e[...]`` forms over a ring with
 ``eps``, a coordinate like the others, are compared with ``Ring.e`` and must
 come out in exact types.  A
 table of malformed strings must each raise ExprSyntaxError and nothing else.
+
+Random strings over the grammar's own pieces are read by ``parse_expr`` and by
+``exprs_ast.parse_expr_ast``, a reference reader built on Python's ``ast``:
+both give equal values, or both refuse.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from painleve_cubics import ExprSyntaxError, Ring, RingError, parse_expr
 from painleve_cubics.ring import as_expr
+
+from exprs_ast import parse_expr_ast
 
 RING = Ring(("x", "y", "s1", "s2"))
 EPS_RING = Ring(("s1", "s2", "eps"))
@@ -122,7 +129,7 @@ def test_parse_matches_ring_arithmetic(tree):
         with pytest.raises(RingError):
             parse_expr(text, RING)
         return
-    assert parse_expr(text, RING) == expected, text
+    assert parse_expr(text, RING) == expected == parse_expr_ast(text, RING), text
 
 
 def test_rendering_exercises_precedence():
@@ -174,3 +181,50 @@ def test_quarter_coordinate_is_a_ring_error_naming_it():
 def test_malformed_text_raises_expr_syntax_error(text):
     with pytest.raises(ExprSyntaxError):
         parse_expr(text, RING)
+
+
+PIECES = [*"0123456789", "x", "y", "s1", "s2", "e[", "]", "(", ")", *"+-*/^", " "]
+
+
+def read(parse, text: str):
+    """The value ``parse`` gives ``text``, or the class of its refusal."""
+    try:
+        return parse(text, RING)
+    except (ExprSyntaxError, RingError):
+        return "refused"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=14).map("".join))
+def test_parse_matches_the_ast_reference(text):
+    # a two-digit exponent of a sum can take seconds in both readers
+    if re.search(r"\^[-+( ]*[0-9][0-9]", text):
+        return
+    assert read(parse_expr, text) == read(parse_expr_ast, text), text
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-x^2", -(RING.gen("x") ** 2)),
+    ("x^(-1)", RING.gen("x") ** -1),
+    ("x^-(1)", RING.gen("x") ** -1),
+    ("x^((+2))", RING.gen("x") ** 2),
+    ("2*x^-1*y", 2 * RING.gen("y") / RING.gen("x")),
+    ("  x - -y ", RING.gen("x") + RING.gen("y")),
+    ("0", RING.zero()),
+])
+def test_pinned_values(text, expected):
+    assert parse_expr(text, RING) == as_expr(expected)
+    assert parse_expr_ast(text, RING) == as_expr(expected)
+
+
+@pytest.mark.parametrize("text", [
+    "x^--1", "x^2^2", "x^(1+1)", "x^-x", "0x10", "1_000", "007", "00", "x^007", "e[2*0x1*s1]",
+    "(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x", "x^" + "(" * 2000 + "1" + ")" * 2000,
+    "e[" + "(" * 2000 + "s1" + ")" * 2000 + "]", "1" * 5000 + "*x", "x^" + "1" * 5000,
+])
+def test_pinned_refusals(text):
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(text, RING)
+    with pytest.raises(ExprSyntaxError):
+        parse_expr_ast(text, RING)
+

@@ -1,6 +1,7 @@
 """Imports: every one in the package is read (a stdlib ``ast`` pass over its
-modules), every annotation names a class its module imports, and a cold CLI
-call loads only the subsystems and the ``checks`` modules its verb runs."""
+modules), every annotation names a class its module imports, a cold CLI
+call loads only the subsystems and the ``checks`` modules its verb runs, and
+no product process loads ``ast``."""
 
 import ast
 import importlib
@@ -162,3 +163,13 @@ def test_building_every_catalog_object_loads_no_check():
     loaded = modules_after(BUILD_EVERY_OBJECT)
     assert {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"} <= loaded
     assert sorted(loaded & (CHECKS | LINALG)) == []
+
+
+def test_no_product_call_loads_ast():
+    # the catalog expression reader needs only ``re``, which ``fractions`` loads anyway
+    loaded = modules_after("import contextlib, io\n"
+                           "from painleve_cubics.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    assert main(['show', 'PV']) == 0\n" + BUILD_EVERY_OBJECT)
+    assert {"painleve_cubics.exprs", "painleve_cubics.arcs", "re"} <= loaded
+    assert "ast" not in loaded

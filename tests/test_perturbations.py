@@ -289,6 +289,14 @@ def test_missing_field_reads_missing_key(tmp_path, capsys):
     assert err == "error: arrows.json arrows[0]: missing key 'label'\n"
 
 
+MISMATCH_DETAIL = {
+    "solved_log_brackets":
+        "unique solution; differs from frozen matrix; quoted coordinate brackets reproduced",
+    "stated_log_brackets":
+        "unique solution; matches frozen matrix; quoted coordinate brackets not reproduced",
+}
+
+
 @pytest.mark.parametrize("table, key, value, residue", [
     ("solved_log_brackets", "s1,s2", "5", "('s1', 's2', 'solved 1, catalog 5')"),
     ("stated_log_brackets", "k1,k2", "3", "('k1', 'k2', 'solved 1, catalog 3')"),
@@ -297,7 +305,42 @@ def test_quoted_log_bracket_mismatch_is_named(tmp_path, capsys, table, key, valu
     root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", table, key), value))
     code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
     line = next(line for line in out.splitlines() if " lambda-solve-PV " in line)
-    assert code == 1 and line.startswith("FAIL") and f"residue: [{residue}]" in line
+    assert code == 1 and line.startswith("FAIL")
+    assert f"[{MISMATCH_DETAIL[table]}]  residue: [{residue}]" in line
+
+
+def test_failed_solve_says_what_failed(tmp_path, capsys):
+    # arc b equal to arc a makes {a, b} = c a b unsolvable for c != 0
+    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", "entries", "b"), PV_ARC_A))
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
+    line = next(line for line in out.splitlines() if " lambda-solve-PV " in line)
+    assert code == 1 and line.startswith("FAIL")
+    assert "[no solution: the table is inconsistent]  residue: ['{a,b} = 1*a*b']" in line
+    assert "matches" not in line
+
+
+def test_underdetermined_solve_names_its_free_pairs(tmp_path, capsys):
+    def thin(data):
+        table = data["catalogs"]["PV"]["table"]
+        data["catalogs"]["PV"]["table"] = dict(list(table.items())[:2])
+
+    root = catalog_copy(tmp_path, "lambdas", thin)
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
+    line = next(line for line in out.splitlines() if " lambda-solve-PV " in line)
+    assert code == 1 and line.startswith("FAIL")
+    assert "[no unique solution: 8 pairs left free]  residue: [('s1', 'k1'), " in line
+
+
+@pytest.mark.parametrize("tag, edit", [
+    ("PIII_hat", lambda entry: entry.update(casimirs=["a"])),
+    ("PIV", lambda entry: entry.pop("solved_log_brackets")),
+], ids=["sum-entries", "no-shear-structure"])
+def test_casimirs_without_a_monomial_shear_structure_are_exit_2(tmp_path, capsys, tag, edit):
+    root = catalog_copy(tmp_path, "lambdas", lambda data: edit(data["catalogs"][tag]))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "casimirs")
+    assert code == 2 and out == ""
+    assert err == (f"error: lambdas.json catalogs.{tag}: "
+                   f"{tag} has Casimirs but no monomial shear-level structure\n")
 
 
 @pytest.mark.parametrize("name, path, value, group, cid", [

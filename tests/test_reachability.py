@@ -34,9 +34,6 @@ NEVER_ENTERED = {
     "linalg.py:_integerise.<locals>.<listcomp>":
         "the sign flip of a kernel vector whose first nonzero entry is negative; "
         "no Casimir kernel of the shipped catalogs has one",
-    "checks/arcs.py:casimir_check.<locals>.<dictcomp>":
-        "the arc pairing of a catalog with Casimirs but no monomial shear-level "
-        "structure; every shipped catalog with Casimirs has one",
 }
 
 
