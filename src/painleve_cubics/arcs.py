@@ -124,5 +124,9 @@ def signature(tag: str) -> Signature:
         raise catalog.UnknownEntry(f"no signature for {tag!r}")
     entry = data[tag]
     with catalog.context(f"signatures.json signatures.{tag}"):
-        return Signature(tag=tag, holes=tuple(entry["holes"]), stated_dim=int(entry["dim"]),
+        holes = tuple(entry["holes"])
+        for i, cusps in enumerate(holes):
+            if type(cusps) is not int or cusps < 0:
+                raise ValueError(f"holes[{i}] is {cusps!r}, not a count of cusps")
+        return Signature(tag=tag, holes=holes, stated_dim=int(entry["dim"]),
                          phantom_hole=bool(entry.get("phantom_hole", False)))

@@ -1,20 +1,29 @@
 """Command-line front end.
 
+``VERBS`` is the whole command line: each verb with its handler, its
+positional arguments, its integer options, the formats it prints and a line
+of help.  ``read_argv`` reads argv against it (``--help`` prints it), and
+the handler runs as ``handler(format, *positionals, **options)``.  Handlers
+import the subsystems they run, so a cold call compiles no more than its
+verb needs: ``verify`` is imported only by ``verify``, ``verify-all`` and
+``--help``, which lists the groups.
+
 Exit codes: 0 all requested certificates pass, 1 at least one fails,
-2 unusable input (unknown verbs/tags, unreadable or malformed catalogs,
-a depth below 1), 141 the reader closed stdout before the output ended.
+2 unusable input (a usage error such as an unknown verb or option, a
+format the verb does not print or an option value below 1; unknown tags;
+unreadable or malformed catalogs), each reported as one ``error:`` line on
+stderr, 141 the reader closed stdout before the output ended.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
 import os
 import sys
 
-from . import catalog, verify
+from . import catalog
 from .exprs import ExprSyntaxError
 from .ring import RingError
 
@@ -30,30 +39,26 @@ def _emit_certs(certs: list, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps([c.to_json() for c in certs], indent=1, sort_keys=True))
     else:
-        for line in verify.report_lines(certs):
-            print(line)
+        for c in certs:
+            print(c.line())
+        print(f"{sum(c.passed for c in certs)}/{len(certs)} certificates passed")
     return 0 if all(c.passed for c in certs) else 1
 
 
-def _emit_suite(args, groups) -> int:
-    if args.depth is not None and args.depth < 1:
-        print(f"error: --depth must be at least 1, got {args.depth}", file=sys.stderr)
-        return 2
-    return _emit_certs(verify.run(groups, depth=args.depth), args.format)
+def _cmd_verify_all(fmt, depth=None) -> int:
+    from . import verify
+    return _emit_certs(verify.run(None, depth=depth), fmt)
 
 
-def _cmd_verify_all(args) -> int:
-    return _emit_suite(args, None)
+def _cmd_verify(fmt, group, depth=None) -> int:
+    from . import verify
+    return _emit_certs(verify.run([group], depth=depth), fmt)
 
 
-def _cmd_verify(args) -> int:
-    return _emit_suite(args, [args.group])
-
-
-def _cmd_show(args) -> int:
+def _cmd_show(fmt, tag) -> int:
     from . import cubics
-    c = cubics.cubic(args.tag)
-    if args.format == "json":
+    c = cubics.cubic(tag)
+    if fmt == "json":
         print(json.dumps({
             "tag": c.tag,
             "eps": list(c.eps),
@@ -69,10 +74,10 @@ def _cmd_show(args) -> int:
     return 0
 
 
-def _cmd_chart(args) -> int:
+def _cmd_chart(fmt, tag) -> int:
     from . import shear
-    ch = shear.chart(args.tag)
-    if args.format == "json":
+    ch = shear.chart(tag)
+    if fmt == "json":
         print(json.dumps({
             "tag": ch.tag,
             "x": {f"x{i+1}": x.to_text() for i, x in enumerate(ch.x)},
@@ -89,10 +94,10 @@ def _cmd_chart(args) -> int:
     return 0
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_lambda(fmt, tag) -> int:
     from . import arcs
-    cat = arcs.lambda_catalog(args.tag)
-    if args.format == "json":
+    cat = arcs.lambda_catalog(tag)
+    if fmt == "json":
         print(json.dumps({
             "tag": cat.tag,
             "entries": {n: p.to_text() for n, p in cat.entries.items()},
@@ -113,22 +118,21 @@ def _cmd_lambda(args) -> int:
     return 0
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(fmt, tag, first, second) -> int:
     from . import arcs
-    cat = arcs.lambda_catalog(args.tag)
-    ring = cat.lambda_ring
-    for name in (args.first, args.second):
-        if name not in ring.index:
-            raise catalog.UnknownEntry(f"unknown arc {name!r} in {args.tag}")
-    coeff = cat.structure.pair(args.first, args.second)
-    print(f"{{{args.first},{args.second}}} = {coeff} * {args.first} * {args.second}")
+    cat = arcs.lambda_catalog(tag)
+    for name in (first, second):
+        if name not in cat.lambda_ring.index:
+            raise catalog.UnknownEntry(f"unknown arc {name!r} in {tag}")
+    coeff = cat.structure.pair(first, second)
+    print(f"{{{first},{second}}} = {coeff} * {first} * {second}")
     return 0
 
 
-def _cmd_confluence(args) -> int:
+def _cmd_confluence(fmt, src, dst) -> int:
     from . import confluence
     from .checks import confluence as confluence_checks
-    a = confluence.arrow(args.src, args.dst)
+    a = confluence.arrow(src, dst)
     degrees, leads = confluence.limit_chart_coords(a)
     cert = confluence_checks.limit_certificate(a, degrees, leads)
     print(f"substitution: {a.label}")
@@ -137,11 +141,11 @@ def _cmd_confluence(args) -> int:
     return 0 if cert.passed else 1
 
 
-def _cmd_mutate(args) -> int:
+def _cmd_mutate(fmt, tag, sequence) -> int:
     from . import cluster, cubics
-    cubics.cubic(args.tag)  # the lookup: an unknown tag exits 2
+    cubics.cubic(tag)  # the lookup: an unknown tag exits 2
     word = []
-    for ch in args.sequence.replace(",", ""):
+    for ch in sequence.replace(",", ""):
         if ch not in "123":
             raise catalog.UnknownEntry(f"bad mutation index {ch!r} (use 1, 2, 3)")
         word.append(int(ch))
@@ -158,30 +162,30 @@ def _cmd_mutate(args) -> int:
     return 0 if laurent else 1
 
 
-def _cmd_twist(args) -> int:
+def _cmd_twist(fmt, name, repeat=1) -> int:
     from . import cluster
     from .checks import cluster as cluster_checks
-    case = cluster.twist_case(args.case)
+    case = cluster.twist_case(name)
     vals = cluster.base_values(case)
-    for n in range(args.repeat):
+    for _ in range(repeat):
         vals = cluster.dehn_twist(case, vals)
-    for name in case.variables:
-        print(f"{name} -> {vals[name]}")
-    certs = [cluster_checks.twist_invariants(args.case),
-             cluster_checks.twist_frozen_commutation(args.case)]
+    for var in case.variables:
+        print(f"{var} -> {vals[var]}")
+    certs = [cluster_checks.twist_invariants(name),
+             cluster_checks.twist_frozen_commutation(name)]
     for c in certs:
         print(c.line())
     return 0 if all(c.passed for c in certs) else 1
 
 
-def _cmd_unfold(args) -> int:
+def _cmd_unfold(fmt, tag) -> int:
     from . import unfolding
     from .checks import unfolding as unfolding_checks
     keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
-    if args.tag not in keys:
-        raise catalog.UnknownEntry(f"no unfolding case for {args.tag!r} (have {sorted(keys)})")
-    entry = unfolding.cases()[keys[args.tag]]
-    if args.format != "json":
+    if tag not in keys:
+        raise catalog.UnknownEntry(f"no unfolding case for {tag!r} (have {sorted(keys)})")
+    entry = unfolding.cases()[keys[tag]]
+    if fmt != "json":
         for field in ("substitution", "diffeo"):
             if field in entry:
                 for name, text in entry[field].items():
@@ -193,13 +197,13 @@ def _cmd_unfold(args) -> int:
         if "hat_params" in entry:
             for name, text in entry["hat_params"].items():
                 print(f"  {name} = {text}")
-    certs = [fn(*fargs) for fn, fargs in unfolding_checks.checks(keys[args.tag])]
-    return _emit_certs(certs, args.format)
+    certs = [fn(*fargs) for fn, fargs in unfolding_checks.checks(keys[tag])]
+    return _emit_certs(certs, fmt)
 
 
-def _cmd_signature(args) -> int:
+def _cmd_signature(fmt, tag) -> int:
     from . import arcs
-    sig = arcs.signature(args.tag)
+    sig = arcs.signature(tag)
     katz = ",".join(str(k) for k in sig.katz())
     print(f"s={len(sig.holes)} n={sum(sig.holes)} dim={sig.dimension()} katz={katz}")
     print(f"stokes rays: {','.join(map(str, sig.stokes_rays()))}  "
@@ -207,26 +211,26 @@ def _cmd_signature(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
-    if args.what == "confluence":
+def _cmd_export(fmt, what) -> int:
+    if what == "confluence":
         from . import confluence
-        if args.format == "dot":
+        if fmt == "dot":
             print(confluence.confluence_dot(), end="")
-        elif args.format == "json":
+        elif fmt == "json":
             print(confluence.graph_json(), end="")
         else:
             for a in confluence.arrows():
                 mark = " (secondary)" if a.secondary else ""
                 print(f"{a.src} -> {a.dst}: {a.label}{mark}")
         return 0
-    if args.what == "inclusions":
+    if what == "inclusions":
         from . import confluence
-        if args.format == "dot":
+        if fmt == "dot":
             print(confluence.inclusion_dot(), end="")
         else:
             print(confluence.graph_json(), end="")
         return 0
-    if args.what == "catalog":
+    if what == "catalog":
         from . import cubics
         payload = {"cubics": {}}
         for t in cubics.tags():
@@ -243,74 +247,96 @@ def _cmd_export(args) -> int:
             }
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
-    raise catalog.UnknownEntry(f"unknown export {args.what!r} (confluence, inclusions, catalog)")
+    raise catalog.UnknownEntry(f"unknown export {what!r} (confluence, inclusions, catalog)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="painleve-cubics",
-        description="Exact verification of the monodromy cubic catalog")
-    parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    parser.add_argument("--catalog", default=None,
-                        help="directory of catalog JSON files overriding the built-in ones")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=None,
-                       help="mutation search depth for the Laurent certificate (default 4)")
+def _cmd_help(fmt) -> int:
+    from . import verify
+    print("usage: painleve-cubics [--format FORMAT] [--catalog DIR] VERB ARG... [--OPTION N]\n"
+          "Exact verification of the monodromy cubic catalog.\n\nverbs (the formats they print):")
+    for verb, (_, names, ints, formats, text) in VERBS.items():
+        call = " ".join([verb, *names.upper().split(), *(f"[{o} N]" for o in ints.split())])
+        print(f"  {call:<28} {text} ({formats.replace(' ', ', ')})")
+    print(f"\nGROUP is one of {', '.join(verify.GROUPS)}.\n--catalog DIR reads the "
+          f"catalog JSON files from DIR instead of the built-in ones.")
+    return 0
 
-    sub.add_parser("verify-all", parents=[depth],
-                   help="run every certificate").set_defaults(fn=_cmd_verify_all)
-    p = sub.add_parser("verify", parents=[depth], help="run one certificate group")
-    p.add_argument("group", choices=verify.GROUPS)
-    p.set_defaults(fn=_cmd_verify)
-    p = sub.add_parser("show", help="print a cubic")
-    p.add_argument("tag")
-    p.set_defaults(fn=_cmd_show)
-    p = sub.add_parser("chart", help="print a shear chart")
-    p.add_argument("tag")
-    p.set_defaults(fn=_cmd_chart)
-    p = sub.add_parser("lambda", help="print an arc catalog")
-    p.add_argument("tag")
-    p.set_defaults(fn=_cmd_lambda)
-    p = sub.add_parser("bracket", help="bracket coefficient of two arcs")
-    p.add_argument("tag")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(fn=_cmd_bracket)
-    p = sub.add_parser("confluence", help="run one confluence limit")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.set_defaults(fn=_cmd_confluence)
-    p = sub.add_parser("mutate", help="apply a mutation sequence to the initial cluster")
-    p.add_argument("tag", help="cubic tag (parameters stay symbolic)")
-    p.add_argument("sequence", help="e.g. 121 or 1,2,1")
-    p.set_defaults(fn=_cmd_mutate)
-    p = sub.add_parser("twist", help="apply a Dehn twist and check its invariants")
-    p.add_argument("case", help="a case of the twists table in lambdas.json")
-    p.add_argument("--repeat", type=int, default=1)
-    p.set_defaults(fn=_cmd_twist)
-    p = sub.add_parser("unfold", help="run the normal-form certificates for a tag")
-    p.add_argument("tag")
-    p.set_defaults(fn=_cmd_unfold)
-    p = sub.add_parser("signature", help="surface signature and irregularity data")
-    p.add_argument("tag")
-    p.set_defaults(fn=_cmd_signature)
-    p = sub.add_parser("export", help="emit graphs or the catalog")
-    p.add_argument("what", help="confluence, inclusions or catalog")
-    p.set_defaults(fn=_cmd_export)
-    return parser
+
+# verb -> (handler, positionals, integer options, the formats it prints, help).
+# ``--format`` (default text) and ``--catalog`` go anywhere, a verb's options
+# after it; a value follows its option or an ``=``.
+VERBS = {
+    "verify-all": (_cmd_verify_all, "", "--depth", "text json", "run every certificate"),
+    "verify": (_cmd_verify, "group", "--depth", "text json", "run one certificate group"),
+    "show": (_cmd_show, "tag", "", "text json", "print a cubic"),
+    "chart": (_cmd_chart, "tag", "", "text json", "print a shear chart"),
+    "lambda": (_cmd_lambda, "tag", "", "text json", "print an arc catalog"),
+    "bracket": (_cmd_bracket, "tag first second", "", "text", "bracket coefficient of two arcs"),
+    "confluence": (_cmd_confluence, "src dst", "", "text", "run one confluence limit"),
+    "mutate": (_cmd_mutate, "tag sequence", "", "text", "mutate along 121 or 1,2,1"),
+    "twist": (_cmd_twist, "case", "--repeat", "text", "Dehn twist and its invariants"),
+    "unfold": (_cmd_unfold, "tag", "", "text json", "normal-form certificates of a tag"),
+    "signature": (_cmd_signature, "tag", "", "text", "surface signature and irregularity"),
+    "export": (_cmd_export, "what", "", "text json dot", "confluence, inclusions or catalog"),
+}
+
+
+class UsageError(Exception):
+    """A command line that the verb table does not read."""
+
+
+def read_argv(argv) -> tuple:
+    """(handler, format, catalog root, positionals, integer options) of ``argv``."""
+    verb, words, opts = None, [], {"--format": "text", "--catalog": None}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _cmd_help, "text", None, [], {}
+        if not token.startswith("-"):
+            if verb is not None:
+                words.append(token)
+            elif token in VERBS:
+                verb = token
+            else:
+                raise UsageError(f"unknown verb {token!r} (see --help)")
+            continue
+        name, eq, value = token.partition("=")
+        if name not in ("--format", "--catalog", *(VERBS[verb][2].split() if verb else ())):
+            raise UsageError(f"unknown option {name}" + (f" for {verb}" if verb else ""))
+        opts[name] = value if eq else next(tokens, None)
+        if opts[name] is None:
+            raise UsageError(f"{name} needs a value")
+    if verb is None:
+        raise UsageError("no verb given (see --help)")
+    fn, names, ints, formats, _ = VERBS[verb]
+    kwargs = {}
+    for name in ints.split():
+        if name not in opts:
+            continue
+        try:
+            kwargs[name[2:]] = value = int(opts[name])
+        except ValueError:
+            raise UsageError(f"{name} takes an integer, got {opts[name]!r}") from None
+        if value < 1:
+            raise UsageError(f"{name} must be at least 1, got {value}")
+    if opts["--format"] not in formats.split():
+        raise UsageError(f"{verb} has no --format {opts['--format']} "
+                         f"(it prints {formats.replace(' ', ', ')})")
+    if len(words) != len(names.split()):
+        raise UsageError(f"{verb} takes {names.upper() or 'no argument'}, "
+                         f"got {' '.join(words) or 'none'}")
+    return fn, opts["--format"], opts["--catalog"], words, kwargs
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.catalog:
-        catalog.set_catalog_root(args.catalog)
     try:
-        code = args.fn(args)
+        fn, fmt, root, words, kwargs = read_argv(sys.argv[1:] if argv is None else argv)
+        if root:
+            catalog.set_catalog_root(root)
+        code = fn(fmt, *words, **kwargs)
         sys.stdout.flush()  # a closed reader must show up here, not at exit
         return code
-    except (KeyError, catalog.CatalogError, RingError, ExprSyntaxError) as exc:
+    except (UsageError, KeyError, catalog.CatalogError, RingError, ExprSyntaxError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

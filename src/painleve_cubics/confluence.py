@@ -36,8 +36,12 @@ class Arrow(NamedTuple):
 @catalog.cached
 def arrows() -> tuple:
     out = []
+    tags = list(catalog.load("charts")["charts"])
     for i, a in enumerate(catalog.load("arrows")["arrows"]):
         with catalog.context(f"arrows.json arrows[{i}]"):
+            for end in ("src", "dst"):
+                if a[end] not in tags:
+                    raise ValueError(f"{end} is {a[end]!r}, not a chart tag")
             for z, c in a["shift"].items():
                 if z not in SHEAR_NAMES:
                     raise ValueError(f"shift names {z!r}, not a shear coordinate "

@@ -21,6 +21,8 @@ from .ring import LaurentPoly, RationalExpr, Ring
 
 G_NAMES = ("G1", "G2", "G3", "Ginf")
 X_NAMES = ("x1", "x2", "x3")
+# how a reference row relates to the canonical cubic (``checks.cubics.table1_check``)
+TABLE1_STATUSES = ("exact", "exact_rational", "exact_after_sign_flip", "documented_mismatch")
 
 
 def tags() -> list:
@@ -68,6 +70,13 @@ def cubic(tag: str) -> CubicSurface:
         spec = {name: parse_poly(s, ring) for name, s in entry["specialization"].items()}
         phi_spec = phi.substitute(spec).as_poly() if spec else phi
         symbols = {w: parse_expr(s, ring) for w, s in entry["table1_params"].items()}
+        status, flip = entry["table1_status"], tuple(entry.get("table1_flip", ()))
+        if status not in TABLE1_STATUSES:
+            raise ValueError(f"table1_status is {status!r}, not one of {', '.join(TABLE1_STATUSES)}")
+        for name in flip:
+            if name not in ring.names:
+                raise ValueError(f"table1_flip names {name!r}, not a generator "
+                                 f"({', '.join(ring.names)})")
         return CubicSurface(
             tag=tag,
             eps=eps,
@@ -77,11 +86,11 @@ def cubic(tag: str) -> CubicSurface:
             phi_specialized=phi_spec,
             table1=entry["table1"],
             table1_expr=parse_expr(entry["table1"], ring, symbols=symbols),
-            table1_status=entry["table1_status"],
+            table1_status=status,
             table1_residue=entry.get("table1_residue", ""),
             table1_residue_expr=(parse_expr(entry["table1_residue"], ring)
-                                 if entry["table1_status"] == "documented_mismatch" else None),
-            table1_flip=tuple(entry.get("table1_flip", ())),
+                                 if status == "documented_mismatch" else None),
+            table1_flip=flip,
             theta_doc=entry.get("theta_doc", ""),
         )
 

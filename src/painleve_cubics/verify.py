@@ -115,9 +115,3 @@ def run(groups=None, depth: int | None = None) -> list:
     results.sort(key=lambda gc: (order[gc[0]], gc[1].cid))
     return [c for _, c in results]
 
-
-def report_lines(certs: list) -> list:
-    lines = [c.line() for c in certs]
-    passed = sum(c.passed for c in certs)
-    lines.append(f"{passed}/{len(certs)} certificates passed")
-    return lines

@@ -15,10 +15,7 @@ from painleve_cubics.cli import main
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects unknown verbs/choices with code 2
-        code = exc.code
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -136,8 +133,91 @@ def test_verify_group_json_and_determinism(capsys):
 
 
 def test_verify_unknown_group(capsys):
-    code, _, err = run_cli(capsys, "verify", "nonsense")
-    assert code == 2
+    code, out, err = run_cli(capsys, "verify", "nonsense")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown suite group(s) ['nonsense']; have ('charts', ")
+
+
+# -- the command line ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param((), "no verb given (see --help)", id="no-verb"),
+    pytest.param(("nosuchverb", "PV"), "unknown verb 'nosuchverb' (see --help)", id="unknown-verb"),
+    pytest.param(("show",), "show takes TAG, got none", id="too-few"),
+    pytest.param(("bracket", "PV", "a", "d", "e"), "bracket takes TAG FIRST SECOND, got PV a d e",
+                 id="too-many"),
+    pytest.param(("verify-all", "charts"), "verify-all takes no argument, got charts",
+                 id="verify-all-argument"),
+    pytest.param(("show", "PV", "--depth", "3"), "unknown option --depth for show",
+                 id="option-of-another-verb"),
+    pytest.param(("--depth", "3", "verify-all"), "unknown option --depth", id="option-before-verb"),
+    pytest.param(("--verbose", "show", "PV"), "unknown option --verbose", id="unknown-option"),
+    pytest.param(("-v", "show", "PV"), "unknown option -v", id="unknown-short-option"),
+    pytest.param(("--form", "json", "show", "PV"), "unknown option --form", id="no-abbreviation"),
+    pytest.param(("verify-all", "--depth"), "--depth needs a value", id="missing-value"),
+    pytest.param(("show", "PV", "--catalog"), "--catalog needs a value", id="missing-catalog"),
+    pytest.param(("verify-all", "--depth", "four"), "--depth takes an integer, got 'four'",
+                 id="non-integer"),
+    pytest.param(("twist", "PV", "--repeat=1.5"), "--repeat takes an integer, got '1.5'",
+                 id="non-integer-equals"),
+    pytest.param(("--format", "xml", "show", "PV"), "show has no --format xml (it prints text, json)",
+                 id="bad-format"),
+    pytest.param(("--format", "dot", "verify-all"),
+                 "verify-all has no --format dot (it prints text, json)", id="dot-verify-all"),
+])
+def test_usage_error_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["bracket", "signature", "confluence", "mutate", "twist"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_a_format_the_verb_does_not_print_is_exit_2(capsys, verb, fmt):
+    args = {"bracket": ("PV", "a", "d"), "signature": ("PV",), "confluence": ("PVI", "PV"),
+            "mutate": ("PVI", "12"), "twist": ("PV",)}[verb]
+    code, out, err = run_cli(capsys, "--format", fmt, verb, *args)
+    assert (code, out, err) == (2, "", f"error: {verb} has no --format {fmt} (it prints text)\n")
+
+
+@pytest.mark.parametrize("argv", [("show", "PV"), ("chart", "PV"), ("lambda", "PV"),
+                                  ("unfold", "PVI"), ("verify", "signatures")])
+def test_dot_is_printed_by_export_only(capsys, argv):
+    code, out, err = run_cli(capsys, "--format=dot", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[0]} has no --format dot (it prints text, json)")
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_repeat_below_one_is_exit_2(capsys, repeat):
+    code, out, err = run_cli(capsys, "twist", "PV", "--repeat", repeat)
+    assert (code, out, err) == (2, "", f"error: --repeat must be at least 1, got {repeat}\n")
+
+
+def test_option_value_after_an_equals_sign(capsys):
+    assert run_cli(capsys, "twist", "PIII_D8", "--repeat=2") == \
+        run_cli(capsys, "twist", "PIII_D8", "--repeat", "2")
+    assert run_cli(capsys, "--format=json", "show", "PV") == \
+        run_cli(capsys, "--format", "json", "show", "PV")
+
+
+def test_global_options_may_follow_the_verb(capsys):
+    assert run_cli(capsys, "show", "PV", "--format", "json") == \
+        run_cli(capsys, "--format", "json", "show", "PV")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_verb_group_and_format(capsys, flag):
+    from painleve_cubics import verify
+    from painleve_cubics.cli import VERBS
+
+    code, out, err = run_cli(capsys, "show", flag)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: painleve-cubics ")
+    verbs = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert verbs == list(VERBS)
+    assert f"GROUP is one of {', '.join(verify.GROUPS)}." in out
+    assert "(text, json, dot)" in out and "(text)" in out
 
 
 def test_catalog_override_failure_is_exit_2(tmp_path, capsys):
@@ -232,6 +312,14 @@ def test_process_unknown_tag_exits_2():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:") and "unknown" in done.stderr
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_process_usage_error_and_help():
+    done = run_python("-c", LAUNCHER, "--format", "json", "signature", "PV")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: signature has no --format json (it prints text)\n"
+    done = run_python("-c", LAUNCHER, "--help")
+    assert (done.returncode, done.stderr) == (0, "") and "signature TAG" in done.stdout
 
 
 def test_process_perturbed_chart_exits_1(tmp_path):

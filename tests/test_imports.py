@@ -1,7 +1,7 @@
 """Imports: every one in the package is read (a stdlib ``ast`` pass over its
 modules), every annotation names a class its module imports, a cold CLI
 call loads only the subsystems and the ``checks`` modules its verb runs, and
-no product process loads ``ast``."""
+no product process loads ``ast``, ``argparse``, ``gettext`` or ``locale``."""
 
 import ast
 import importlib
@@ -108,30 +108,32 @@ BRACKETS = {"painleve_cubics.poisson", "painleve_cubics.linalg"}
 CHECKS = {"painleve_cubics.checks"} | {f"painleve_cubics.checks.{m}" for m in
                                       ("cubics", "shear", "arcs", "confluence", "cluster", "unfolding")}
 LINALG = {"painleve_cubics.linalg"}
+VERIFY = {"painleve_cubics.verify"}
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ((), SUBSYSTEMS | BRACKETS | CHECKS),
+    ((), SUBSYSTEMS | BRACKETS | CHECKS | VERIFY),
     (("show", "PV"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.cluster",
                       "painleve_cubics.confluence", "painleve_cubics.unfolding"}
-     | BRACKETS | CHECKS),
-    (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics"} | BRACKETS | CHECKS),
-    (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}),
+     | BRACKETS | CHECKS | VERIFY),
+    (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics"} | BRACKETS | CHECKS | VERIFY),
+    (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}
+     | VERIFY),
     (("export", "confluence"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
-                                "painleve_cubics.unfolding"} | BRACKETS | CHECKS),
+                                "painleve_cubics.unfolding"} | BRACKETS | CHECKS | VERIFY),
     (("verify", "charts"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
                             "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
     (("chart", "PV"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.shear"}
-     | BRACKETS | CHECKS),
+     | BRACKETS | CHECKS | VERIFY),
     (("confluence", "PVI", "PV"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
-                                   "painleve_cubics.unfolding"} | BRACKETS),
+                                   "painleve_cubics.unfolding"} | BRACKETS | VERIFY),
     (("mutate", "PVI", "12"), {"painleve_cubics.arcs", "painleve_cubics.shear",
                                "painleve_cubics.confluence", "painleve_cubics.unfolding"}
-     | BRACKETS | CHECKS),
-    (("lambda", "PV"), CHECKS | LINALG),
-    (("bracket", "PV", "a", "b"), CHECKS | LINALG),
-    (("signature", "PV"), CHECKS | LINALG),
-    (("export", "inclusions"), CHECKS),
+     | BRACKETS | CHECKS | VERIFY),
+    (("lambda", "PV"), CHECKS | LINALG | VERIFY),
+    (("bracket", "PV", "a", "b"), CHECKS | LINALG | VERIFY),
+    (("signature", "PV"), CHECKS | LINALG | VERIFY),
+    (("export", "inclusions"), CHECKS | VERIFY),
 ], ids=["import", "show-PV", "export-catalog", "unfold-PVI", "export-confluence", "verify-charts",
         "chart-PV", "confluence-PVI-PV", "mutate-PVI", "lambda-PV", "bracket-PV", "signature-PV",
         "export-inclusions"])
@@ -165,11 +167,23 @@ def test_building_every_catalog_object_loads_no_check():
     assert sorted(loaded & (CHECKS | LINALG)) == []
 
 
+def cli_call(*argv) -> str:
+    """Code that runs the CLI on ``argv`` in process (stdout discarded; exit code 0)."""
+    return ("import contextlib, io\nfrom painleve_cubics.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({list(argv)!r}) == 0\n")
+
+
+@pytest.mark.parametrize("code", [cli_call("show", "PV"), cli_call("verify-all"), BUILD_EVERY_OBJECT],
+                         ids=["show-PV", "verify-all", "build-every-object"])
+def test_no_product_call_loads_argparse_gettext_or_locale(code):
+    # the CLI reads its argv from its own verb table
+    loaded = modules_after(code)
+    assert "painleve_cubics.cli" in loaded
+    assert sorted(loaded & {"argparse", "gettext", "locale"}) == []
+
+
 def test_no_product_call_loads_ast():
     # the catalog expression reader needs only ``re``, which ``fractions`` loads anyway
-    loaded = modules_after("import contextlib, io\n"
-                           "from painleve_cubics.cli import main\n"
-                           "with contextlib.redirect_stdout(io.StringIO()):\n"
-                           "    assert main(['show', 'PV']) == 0\n" + BUILD_EVERY_OBJECT)
+    loaded = modules_after(cli_call("show", "PV") + BUILD_EVERY_OBJECT)
     assert {"painleve_cubics.exprs", "painleve_cubics.arcs", "re"} <= loaded
     assert "ast" not in loaded

@@ -200,6 +200,47 @@ def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, va
     assert "Traceback" not in err
 
 
+WRONG_TYPES = [None, [], {}, 1.5, "zz+"]
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES, ids=lambda v: json.dumps(v))
+@pytest.mark.parametrize("name, path, group, where", [
+    pytest.param("signatures", ("signatures", "PV", "holes", 2), "signatures",
+                 "signatures.json signatures.PV", id="signatures.PV.holes[2]"),
+    pytest.param("cubics", ("cubics", "PV", "table1_status"), "cubics", "cubics.json cubics.PV",
+                 id="cubics.PV.table1_status"),
+    pytest.param("cubics", ("cubics", "PIII_D6", "table1_flip", 0), "cubics",
+                 "cubics.json cubics.PIII_D6", id="cubics.PIII_D6.table1_flip[0]"),
+    pytest.param("arrows", ("arrows", 3, "src"), "confluence", "arrows.json arrows[3]",
+                 id="arrows[3].src"),
+    pytest.param("arrows", ("arrows", 3, "dst"), "confluence", "arrows.json arrows[3]",
+                 id="arrows[3].dst"),
+])
+def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, group, where,
+                                                  value):
+    root = catalog_copy(tmp_path, name, put(path, value))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("signatures", "PV", "holes", 2), -1, "holes[2] is -1, not a count of cusps"),
+    (("signatures", "PV", "holes", 2), True, "holes[2] is True, not a count of cusps"),
+    (("cubics", "PV", "table1_status"), "exactly", "table1_status is 'exactly', not one of "
+     "exact, exact_rational, exact_after_sign_flip, documented_mismatch"),
+    (("cubics", "PIII_D6", "table1_flip", 0), "x4",
+     "table1_flip names 'x4', not a generator (x1, x2, x3, G1, G2, G3, Ginf)"),
+    (("arrows", 3, "dst"), "PIII_D9", "dst is 'PIII_D9', not a chart tag"),
+], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag"])
+def test_out_of_range_value_is_exit_2(tmp_path, capsys, path, value, message):
+    name = path[0]  # each of these sections is named after its file
+    root = catalog_copy(tmp_path, name, put(path, value))
+    where = f"{name}.json {name}" + (f"[{path[1]}]" if name == "arrows" else f".{path[1]}")
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    assert (code, out, err) == (2, "", f"error: {where}: {message}\n")
+
+
 @pytest.mark.parametrize("shift, message", [
     ({"q7": -2}, "shift names 'q7', not a shear coordinate (s1, s2, s3, p1, p2, p3)"),
     ({"p3": "1/3"}, "shift coefficient '1/3' of p3 is not an integer"),

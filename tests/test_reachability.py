@@ -3,12 +3,12 @@
 A fresh interpreter, so that no catalog cache left by another test hides a
 function, installs a ``sys.setprofile`` hook and runs the product corpus in
 process: every CLI verb, every certificate group, the library calls of the
-benchmark's set-up probe, two error paths and one perturbed catalog.  Every
-function code object compiled from the package's source (module and class
-bodies skipped) that the corpus never entered must be listed in
-``NEVER_ENTERED`` with its reason, and every entry there must be one the
-corpus never entered: a new function that nothing runs fails the test, and
-so does a stale entry.  ``PYTHONPATH=src python tests/test_reachability.py``
+benchmark's set-up probe, ``--help``, usage and lookup errors and one
+perturbed catalog.  Every function code object compiled from the package's
+source (module and class bodies skipped) that the corpus never entered must
+be listed in ``NEVER_ENTERED`` with its reason, and every entry there must
+be one the corpus never entered: a new function that nothing runs fails the
+test, and so does a stale entry.  ``PYTHONPATH=src python tests/test_reachability.py``
 prints the names the corpus never enters.
 """
 
@@ -80,12 +80,15 @@ def corpus(root: str) -> list:
     calls += [(("verify", group), 0) for group in verify.GROUPS]
     verbs = (("show", "PV"), ("chart", "PV"), ("lambda", "PV"), ("bracket", "PV", "a", "d"),
              ("signature", "PV"), ("confluence", "PVI", "PV"), ("mutate", "PVI", "12"))
-    calls += [((f"--format={fmt}", *argv), 0) for fmt in ("text", "json") for argv in verbs]
+    # the last four print text only, so --format=json is a usage error for them
+    calls += [((f"--format={fmt}", *argv), 0 if fmt == "text" or argv[0] in ("show", "chart", "lambda")
+               else 2) for fmt in ("text", "json") for argv in verbs]
     calls += [(("twist", case), 0) for case in catalog.load("lambdas")["twists"]]
     calls += [(("unfold", entry["tag"]), 0) for entry in unfolding.cases().values()]
     calls += [((f"--format={fmt}", "export", what), 0)
               for what in ("confluence", "inclusions", "catalog") for fmt in ("text", "json", "dot")]
     calls += [(("show", "P99"), 2), (("verify-all", "--depth", "0"), 2)]
+    calls += [(("--help",), 0), (("show", "PV", "--depth", "3"), 2)]
     calls += [(("--catalog", root, "verify", group), 1) for group in ("charts", "lambda")]
     return calls
 
