@@ -48,11 +48,7 @@ class LambdaCatalog(NamedTuple):
 
 @catalog.cached
 def lambda_catalog(tag: str) -> LambdaCatalog:
-    data = catalog.load("lambdas")["catalogs"]
-    if tag not in data:
-        raise catalog.UnknownEntry(f"no lambda catalog for {tag!r} (have {sorted(data)})")
-    entry = data[tag]
-    with catalog.context(f"lambdas.json catalogs.{tag}"):
+    with catalog.entry("lambdas", "catalogs", tag) as entry:
         stated = catalog.pairs(entry.get("stated_log_brackets", {}))
         solved = catalog.pairs(entry.get("solved_log_brackets", {}))
         if "subset_of" in entry:
@@ -65,7 +61,11 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         else:
             sring = Ring(tuple(entry["shear_generators"]))
             entries = {n: parse_poly(s, sring) for n, s in entry["entries"].items()}
-            table = catalog.pairs(entry["table"] if "table" in entry else data[entry["table_ref"]]["table"])
+            if "table" in entry:
+                table = catalog.pairs(entry["table"])
+            else:
+                with catalog.entry("lambdas", "catalogs", entry["table_ref"]) as ref:
+                    table = catalog.pairs(ref["table"])
             params = tuple(entry.get("params", ()))
             frozen = tuple(entry.get("frozen", ()))
             log = solved or stated
@@ -80,7 +80,7 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             casimirs=tuple(entry.get("casimirs", ())),
             casimir_exps=tuple(dict(zip(lring.names, parse_poly(text, lring).monomial_exps()))
                                for text in entry.get("casimirs", ())),
-            leaf_dim=int(entry.get("leaf_dim", 0)),
+            leaf_dim=catalog.typed(entry, "leaf_dim", int, 0),
             xexprs={n: parse_expr(s, lring) for n, s in entry.get("xexprs", {}).items()},
             stated_log_brackets=stated, solved_log_brackets=solved,
             central_shear=tuple(entry.get("central_shear", ())),
@@ -119,14 +119,10 @@ class Signature(NamedTuple):
 
 @catalog.cached
 def signature(tag: str) -> Signature:
-    data = catalog.load("signatures")["signatures"]
-    if tag not in data:
-        raise catalog.UnknownEntry(f"no signature for {tag!r}")
-    entry = data[tag]
-    with catalog.context(f"signatures.json signatures.{tag}"):
+    with catalog.entry("signatures", "signatures", tag) as entry:
         holes = tuple(entry["holes"])
         for i, cusps in enumerate(holes):
             if type(cusps) is not int or cusps < 0:
                 raise ValueError(f"holes[{i}] is {cusps!r}, not a count of cusps")
-        return Signature(tag=tag, holes=holes, stated_dim=int(entry["dim"]),
-                         phantom_hole=bool(entry.get("phantom_hole", False)))
+        return Signature(tag=tag, holes=holes, stated_dim=catalog.typed(entry, "dim", int),
+                         phantom_hole=catalog.typed(entry, "phantom_hole", bool, False))

@@ -1,17 +1,17 @@
 """Catalog file access: the one place that knows the catalog file format.
 
 Catalogs (cubics, charts, lambda tables, arrows, signatures, unfolding
-cases) are versioned JSON files shipped under ``painleve_cubics/data``.
-A different catalog root can be supplied with the CLI ``--catalog`` flag
-or the PAINLEVE_CUBICS_CATALOG environment variable, so transcription
-fixes never require touching code.
+cases) are versioned JSON files shipped under ``painleve_cubics/data``;
+``set_catalog_root`` (the CLI ``--catalog`` flag) reads them from another
+directory, so transcription fixes never require touching code.
 
 Each file is read and parsed once (``load`` is cached like every loader
 built on it; ``set_catalog_root`` and ``clear_caches`` reset them all).
-Every loader builds an entry inside ``context("<file>.json <section>.<key>")``,
-so a malformed entry surfaces as one ``CatalogError`` naming its file and
-key; a failed lookup by name raises ``UnknownEntry``.  ``pairs`` reads the
-``{"u,v": coefficient}`` tables.
+Every keyed read goes through ``entry``: a key its section lacks raises
+``UnknownEntry("<file>.json <section> has no 'KEY' (have A, B)")``, and the
+entry is built inside ``context("<file>.json <section>.<key>")``, so a
+malformed entry surfaces as one ``CatalogError`` naming its file and key.
+``pairs`` reads the ``{"u,v": coefficient}`` tables.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-
-ENV_VAR = "PAINLEVE_CUBICS_CATALOG"
 
 _override_root: Path | None = None
 _cache_clearers: list = []
@@ -50,39 +47,34 @@ def clear_caches() -> None:
         clear()
 
 
-def set_catalog_root(path: str | os.PathLike | None) -> None:
+def set_catalog_root(path: str | Path | None) -> None:
     global _override_root
     _override_root = Path(path) if path is not None else None
     clear_caches()
 
 
-def catalog_root() -> Path | None:
-    if _override_root is not None:
-        return _override_root
-    env = os.environ.get(ENV_VAR)
-    return Path(env) if env else None
-
-
 @cached
 def load(name: str) -> dict:
     """Catalog ``name`` (e.g. 'charts') as parsed JSON; callers must not mutate it."""
-    root = catalog_root()
     try:
-        if root is not None:
-            text = (root / f"{name}.json").read_text()
+        if _override_root is not None:
+            text = (_override_root / f"{name}.json").read_text()
         else:
             text = resources.files("painleve_cubics.data").joinpath(f"{name}.json").read_text()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {name!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog {name!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CatalogError(f"catalog {name!r} is not a JSON object")
+    return data
 
 
 @contextlib.contextmanager
 def context(where: str):
-    """Build one catalog entry: a KeyError, ValueError or TypeError inside
+    """Build one catalog entry: a LookupError, ValueError or TypeError inside
     becomes a CatalogError prefixed with ``where`` ("<file>.json <section>.<key>").
 
     A missing field reads ``missing key 'x'``; an UnknownEntry keeps its own
@@ -93,7 +85,7 @@ def context(where: str):
         yield
     except CatalogError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (LookupError, ValueError, TypeError) as exc:
         if isinstance(exc, UnknownEntry):
             message = exc.args[0]
         elif isinstance(exc, KeyError):
@@ -101,6 +93,37 @@ def context(where: str):
         else:
             message = str(exc)
         raise CatalogError(f"{where}: {message}") from exc
+
+
+@contextlib.contextmanager
+def entry(name: str, *path: str):
+    """Yield the value at ``path`` in catalog ``name`` inside its ``context``.
+
+    A section ``path[:-1]`` that is missing or not an object is an error
+    naming the file; a last key it lacks raises ``UnknownEntry`` outside the
+    entry's context, so only an enclosing entry prefixes the sentence.
+    """
+    *sections, key = path
+    section = f"{name}.json {'.'.join(sections)}".rstrip()
+    with context(f"{name}.json"):
+        table = load(name)
+        for part in sections:
+            table = table[part]
+        if not isinstance(table, dict):
+            raise TypeError(f"{'.'.join(sections)} is not a JSON object")
+    if key not in table:
+        raise UnknownEntry(f"{section} has no {key!r} (have {', '.join(table)})")
+    with context(f"{section}{'.' if sections else ' '}{key}"):
+        yield table[key]
+
+
+def typed(table: dict, field: str, kind: type, default=None):
+    """``table[field]`` (or ``default`` if absent) if its type is exactly ``kind``."""
+    value = table[field] if default is None else table.get(field, default)
+    if type(value) is not kind:
+        raise ValueError(f"{field} is {value!r}, not "
+                         + ("true or false" if kind is bool else "an integer"))
+    return value
 
 
 def pairs(table: dict) -> dict:

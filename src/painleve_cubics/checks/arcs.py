@@ -78,8 +78,7 @@ def word_trace(ring: Ring, letters: list, close_with_K: bool = False) -> Laurent
 
 def arc_trace_check() -> Certificate:
     """The worked arc of ``lambdas.json arc_trace``: its K-closed word trace is the catalog arc."""
-    with catalog.context("lambdas.json arc_trace"):
-        data = catalog.load("lambdas")["arc_trace"]
+    with catalog.entry("lambdas", "arc_trace") as data:
         cat, arc, word = lambda_catalog(data["catalog"]), data["arc"], data["word"]
         if arc not in cat.entries:
             raise catalog.UnknownEntry(f"no arc {arc!r} in lambda catalog {cat.tag!r}")
@@ -135,8 +134,8 @@ def verify_lambda_table(tag: str) -> Certificate:
     """The shear-level structure reproduces every bracket coefficient of the table."""
     cat = lambda_catalog(tag)
     if cat.shear_structure is None:
-        with catalog.context(f"lambdas.json catalogs.{tag}"):
-            raise catalog.UnknownEntry(f"{tag} has no shear-level structure to verify against")
+        with catalog.entry("lambdas", "catalogs", tag):
+            raise ValueError(f"{tag} has no shear-level structure to verify against")
     images = {**cat.entries, **{z: cat.shear_ring.gen(z) for z in cat.central_shear}}
     table = {**cat.table, **{(z, name): 0 for z in cat.central_shear for name in cat.entries}}
     bad = cat.shear_structure.table_residues(images, table)
@@ -178,8 +177,8 @@ def casimir_check(tag: str) -> Certificate:
     """
     cat = lambda_catalog(tag)
     if cat.shear_structure is None or not all(m.is_monomial() for m in cat.entries.values()):
-        with catalog.context(f"lambdas.json catalogs.{tag}"):
-            raise catalog.UnknownEntry(f"{tag} has Casimirs but no monomial shear-level structure")
+        with catalog.entry("lambdas", "catalogs", tag):
+            raise ValueError(f"{tag} has Casimirs but no monomial shear-level structure")
     structure, mono = cat.shear_structure, dict(cat.entries)
     for p, z in zip(cat.params, cat.central_shear):
         mono[p] = cat.shear_ring.gen(z)
@@ -217,15 +216,13 @@ def commutant_check(tag: str) -> Certificate:
 
 def pvi_from_pv_check() -> Certificate:
     """The four-hole coordinates recovered in the PV arc algebra satisfy their cubic."""
-    data = catalog.load("lambdas")["pvi_from_pv"]
-    cat = lambda_catalog("PV")
-    ring = cat.lambda_ring
-    with catalog.context("lambdas.json pvi_from_pv"):
+    ring = lambda_catalog("PV").lambda_ring
+    with catalog.entry("lambdas", "pvi_from_pv") as data:
         xs = {n: parse_expr(s, ring) for n, s in data["xexprs"].items()}
         ident = {g: parse_expr(s, ring) for g, s in data["identifications"].items()}
-    phi = pulled_back("PVI", [xs[n] for n in X_NAMES], ident, ring)
-    # specialisation e = 1 collapses the extra parameter to the value 2
-    deg = ident["G3"].substitute({"e": ring.one()}).as_poly()
+        phi = pulled_back("PVI", [xs[n] for n in X_NAMES], ident, ring)
+        # specialisation e = 1 collapses the extra parameter to the value 2
+        deg = ident["G3"].substitute({"e": ring.one()}).as_poly()
     ok = phi.is_zero() and deg.constant_value() == 2
     return certify("pvi-from-pv", "four-hole cubic inside the PV arc algebra",
                    "PVI coordinates from PV arcs", ok,

@@ -124,15 +124,14 @@ def pv_to_piii_change() -> Certificate:
     """
     from ..arcs import lambda_catalog  # only this check needs the arc catalogs
     structure = lambda_catalog("PV").shear_structure
-    with catalog.context("lambdas.json pv_to_piii"):
+    with catalog.entry("lambdas", "pv_to_piii") as data:
         if structure is None:
-            raise catalog.UnknownEntry("the PV arc catalog has no shear-level structure")
-        data = catalog.load("lambdas")["pv_to_piii"]
+            raise ValueError("the PV arc catalog has no shear-level structure")
         images = {z: parse_expr(text, structure.ring) for z, text in data["images"].items()}
         quoted = catalog.pairs(data["log_brackets"])
         stray = [f"{u},{v}" for u, v in quoted if not images.keys() >= {u, v}]
         if stray:
-            raise catalog.UnknownEntry(f"log_brackets {stray[0]} names no pair of the images")
+            raise ValueError(f"log_brackets {stray[0]} names no pair of the images")
     table = {(u, v): quoted.get((u, v), -quoted.get((v, u), 0)) for u, v in combinations(images, 2)}
     bad = [(u, v, str(r)[:60]) for u, v, r in structure.table_residues(images, table)]
     detail = "all chain-rule brackets constant; quoted values reproduced"

@@ -51,14 +51,14 @@ def reduce_mod_u(poly: LaurentPoly, relation: LaurentPoly, uname: str) -> tuple:
 
 def _substituted(phi: LaurentPoly, sub: dict, ring: Ring) -> RationalExpr:
     images = {name: parse_expr(text, ring) for name, text in sub.items()}
-    return phi.cast(ring).substitute(images, ring=ring)
+    return phi.substitute(images, ring=ring)
 
 
 def hat_param_rank_check(key: str) -> Certificate:
     """The affine-linear part of w -> w-hat has full rank 4 and the stated value at w = 0."""
     table = hat_param_table(key)
-    with catalog.context(f"unfoldings.json {key}"):
-        stated = [Fraction(v) for v in catalog.load("unfoldings")[key]["hat_params_at_zero"]]
+    with catalog.entry("unfoldings", key) as entry:
+        stated = [Fraction(v) for v in entry["hat_params_at_zero"]]
     rows = []
     for name in ("wh1", "wh2", "wh3", "wh4"):
         poly = table[name]
@@ -77,9 +77,8 @@ def hat_param_rank_check(key: str) -> Certificate:
 
 def unfold_d4(key: str) -> Certificate:
     """Exact decomposition: shifted cubic = Morse term + quartic tail + normal form."""
-    entry = catalog.load("unfoldings")[key]
     ring = W_RING
-    with catalog.context(f"unfoldings.json {key}"):
+    with catalog.entry("unfoldings", key) as entry:
         shift = entry["pre_shift"]
         shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
                              tuple(ring.gen(n) for n in ("w1", "w2", "w3", "w4")))
@@ -102,8 +101,7 @@ def unfold_d4(key: str) -> Certificate:
 
 
 def _implicit_case(key: str) -> Certificate:
-    entry = catalog.load("unfoldings")[key]
-    with catalog.context(f"unfoldings.json {key}"):
+    with catalog.entry("unfoldings", key) as entry:
         params = tuple(entry["param_generators"])
         ring = Ring(("x1", "x2", "x3", "u") + params)
         if "cubic" in entry:
@@ -113,7 +111,7 @@ def _implicit_case(key: str) -> Certificate:
             phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(entry["tag"]).eps, omega)
         out = _substituted(phi, entry["substitution"], ring).as_poly()
         target = parse_poly(entry["target"], ring)
-        clear_pow = int(entry["relation_clear_power"])
+        clear_pow = catalog.typed(entry, "relation_clear_power", int)
         lhs = parse_expr(entry["relation_lhs"], ring)
         rhs = parse_expr(entry["relation_rhs"], ring)
         relation = ((lhs - rhs) * ring.gen("u", clear_pow)).as_poly()
@@ -130,9 +128,8 @@ def _implicit_case(key: str) -> Certificate:
 
 def unfold_a1_pvdeg(key: str) -> Certificate:
     """Both explicit charts map onto the Morse normal form, as rational identities."""
-    entry = catalog.load("unfoldings")[key]
     bad = []
-    with catalog.context(f"unfoldings.json {key}"):
+    with catalog.entry("unfoldings", key) as entry:
         ring = Ring(("x1", "x2", "x3") + tuple(entry["param_generators"]))
         phi = parse_poly(entry["cubic"], ring)
         for i, chart in enumerate(entry["charts"], start=1):
@@ -148,10 +145,9 @@ def unfold_a1_pvdeg(key: str) -> Certificate:
 
 def singular_points_check(key: str) -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
-    entry = catalog.load("unfoldings")[key]
-    with catalog.context(f"unfoldings.json {key}"):
+    with catalog.entry("unfoldings", key) as entry:
         tag, fibre = entry["tag"], entry["singular_fibre"]
-        gvals = {"G1": -int(fibre["params"]["w1"]), "G2": -int(fibre["params"]["w2"])}
+        gvals = {f"G{i}": -catalog.typed(fibre["params"], f"w{i}", int) for i in (1, 2)}
         ok = all(singular_point_check(tag, gvals, tuple(pt))
                  for pt in fibre["singular_points"])
         probe_singular = singular_point_check(tag, gvals, tuple(fibre["regular_probe"]))

@@ -183,7 +183,7 @@ def _cmd_unfold(fmt, tag) -> int:
     from .checks import unfolding as unfolding_checks
     keys = {entry["tag"]: key for key, entry in unfolding.cases().items()}
     if tag not in keys:
-        raise catalog.UnknownEntry(f"no unfolding case for {tag!r} (have {sorted(keys)})")
+        raise catalog.UnknownEntry(f"unfoldings.json has no tag {tag!r} (have {', '.join(keys)})")
     entry = unfolding.cases()[keys[tag]]
     if fmt != "json":
         for field in ("substitution", "diffeo"):
@@ -231,6 +231,8 @@ def _cmd_export(fmt, what) -> int:
             print(confluence.graph_json(), end="")
         return 0
     if what == "catalog":
+        if fmt == "dot":
+            raise UsageError("export catalog has no --format dot (it prints text, json)")
         from . import cubics
         payload = {"cubics": {}}
         for t in cubics.tags():
@@ -304,7 +306,7 @@ def read_argv(argv) -> tuple:
         if name not in ("--format", "--catalog", *(VERBS[verb][2].split() if verb else ())):
             raise UsageError(f"unknown option {name}" + (f" for {verb}" if verb else ""))
         opts[name] = value if eq else next(tokens, None)
-        if opts[name] is None:
+        if not opts[name]:
             raise UsageError(f"{name} needs a value")
     if verb is None:
         raise UsageError("no verb given (see --help)")
@@ -331,7 +333,7 @@ def read_argv(argv) -> tuple:
 def main(argv=None) -> int:
     try:
         fn, fmt, root, words, kwargs = read_argv(sys.argv[1:] if argv is None else argv)
-        if root:
+        if root is not None:
             catalog.set_catalog_root(root)
         code = fn(fmt, *words, **kwargs)
         sys.stdout.flush()  # a closed reader must show up here, not at exit

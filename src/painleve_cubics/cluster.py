@@ -65,11 +65,7 @@ def twist_case(name: str) -> TwistCase:
     # brackets and arc catalogs load only for the twists, not for mutate
     from .arcs import lambda_catalog
     from .poisson import PoissonStructure
-    table = catalog.load("lambdas")["twists"]
-    if name not in table:
-        raise catalog.UnknownEntry(f"unknown twist case {name!r} (have {', '.join(table)})")
-    entry = table[name]
-    with catalog.context(f"lambdas.json twists.{name}"):
+    with catalog.entry("lambdas", "twists", name) as entry:
         if "arcs" in entry:
             cat = lambda_catalog(entry["arcs"])
             ring, structure = cat.lambda_ring, cat.structure

@@ -48,11 +48,8 @@ def arrows() -> tuple:
                                      f"({', '.join(SHEAR_NAMES)})")
                 if type(c) is not int:
                     raise ValueError(f"shift coefficient {c!r} of {z} is not an integer")
-            secondary = a.get("secondary", False)
-            if type(secondary) is not bool:
-                raise ValueError(f"secondary is {secondary!r}, not true or false")
-            out.append(Arrow(src=a["src"], dst=a["dst"], shift=dict(a["shift"]),
-                             label=a["label"], secondary=secondary))
+            out.append(Arrow(src=a["src"], dst=a["dst"], shift=dict(a["shift"]), label=a["label"],
+                             secondary=catalog.typed(a, "secondary", bool, False)))
     return tuple(out)
 
 

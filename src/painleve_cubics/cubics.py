@@ -58,14 +58,12 @@ def base_ring() -> Ring:
 
 @catalog.cached
 def cubic(tag: str) -> CubicSurface:
-    data = catalog.load("cubics")["cubics"]
-    if tag not in data:
-        raise catalog.UnknownEntry(f"unknown cubic tag {tag!r} (have {sorted(data)})")
-    entry = data[tag]
     ring = base_ring()
-    with catalog.context(f"cubics.json cubics.{tag}"):
+    with catalog.entry("cubics", "cubics", tag) as entry:
         omega = tuple(parse_poly(s, ring) for s in entry["omega"])
-        eps = tuple(int(v) for v in entry["eps"])
+        eps = tuple(entry["eps"])
+        if len(eps) != 3 or any(type(e) is not int or e not in (0, 1) for e in eps):
+            raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
         phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
         spec = {name: parse_poly(s, ring) for name, s in entry["specialization"].items()}
         phi_spec = phi.substitute(spec).as_poly() if spec else phi

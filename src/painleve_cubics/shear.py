@@ -39,12 +39,8 @@ def shear_ring() -> Ring:
 
 @catalog.cached
 def chart(tag: str) -> ShearChart:
-    data = catalog.load("charts")
-    if tag not in data["charts"]:
-        raise catalog.UnknownEntry(f"no chart for tag {tag!r}")
-    entry = data["charts"][tag]
     ring = shear_ring()
-    with catalog.context(f"charts.json charts.{tag}"):
+    with catalog.entry("charts", "charts", tag) as entry:
         G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
         images = {}
         for gen, spec in entry.get("normalization_subst", {}).items():

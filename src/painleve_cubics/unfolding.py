@@ -15,9 +15,8 @@ W_RING = Ring(("x1", "x2", "x3", "w1", "w2", "w3", "w4"))
 
 def hat_param_table(key: str = "d4") -> dict:
     """The hat parameters of entry ``key`` (by default the corank-3 entry d4)."""
-    with catalog.context(f"unfoldings.json {key}"):
-        hats = catalog.load("unfoldings")[key]["hat_params"]
-        return {name: parse_poly(text, W_RING) for name, text in hats.items()}
+    with catalog.entry("unfoldings", key) as entry:
+        return {name: parse_poly(text, W_RING) for name, text in entry["hat_params"].items()}
 
 
 def cases() -> dict:

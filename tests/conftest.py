@@ -4,9 +4,8 @@ from painleve_cubics import catalog
 
 
 @pytest.fixture(autouse=True)
-def pristine_catalogs(monkeypatch):
+def pristine_catalogs():
     """Every test starts from the built-in catalogs."""
-    monkeypatch.delenv(catalog.ENV_VAR, raising=False)
     catalog.set_catalog_root(None)
     yield
     catalog.set_catalog_root(None)

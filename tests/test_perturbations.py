@@ -191,6 +191,8 @@ def put(path: tuple, value):
                  "charts.json charts.PI", id="charts.PI.normalization_subst.s3.power"),
     pytest.param("arrows", ("arrows", 5, "secondary"), "no", "arrows.json arrows[5]",
                  id="arrows[5].secondary"),
+    pytest.param("cubics", ("cubics", "PV", "omega"), ["G1", "G2", "G3"], "cubics.json cubics.PV",
+                 id="cubics.PV.omega-three"),
 ])
 def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, value, where):
     root = catalog_copy(tmp_path, name, put(path, value))
@@ -224,21 +226,46 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
     assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("path, value, message", [
-    (("signatures", "PV", "holes", 2), -1, "holes[2] is -1, not a count of cusps"),
-    (("signatures", "PV", "holes", 2), True, "holes[2] is True, not a count of cusps"),
-    (("cubics", "PV", "table1_status"), "exactly", "table1_status is 'exactly', not one of "
+@pytest.mark.parametrize("name, path, value, message", [
+    ("signatures", ("signatures", "PV", "holes", 2), -1,
+     "signatures.json signatures.PV: holes[2] is -1, not a count of cusps"),
+    ("signatures", ("signatures", "PV", "holes", 2), True,
+     "signatures.json signatures.PV: holes[2] is True, not a count of cusps"),
+    ("cubics", ("cubics", "PV", "table1_status"), "exactly",
+     "cubics.json cubics.PV: table1_status is 'exactly', not one of "
      "exact, exact_rational, exact_after_sign_flip, documented_mismatch"),
-    (("cubics", "PIII_D6", "table1_flip", 0), "x4",
-     "table1_flip names 'x4', not a generator (x1, x2, x3, G1, G2, G3, Ginf)"),
-    (("arrows", 3, "dst"), "PIII_D9", "dst is 'PIII_D9', not a chart tag"),
-], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag"])
-def test_out_of_range_value_is_exit_2(tmp_path, capsys, path, value, message):
-    name = path[0]  # each of these sections is named after its file
+    ("cubics", ("cubics", "PIII_D6", "table1_flip", 0), "x4",
+     "cubics.json cubics.PIII_D6: table1_flip names 'x4', not a generator "
+     "(x1, x2, x3, G1, G2, G3, Ginf)"),
+    ("arrows", ("arrows", 3, "dst"), "PIII_D9",
+     "arrows.json arrows[3]: dst is 'PIII_D9', not a chart tag"),
+    ("signatures", ("signatures", "PV", "dim"), 7.9,
+     "signatures.json signatures.PV: dim is 7.9, not an integer"),
+    ("signatures", ("signatures", "PV", "dim"), True,
+     "signatures.json signatures.PV: dim is True, not an integer"),
+    ("signatures", ("signatures", "PI", "phantom_hole"), "no",
+     "signatures.json signatures.PI: phantom_hole is 'no', not true or false"),
+    ("cubics", ("cubics", "PV", "eps", 0), 1.5,
+     "cubics.json cubics.PV: eps is [1.5, 1, 0], not three of 0 and 1"),
+    ("cubics", ("cubics", "PV", "eps", 0), True,
+     "cubics.json cubics.PV: eps is [True, 1, 0], not three of 0 and 1"),
+    ("cubics", ("cubics", "PV", "eps", 0), 2,
+     "cubics.json cubics.PV: eps is [2, 1, 0], not three of 0 and 1"),
+    ("lambdas", ("catalogs", "PV", "leaf_dim"), 4.5,
+     "lambdas.json catalogs.PV: leaf_dim is 4.5, not an integer"),
+    ("lambdas", ("catalogs", "PV", "leaf_dim"), "4",
+     "lambdas.json catalogs.PV: leaf_dim is '4', not an integer"),
+    ("unfoldings", ("a2", "relation_clear_power"), 2.7,
+     "unfoldings.json a2: relation_clear_power is 2.7, not an integer"),
+    ("unfoldings", ("a1_pvdeg", "singular_fibre", "params", "w1"), -2.5,
+     "unfoldings.json a1_pvdeg: w1 is -2.5, not an integer"),
+], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
+        "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
+        "float-leaf-dim", "string-leaf-dim", "float-clear-power", "float-fibre-param"])
+def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
-    where = f"{name}.json {name}" + (f"[{path[1]}]" if name == "arrows" else f".{path[1]}")
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
-    assert (code, out, err) == (2, "", f"error: {where}: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("shift, message", [
@@ -275,13 +302,36 @@ def test_zero_chart_coordinate_has_no_confluence_limit(tmp_path, capsys):
     assert err == "error: charts.json charts.PVI: x1 is zero, so it has no leading part\n"
 
 
+ARC_CATALOGS = "PV, PVdeg, PIV, PIII_hat, PIII_tilde, PIII_D7, PIII_D8, PII_JM, PII_FN"
+
+
 def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
-    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PIII_D7", "subset_of"), "NOPE"))
-    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
-    assert code == 2 and out == ""
-    assert err.startswith("error: lambdas.json catalogs.PIII_D7: "
-                          "no lambda catalog for 'NOPE' (have [")
-    assert "missing key" not in err and len(err.strip().splitlines()) == 1
+    # an entry's reference to another entry is a lookup, named by the entry
+    for tag, field in (("PIII_D7", "subset_of"), ("PIII_hat", "table_ref")):
+        root = catalog_copy(tmp_path, "lambdas", put(("catalogs", tag, field), "NOPE"))
+        code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+        assert (code, out) == (2, "")
+        assert err == (f"error: lambdas.json catalogs.{tag}: "
+                       f"lambdas.json catalogs has no 'NOPE' (have {ARC_CATALOGS})\n")
+
+
+@pytest.mark.parametrize("argv, name, edit", [
+    pytest.param(("show", "PX"), "cubics", None, id="show"),
+    pytest.param(("chart", "PX"), "charts", None, id="chart"),
+    pytest.param(("lambda", "PX"), "lambdas", None, id="lambda"),
+    pytest.param(("signature", "PX"), "signatures", None, id="signature"),
+    pytest.param(("twist", "PX"), "lambdas", None, id="twist"),
+    pytest.param(("unfold", "PX"), "unfoldings", None, id="unfold"),
+    pytest.param(("lambda", "PIII_D7"), "lambdas",
+                 put(("catalogs", "PIII_D7", "subset_of"), "NOPE"), id="subset_of"),
+    pytest.param(("twist", "PV"), "lambdas", lambda data: data.pop("twists"), id="no-section"),
+    pytest.param(("twist", "PV"), "lambdas", put(("twists",), []), id="list-section"),
+])
+def test_unknown_key_names_its_file(tmp_path, capsys, argv, name, edit):
+    root = catalog_copy(tmp_path, name, edit or (lambda data: None))
+    code, out, err = run_cli(capsys, "--catalog", root, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name}.json") and len(err.splitlines()) == 1
 
 
 def test_stray_expected_mismatch_is_exit_2(tmp_path, capsys):
