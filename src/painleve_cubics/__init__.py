@@ -1,72 +1,34 @@
-"""Exact symbolic verification of the Painleve monodromy cubics."""
+"""Exact symbolic verification of the Painleve monodromy cubics.
 
-from .ring import GenImage, LaurentPoly, RationalExpr, Ring, RingError, divide_exact
-from .exprs import ExprSyntaxError, parse_expr, parse_poly
+Every public name is imported from its module on first use (PEP 562), so a
+bare ``import painleve_cubics`` loads no submodule, and a call that needs no
+bracket loads neither ``poisson`` nor ``linalg``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GenImage",
-    "LaurentPoly",
-    "RationalExpr",
-    "Ring",
-    "RingError",
-    "divide_exact",
-    "ExprSyntaxError",
-    "parse_expr",
-    "parse_poly",
-    "NambuContext",
-    "PoissonStructure",
-    "casimir_kernel",
-    "solve_structure",
-    "cubic",
-    "chart",
-    "lambda_catalog",
-    "signature",
-    "run_suite",
-    "__version__",
-]
+# public name -> the module that defines it
+_MODULES = {
+    **dict.fromkeys(("GenImage", "LaurentPoly", "RationalExpr", "Ring", "RingError",
+                     "divide_exact"), "ring"),
+    **dict.fromkeys(("ExprSyntaxError", "parse_expr", "parse_poly"), "exprs"),
+    **dict.fromkeys(("NambuContext", "PoissonStructure", "casimir_kernel",
+                     "solve_structure"), "poisson"),
+    "cubic": "cubics",
+    "chart": "shear",
+    "lambda_catalog": "arcs",
+    "signature": "arcs",
+}
 
-
-_POISSON = ("NambuContext", "PoissonStructure", "casimir_kernel", "solve_structure")
+__all__ = [*_MODULES, "run_suite", "__version__"]
 
 
 def __getattr__(name: str):
-    """The Poisson names, imported on first use (PEP 562), so that a call that
-    needs no bracket loads neither ``poisson`` nor ``linalg``."""
-    if name in _POISSON:
-        from . import poisson
-
-        return getattr(poisson, name)
+    if name in _MODULES:
+        return getattr(importlib.import_module(f".{_MODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def cubic(tag: str):
-    """Catalog cubic for ``tag`` (lazy import keeps the kernel standalone)."""
-    from .cubics import cubic as _cubic
-
-    return _cubic(tag)
-
-
-def chart(tag: str):
-    """Shear chart for ``tag``."""
-    from .shear import chart as _chart
-
-    return _chart(tag)
-
-
-def lambda_catalog(tag: str):
-    """Arc catalog for ``tag``."""
-    from .arcs import lambda_catalog as _cat
-
-    return _cat(tag)
-
-
-def signature(tag: str):
-    """Surface signature for ``tag``."""
-    from .arcs import signature as _sig
-
-    return _sig(tag)
 
 
 def run_suite(groups=None, depth=None):

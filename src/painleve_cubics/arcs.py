@@ -4,17 +4,20 @@ The catalogs record each surface's arcs as monomials (or short sums) in
 exponentiated shear coordinates, the pairwise bracket table, and the
 frozen arcs cutting out the monodromy manifold.  The SL2 word traces and
 the combinatorial cusp bracket that certify them are in ``checks.arcs``.
+Only ``lambda_catalog`` needs the Laurent kernel, and it imports it, so a
+signature is read without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import catalog
-from .exprs import parse_expr, parse_poly
-from .poisson import PoissonStructure
-from .ring import Ring
+
+if TYPE_CHECKING:
+    from .poisson import PoissonStructure
+    from .ring import Ring
 
 
 # -- lambda catalogs -----------------------------------------------------------
@@ -48,6 +51,9 @@ class LambdaCatalog(NamedTuple):
 
 @catalog.cached
 def lambda_catalog(tag: str) -> LambdaCatalog:
+    from .exprs import parse_expr, parse_poly
+    from .poisson import PoissonStructure
+    from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
         stated = catalog.pairs(entry.get("stated_log_brackets", {}))
         solved = catalog.pairs(entry.get("solved_log_brackets", {}))

@@ -11,7 +11,10 @@ Every keyed read goes through ``entry``: a key its section lacks raises
 ``UnknownEntry("<file>.json <section> has no 'KEY' (have A, B)")``, and the
 entry is built inside ``context("<file>.json <section>.<key>")``, so a
 malformed entry surfaces as one ``CatalogError`` naming its file and key.
-``pairs`` reads the ``{"u,v": coefficient}`` tables.
+A whole section is read with ``section``, which names the file when the
+section is missing or of the wrong kind.  ``pairs`` reads the
+``{"u,v": coefficient}`` tables.  ``X_NAMES`` and ``SHEAR_NAMES`` are the
+coordinate names that the catalogs key their charts and shifts by.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+
+X_NAMES = ("x1", "x2", "x3")
+SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
 
 _override_root: Path | None = None
 _cache_clearers: list = []
@@ -95,25 +101,34 @@ def context(where: str):
         raise CatalogError(f"{where}: {message}") from exc
 
 
+def section(name: str, *path: str, kind: type = dict):
+    """The section at ``path`` in catalog ``name``: a JSON object, or with
+    ``kind=list`` an array.  One that is missing or of another kind is an
+    error naming the file."""
+    with context(f"{name}.json"):
+        table = load(name)
+        for part in path:
+            table = table[part]
+        if not isinstance(table, kind):
+            noun = "array" if kind is list else "object"
+            raise TypeError(f"{'.'.join(path)} is not a JSON {noun}")
+    return table
+
+
 @contextlib.contextmanager
 def entry(name: str, *path: str):
     """Yield the value at ``path`` in catalog ``name`` inside its ``context``.
 
-    A section ``path[:-1]`` that is missing or not an object is an error
-    naming the file; a last key it lacks raises ``UnknownEntry`` outside the
-    entry's context, so only an enclosing entry prefixes the sentence.
+    ``path[:-1]`` is read with ``section``; a last key it lacks raises
+    ``UnknownEntry`` outside the entry's context, so only an enclosing entry
+    prefixes the sentence.
     """
     *sections, key = path
-    section = f"{name}.json {'.'.join(sections)}".rstrip()
-    with context(f"{name}.json"):
-        table = load(name)
-        for part in sections:
-            table = table[part]
-        if not isinstance(table, dict):
-            raise TypeError(f"{'.'.join(sections)} is not a JSON object")
+    table = section(name, *sections)
+    where = f"{name}.json {'.'.join(sections)}".rstrip()
     if key not in table:
-        raise UnknownEntry(f"{section} has no {key!r} (have {', '.join(table)})")
-    with context(f"{section}{'.' if sections else ' '}{key}"):
+        raise UnknownEntry(f"{where} has no {key!r} (have {', '.join(table)})")
+    with context(f"{where}{'.' if sections else ' '}{key}"):
         yield table[key]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 
@@ -44,3 +45,14 @@ def certify(cid: str, title: str, anchor: str, ok: bool,
             detail: str = "", residue: object = "") -> Certificate:
     return Certificate(cid, title, anchor, bool(ok), detail,
                        "" if ok else digest(residue))
+
+
+def report(certs: list, fmt: str) -> int:
+    """Print ``certs`` as text lines and a tally, or as JSON; 0 if all pass, else 1."""
+    if fmt == "json":
+        print(json.dumps([c.to_json() for c in certs], indent=1, sort_keys=True))
+    else:
+        for c in certs:
+            print(c.line())
+        print(f"{sum(c.passed for c in certs)}/{len(certs)} certificates passed")
+    return 0 if all(c.passed for c in certs) else 1

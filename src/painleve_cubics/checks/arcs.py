@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from .. import catalog
 from ..arcs import lambda_catalog, signature
+from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import G_NAMES, X_NAMES, pulled_back
+from ..cubics import G_NAMES, pulled_back
 from ..exprs import parse_expr
 from ..poisson import casimir_kernel, is_casimir_product, solve_structure
 from ..ring import LaurentPoly, Ring

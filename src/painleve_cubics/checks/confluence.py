@@ -1,13 +1,50 @@
-"""Certificates of the confluence limits and of the reversed algebra inclusions."""
+"""Certificates of the confluence limits and of the reversed algebra inclusions.
+
+On the generators an arrow z -> z + c log(epsilon) is g_z -> eps^c g_z, where
+``eps`` is the exponentiated coordinate of log(epsilon), that is epsilon^{1/2}.
+The limit epsilon -> 0 is the part of least eps-degree d, an epsilon-degree
+d/2, taken per coordinate (the three coordinates may sit at different leading
+degrees); after expanding all parameter symbols it must coincide with the
+target chart exactly.
+"""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .. import catalog
+from ..catalog import SHEAR_NAMES
 from ..certificates import Certificate, certify
-from ..confluence import Arrow, EmbeddingMap, arrow, embeddings, eps_ring, limit_chart_coords
+from ..confluence import Arrow, EmbeddingMap, arrow, embeddings
 from ..exprs import parse_poly
-from ..ring import RingError
+from ..ring import Ring, RingError
 from ..shear import chart
+
+
+def eps_ring() -> Ring:
+    """The shear ring with ``eps``, the generator that stands for epsilon^{1/2}."""
+    return Ring(SHEAR_NAMES + ("eps",))
+
+
+def scaled_chart_coords(a: Arrow) -> list:
+    """Source chart coordinates after the arrow's rescaling g_z -> eps^c g_z."""
+    ring = eps_ring()
+    images = {z: ring.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
+    return [x.cast(ring).substitute(images, ring=ring).as_poly()
+            for x in chart(a.src).x]
+
+
+def limit_chart_coords(a: Arrow) -> tuple:
+    """(leading epsilon-degrees, leading parts) of the rescaled source coordinates."""
+    degrees, leads = [], []
+    for i, scaled in enumerate(scaled_chart_coords(a), start=1):
+        parts = scaled.coefficients("eps")
+        if not parts:
+            raise RingError(f"charts.json charts.{a.src}: x{i} is zero, so it has no leading part")
+        d = min(parts)
+        degrees.append(Fraction(d, 2))
+        leads.append(parts[d])
+    return degrees, leads
 
 
 def confluent_limit(a: Arrow) -> Certificate:

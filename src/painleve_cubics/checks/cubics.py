@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import X_NAMES, cubic, cubic_form
+from ..cubics import cubic, cubic_form
 from ..ring import Ring, as_expr
 
 if TYPE_CHECKING:  # nambu_context imports poisson when it runs

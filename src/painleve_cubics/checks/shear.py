@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .. import catalog
+from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import X_NAMES, cubic, pulled_back
+from ..cubics import cubic, pulled_back
 from ..exprs import parse_expr
 from ..ring import GenImage, LaurentPoly, as_expr
 from ..shear import chart, shear_ring

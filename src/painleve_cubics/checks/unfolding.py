@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .. import catalog, linalg
+from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import X_NAMES, cubic, cubic_form
+from ..cubics import cubic, cubic_form
 from ..exprs import parse_expr, parse_poly
 from ..ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
 from ..unfolding import W_RING, cases, hat_param_table

@@ -1,28 +1,23 @@
-"""Confluence limits between charts and the reversed algebra inclusions.
+"""Confluence arrows between charts and the reversed algebra inclusions.
 
 An arrow rescales shear coordinates by z -> z + c log(epsilon), with an
-integer c for every arrow.  The generator ``eps`` is the exponentiated
-coordinate of log(epsilon), that is epsilon^{1/2}, so on the generators
-the arrow is g_z -> eps^c g_z.  The limit epsilon -> 0 is the part of
-least eps-degree d, an epsilon-degree d/2, taken per coordinate (the
-three coordinates may sit at different leading degrees); after expanding
-all parameter symbols it must coincide with the target chart exactly.
-
-The inclusion direction of the arc algebras runs opposite to the
+integer c for every arrow; its limit epsilon -> 0 must land on the target
+chart.  The inclusion direction of the arc algebras runs opposite to the
 cusp-removal arrows: each embedding sends the smaller catalog's arcs to
 monomials of the bigger one, preserving every bracket coefficient.
-Both are certified in ``checks.confluence``.
+
+This module reads ``arrows.json``, checking its tags against the charts and
+arc catalogs by name, so it loads no Laurent kernel; the limits and the
+inclusions are computed and certified in ``checks.confluence``, and the
+graphs are drawn by ``verbs.export``.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import catalog
-from .ring import Ring, RingError
-from .shear import SHEAR_NAMES, chart
+from .catalog import SHEAR_NAMES
 
 
 class Arrow(NamedTuple):
@@ -33,15 +28,19 @@ class Arrow(NamedTuple):
     secondary: bool
 
 
+def _check_tags(item: dict, ends: tuple, tags: list, kind: str) -> None:
+    for end in ends:
+        if item[end] not in tags:
+            raise ValueError(f"{end} is {item[end]!r}, not {kind}")
+
+
 @catalog.cached
 def arrows() -> tuple:
     out = []
-    tags = list(catalog.load("charts")["charts"])
-    for i, a in enumerate(catalog.load("arrows")["arrows"]):
+    tags = list(catalog.section("charts", "charts"))
+    for i, a in enumerate(catalog.section("arrows", "arrows", kind=list)):
         with catalog.context(f"arrows.json arrows[{i}]"):
-            for end in ("src", "dst"):
-                if a[end] not in tags:
-                    raise ValueError(f"{end} is {a[end]!r}, not a chart tag")
+            _check_tags(a, ("src", "dst"), tags, "a chart tag")
             for z, c in a["shift"].items():
                 if z not in SHEAR_NAMES:
                     raise ValueError(f"shift names {z!r}, not a shear coordinate "
@@ -60,32 +59,6 @@ def arrow(src: str, dst: str) -> Arrow:
     raise catalog.UnknownEntry(f"no confluence arrow {src} -> {dst}")
 
 
-def eps_ring() -> Ring:
-    """The shear ring with ``eps``, the generator that stands for epsilon^{1/2}."""
-    return Ring(SHEAR_NAMES + ("eps",))
-
-
-def scaled_chart_coords(a: Arrow) -> list:
-    """Source chart coordinates after the arrow's rescaling g_z -> eps^c g_z."""
-    ring = eps_ring()
-    images = {z: ring.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
-    return [x.cast(ring).substitute(images, ring=ring).as_poly()
-            for x in chart(a.src).x]
-
-
-def limit_chart_coords(a: Arrow) -> tuple:
-    """(leading epsilon-degrees, leading parts) of the rescaled source coordinates."""
-    degrees, leads = [], []
-    for i, scaled in enumerate(scaled_chart_coords(a), start=1):
-        parts = scaled.coefficients("eps")
-        if not parts:
-            raise RingError(f"charts.json charts.{a.src}: x{i} is zero, so it has no leading part")
-        d = min(parts)
-        degrees.append(Fraction(d, 2))
-        leads.append(parts[d])
-    return degrees, leads
-
-
 # -- reversed embeddings ------------------------------------------------------
 
 
@@ -102,9 +75,11 @@ class EmbeddingMap(NamedTuple):
 @catalog.cached
 def embeddings() -> tuple:
     out = []
-    for i, e in enumerate(catalog.load("arrows")["embeddings"]):
+    tags = list(catalog.section("lambdas", "catalogs"))
+    for i, e in enumerate(catalog.section("arrows", "embeddings", kind=list)):
         where = f"arrows.json embeddings[{i}]"
         with catalog.context(where):
+            _check_tags(e, ("sub", "ambient"), tags, "an arc catalog tag")
             out.append(EmbeddingMap(
                 sub=e["sub"], ambient=e["ambient"], images=dict(e["images"]),
                 central_images=dict(e.get("central_images", {})),
@@ -112,36 +87,3 @@ def embeddings() -> tuple:
                 expected_mismatches=catalog.pairs(e.get("expected_mismatches", {})),
                 where=where))
     return tuple(out)
-
-
-# -- graph exports ------------------------------------------------------------
-
-
-def confluence_dot() -> str:
-    lines = ["digraph confluence {", "  rankdir=LR;"]
-    for a in arrows():
-        style = ' style=dashed' if a.secondary else ""
-        lines.append(f'  "{a.src}" -> "{a.dst}" [label="{a.label}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def inclusion_dot() -> str:
-    lines = ["digraph inclusions {", "  rankdir=LR;",
-             '  label="arc algebra inclusions (arrows point into the bigger algebra)";']
-    for e in embeddings():
-        lines.append(f'  "{e.sub}" -> "{e.ambient}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_json() -> str:
-    payload = {
-        "arrows": [{"src": a.src, "dst": a.dst,
-                    "shift": {k: str(v) for k, v in a.shift.items()},
-                    "label": a.label, "secondary": a.secondary}
-                   for a in arrows()],
-        "inclusions": [{"sub": e.sub, "ambient": e.ambient, "images": e.images}
-                       for e in embeddings()],
-    }
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"

@@ -16,17 +16,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
+from .catalog import X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import LaurentPoly, RationalExpr, Ring
 
 G_NAMES = ("G1", "G2", "G3", "Ginf")
-X_NAMES = ("x1", "x2", "x3")
 # how a reference row relates to the canonical cubic (``checks.cubics.table1_check``)
 TABLE1_STATUSES = ("exact", "exact_rational", "exact_after_sign_flip", "documented_mismatch")
 
 
 def tags() -> list:
-    return list(catalog.load("cubics")["tags"])
+    return list(catalog.section("cubics", "tags", kind=list))
 
 
 class CubicSurface(NamedTuple):

@@ -11,11 +11,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
-from .cubics import X_NAMES
+from .catalog import SHEAR_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import GenImage, Ring
 
-SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
 # GenImage granularity of a normalization_subst power: an image of e^{z/2} is
 # one of g_z, an image of e^{z} one of g_z^2
 GRANULARITY = {"half": 1, "full": 2}

@@ -21,4 +21,5 @@ def hat_param_table(key: str = "d4") -> dict:
 
 def cases() -> dict:
     """The unfolding entries of unfoldings.json, by key."""
-    return {key: entry for key, entry in catalog.load("unfoldings").items() if isinstance(entry, dict)}
+    return {key: entry for key, entry in catalog.section("unfoldings").items()
+            if isinstance(entry, dict)}

@@ -20,7 +20,7 @@ def _suite(depth: int | None, selected: set):
     their catalogs."""
     def having(*keys) -> list:
         """Arc catalog tags whose entry carries one of ``keys``."""
-        return [tag for tag, entry in catalog.load("lambdas")["catalogs"].items()
+        return [tag for tag, entry in catalog.section("lambdas", "catalogs").items()
                 if any(k in entry for k in keys)]
 
     if "charts" in selected:
@@ -83,12 +83,12 @@ def _suite(depth: int | None, selected: set):
         yield "cluster", cluster_checks.laurent_check, () if depth is None else (depth,)
     if "twists" in selected:
         from .checks import cluster as cluster_checks
-        for case in catalog.load("lambdas")["twists"]:
+        for case in catalog.section("lambdas", "twists"):
             yield "twists", cluster_checks.twist_invariants, (case,)
             yield "twists", cluster_checks.twist_frozen_commutation, (case,)
     if "signatures" in selected:
         from .checks import arcs as arc_checks
-        for tag in catalog.load("signatures")["signatures"]:
+        for tag in catalog.section("signatures", "signatures"):
             yield "signatures", arc_checks.signature_check, (tag,)
         for tag in having("params"):
             yield "signatures", arc_checks.lamination_count_check, (tag,)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from painleve_cubics import catalog, parse_expr, parse_poly, signature, verify
 from painleve_cubics.cubics import tags
-from painleve_cubics.shear import SHEAR_NAMES
+from painleve_cubics.catalog import SHEAR_NAMES
 
 
 def test_every_tag_has_a_chart():

@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import confluence
+from painleve_cubics.checks import confluence as confluence_checks
 from painleve_cubics.checks.confluence import (composite_embedding_check, confluent_limit,
-                                               embedding, embedding_check, two_route_check)
+                                               embedding, embedding_check, eps_ring,
+                                               limit_chart_coords, scaled_chart_coords,
+                                               two_route_check)
 from painleve_cubics.cli import main
-from painleve_cubics.confluence import (arrow, arrows, confluence_dot, embeddings, eps_ring,
-                                        graph_json, inclusion_dot, limit_chart_coords,
-                                        scaled_chart_coords)
+from painleve_cubics.confluence import arrow, arrows, embeddings
 from painleve_cubics.cubics import cubic, cubic_form
 from painleve_cubics.shear import chart
+from painleve_cubics.verbs.export import confluence_dot, graph_json, inclusion_dot
 
 EXPECTED_ARROWS = {
     ("PVI", "PV"), ("PV", "PVdeg"), ("PV", "PIV"), ("PV", "PIII_D6"),
@@ -46,7 +47,7 @@ def test_confluence_command_rescales_the_chart_once(monkeypatch, capsys, src, ds
         calls.append(args)
         return scaled_chart_coords(*args)
 
-    monkeypatch.setattr(confluence, "scaled_chart_coords", counting)
+    monkeypatch.setattr(confluence_checks, "scaled_chart_coords", counting)
     assert main(["confluence", src, dst]) == 0
     assert capsys.readouterr().out == expected
     assert len(calls) == 1

@@ -1,7 +1,9 @@
 """Imports: every one in the package is read (a stdlib ``ast`` pass over its
 modules), every annotation names a class its module imports, a cold CLI
-call loads only the subsystems and the ``checks`` modules its verb runs, and
-no product process loads ``ast``, ``argparse``, ``gettext`` or ``locale``."""
+call loads only the subsystems, the ``checks`` modules and the one ``verbs``
+module its verb runs, a bare import of the package or its CLI loads no
+kernel, and no product process loads ``ast``, ``argparse``, ``gettext`` or
+``locale``."""
 
 import ast
 import importlib
@@ -13,6 +15,7 @@ import typing
 from pathlib import Path
 
 import pytest
+from test_reachability import BUILD_EVERY_OBJECT
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_cubics"
 
@@ -34,7 +37,8 @@ def unused_imports(source: str) -> list:
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
                                                   for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+            used.update(n.value for n in ast.walk(node.value)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
         for const in ast.walk(annotation) if annotation else ():
             if isinstance(const, ast.Constant) and isinstance(const.value, str):
@@ -104,11 +108,26 @@ def loaded_modules(*argv) -> set:
                          "        assert main(sys.argv[1:]) == 0\n", *argv)
 
 
+def package_modules(loaded: set) -> set:
+    return {m for m in loaded if m == "painleve_cubics" or m.startswith("painleve_cubics.")}
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert package_modules(modules_after("import painleve_cubics\n")) == {"painleve_cubics"}
+
+
+def test_importing_the_cli_adds_only_the_catalog_reader():
+    assert package_modules(loaded_modules()) == {"painleve_cubics", "painleve_cubics.cli",
+                                                 "painleve_cubics.catalog"}
+
+
 BRACKETS = {"painleve_cubics.poisson", "painleve_cubics.linalg"}
 CHECKS = {"painleve_cubics.checks"} | {f"painleve_cubics.checks.{m}" for m in
                                       ("cubics", "shear", "arcs", "confluence", "cluster", "unfolding")}
 LINALG = {"painleve_cubics.linalg"}
 VERIFY = {"painleve_cubics.verify"}
+# what signature, export confluence, export inclusions and --help never need
+KERNEL = {f"painleve_cubics.{m}" for m in ("ring", "exprs", "cubics", "shear", "poisson", "linalg")}
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -120,7 +139,7 @@ VERIFY = {"painleve_cubics.verify"}
     (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}
      | VERIFY),
     (("export", "confluence"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
-                                "painleve_cubics.unfolding"} | BRACKETS | CHECKS | VERIFY),
+                                "painleve_cubics.unfolding"} | BRACKETS | CHECKS | VERIFY | KERNEL),
     (("verify", "charts"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
                             "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
     (("chart", "PV"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.shear"}
@@ -132,15 +151,38 @@ VERIFY = {"painleve_cubics.verify"}
      | BRACKETS | CHECKS | VERIFY),
     (("lambda", "PV"), CHECKS | LINALG | VERIFY),
     (("bracket", "PV", "a", "b"), CHECKS | LINALG | VERIFY),
-    (("signature", "PV"), CHECKS | LINALG | VERIFY),
-    (("export", "inclusions"), CHECKS | VERIFY),
+    (("signature", "PV"), CHECKS | LINALG | VERIFY | KERNEL),
+    (("export", "inclusions"), CHECKS | VERIFY | KERNEL),
+    (("--help",), SUBSYSTEMS | CHECKS | KERNEL),
 ], ids=["import", "show-PV", "export-catalog", "unfold-PVI", "export-confluence", "verify-charts",
         "chart-PV", "confluence-PVI-PV", "mutate-PVI", "lambda-PV", "bracket-PV", "signature-PV",
-        "export-inclusions"])
+        "export-inclusions", "help"])
 def test_cold_call_loads_only_its_subsystem(argv, absent):
     loaded = loaded_modules(*argv)
     assert "painleve_cubics.cli" in loaded
     assert sorted(loaded & (absent | {"dataclasses"})) == []
+
+
+# one call of each verb, and the module of ``verbs`` that holds its handler
+VERB_MODULES = {
+    ("verify-all",): None, ("verify", "charts"): None, ("--help",): None,
+    ("show", "PV"): "cubics", ("chart", "PV"): "shear", ("lambda", "PV"): "arcs",
+    ("bracket", "PV", "a", "b"): "arcs", ("signature", "PV"): "arcs",
+    ("confluence", "PVI", "PV"): "confluence", ("mutate", "PVI", "12"): "cluster",
+    ("twist", "PV"): "cluster", ("unfold", "PVI"): "unfolding", ("export", "catalog"): "export",
+}
+
+
+def test_every_verb_has_a_row():
+    from painleve_cubics.cli import VERBS
+    assert sorted({argv[0] for argv in VERB_MODULES} - {"--help"}) == sorted(VERBS)
+
+
+@pytest.mark.parametrize("argv, own", VERB_MODULES.items(),
+                         ids=[" ".join(argv) for argv in VERB_MODULES])
+def test_a_call_loads_only_its_own_verbs_module(argv, own):
+    verbs = {m for m in loaded_modules(*argv) if m.startswith("painleve_cubics.verbs")}
+    assert verbs == ({"painleve_cubics.verbs", f"painleve_cubics.verbs.{own}"} if own else set())
 
 
 def test_verify_charts_loads_only_the_shear_checks():
@@ -149,22 +191,11 @@ def test_verify_charts_loads_only_the_shear_checks():
 
 
 # what perfbench's set-up probe does: import the CLI, build every catalog object
-BUILD_EVERY_OBJECT = (
-    "import painleve_cubics as pc, painleve_cubics.cli\n"
-    "from painleve_cubics import catalog, confluence, unfolding\n"
-    "for tag in catalog.load('cubics')['tags']:\n"
-    "    pc.cubic(tag), pc.chart(tag)\n"
-    "for tag in catalog.load('lambdas')['catalogs']:\n"
-    "    pc.lambda_catalog(tag)\n"
-    "for tag in catalog.load('signatures')['signatures']:\n"
-    "    pc.signature(tag)\n"
-    "confluence.arrows(), confluence.embeddings(), unfolding.hat_param_table()\n")
-
-
 def test_building_every_catalog_object_loads_no_check():
     loaded = modules_after(BUILD_EVERY_OBJECT)
     assert {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"} <= loaded
     assert sorted(loaded & (CHECKS | LINALG)) == []
+    assert sorted(m for m in loaded if m.startswith("painleve_cubics.verbs")) == []
 
 
 def cli_call(*argv) -> str:

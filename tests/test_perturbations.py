@@ -217,6 +217,10 @@ WRONG_TYPES = [None, [], {}, 1.5, "zz+"]
                  id="arrows[3].src"),
     pytest.param("arrows", ("arrows", 3, "dst"), "confluence", "arrows.json arrows[3]",
                  id="arrows[3].dst"),
+    pytest.param("arrows", ("embeddings", 2, "sub"), "confluence", "arrows.json embeddings[2]",
+                 id="embeddings[2].sub"),
+    pytest.param("arrows", ("embeddings", 2, "ambient"), "confluence",
+                 "arrows.json embeddings[2]", id="embeddings[2].ambient"),
 ])
 def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, group, where,
                                                   value):
@@ -259,13 +263,42 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "unfoldings.json a2: relation_clear_power is 2.7, not an integer"),
     ("unfoldings", ("a1_pvdeg", "singular_fibre", "params", "w1"), -2.5,
      "unfoldings.json a1_pvdeg: w1 is -2.5, not an integer"),
+    ("arrows", ("embeddings", 0, "sub"), "PIII_D9",
+     "arrows.json embeddings[0]: sub is 'PIII_D9', not an arc catalog tag"),
+    ("arrows", ("embeddings", 0, "images", "a"), "a + b",
+     "arrows.json embeddings[0]: embedding image of a is not a monomial"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
-        "float-leaf-dim", "string-leaf-dim", "float-clear-power", "float-fibre-param"])
+        "float-leaf-dim", "string-leaf-dim", "float-clear-power", "float-fibre-param",
+        "unknown-embedding-tag", "embedding-image-sum"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["sub", "ambient"])
+def test_embedding_end_that_is_not_a_tag_stops_export_inclusions(tmp_path, capsys, field):
+    root = catalog_copy(tmp_path, "arrows", put(("embeddings", 0, field), ["x"]))
+    code, out, err = run_cli(capsys, "--catalog", root, "export", "inclusions")
+    assert (code, out) == (2, "")
+    assert err == f"error: arrows.json embeddings[0]: {field} is ['x'], not an arc catalog tag\n"
+
+
+def test_unreadable_catalog_file_is_exit_2(tmp_path, capsys):
+    root = catalog_copy(tmp_path, "cubics", lambda data: None)
+    (tmp_path / "cubics.json").unlink()
+    code, out, err = run_cli(capsys, "--catalog", root, "show", "PV")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read catalog 'cubics': [Errno 2] No such file or directory: "
+                   f"'{tmp_path / 'cubics.json'}'\n")
+
+
+def test_catalog_that_is_not_an_object_is_exit_2(tmp_path, capsys):
+    root = catalog_copy(tmp_path, "signatures", lambda data: None)
+    (tmp_path / "signatures.json").write_text("[]")
+    code, out, err = run_cli(capsys, "--catalog", root, "signature", "PV")
+    assert (code, out, err) == (2, "", "error: catalog 'signatures' is not a JSON object\n")
 
 
 @pytest.mark.parametrize("shift, message", [
@@ -326,6 +359,14 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
                  put(("catalogs", "PIII_D7", "subset_of"), "NOPE"), id="subset_of"),
     pytest.param(("twist", "PV"), "lambdas", lambda data: data.pop("twists"), id="no-section"),
     pytest.param(("twist", "PV"), "lambdas", put(("twists",), []), id="list-section"),
+    pytest.param(("verify", "lambda"), "lambdas",
+                 lambda data: data.update(catalogs=list(data["catalogs"].values())),
+                 id="list-catalogs"),
+    pytest.param(("export", "confluence"), "arrows", lambda data: data.pop("arrows"),
+                 id="no-arrows-section"),
+    pytest.param(("verify", "twists"), "lambdas", lambda data: data.pop("twists"),
+                 id="verify-no-twists-section"),
+    pytest.param(("verify", "charts"), "cubics", lambda data: data.pop("tags"), id="no-tags"),
 ])
 def test_unknown_key_names_its_file(tmp_path, capsys, argv, name, edit):
     root = catalog_copy(tmp_path, name, edit or (lambda data: None))

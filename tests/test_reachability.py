@@ -25,6 +25,18 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_cubics"
 
+# what the benchmark's set-up probe does: import the CLI, build every catalog object
+BUILD_EVERY_OBJECT = (
+    "import painleve_cubics as pc, painleve_cubics.cli\n"
+    "from painleve_cubics import catalog, confluence, unfolding\n"
+    "for tag in catalog.load('cubics')['tags']:\n"
+    "    pc.cubic(tag), pc.chart(tag)\n"
+    "for tag in catalog.load('lambdas')['catalogs']:\n"
+    "    pc.lambda_catalog(tag)\n"
+    "for tag in catalog.load('signatures')['signatures']:\n"
+    "    pc.signature(tag)\n"
+    "confluence.arrows(), confluence.embeddings(), unfolding.hat_param_table()\n")
+
 NEVER_ENTERED = {
     "ring.py:Ring.__repr__": "a debugging aid: reports print polynomials with to_text",
     "ring.py:LaurentPoly.__repr__": "a debugging aid: reports print polynomials with to_text",
@@ -37,9 +49,20 @@ NEVER_ENTERED = {
 }
 
 
+def key(code) -> tuple:
+    """(file, first line, qualified name): the same for a code object compiled
+    here and the one a process ran."""
+    return code.co_filename, code.co_firstlineno, code.co_qualname
+
+
+def label(code) -> str:
+    """``<module path>:<qualname>``, as ``NEVER_ENTERED`` names a function."""
+    return f"{Path(code.co_filename).relative_to(PACKAGE).as_posix()}:{code.co_qualname}"
+
+
 def package_functions() -> dict:
-    """{(file, first line, qualified name): "<module path>:<qualname>"} of every
-    function code object in the package source, module and class bodies skipped."""
+    """{key: code object} of every function code object in the package source,
+    module and class bodies skipped."""
     out = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         stack = [compile(path.read_text(), str(path), "exec")]
@@ -47,8 +70,7 @@ def package_functions() -> dict:
             code = stack.pop()
             stack.extend(c for c in code.co_consts if inspect.iscode(c))
             if code.co_flags & inspect.CO_OPTIMIZED:  # not set on module and class bodies
-                key = (code.co_filename, code.co_firstlineno, code.co_qualname)
-                out[key] = f"{path.relative_to(PACKAGE).as_posix()}:{code.co_qualname}"
+                out[key(code)] = code
     return out
 
 
@@ -96,7 +118,6 @@ def corpus(root: str) -> list:
 
 def never_entered() -> list:
     """Run the corpus under a profile hook; the sorted names of the functions it never entered."""
-    import painleve_cubics as pc
     from painleve_cubics import catalog
     from painleve_cubics.cli import main
 
@@ -109,16 +130,11 @@ def never_entered() -> list:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert main(list(argv)) == code, argv
         catalog.set_catalog_root(None)
-        for tag in catalog.load("cubics")["tags"]:
-            pc.cubic(tag), pc.chart(tag)
-        for tag in catalog.load("lambdas")["catalogs"]:
-            pc.lambda_catalog(tag)
-        for tag in catalog.load("signatures")["signatures"]:
-            pc.signature(tag)
+        exec(BUILD_EVERY_OBJECT, {})
         sys.setprofile(None)
     for code in entered:
-        functions.pop((code.co_filename, code.co_firstlineno, code.co_qualname), None)
-    return sorted(functions.values())
+        functions.pop(key(code), None)
+    return sorted(label(code) for code in functions.values())
 
 
 def test_every_function_but_the_listed_ones_is_entered():

@@ -364,7 +364,8 @@ def test_mutations_stay_exact(word):
 
 
 def test_eps_scalings_stay_exact():
-    from painleve_cubics.confluence import arrows, scaled_chart_coords
+    from painleve_cubics.checks.confluence import scaled_chart_coords
+    from painleve_cubics.confluence import arrows
     for a in arrows():
         for p in scaled_chart_coords(a):
             assert_exact(p)

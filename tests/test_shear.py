@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, catalog, parse_poly
+from painleve_cubics.catalog import SHEAR_NAMES
 from painleve_cubics.checks.shear import (chart_phi_residue, flip, flip_involution_check,
                                           pv_to_piii_change, verify_chart, verify_flip_braid)
 from painleve_cubics.cubics import G_NAMES, tags
 from painleve_cubics.ring import as_expr
-from painleve_cubics.shear import chart, SHEAR_NAMES, shear_ring
+from painleve_cubics.shear import chart, shear_ring
 
 from laurent import evaluate
 
