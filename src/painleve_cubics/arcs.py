@@ -73,26 +73,33 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
                 with catalog.entry("lambdas", "catalogs", entry["table_ref"]) as ref:
                     table = catalog.pairs(ref["table"])
             params = tuple(entry.get("params", ()))
-            frozen = tuple(entry.get("frozen", ()))
+            frozen = catalog.typed(entry, "frozen", [entries.keys()], ())
             log = solved or stated
             shear_structure = PoissonStructure.from_log_brackets(sring, log) if log else None
+        central_shear = catalog.typed(entry, "central_shear", [sring.names], ())
+        if len(central_shear) != len(params):
+            raise ValueError(f"central_shear is {list(central_shear)}, not one per parameter")
         lring = Ring(tuple(entries) + params)
+        xs = catalog.typed(entry, "xexprs", {catalog.X_NAMES: str}, {})
+        cusps = catalog.typed(entry, "cusp_indices", {tuple(entries): [[int]]}, {})
+        if any(len(pair) != 2 for pairs in cusps.values() for pair in (pairs, *pairs)):
+            raise ValueError(f"cusp_indices is {entry['cusp_indices']!r}, "
+                             f"not two (hole, order) pairs per arc")
         return LambdaCatalog(
             tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
             lambda_ring=lring, structure=PoissonStructure(lring, table),
             shear_structure=shear_structure, frozen=frozen,
-            identifications={g: parse_expr(s, lring)
-                             for g, s in entry.get("identifications", {}).items()},
+            identifications={g: parse_expr(s, lring) for g, s in
+                             catalog.typed(entry, "identifications", {catalog.G_NAMES: str}, {}).items()},
             casimirs=tuple(entry.get("casimirs", ())),
             casimir_exps=tuple(dict(zip(lring.names, parse_poly(text, lring).monomial_exps()))
                                for text in entry.get("casimirs", ())),
             leaf_dim=catalog.typed(entry, "leaf_dim", int, 0),
-            xexprs={n: parse_expr(s, lring) for n, s in entry.get("xexprs", {}).items()},
+            xexprs={n: parse_expr(xs[n], lring) for n in catalog.X_NAMES} if xs else {},
             stated_log_brackets=stated, solved_log_brackets=solved,
-            central_shear=tuple(entry.get("central_shear", ())),
-            cusp_indices={name: tuple(tuple(pair) for pair in pairs)
-                          for name, pairs in entry.get("cusp_indices", {}).items()},
-            signature=entry.get("signature", tag))
+            central_shear=central_shear,
+            cusp_indices=cusps,
+            signature=catalog.typed(entry, "signature", str, tag))
 
 
 # -- signatures (irregularity bookkeeping) ------------------------------------
@@ -126,9 +133,8 @@ class Signature(NamedTuple):
 @catalog.cached
 def signature(tag: str) -> Signature:
     with catalog.entry("signatures", "signatures", tag) as entry:
-        holes = tuple(entry["holes"])
-        for i, cusps in enumerate(holes):
-            if type(cusps) is not int or cusps < 0:
-                raise ValueError(f"holes[{i}] is {cusps!r}, not a count of cusps")
+        holes = catalog.typed(entry, "holes", [int])
+        if min(holes, default=0) < 0:
+            raise ValueError(f"holes is {entry['holes']!r}, not counts of cusps")
         return Signature(tag=tag, holes=holes, stated_dim=catalog.typed(entry, "dim", int),
                          phantom_hole=catalog.typed(entry, "phantom_hole", bool, False))

@@ -13,8 +13,8 @@ entry is built inside ``context("<file>.json <section>.<key>")``, so a
 malformed entry surfaces as one ``CatalogError`` naming its file and key.
 A whole section is read with ``section``, which names the file when the
 section is missing or of the wrong kind.  ``pairs`` reads the
-``{"u,v": coefficient}`` tables.  ``X_NAMES`` and ``SHEAR_NAMES`` are the
-coordinate names that the catalogs key their charts and shifts by.
+``{"u,v": coefficient}`` tables.  ``X_NAMES``, ``SHEAR_NAMES`` and ``G_NAMES``
+are the coordinate and parameter names that the catalogs key their entries by.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from pathlib import Path
 
 X_NAMES = ("x1", "x2", "x3")
 SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
+G_NAMES = ("G1", "G2", "G3", "Ginf")
+_NOUNS = {int: "an integer", bool: "true or false", str: "a string", dict: "a JSON object"}
 
 _override_root: Path | None = None
 _cache_clearers: list = []
@@ -117,27 +119,50 @@ def section(name: str, *path: str, kind: type = dict):
 
 @contextlib.contextmanager
 def entry(name: str, *path: str):
-    """Yield the value at ``path`` in catalog ``name`` inside its ``context``.
+    """Yield the JSON object at ``path`` in catalog ``name`` inside its ``context``.
 
     ``path[:-1]`` is read with ``section``; a last key it lacks raises
     ``UnknownEntry`` outside the entry's context, so only an enclosing entry
-    prefixes the sentence.
-    """
+    prefixes the sentence.  The entry itself is read with ``section`` too."""
     *sections, key = path
     table = section(name, *sections)
     where = f"{name}.json {'.'.join(sections)}".rstrip()
     if key not in table:
         raise UnknownEntry(f"{where} has no {key!r} (have {', '.join(table)})")
     with context(f"{where}{'.' if sections else ' '}{key}"):
-        yield table[key]
+        yield section(name, *path)
 
 
-def typed(table: dict, field: str, kind: type, default=None):
-    """``table[field]`` (or ``default`` if absent) if its type is exactly ``kind``."""
-    value = table[field] if default is None else table.get(field, default)
-    if type(value) is not kind:
-        raise ValueError(f"{field} is {value!r}, not "
-                         + ("true or false" if kind is bool else "an integer"))
+def typed(table: dict, field: str, kind, default=None, what: str = ""):
+    """``table[field]`` (a dotted path; ``default`` if given and absent) of ``kind``:
+    an exact type, a tuple or dict view of allowed values (``what``, else ``one
+    of ...``), ``[kind]`` for an array (returned as a tuple) or ``{names: kind}``
+    for an object keyed by ``names``.  Only a str or an int is sought among
+    allowed values, so no list is hashed and True is not 1.  A wrong value raises
+    ``ValueError("<field> is <value!r>, not <what>")``, an item or a key named
+    ``<field>[i]``, ``<field>.<key>`` or ``<field> key``."""
+    *path, last = field.split(".")
+    for key in path:
+        table = table[key]
+    return _checked(field, table[last] if default is None else table.get(last, default),
+                    kind, what)
+
+
+def _checked(name: str, value, kind, what: str):
+    if isinstance(kind, list):
+        if type(value) not in (list, tuple):  # a tuple is a default
+            raise ValueError(f"{name} is {value!r}, not an array")
+        return tuple([_checked(f"{name}[{i}]", item, kind[0], what)
+                      for i, item in enumerate(value)])
+    if isinstance(kind, dict):
+        (names, item), = kind.items()
+        return {_checked(f"{name} key", key, names, ""): _checked(f"{name}.{key}", v, item, what)
+                for key, v in _checked(name, value, dict, "").items()}
+    if isinstance(kind, type):
+        if type(value) is not kind:
+            raise ValueError(f"{name} is {value!r}, not {_NOUNS[kind]}")
+    elif type(value) not in (str, int) or value not in kind:
+        raise ValueError(f"{name} is {value!r}, not {what or 'one of ' + ', '.join(map(str, kind))}")
     return value
 
 

@@ -80,9 +80,9 @@ def word_trace(ring: Ring, letters: list, close_with_K: bool = False) -> Laurent
 def arc_trace_check() -> Certificate:
     """The worked arc of ``lambdas.json arc_trace``: its K-closed word trace is the catalog arc."""
     with catalog.entry("lambdas", "arc_trace") as data:
-        cat, arc, word = lambda_catalog(data["catalog"]), data["arc"], data["word"]
-        if arc not in cat.entries:
-            raise catalog.UnknownEntry(f"no arc {arc!r} in lambda catalog {cat.tag!r}")
+        cat = lambda_catalog(data["catalog"])
+        arc = catalog.typed(data, "arc", cat.entries.keys())
+        word = catalog.typed(data, "word", [str])
         trace = word_trace(cat.shear_ring, word, close_with_K=True)
         unimodular = mat_det(word_matrix(cat.shear_ring, word)).is_one()
     target = cat.entries[arc]
@@ -112,18 +112,12 @@ def comb_bracket(u: tuple, v: tuple) -> Fraction:
 def comb_bracket_check() -> Certificate:
     """Antisymmetry plus the worked index pairs against the PV table."""
     cat = lambda_catalog("PV")
-    idx, table = cat.cusp_indices, cat.table
+    idx, pair = cat.cusp_indices, cat.structure.pair
     checks = []
     for (uname, u) in idx.items():
         for (vname, v) in idx.items():
             got = comb_bracket(u, v)
-            if uname == vname:
-                checks.append(got == 0)
-            else:
-                want = table.get((uname, vname))
-                want = -table[(vname, uname)] if want is None else want
-                checks.append(got == want)
-            checks.append(got == -comb_bracket(v, u))
+            checks += [got == pair(uname, vname), got == -comb_bracket(v, u)]
     # arcs sharing no cusp commute
     checks.append(comb_bracket((("1", 1), ("1", 2)), (("2", 1), ("3", 1))) == 0)
     return certify("comb-bracket", "combinatorial cusp bracket",
@@ -150,20 +144,21 @@ def verify_lambda_table(tag: str) -> Certificate:
 def solve_structure_check(tag: str) -> Certificate:
     """Re-derive the frozen shear structure from the table by a fresh exact solve."""
     cat = lambda_catalog(tag)
-    res = solve_structure(cat.shear_ring, cat.entries, cat.table, central=cat.central_shear)
-    if res.violations:
-        detail, bad = "no solution: the table is inconsistent", res.violations
-    elif res.free_pairs:
-        detail, bad = f"no unique solution: {len(res.free_pairs)} pairs left free", res.free_pairs
-    else:
-        got = res.structure.log_bracket
-        frozen, stated = ([(u, v, f"solved {got(u, v)}, catalog {c}")
-                           for (u, v), c in quoted.items() if got(u, v) != c]
-                          for quoted in (cat.solved_log_brackets, cat.stated_log_brackets))
-        detail = f"unique solution; {'differs from' if frozen else 'matches'} frozen matrix"
-        if cat.stated_log_brackets:
-            detail += f"; quoted coordinate brackets {'not ' if stated else ''}reproduced"
-        bad = frozen + stated
+    with catalog.entry("lambdas", "catalogs", tag):
+        res = solve_structure(cat.shear_ring, cat.entries, cat.table, central=cat.central_shear)
+        if res.violations:
+            detail, bad = "no solution: the table is inconsistent", res.violations
+        elif res.free_pairs:
+            detail, bad = f"no unique solution: {len(res.free_pairs)} pairs left free", res.free_pairs
+        else:
+            got = res.structure.log_bracket
+            frozen, stated = ([(u, v, f"solved {got(u, v)}, catalog {c}")
+                               for (u, v), c in quoted.items() if got(u, v) != c]
+                              for quoted in (cat.solved_log_brackets, cat.stated_log_brackets))
+            detail = f"unique solution; {'differs from' if frozen else 'matches'} frozen matrix"
+            if cat.stated_log_brackets:
+                detail += f"; quoted coordinate brackets {'not ' if stated else ''}reproduced"
+            bad = frozen + stated
     return certify(f"lambda-solve-{tag}", "shear structure recovered from the table",
                    f"{tag} arc bracket table", not bad, detail=detail, residue=bad)
 

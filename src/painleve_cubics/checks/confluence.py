@@ -40,7 +40,8 @@ def limit_chart_coords(a: Arrow) -> tuple:
     for i, scaled in enumerate(scaled_chart_coords(a), start=1):
         parts = scaled.coefficients("eps")
         if not parts:
-            raise RingError(f"charts.json charts.{a.src}: x{i} is zero, so it has no leading part")
+            with catalog.entry("charts", "charts", a.src):
+                raise ValueError(f"x{i} is zero, so it has no leading part")
         d = min(parts)
         degrees.append(Fraction(d, 2))
         leads.append(parts[d])
@@ -90,9 +91,9 @@ def _parsed_images(emb: EmbeddingMap) -> tuple:
     """
     from ..arcs import lambda_catalog  # the embeddings alone need the arc catalogs
     with catalog.context(emb.where):
-        ring = lambda_catalog(emb.ambient).lambda_ring
+        ring, arcs = lambda_catalog(emb.ambient).lambda_ring, tuple(lambda_catalog(emb.sub).entries)
         images = {}
-        for name, text in emb.images.items():
+        for name, text in catalog.typed(emb._asdict(), "images", {arcs: str}).items():
             mono = parse_poly(text, ring)
             if not mono.is_monomial():
                 raise RingError(f"embedding image of {name} is not a monomial")

@@ -22,7 +22,8 @@ from ..shear import chart, shear_ring
 def chart_phi_residue(tag: str) -> LaurentPoly:
     """phi(x1,x2,x3) with the chart's parameter values; zero iff the chart lies on the cubic."""
     ch = chart(tag)
-    return pulled_back(tag, ch.x, ch.G, ch.ring).as_poly()
+    with catalog.entry("charts", "charts", tag):  # a parameter of the cubic that G lacks
+        return pulled_back(tag, ch.x, ch.G, ch.ring).as_poly()
 
 
 def verify_chart(tag: str) -> Certificate:

@@ -11,11 +11,11 @@ This module imports no Laurent kernel, and only ``verify``, ``verify-all``
 and ``--help``, whose handlers live here, import the suite module
 ``verify``.
 
-Exit codes: 0 all requested certificates pass, 1 at least one fails,
-2 unusable input (a usage error such as an unknown verb or option, a
-format the verb does not print or an option value below 1; unknown tags;
-unreadable or malformed catalogs), each reported as one ``error:`` line on
-stderr, 141 the reader closed stdout before the output ended.
+Exit codes: 0 all requested certificates pass, 1 at least one fails, 2 a
+``UsageError``, an unknown name (``catalog.UnknownEntry``) or a catalog error
+naming its file and key (``catalog.CatalogError``), as one ``error:`` line on
+stderr, 141 the reader closed stdout before the output ended.  Any other
+exception is a defect, and it ends in a traceback.
 """
 
 from __future__ import annotations
@@ -36,16 +36,10 @@ from . import catalog
 atexit.register(gc.freeze)
 
 
-def verify_all(fmt, depth=None) -> int:
+def verify_groups(fmt, *groups, depth=None) -> int:
     from . import verify
     from .certificates import report
-    return report(verify.run(None, depth=depth), fmt)
-
-
-def verify_group(fmt, group, depth=None) -> int:
-    from . import verify
-    from .certificates import report
-    return report(verify.run([group], depth=depth), fmt)
+    return report(verify.run(groups, depth=depth), fmt)
 
 
 def usage(fmt) -> int:
@@ -65,8 +59,8 @@ def usage(fmt) -> int:
 # module.  ``--format`` (default text) and ``--catalog`` go anywhere, a verb's
 # options after it; a value follows its option or an ``=``.
 VERBS = {
-    "verify-all": ("verify_all", "", "--depth", "text json", "run every certificate"),
-    "verify": ("verify_group", "group", "--depth", "text json", "run one certificate group"),
+    "verify-all": ("verify_groups", "", "--depth", "text json", "run every certificate"),
+    "verify": ("verify_groups", "group", "--depth", "text json", "run one certificate group"),
     "show": ("cubics.show", "tag", "", "text json", "print a cubic"),
     "chart": ("shear.chart", "tag", "", "text json", "print a shear chart"),
     "lambda": ("arcs.lambda_table", "tag", "", "text json", "print an arc catalog"),
@@ -127,14 +121,6 @@ def read_argv(argv) -> tuple:
     return handler, opts["--format"], opts["--catalog"], words, kwargs
 
 
-def input_errors() -> tuple:
-    """The exceptions that mean unusable input.  ``main`` calls this only when
-    an exception reaches its except clause, so this module imports no kernel."""
-    from .exprs import ExprSyntaxError
-    from .ring import RingError
-    return UsageError, KeyError, catalog.CatalogError, RingError, ExprSyntaxError
-
-
 def main(argv=None) -> int:
     try:
         handler, fmt, root, words, kwargs = read_argv(sys.argv[1:] if argv is None else argv)
@@ -154,7 +140,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except input_errors() as exc:
+    except (UsageError, catalog.CatalogError, catalog.UnknownEntry) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

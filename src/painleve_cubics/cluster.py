@@ -72,16 +72,13 @@ def twist_case(name: str) -> TwistCase:
         else:
             ring = Ring(tuple(entry["generators"]))
             structure = PoissonStructure(ring, catalog.pairs(entry["table"]))
-        steps = tuple(entry["steps"])
-        names = [*entry["variables"], *entry["frozen"], *(arc for step in steps for arc in step)]
-        unknown = [n for n in names if n not in ring.index]
-        if unknown:
-            raise RingError(f"{unknown} are not generators of {ring.names}")
+        variables = catalog.typed(entry, "variables", [ring.names])
+        steps = catalog.typed(entry, "steps", [{variables: str}])
         for step in steps:
             for text in step.values():
                 parse_expr(text, ring)
-        return TwistCase(name=name, variables=tuple(entry["variables"]),
-                         frozen=tuple(entry["frozen"]), ring=ring, structure=structure,
+        return TwistCase(name=name, variables=variables, ring=ring, structure=structure,
+                         frozen=catalog.typed(entry, "frozen", [ring.names]),
                          invariants={label: parse_expr(text, ring)
                                      for label, text in entry["invariants"].items()},
                          steps=steps)

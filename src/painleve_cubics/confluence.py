@@ -28,26 +28,16 @@ class Arrow(NamedTuple):
     secondary: bool
 
 
-def _check_tags(item: dict, ends: tuple, tags: list, kind: str) -> None:
-    for end in ends:
-        if item[end] not in tags:
-            raise ValueError(f"{end} is {item[end]!r}, not {kind}")
-
-
 @catalog.cached
 def arrows() -> tuple:
     out = []
-    tags = list(catalog.section("charts", "charts"))
+    tags = catalog.section("charts", "charts").keys()
     for i, a in enumerate(catalog.section("arrows", "arrows", kind=list)):
         with catalog.context(f"arrows.json arrows[{i}]"):
-            _check_tags(a, ("src", "dst"), tags, "a chart tag")
-            for z, c in a["shift"].items():
-                if z not in SHEAR_NAMES:
-                    raise ValueError(f"shift names {z!r}, not a shear coordinate "
-                                     f"({', '.join(SHEAR_NAMES)})")
-                if type(c) is not int:
-                    raise ValueError(f"shift coefficient {c!r} of {z} is not an integer")
-            out.append(Arrow(src=a["src"], dst=a["dst"], shift=dict(a["shift"]), label=a["label"],
+            out.append(Arrow(src=catalog.typed(a, "src", tags, what="a chart tag"),
+                             dst=catalog.typed(a, "dst", tags, what="a chart tag"),
+                             label=a["label"],
+                             shift=catalog.typed(a, "shift", {SHEAR_NAMES: int}),
                              secondary=catalog.typed(a, "secondary", bool, False)))
     return tuple(out)
 
@@ -75,13 +65,14 @@ class EmbeddingMap(NamedTuple):
 @catalog.cached
 def embeddings() -> tuple:
     out = []
-    tags = list(catalog.section("lambdas", "catalogs"))
+    tags = catalog.section("lambdas", "catalogs").keys()
     for i, e in enumerate(catalog.section("arrows", "embeddings", kind=list)):
         where = f"arrows.json embeddings[{i}]"
         with catalog.context(where):
-            _check_tags(e, ("sub", "ambient"), tags, "an arc catalog tag")
             out.append(EmbeddingMap(
-                sub=e["sub"], ambient=e["ambient"], images=dict(e["images"]),
+                sub=catalog.typed(e, "sub", tags, what="an arc catalog tag"),
+                ambient=catalog.typed(e, "ambient", tags, what="an arc catalog tag"),
+                images=dict(e["images"]),
                 central_images=dict(e.get("central_images", {})),
                 param_images=dict(e.get("param_images", {})),
                 expected_mismatches=catalog.pairs(e.get("expected_mismatches", {})),

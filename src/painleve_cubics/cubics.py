@@ -16,17 +16,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
-from .catalog import X_NAMES
+from .catalog import G_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import LaurentPoly, RationalExpr, Ring
 
-G_NAMES = ("G1", "G2", "G3", "Ginf")
 # how a reference row relates to the canonical cubic (``checks.cubics.table1_check``)
 TABLE1_STATUSES = ("exact", "exact_rational", "exact_after_sign_flip", "documented_mismatch")
 
 
 def tags() -> list:
-    return list(catalog.section("cubics", "tags", kind=list))
+    with catalog.context("cubics.json"):
+        return list(catalog.typed(catalog.load("cubics"), "tags",
+                                  [catalog.section("cubics", "cubics").keys()]))
 
 
 class CubicSurface(NamedTuple):
@@ -61,20 +62,14 @@ def cubic(tag: str) -> CubicSurface:
     ring = base_ring()
     with catalog.entry("cubics", "cubics", tag) as entry:
         omega = tuple(parse_poly(s, ring) for s in entry["omega"])
-        eps = tuple(entry["eps"])
-        if len(eps) != 3 or any(type(e) is not int or e not in (0, 1) for e in eps):
+        eps = catalog.typed(entry, "eps", [(0, 1)])
+        if len(eps) != 3:
             raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
         phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
         spec = {name: parse_poly(s, ring) for name, s in entry["specialization"].items()}
         phi_spec = phi.substitute(spec).as_poly() if spec else phi
         symbols = {w: parse_expr(s, ring) for w, s in entry["table1_params"].items()}
-        status, flip = entry["table1_status"], tuple(entry.get("table1_flip", ()))
-        if status not in TABLE1_STATUSES:
-            raise ValueError(f"table1_status is {status!r}, not one of {', '.join(TABLE1_STATUSES)}")
-        for name in flip:
-            if name not in ring.names:
-                raise ValueError(f"table1_flip names {name!r}, not a generator "
-                                 f"({', '.join(ring.names)})")
+        status = catalog.typed(entry, "table1_status", TABLE1_STATUSES)
         return CubicSurface(
             tag=tag,
             eps=eps,
@@ -88,7 +83,7 @@ def cubic(tag: str) -> CubicSurface:
             table1_residue=entry.get("table1_residue", ""),
             table1_residue_expr=(parse_expr(entry["table1_residue"], ring)
                                  if status == "documented_mismatch" else None),
-            table1_flip=flip,
+            table1_flip=catalog.typed(entry, "table1_flip", [ring.names], ()),
             theta_doc=entry.get("theta_doc", ""),
         )
 

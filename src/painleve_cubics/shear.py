@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
-from .catalog import SHEAR_NAMES, X_NAMES
+from .catalog import G_NAMES, SHEAR_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import GenImage, Ring
 
@@ -40,15 +40,14 @@ def shear_ring() -> Ring:
 def chart(tag: str) -> ShearChart:
     ring = shear_ring()
     with catalog.entry("charts", "charts", tag) as entry:
-        G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
+        G = {name: parse_poly(s, ring) for name, s in catalog.typed(entry, "G", {G_NAMES: str}).items()}
         images = {}
-        for gen, spec in entry.get("normalization_subst", {}).items():
-            if spec["power"] not in GRANULARITY:
-                raise ValueError(f"normalization_subst.{gen}.power is {spec['power']!r}, "
-                                 f"not 'half' or 'full'")
-            images[gen] = GenImage(parse_expr(spec["image"], ring), GRANULARITY[spec["power"]])
+        for gen, spec in catalog.typed(entry, "normalization_subst", {SHEAR_NAMES: dict}, {}).items():
+            power = catalog.typed(entry, f"normalization_subst.{gen}.power", GRANULARITY.keys())
+            images[gen] = GenImage(parse_expr(spec["image"], ring), GRANULARITY[power])
         targets = {g: (text, parse_poly(text, ring, symbols=G))
-                   for g, text in entry.get("normalization_targets", {}).items()}
+                   for g, text in catalog.typed(entry, "normalization_targets", {tuple(G): str},
+                                                {}).items()}
         return ShearChart(tag=tag, ring=ring,
                           x=tuple(parse_poly(entry[n], ring, symbols=G) for n in X_NAMES),
                           x_sym=tuple(entry[n] for n in X_NAMES),

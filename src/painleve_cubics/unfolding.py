@@ -20,6 +20,6 @@ def hat_param_table(key: str = "d4") -> dict:
 
 
 def cases() -> dict:
-    """The unfolding entries of unfoldings.json, by key."""
-    return {key: entry for key, entry in catalog.section("unfoldings").items()
-            if isinstance(entry, dict)}
+    """The unfolding entries of unfoldings.json, by key: every entry but ``comment``."""
+    return {key: catalog.section("unfoldings", key)
+            for key in catalog.section("unfoldings") if key != "comment"}

@@ -12,6 +12,8 @@ def mutate(fmt, tag, sequence) -> int:
         if ch not in "123":
             raise catalog.UnknownEntry(f"bad mutation index {ch!r} (use 1, 2, 3)")
         word.append(int(ch))
+    if not word:
+        raise catalog.UnknownEntry("no mutation given (use 1, 2, 3)")
     ring = cluster.cluster_ring()
     cl = cluster.initial_cluster(ring)
     print("start: " + ", ".join(f"y{i} = {cl[i]}" for i in (1, 2, 3)))

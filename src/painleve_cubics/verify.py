@@ -20,8 +20,8 @@ def _suite(depth: int | None, selected: set):
     their catalogs."""
     def having(*keys) -> list:
         """Arc catalog tags whose entry carries one of ``keys``."""
-        return [tag for tag, entry in catalog.section("lambdas", "catalogs").items()
-                if any(k in entry for k in keys)]
+        return [tag for tag in catalog.section("lambdas", "catalogs")
+                if any(k in catalog.section("lambdas", "catalogs", tag) for k in keys)]
 
     if "charts" in selected:
         from . import cubics

@@ -73,6 +73,13 @@ def test_mutate_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sequence", ["", ","])
+def test_mutate_without_a_mutation_is_exit_2(capsys, sequence):
+    # zero mutations would print "laurent: yes" for nothing
+    code, out, err = run_cli(capsys, "mutate", "PVI", sequence)
+    assert (code, out, err) == (2, "", "error: no mutation given (use 1, 2, 3)\n")
+
+
 def test_mutate_unknown_tag_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "mutate", "NOSUCHTAG", "1")
     assert code == 2 and out == ""

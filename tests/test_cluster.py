@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import cluster
+from painleve_cubics.checks import cluster as cluster_checks
 from painleve_cubics.checks.cluster import (braid_images, braid_involution_check,
                                             braid_preserves_cubic, braid_ring, laurent_check,
                                             mutation_involution_check, orbit_representatives,
@@ -138,6 +139,18 @@ def test_asymmetric_exchange_fails_through_the_symmetry_check(monkeypatch):
     assert cert.anchor == "all 9 reduced sequences of length <= 2"
     assert cert.detail == "relabelling symmetry fails"
     assert all(f"({a} {b}) breaks" in cert.residue for a, b in ((1, 2), (1, 3), (2, 3)))
+
+
+def test_non_laurent_mutation_is_named_as_a_witness(monkeypatch):
+    # dividing by y_i + 1 keeps the exchange polynomials equivariant, so the
+    # symmetry check passes and the genuine quotient is reported with its word
+    def shifted(i, cl, ring):
+        return {**cl, i: cluster.exchange_polynomial(i, cl, ring) / (cl[i] + 1)}
+
+    monkeypatch.setattr(cluster_checks, "mutate", shifted)
+    cert = laurent_check(1)
+    assert not cert.passed and cert.detail == ""
+    assert cert.residue == "[((1,), 1, 'y1 + 1')]"
 
 
 @pytest.mark.parametrize("depth", [0, -3])

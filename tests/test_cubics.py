@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from painleve_cubics import Ring, RingError, catalog, parse_poly
+from painleve_cubics.checks import cubics as cubic_checks
 from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, nambu_context, singular_point_check,
                                            table1_check, torus_param_check, volume_form_check)
 from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags
@@ -99,6 +100,15 @@ def test_unit_point_on_pvi_cubic():
                                  "PIII_D8", "PII_JM", "PII_FN", "PI", "Weierstrass"])
 def test_volume_form_coefficients(tag):
     assert volume_form_check(tag).passed
+
+
+def test_volume_form_fails_on_a_coefficient_phi_was_not_built_from(monkeypatch):
+    # w1 + 1 in omega but not in phi: d(phi)/d(x1) misses the expected gradient by 1
+    c = cubic("PV")
+    shifted = c._replace(omega=(c.omega[0] + 1, *c.omega[1:]))
+    monkeypatch.setattr(cubic_checks, "cubic", lambda tag: shifted)
+    cert = volume_form_check("PV")
+    assert not cert.passed and cert.residue == "-1"
 
 
 @pytest.mark.parametrize("tag,status", [

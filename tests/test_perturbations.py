@@ -10,9 +10,12 @@ import shutil
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from painleve_cubics import catalog, verify
 from painleve_cubics.cli import main
+
+import catalog_mutations
 
 TWISTS = list(catalog.load("lambdas")["twists"])
 ARC_WORD = catalog.load("lambdas")["arc_trace"]["word"]
@@ -232,15 +235,15 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
 
 @pytest.mark.parametrize("name, path, value, message", [
     ("signatures", ("signatures", "PV", "holes", 2), -1,
-     "signatures.json signatures.PV: holes[2] is -1, not a count of cusps"),
+     "signatures.json signatures.PV: holes is [0, 0, -1], not counts of cusps"),
     ("signatures", ("signatures", "PV", "holes", 2), True,
-     "signatures.json signatures.PV: holes[2] is True, not a count of cusps"),
+     "signatures.json signatures.PV: holes[2] is True, not an integer"),
     ("cubics", ("cubics", "PV", "table1_status"), "exactly",
      "cubics.json cubics.PV: table1_status is 'exactly', not one of "
      "exact, exact_rational, exact_after_sign_flip, documented_mismatch"),
     ("cubics", ("cubics", "PIII_D6", "table1_flip", 0), "x4",
-     "cubics.json cubics.PIII_D6: table1_flip names 'x4', not a generator "
-     "(x1, x2, x3, G1, G2, G3, Ginf)"),
+     "cubics.json cubics.PIII_D6: table1_flip[0] is 'x4', not one of "
+     "x1, x2, x3, G1, G2, G3, Ginf"),
     ("arrows", ("arrows", 3, "dst"), "PIII_D9",
      "arrows.json arrows[3]: dst is 'PIII_D9', not a chart tag"),
     ("signatures", ("signatures", "PV", "dim"), 7.9,
@@ -250,11 +253,11 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
     ("signatures", ("signatures", "PI", "phantom_hole"), "no",
      "signatures.json signatures.PI: phantom_hole is 'no', not true or false"),
     ("cubics", ("cubics", "PV", "eps", 0), 1.5,
-     "cubics.json cubics.PV: eps is [1.5, 1, 0], not three of 0 and 1"),
+     "cubics.json cubics.PV: eps[0] is 1.5, not one of 0, 1"),
     ("cubics", ("cubics", "PV", "eps", 0), True,
-     "cubics.json cubics.PV: eps is [True, 1, 0], not three of 0 and 1"),
+     "cubics.json cubics.PV: eps[0] is True, not one of 0, 1"),
     ("cubics", ("cubics", "PV", "eps", 0), 2,
-     "cubics.json cubics.PV: eps is [2, 1, 0], not three of 0 and 1"),
+     "cubics.json cubics.PV: eps[0] is 2, not one of 0, 1"),
     ("lambdas", ("catalogs", "PV", "leaf_dim"), 4.5,
      "lambdas.json catalogs.PV: leaf_dim is 4.5, not an integer"),
     ("lambdas", ("catalogs", "PV", "leaf_dim"), "4",
@@ -267,10 +270,13 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "arrows.json embeddings[0]: sub is 'PIII_D9', not an arc catalog tag"),
     ("arrows", ("embeddings", 0, "images", "a"), "a + b",
      "arrows.json embeddings[0]: embedding image of a is not a monomial"),
+    ("lambdas", ("catalogs", "PV", "cusp_indices", "b", 0), [1],
+     "lambdas.json catalogs.PV: cusp_indices is {'b': [[1], [1, 4]], 'd': [[2, 1], [1, 8]]}, "
+     "not two (hole, order) pairs per arc"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-clear-power", "float-fibre-param",
-        "unknown-embedding-tag", "embedding-image-sum"])
+        "unknown-embedding-tag", "embedding-image-sum", "short-cusp-pair"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
@@ -302,15 +308,57 @@ def test_catalog_that_is_not_an_object_is_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("shift, message", [
-    ({"q7": -2}, "shift names 'q7', not a shear coordinate (s1, s2, s3, p1, p2, p3)"),
-    ({"p3": "1/3"}, "shift coefficient '1/3' of p3 is not an integer"),
-    ({"p3": -2.0}, "shift coefficient -2.0 of p3 is not an integer"),
+    ({"q7": -2}, "shift key is 'q7', not one of s1, s2, s3, p1, p2, p3"),
+    ({"p3": "1/3"}, "shift.p3 is '1/3', not an integer"),
+    ({"p3": -2.0}, "shift.p3 is -2.0, not an integer"),
 ], ids=["unknown-coordinate", "fraction", "float"])
 def test_bad_arrow_shift_names_its_file_and_key(tmp_path, capsys, shift, message):
     root = catalog_copy(tmp_path, "arrows", put(("arrows", 0, "shift"), shift))
     code, out, err = run_cli(capsys, "--catalog", root, "verify", "confluence")
     assert code == 2 and out == ""
     assert err == f"error: arrows.json arrows[0]: {message}\n"
+
+
+def renamed(path: tuple, key: str):
+    """An edit that renames ``key`` of the object at ``path`` to ``key + "zz"``, in place."""
+    def edit(data):
+        for part in path:
+            data = data[part]
+        items = [(k + "zz" if k == key else k, v) for k, v in data.items()]
+        data.clear()
+        data.update(items)
+    return edit
+
+
+@pytest.mark.parametrize("name, path, key, message", [
+    ("charts", ("charts", "PV", "G"), "Ginf",
+     "charts.json charts.PV: G key is 'Ginfzz', not one of G1, G2, G3, Ginf"),
+    ("charts", ("charts", "PI", "normalization_subst"), "s3",
+     "charts.json charts.PI: normalization_subst key is 's3zz', not one of s1, s2, s3, p1, p2, p3"),
+    ("charts", ("charts", "PV", "normalization_targets"), "Ginf",
+     "charts.json charts.PV: normalization_targets key is 'Ginfzz', not one of G1, G2, G3, Ginf"),
+    ("lambdas", ("catalogs", "PV", "identifications"), "Ginf",
+     "lambdas.json catalogs.PV: identifications key is 'Ginfzz', not one of G1, G2, G3, Ginf"),
+    ("lambdas", ("catalogs", "PV", "xexprs"), "x1",
+     "lambdas.json catalogs.PV: xexprs key is 'x1zz', not one of x1, x2, x3"),
+    ("lambdas", ("catalogs", "PV", "cusp_indices"), "b",
+     "lambdas.json catalogs.PV: cusp_indices key is 'bzz', not one of a, b, c, d, e"),
+    ("lambdas", ("catalogs", "PV"), "central_shear",
+     "lambdas.json catalogs.PV: central_shear is [], not one per parameter"),
+    ("lambdas", ("catalogs", "PV", "stated_log_brackets"), "k1,k2",
+     "lambdas.json catalogs.PV: missing key 'k2zz'"),
+    ("arrows", ("embeddings", 2, "images"), "a",
+     "arrows.json embeddings[2]: images key is 'azz', not one of a, b, c, d, e, f, h"),
+    ("lambdas", ("twists", "PV", "steps", 0), "a",
+     "lambdas.json twists.PV: steps[0] key is 'azz', not one of a, b"),
+], ids=["chart-G", "normalization-subst", "normalization-targets", "identifications", "xexprs",
+        "cusp-indices", "central-shear", "stated-log-brackets", "embedding-images", "twist-step"])
+def test_misnamed_key_names_its_file_and_key(tmp_path, capsys, name, path, key, message):
+    # a key the code looks a name up by, misspelt: exit 2 naming the entry,
+    # not a RingError or KeyError from deep inside a certificate
+    root = catalog_copy(tmp_path, name, renamed(path, key))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_half_power_on_a_full_power_generator_takes_its_monomial_root(tmp_path, capsys):
@@ -367,6 +415,14 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
     pytest.param(("verify", "twists"), "lambdas", lambda data: data.pop("twists"),
                  id="verify-no-twists-section"),
     pytest.param(("verify", "charts"), "cubics", lambda data: data.pop("tags"), id="no-tags"),
+    pytest.param(("verify", "unfolding"), "unfoldings", put(("a3",), ["x"]),
+                 id="unfolding-entry-not-an-object"),
+    pytest.param(("verify", "lambda"), "lambdas", put(("catalogs", "PV"), 5),
+                 id="arc-catalog-not-an-object"),
+    pytest.param(("verify", "commutant"), "lambdas",
+                 lambda data: data["catalogs"]["PV"]["xexprs"].pop("x1"), id="xexprs-without-x1"),
+    pytest.param(("verify", "charts"), "charts",
+                 lambda data: data["charts"]["PVI"]["G"].pop("Ginf"), id="chart-G-without-Ginf"),
 ])
 def test_unknown_key_names_its_file(tmp_path, capsys, argv, name, edit):
     root = catalog_copy(tmp_path, name, edit or (lambda data: None))
@@ -499,3 +555,19 @@ def test_value_perturbation_fails(tmp_path, capsys, name, path, value, group, ci
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, _ = run_cli(capsys, "--catalog", root, "verify", group)
     assert code == 1 and f"FAIL  {cid} " in out
+
+
+@pytest.fixture(scope="module")
+def copies(tmp_path_factory):
+    return catalog_mutations.Copies(tmp_path_factory.mktemp("mutants"))
+
+
+# each example resets the catalog root itself, so the autouse reset may stay function-scoped
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(catalog_mutations.mutants(catalog_mutations.wrong_type)))
+def test_wrong_typed_leaf_is_a_verdict_or_a_named_error(copies, mutant):
+    # one leaf set to None, [], {}, 1.5 or "zz+": the run ends in a verdict or
+    # in exit 2 naming its file, never in an exception out of main
+    code, err = copies.run(*mutant)
+    assert code in (0, 1, 2), code
+    assert code != 2 or (".json" in err and len(err.splitlines()) == 1), err

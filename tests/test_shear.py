@@ -6,10 +6,11 @@ import pytest
 
 from painleve_cubics import Ring, catalog, parse_poly
 from painleve_cubics.catalog import SHEAR_NAMES
+from painleve_cubics.checks import shear as shear_checks
 from painleve_cubics.checks.shear import (chart_phi_residue, flip, flip_involution_check,
                                           pv_to_piii_change, verify_chart, verify_flip_braid)
 from painleve_cubics.cubics import G_NAMES, tags
-from painleve_cubics.ring import as_expr
+from painleve_cubics.ring import GenImage, as_expr
 from painleve_cubics.shear import chart, shear_ring
 
 from laurent import evaluate
@@ -66,6 +67,20 @@ def test_flip_involution_on_s2():
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_flip_involution_certificates(i):
     assert flip_involution_check(i).passed
+
+
+def test_flip_that_is_not_an_involution_fails(monkeypatch):
+    # f1 with its image of e^{s2} doubled: applied twice, e^{s2} comes back
+    # doubled, so the residue is e^{s2}, which prints as s2^2 (g_s2 = e^{s2/2})
+    def doubled(i):
+        images = flip(i)
+        images["s2"] = GenImage(2 * images["s2"].expr, granularity=2)
+        return images
+
+    monkeypatch.setattr(shear_checks, "flip", doubled)
+    cert = flip_involution_check(1)
+    assert not cert.passed
+    assert cert.residue == "s2^2"
 
 
 @pytest.mark.parametrize("i,expected", [(1, "braid 1"), (2, "braid 2"), (3, "braid 3")])
