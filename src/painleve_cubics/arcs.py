@@ -55,8 +55,6 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
     from .poisson import PoissonStructure
     from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
-        stated = catalog.pairs(entry.get("stated_log_brackets", {}))
-        solved = catalog.pairs(entry.get("solved_log_brackets", {}))
         if "subset_of" in entry:
             parent = lambda_catalog(entry["subset_of"])
             names = tuple(entry["subset"])
@@ -68,12 +66,15 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             sring = Ring(tuple(entry["shear_generators"]))
             entries = {n: parse_poly(s, sring) for n, s in entry["entries"].items()}
             if "table" in entry:
-                table = catalog.pairs(entry["table"])
+                table = catalog.pairs(entry, "table", tuple(entries))
             else:
                 with catalog.entry("lambdas", "catalogs", entry["table_ref"]) as ref:
-                    table = catalog.pairs(ref["table"])
+                    table = catalog.pairs(ref, "table", tuple(entries))
             params = tuple(entry.get("params", ()))
             frozen = catalog.typed(entry, "frozen", [entries.keys()], ())
+        stated, solved = (catalog.pairs(entry, field, sring.names, {})
+                          for field in ("stated_log_brackets", "solved_log_brackets"))
+        if "subset_of" not in entry:
             log = solved or stated
             shear_structure = PoissonStructure.from_log_brackets(sring, log) if log else None
         central_shear = catalog.typed(entry, "central_shear", [sring.names], ())

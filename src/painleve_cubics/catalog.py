@@ -13,8 +13,9 @@ entry is built inside ``context("<file>.json <section>.<key>")``, so a
 malformed entry surfaces as one ``CatalogError`` naming its file and key.
 A whole section is read with ``section``, which names the file when the
 section is missing or of the wrong kind.  ``pairs`` reads the
-``{"u,v": coefficient}`` tables.  ``X_NAMES``, ``SHEAR_NAMES`` and ``G_NAMES``
-are the coordinate and parameter names that the catalogs key their entries by.
+``{"u,v": coefficient}`` tables, each key a pair of names the table allows.
+``X_NAMES``, ``SHEAR_NAMES`` and ``G_NAMES`` are the coordinate and parameter
+names that the catalogs key their entries by.
 """
 
 from __future__ import annotations
@@ -166,6 +167,15 @@ def _checked(name: str, value, kind, what: str):
     return value
 
 
-def pairs(table: dict) -> dict:
-    """A ``{"u,v": coefficient}`` table as ``{(u, v): Fraction}``."""
-    return {tuple(key.split(",")): Fraction(value) for key, value in table.items()}
+def pairs(table: dict, field: str, names=None, default=None) -> dict:
+    """``table[field]`` read as ``typed`` reads a JSON object, a ``{"u,v": coefficient}``
+    table, as ``{(u, v): Fraction}``.  A key names two different ones of ``names``
+    (any two names without them), else ``<field> key is 'u,v', not a pair of <names>``."""
+    out = {}
+    for key, value in typed(table, field, dict, default).items():
+        pair = tuple(key.split(","))
+        if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(names or pair):
+            what = ", ".join(names) if names else "different names"
+            raise ValueError(f"{field} key is {key!r}, not a pair of {what}")
+        out[pair] = Fraction(value)
+    return out

@@ -4,9 +4,9 @@ The corank-3 case decomposes exactly: after the stated shifts and the
 plane rotation, the cubic splits as a Morse term x3^2, an explicit
 quartic square (the local-equivalence tail, recorded), and the shifted
 normal form with the catalogued unfolding parameters.  The implicit
-cases adjoin an auxiliary variable with its clearing-denominators
-relation; reduction modulo the relation (monic in u up to an invertible
-monomial, so division is exact) must leave zero.
+cases adjoin an auxiliary variable u with a defining relation; the
+substituted cubic minus the target must be a multiple of the relation in
+the Laurent ring, which the kernel's exact division decides.
 """
 
 from __future__ import annotations
@@ -18,36 +18,9 @@ from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import cubic, cubic_form
 from ..exprs import parse_expr, parse_poly
-from ..ring import LaurentPoly, RationalExpr, Ring, RingError, as_expr
+from ..ring import LaurentPoly, RationalExpr, Ring, as_expr, divide_exact
 from ..unfolding import W_RING, cases, hat_param_table
 from .cubics import singular_point_check
-
-
-def reduce_mod_u(poly: LaurentPoly, relation: LaurentPoly, uname: str) -> tuple:
-    """Remainder and quotient of ``poly`` modulo ``relation`` as polynomials in u.
-
-    The relation's leading u-coefficient must be an invertible monomial, so
-    each elimination step is exact; poly may carry negative u-powers, which
-    are cleared first (the clearing power is returned).
-    """
-    ring = poly.ring
-    clear = -min(0, min(poly.coefficients(uname), default=0))
-    work = poly * ring.gen(uname, clear) if clear else poly
-    rel = relation.coefficients(uname)
-    rel_deg = max(rel)
-    lead_mono = rel[rel_deg]
-    if not lead_mono.is_monomial():
-        raise RingError("relation leading u-coefficient is not a monomial")
-    quotient = ring.zero()
-    while not work.is_zero():
-        parts = work.coefficients(uname)
-        deg = max(parts)
-        if deg < rel_deg:
-            break
-        factor = parts[deg] * lead_mono ** -1 * ring.gen(uname, deg - rel_deg)
-        work = work - factor * relation
-        quotient = quotient + factor
-    return work, quotient, clear
 
 
 def _substituted(phi: LaurentPoly, sub: dict, ring: Ring) -> RationalExpr:
@@ -103,28 +76,24 @@ def unfold_d4(key: str) -> Certificate:
 
 def _implicit_case(key: str) -> Certificate:
     with catalog.entry("unfoldings", key) as entry:
+        tag = catalog.typed(entry, "tag", str)
         params = tuple(entry["param_generators"])
         ring = Ring(("x1", "x2", "x3", "u") + params)
         if "cubic" in entry:
             phi = parse_poly(entry["cubic"], ring)
         else:
             omega = tuple(parse_poly(entry["omega"][w], ring) for w in ("w1", "w2", "w3", "w4"))
-            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(entry["tag"]).eps, omega)
+            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(tag).eps, omega)
         out = _substituted(phi, entry["substitution"], ring).as_poly()
-        target = parse_poly(entry["target"], ring)
-        clear_pow = catalog.typed(entry, "relation_clear_power", int)
-        lhs = parse_expr(entry["relation_lhs"], ring)
-        rhs = parse_expr(entry["relation_rhs"], ring)
-        relation = ((lhs - rhs) * ring.gen("u", clear_pow)).as_poly()
-        diff = out - target
-        remainder, quotient, clear = reduce_mod_u(diff, relation, "u")
-        udeg = max(relation.coefficients("u"))
-        title = f"corank-1 normal form ({entry['singularity']})"
-        anchor = f"{entry['tag']} unfolding"
-    reproduced = diff * ring.gen("u", clear) == quotient * relation + remainder
-    return certify(f"unfold-{key}", title, anchor, remainder.is_zero() and reproduced,
-                   detail=f"reduced modulo the degree-{udeg} relation in u",
-                   residue=remainder)
+        diff = out - parse_poly(entry["target"], ring)
+        relation = (parse_expr(entry["relation_lhs"], ring)
+                    - parse_expr(entry["relation_rhs"], ring)).as_poly()
+        udegs = relation.coefficients("u")
+        title = f"corank-1 normal form ({catalog.typed(entry, 'singularity', str)})"
+    return certify(f"unfold-{key}", title, f"{tag} unfolding",
+                   divide_exact(diff, relation) is not None,
+                   detail=f"reduced modulo the degree-{max(udegs) - min(udegs)} relation in u",
+                   residue=diff)
 
 
 def unfold_a1_pvdeg(key: str) -> Certificate:
@@ -147,7 +116,7 @@ def unfold_a1_pvdeg(key: str) -> Certificate:
 def singular_points_check(key: str) -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
     with catalog.entry("unfoldings", key) as entry:
-        tag, fibre = entry["tag"], entry["singular_fibre"]
+        tag, fibre = catalog.typed(entry, "tag", str), entry["singular_fibre"]
         gvals = {f"G{i}": -catalog.typed(fibre["params"], f"w{i}", int) for i in (1, 2)}
         ok = all(singular_point_check(tag, gvals, tuple(pt))
                  for pt in fibre["singular_points"])

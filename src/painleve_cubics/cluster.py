@@ -71,7 +71,7 @@ def twist_case(name: str) -> TwistCase:
             ring, structure = cat.lambda_ring, cat.structure
         else:
             ring = Ring(tuple(entry["generators"]))
-            structure = PoissonStructure(ring, catalog.pairs(entry["table"]))
+            structure = PoissonStructure(ring, catalog.pairs(entry, "table", ring.names))
         variables = catalog.typed(entry, "variables", [ring.names])
         steps = catalog.typed(entry, "steps", [{variables: str}])
         for step in steps:

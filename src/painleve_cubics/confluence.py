@@ -24,8 +24,13 @@ class Arrow(NamedTuple):
     src: str
     dst: str
     shift: dict          # shear coordinate -> integer coefficient of log(epsilon)
-    label: str
     secondary: bool
+
+    @property
+    def label(self) -> str:
+        """The shift as printed, in key order: ``s1 += 2 log eps, p2 -= log eps``."""
+        return ", ".join(f"{z} {'-' if c < 0 else '+'}= {'' if abs(c) == 1 else f'{abs(c)} '}log eps"
+                         for z, c in self.shift.items())
 
 
 @catalog.cached
@@ -36,7 +41,6 @@ def arrows() -> tuple:
         with catalog.context(f"arrows.json arrows[{i}]"):
             out.append(Arrow(src=catalog.typed(a, "src", tags, what="a chart tag"),
                              dst=catalog.typed(a, "dst", tags, what="a chart tag"),
-                             label=a["label"],
                              shift=catalog.typed(a, "shift", {SHEAR_NAMES: int}),
                              secondary=catalog.typed(a, "secondary", bool, False)))
     return tuple(out)
@@ -75,6 +79,6 @@ def embeddings() -> tuple:
                 images=dict(e["images"]),
                 central_images=dict(e.get("central_images", {})),
                 param_images=dict(e.get("param_images", {})),
-                expected_mismatches=catalog.pairs(e.get("expected_mismatches", {})),
+                expected_mismatches=catalog.pairs(e, "expected_mismatches", default={}),
                 where=where))
     return tuple(out)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import catalog
 from .catalog import G_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
-from .ring import LaurentPoly, RationalExpr, Ring
+from .ring import LaurentPoly, RationalExpr, Ring, as_expr
 
 # how a reference row relates to the canonical cubic (``checks.cubics.table1_check``)
 TABLE1_STATUSES = ("exact", "exact_rational", "exact_after_sign_flip", "documented_mismatch")
@@ -41,7 +41,7 @@ class CubicSurface(NamedTuple):
     table1_expr: RationalExpr     # reference row with parameters tied in
     table1_status: str
     table1_residue: str
-    table1_residue_expr: "RationalExpr | None"  # the documented mismatch, parsed
+    table1_residue_expr: RationalExpr  # the documented mismatch, parsed; else zero
     table1_flip: tuple
     theta_doc: str
 
@@ -77,14 +77,14 @@ def cubic(tag: str) -> CubicSurface:
             omega=omega,
             phi=phi,
             phi_specialized=phi_spec,
-            table1=entry["table1"],
+            table1=catalog.typed(entry, "table1", str),
             table1_expr=parse_expr(entry["table1"], ring, symbols=symbols),
             table1_status=status,
-            table1_residue=entry.get("table1_residue", ""),
+            table1_residue=catalog.typed(entry, "table1_residue", str, ""),
             table1_residue_expr=(parse_expr(entry["table1_residue"], ring)
-                                 if status == "documented_mismatch" else None),
+                                 if status == "documented_mismatch" else as_expr(ring.zero())),
             table1_flip=catalog.typed(entry, "table1_flip", [ring.names], ()),
-            theta_doc=entry.get("theta_doc", ""),
+            theta_doc=catalog.typed(entry, "theta_doc", str, ""),
         )
 
 

@@ -51,6 +51,6 @@ def chart(tag: str) -> ShearChart:
         return ShearChart(tag=tag, ring=ring,
                           x=tuple(parse_poly(entry[n], ring, symbols=G) for n in X_NAMES),
                           x_sym=tuple(entry[n] for n in X_NAMES),
-                          G=G, normalization=entry["normalization"], norm_images=images,
-                          norm_targets=targets,
-                          norm_residual=entry.get("normalization_residual", ""))
+                          G=G, normalization=catalog.typed(entry, "normalization", str),
+                          norm_images=images, norm_targets=targets,
+                          norm_residual=catalog.typed(entry, "normalization_residual", str, ""))

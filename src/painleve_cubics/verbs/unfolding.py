@@ -9,10 +9,12 @@ from ..unfolding import cases
 
 
 def unfold(fmt, tag) -> int:
-    keys = {entry["tag"]: key for key, entry in cases().items()}
+    entries = cases()
+    with catalog.context("unfoldings.json"):
+        keys = {catalog.typed(entries, f"{key}.tag", str): key for key in entries}
     if tag not in keys:
         raise catalog.UnknownEntry(f"unfoldings.json has no tag {tag!r} (have {', '.join(keys)})")
-    entry = cases()[keys[tag]]
+    entry = entries[keys[tag]]
     if fmt != "json":
         for field in ("substitution", "diffeo"):
             if field in entry:

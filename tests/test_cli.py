@@ -48,6 +48,43 @@ def test_chart_output(capsys):
     assert "x2 = -e[s3-s1+p3/2-p1/2]" in out
 
 
+def test_chart_json_is_the_catalog_chart(capsys):
+    from painleve_cubics import catalog, parse_poly
+    from painleve_cubics.shear import chart
+
+    code, out, _ = run_cli(capsys, "--format", "json", "chart", "PVI")
+    printed, ch, raw = json.loads(out), chart("PVI"), catalog.load("charts")["charts"]["PVI"]
+    assert code == 0 and printed["tag"] == "PVI"
+    assert printed["normalization"] == raw["normalization"]
+    assert printed["x_symbols"] == {n: raw[n] for n in ("x1", "x2", "x3")}
+    assert [parse_poly(printed["x"][n], ch.ring) for n in ("x1", "x2", "x3")] == list(ch.x)
+    assert {n: parse_poly(text, ch.ring) for n, text in printed["G"].items()} == ch.G
+    assert set(printed["G"]) == set(raw["G"])
+
+
+def test_lambda_json_is_the_catalog_table(capsys):
+    from fractions import Fraction
+    from painleve_cubics import catalog, parse_poly
+    from painleve_cubics.arcs import lambda_catalog
+
+    code, out, _ = run_cli(capsys, "--format", "json", "lambda", "PV")
+    printed, cat = json.loads(out), lambda_catalog("PV")
+    raw = catalog.load("lambdas")["catalogs"]["PV"]
+    assert code == 0 and printed["tag"] == "PV"
+    ring = cat.shear_ring
+    assert {n: parse_poly(text, ring) for n, text in printed["entries"].items()} == cat.entries
+    for name, terms in printed["entry_terms"].items():
+        rebuilt = sum((Fraction(t["c"]) * ring.monomial({g: int(e) for g, e in t["e"].items()})
+                       for t in terms), ring.zero())
+        assert rebuilt == cat.entries[name], name
+    assert {tuple(k.split(",")): Fraction(c) for k, c in printed["table"].items()} == cat.table
+    assert printed["table"].keys() == raw["table"].keys()
+    assert printed["frozen"] == raw["frozen"] and printed["casimirs"] == raw["casimirs"]
+    assert printed["leaf_dim"] == raw["leaf_dim"]
+    assert printed["cusp_indices"] == raw["cusp_indices"]
+    assert printed["shear_structure"] == cat.shear_structure.to_json()
+
+
 def test_lambda_and_bracket(capsys):
     code, out, _ = run_cli(capsys, "lambda", "PV")
     assert code == 0

@@ -22,6 +22,7 @@ ARC_WORD = catalog.load("lambdas")["arc_trace"]["word"]
 PV_ARC_A = catalog.load("lambdas")["catalogs"]["PV"]["entries"]["a"]
 UNFOLD_KEYS = [key for key, entry in catalog.load("unfoldings").items()
                if isinstance(entry, dict)]
+A3_RELATION_RHS = catalog.load("unfoldings")["a3"]["relation_rhs"]
 
 
 def catalog_copy(tmp_path, name: str, edit) -> str:
@@ -206,25 +207,44 @@ def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, va
 
 
 WRONG_TYPES = [None, [], {}, 1.5, "zz+"]
+NOT_STRINGS = WRONG_TYPES[:-1]  # a text field takes any string
+
+# (id, catalog, path, group, where, the wrong values to try)
+WRONG_TYPED_FIELDS = [
+    ("signatures.PV.holes[2]", "signatures", ("signatures", "PV", "holes", 2), "signatures",
+     "signatures.json signatures.PV", WRONG_TYPES),
+    ("cubics.PV.table1_status", "cubics", ("cubics", "PV", "table1_status"), "cubics",
+     "cubics.json cubics.PV", WRONG_TYPES),
+    ("cubics.PIII_D6.table1_flip[0]", "cubics", ("cubics", "PIII_D6", "table1_flip", 0), "cubics",
+     "cubics.json cubics.PIII_D6", WRONG_TYPES),
+    ("arrows[3].src", "arrows", ("arrows", 3, "src"), "confluence", "arrows.json arrows[3]",
+     WRONG_TYPES),
+    ("arrows[3].dst", "arrows", ("arrows", 3, "dst"), "confluence", "arrows.json arrows[3]",
+     WRONG_TYPES),
+    ("embeddings[2].sub", "arrows", ("embeddings", 2, "sub"), "confluence",
+     "arrows.json embeddings[2]", WRONG_TYPES),
+    ("embeddings[2].ambient", "arrows", ("embeddings", 2, "ambient"), "confluence",
+     "arrows.json embeddings[2]", WRONG_TYPES),
+    ("charts.PVI.normalization", "charts", ("charts", "PVI", "normalization"), "charts",
+     "charts.json charts.PVI", NOT_STRINGS),
+    ("charts.PV.normalization_residual", "charts", ("charts", "PV", "normalization_residual"),
+     "charts", "charts.json charts.PV", NOT_STRINGS),
+    ("cubics.PV.table1", "cubics", ("cubics", "PV", "table1"), "cubics", "cubics.json cubics.PV",
+     NOT_STRINGS),
+    ("cubics.PIV.table1_residue", "cubics", ("cubics", "PIV", "table1_residue"), "cubics",
+     "cubics.json cubics.PIV", NOT_STRINGS),
+    ("cubics.PV.theta_doc", "cubics", ("cubics", "PV", "theta_doc"), "cubics",
+     "cubics.json cubics.PV", NOT_STRINGS),
+    ("a1_pii.tag", "unfoldings", ("a1_pii", "tag"), "unfolding", "unfoldings.json a1_pii",
+     NOT_STRINGS),
+    ("a3.singularity", "unfoldings", ("a3", "singularity"), "unfolding", "unfoldings.json a3",
+     NOT_STRINGS),
+]
 
 
-@pytest.mark.parametrize("value", WRONG_TYPES, ids=lambda v: json.dumps(v))
-@pytest.mark.parametrize("name, path, group, where", [
-    pytest.param("signatures", ("signatures", "PV", "holes", 2), "signatures",
-                 "signatures.json signatures.PV", id="signatures.PV.holes[2]"),
-    pytest.param("cubics", ("cubics", "PV", "table1_status"), "cubics", "cubics.json cubics.PV",
-                 id="cubics.PV.table1_status"),
-    pytest.param("cubics", ("cubics", "PIII_D6", "table1_flip", 0), "cubics",
-                 "cubics.json cubics.PIII_D6", id="cubics.PIII_D6.table1_flip[0]"),
-    pytest.param("arrows", ("arrows", 3, "src"), "confluence", "arrows.json arrows[3]",
-                 id="arrows[3].src"),
-    pytest.param("arrows", ("arrows", 3, "dst"), "confluence", "arrows.json arrows[3]",
-                 id="arrows[3].dst"),
-    pytest.param("arrows", ("embeddings", 2, "sub"), "confluence", "arrows.json embeddings[2]",
-                 id="embeddings[2].sub"),
-    pytest.param("arrows", ("embeddings", 2, "ambient"), "confluence",
-                 "arrows.json embeddings[2]", id="embeddings[2].ambient"),
-])
+@pytest.mark.parametrize("name, path, group, where, value", [
+    pytest.param(name, path, group, where, value, id=f"{field}-{json.dumps(value)}")
+    for field, name, path, group, where, values in WRONG_TYPED_FIELDS for value in values])
 def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, group, where,
                                                   value):
     root = catalog_copy(tmp_path, name, put(path, value))
@@ -262,8 +282,6 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json catalogs.PV: leaf_dim is 4.5, not an integer"),
     ("lambdas", ("catalogs", "PV", "leaf_dim"), "4",
      "lambdas.json catalogs.PV: leaf_dim is '4', not an integer"),
-    ("unfoldings", ("a2", "relation_clear_power"), 2.7,
-     "unfoldings.json a2: relation_clear_power is 2.7, not an integer"),
     ("unfoldings", ("a1_pvdeg", "singular_fibre", "params", "w1"), -2.5,
      "unfoldings.json a1_pvdeg: w1 is -2.5, not an integer"),
     ("arrows", ("embeddings", 0, "sub"), "PIII_D9",
@@ -273,10 +291,23 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
     ("lambdas", ("catalogs", "PV", "cusp_indices", "b", 0), [1],
      "lambdas.json catalogs.PV: cusp_indices is {'b': [[1], [1, 4]], 'd': [[2, 1], [1, 8]]}, "
      "not two (hole, order) pairs per arc"),
+    ("cubics", ("cubics", "PV", "eps"), [1, 1],
+     "cubics.json cubics.PV: eps is [1, 1], not three of 0 and 1"),
+    ("cubics", ("cubics", "PV", "eps"), "11", "cubics.json cubics.PV: eps is '11', not an array"),
+    ("lambdas", ("arc_trace", "word"), ["Q"], "lambdas.json arc_trace: bad word letter 'Q'"),
+    ("lambdas", ("arc_trace", "word"), [], "lambdas.json arc_trace: empty word"),
+    ("lambdas", ("twists", "PVdeg", "table", "a,a"), "1",
+     "lambdas.json twists.PVdeg: table key is 'a,a', not a pair of a, b, d, G1, G2"),
+    ("lambdas", ("twists", "PVdeg", "table", "b,a"), "5",
+     "lambdas.json twists.PVdeg: conflicting pairing on (b,a)"),
+    ("arrows", ("embeddings", 6, "expected_mismatches", "b,b"), "0",
+     "arrows.json embeddings[6]: expected_mismatches key is 'b,b', not a pair of different names"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
-        "float-leaf-dim", "string-leaf-dim", "float-clear-power", "float-fibre-param",
-        "unknown-embedding-tag", "embedding-image-sum", "short-cusp-pair"])
+        "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
+        "embedding-image-sum", "short-cusp-pair", "short-eps", "string-eps", "bad-word-letter",
+        "empty-word", "diagonal-twist-pair", "conflicting-twist-pair",
+        "diagonal-expected-mismatch"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
@@ -346,7 +377,8 @@ def renamed(path: tuple, key: str):
     ("lambdas", ("catalogs", "PV"), "central_shear",
      "lambdas.json catalogs.PV: central_shear is [], not one per parameter"),
     ("lambdas", ("catalogs", "PV", "stated_log_brackets"), "k1,k2",
-     "lambdas.json catalogs.PV: missing key 'k2zz'"),
+     "lambdas.json catalogs.PV: stated_log_brackets key is 'k1,k2zz', "
+     "not a pair of s1, s2, s3, p1, p2, k1, k2"),
     ("arrows", ("embeddings", 2, "images"), "a",
      "arrows.json embeddings[2]: images key is 'azz', not one of a, b, c, d, e, f, h"),
     ("lambdas", ("twists", "PV", "steps", 0), "a",
@@ -423,6 +455,8 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
                  lambda data: data["catalogs"]["PV"]["xexprs"].pop("x1"), id="xexprs-without-x1"),
     pytest.param(("verify", "charts"), "charts",
                  lambda data: data["charts"]["PVI"]["G"].pop("Ginf"), id="chart-G-without-Ginf"),
+    pytest.param(("unfold", "PII_JM"), "unfoldings", put(("a1_pii", "tag"), None),
+                 id="unfold-tag-not-a-string"),
 ])
 def test_unknown_key_names_its_file(tmp_path, capsys, argv, name, edit):
     root = catalog_copy(tmp_path, name, edit or (lambda data: None))
@@ -468,13 +502,13 @@ def test_table_without_log_brackets_names_its_catalog(tmp_path, capsys):
 
 
 def test_missing_field_reads_missing_key(tmp_path, capsys):
-    def drop_label(data):
-        del data["arrows"][0]["label"]
+    def drop_shift(data):
+        del data["arrows"][0]["shift"]
 
-    root = catalog_copy(tmp_path, "arrows", drop_label)
+    root = catalog_copy(tmp_path, "arrows", drop_shift)
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
     assert code == 2 and out == ""
-    assert err == "error: arrows.json arrows[0]: missing key 'label'\n"
+    assert err == "error: arrows.json arrows[0]: missing key 'shift'\n"
 
 
 MISMATCH_DETAIL = {
@@ -550,6 +584,10 @@ def test_casimirs_without_a_monomial_shear_structure_are_exit_2(tmp_path, capsys
                  "arc-trace-b", id="arc-trace-letter-dropped"),
     pytest.param("lambdas", ("catalogs", "PV", "entries", "b"), PV_ARC_A, "lambda",
                  "lambda-solve-PV", id="duplicated-arc-entry"),
+    pytest.param("unfoldings", ("a3", "relation_rhs"), A3_RELATION_RHS + " + x1", "unfolding",
+                 "unfold-a3", id="unfolding-relation"),
+    pytest.param("cubics", ("cubics", "PIII_D6", "table1_status"), "exact", "cubics",
+                 "table1-PIII_D6", id="table1-flip-undocumented"),
 ])
 def test_value_perturbation_fails(tmp_path, capsys, name, path, value, group, cid):
     root = catalog_copy(tmp_path, name, put(path, value))

@@ -95,7 +95,7 @@ def test_pv_to_piii_brackets():
     # unlisted pairs as zero
     cert = pv_to_piii_change()
     assert cert.passed
-    quoted = catalog.pairs(catalog.load("lambdas")["pv_to_piii"]["log_brackets"])
+    quoted = catalog.pairs(catalog.load("lambdas")["pv_to_piii"], "log_brackets")
     assert quoted[("s2", "p2")] == 2
     assert quoted[("k1", "k2")] == 1
 
