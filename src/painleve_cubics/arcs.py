@@ -5,7 +5,10 @@ exponentiated shear coordinates, the pairwise bracket table, and the
 frozen arcs cutting out the monodromy manifold.  The SL2 word traces and
 the combinatorial cusp bracket that certify them are in ``checks.arcs``.
 Only ``lambda_catalog`` needs the Laurent kernel, and it imports it, so a
-signature is read without it.
+signature is read without it.  A catalog's Poisson structures are built on
+first use of ``structure`` or ``shear_structure`` (``_structures`` imports
+``poisson``), so reading a catalog compiles no bracket code; ``catalog.pairs``
+has already checked every table they are built from.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ class LambdaCatalog(NamedTuple):
     tag: str
     shear_ring: Ring
     entries: dict                 # name -> LaurentPoly in shear coordinates
-    table: dict                   # (u, v) -> Fraction
+    table: dict                   # (u, v) -> Fraction: {u, v} = table[u, v] u v
     params: tuple                 # central parameter symbols (loop lengths)
     lambda_ring: Ring             # arcs + params as direct generators
-    structure: PoissonStructure   # log-canonical structure on lambda_ring
-    shear_structure: "PoissonStructure | None"
     frozen: tuple
     identifications: dict         # cubic parameter symbol -> RationalExpr over lambda_ring
     casimirs: tuple               # the catalog strings, e.g. "a*b^-1*h^2"
@@ -48,17 +49,27 @@ class LambdaCatalog(NamedTuple):
         """The entries of the bracket table between two of ``names``."""
         return {(u, v): c for (u, v), c in self.table.items() if u in names and v in names}
 
+    @property
+    def structure(self) -> PoissonStructure:
+        """The log-canonical structure ``table`` states on ``lambda_ring``."""
+        return _structures(self.tag)[0]
+
+    @property
+    def shear_structure(self) -> PoissonStructure | None:
+        """The structure the log brackets state on ``shear_ring`` (a subset
+        catalog's is its parent's), or None when the catalog states none."""
+        return _structures(self.tag)[1]
+
 
 @catalog.cached
 def lambda_catalog(tag: str) -> LambdaCatalog:
     from .exprs import parse_expr, parse_poly
-    from .poisson import PoissonStructure
     from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
         if "subset_of" in entry:
             parent = lambda_catalog(entry["subset_of"])
             names = tuple(entry["subset"])
-            sring, shear_structure, params = parent.shear_ring, parent.shear_structure, ()
+            sring, params = parent.shear_ring, ()
             entries = {n: parent.entries[n] for n in names}
             table = parent.table_between(names)
             frozen = tuple(n for n in parent.frozen if n in names)
@@ -74,9 +85,6 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             frozen = catalog.typed(entry, "frozen", [entries.keys()], ())
         stated, solved = (catalog.pairs(entry, field, sring.names, {})
                           for field in ("stated_log_brackets", "solved_log_brackets"))
-        if "subset_of" not in entry:
-            log = solved or stated
-            shear_structure = PoissonStructure.from_log_brackets(sring, log) if log else None
         central_shear = catalog.typed(entry, "central_shear", [sring.names], ())
         if len(central_shear) != len(params):
             raise ValueError(f"central_shear is {list(central_shear)}, not one per parameter")
@@ -88,8 +96,7 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
                              f"not two (hole, order) pairs per arc")
         return LambdaCatalog(
             tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
-            lambda_ring=lring, structure=PoissonStructure(lring, table),
-            shear_structure=shear_structure, frozen=frozen,
+            lambda_ring=lring, frozen=frozen,
             identifications={g: parse_expr(s, lring) for g, s in
                              catalog.typed(entry, "identifications", {catalog.G_NAMES: str}, {}).items()},
             casimirs=tuple(entry.get("casimirs", ())),
@@ -101,6 +108,20 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             central_shear=central_shear,
             cusp_indices=cusps,
             signature=catalog.typed(entry, "signature", str, tag))
+
+
+@catalog.cached
+def _structures(tag: str) -> tuple:
+    """(structure, shear_structure) of arc catalog ``tag``, built once."""
+    from .poisson import PoissonStructure
+    cat = lambda_catalog(tag)
+    with catalog.entry("lambdas", "catalogs", tag) as entry:
+        if "subset_of" in entry:
+            shear = _structures(entry["subset_of"])[1]
+        else:
+            log = cat.solved_log_brackets or cat.stated_log_brackets
+            shear = PoissonStructure.from_log_brackets(cat.shear_ring, log) if log else None
+        return PoissonStructure(cat.lambda_ring, cat.table), shear
 
 
 # -- signatures (irregularity bookkeeping) ------------------------------------

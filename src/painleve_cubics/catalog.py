@@ -13,7 +13,8 @@ entry is built inside ``context("<file>.json <section>.<key>")``, so a
 malformed entry surfaces as one ``CatalogError`` naming its file and key.
 A whole section is read with ``section``, which names the file when the
 section is missing or of the wrong kind.  ``pairs`` reads the
-``{"u,v": coefficient}`` tables, each key a pair of names the table allows.
+``{"u,v": coefficient}`` tables, each key a pair of names the table allows,
+each coefficient exact, and a pair listed in both orders with opposite values.
 ``X_NAMES``, ``SHEAR_NAMES`` and ``G_NAMES`` are the coordinate and parameter
 names that the catalogs key their entries by.
 """
@@ -24,7 +25,6 @@ import contextlib
 import functools
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 X_NAMES = ("x1", "x2", "x3")
@@ -32,6 +32,7 @@ SHEAR_NAMES = ("s1", "s2", "s3", "p1", "p2", "p3")
 G_NAMES = ("G1", "G2", "G3", "Ginf")
 _NOUNS = {int: "an integer", bool: "true or false", str: "a string", dict: "a JSON object"}
 
+_DATA = Path(__file__).parent / "data"
 _override_root: Path | None = None
 _cache_clearers: list = []
 
@@ -66,10 +67,7 @@ def set_catalog_root(path: str | Path | None) -> None:
 def load(name: str) -> dict:
     """Catalog ``name`` (e.g. 'charts') as parsed JSON; callers must not mutate it."""
     try:
-        if _override_root is not None:
-            text = (_override_root / f"{name}.json").read_text()
-        else:
-            text = resources.files("painleve_cubics.data").joinpath(f"{name}.json").read_text()
+        text = ((_override_root or _DATA) / f"{name}.json").read_text()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {name!r}: {exc}") from exc
     try:
@@ -170,12 +168,24 @@ def _checked(name: str, value, kind, what: str):
 def pairs(table: dict, field: str, names=None, default=None) -> dict:
     """``table[field]`` read as ``typed`` reads a JSON object, a ``{"u,v": coefficient}``
     table, as ``{(u, v): Fraction}``.  A key names two different ones of ``names``
-    (any two names without them), else ``<field> key is 'u,v', not a pair of <names>``."""
+    (any two names without them), else ``<field> key is 'u,v', not a pair of <names>``.
+    A coefficient is an integer or a string ``Fraction`` reads, else ``<field>.<key> is
+    <value!r>, not ...``; a pair listed in both orders takes opposite values, else
+    ``conflicting pairing on (u,v)``, naming the later key."""
     out = {}
     for key, value in typed(table, field, dict, default).items():
         pair = tuple(key.split(","))
         if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(names or pair):
             what = ", ".join(names) if names else "different names"
             raise ValueError(f"{field} key is {key!r}, not a pair of {what}")
-        out[pair] = Fraction(value)
+        c = out[pair] = _fraction(f"{field}.{key}", value)
+        if pair[::-1] in out and out[pair[::-1]] != -c:
+            raise ValueError(f"conflicting pairing on ({key})")
     return out
+
+
+def _fraction(name: str, value) -> Fraction:
+    if type(value) in (int, str):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(value)
+    raise ValueError(f"{name} is {value!r}, not an integer or a fraction in a string")

@@ -120,6 +120,8 @@ class PoissonStructure:
         """{A, B} - c A B for quotients, via the Leibniz rule."""
         A, B = as_expr(A), as_expr(B)
         p, q, r, s = A.num, A.den, B.num, B.den
+        if q.is_one() and s.is_one():
+            return RationalExpr.from_poly(self.bracket(p, r, c))
         br = self.bracket
         num = (br(p, r, c) * q * s - br(p, s) * q * r - br(q, r) * p * s + br(q, s) * p * r)
         return RationalExpr(num, q * q * s * s)

@@ -1,6 +1,8 @@
 """``lambda``, ``bracket`` and ``signature``: arc catalogs and surface signatures.
 
-``signature`` reads its catalog only, so it loads no Laurent kernel.
+``signature`` reads its catalog only, so it loads no Laurent kernel; ``lambda``
+and ``bracket`` read the bracket table, so they build no Poisson structure
+(``lambda --format json`` prints the shear structure, and builds it).
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def bracket(fmt, tag, first, second) -> int:
     for name in (first, second):
         if name not in cat.lambda_ring.index:
             raise catalog.UnknownEntry(f"unknown arc {name!r} in {tag}")
-    coeff = cat.structure.pair(first, second)
+    table = cat.table
+    coeff = table[first, second] if (first, second) in table else -table.get((second, first), 0)
     print(f"{{{first},{second}}} = {coeff} * {first} * {second}")
     return 0
 

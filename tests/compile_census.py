@@ -13,11 +13,15 @@ and prints
   ``def`` line (or first decorator) to the end of its body; a comprehension
   or lambda by its own source span.
 
+``--by-module SEED`` prints the same two counts per package module instead:
+summed over the 16 calls of one cli-cold pass (``workloads.cli_unit(SEED)``),
+and for the probe.
+
 Opt-in and stdlib only (pytest does not collect it); the probe's code
 (``BUILD_EVERY_OBJECT``) and the functions (``package_functions``) come from
 ``tests/test_reachability.py``:
 
-    PYTHONPATH=src python tests/compile_census.py [--modules]
+    PYTHONPATH=src python tests/compile_census.py [--modules | --by-module SEED]
 """
 
 import contextlib
@@ -33,13 +37,17 @@ TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
 
-def calls() -> list:
-    """The argvs to count: the probe, verify-all and the cli-cold candidates."""
+def workloads():
     sys.path.insert(0, str(TESTS.parent / "perfbench"))
     import workloads
 
+    return workloads
+
+
+def calls() -> list:
+    """The argvs to count: the probe, verify-all and the cli-cold candidates."""
     return [["probe"], ["--format", "json", "verify-all"],
-            *(list(argv) for argv in workloads.cli_candidates())]
+            *(list(argv) for argv in workloads().cli_candidates())]
 
 
 def tokens(path: Path) -> list:
@@ -84,8 +92,35 @@ def census(argv: list) -> dict:
             start, end = span(code)
             unused.setdefault(code.co_filename, set()).update(
                 i for i, (a, b) in enumerate(files[code.co_filename]) if start <= a and b <= end)
+    root = loaded["painleve_cubics"].parent
     return {"modules": sorted(loaded), "compiled": sum(map(len, files.values())),
-            "never_entered": sum(map(len, unused.values()))}
+            "never_entered": sum(map(len, unused.values())),
+            "by_module": {path.relative_to(root).as_posix():
+                          [len(files[str(path)]), len(unused.get(str(path), ()))]
+                          for path in loaded.values()}}
+
+
+def run(call: list, env: dict) -> dict:
+    """``census(call)`` in a fresh interpreter."""
+    out = subprocess.run([sys.executable, __file__, "--one", *call], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def by_module(seed: int, env: dict) -> None:
+    """Per module: tokens compiled and never entered, summed over the 16 calls
+    of one cli-cold pass, and the same for the probe."""
+    pass_sums: dict = {}
+    for argv in workloads().cli_unit(seed):
+        for module, counts in run(list(argv), env)["by_module"].items():
+            pass_sums[module] = [a + b for a, b in zip(pass_sums.get(module, (0, 0)), counts)]
+    probe = run(["probe"], env)["by_module"]
+    rows = {m: (*pass_sums.get(m, (0, 0)), *probe.get(m, (0, 0))) for m in {*pass_sums, *probe}}
+    print(f"{'':<24} {f'cli-cold pass, seed {seed}':>24}  {'probe':>24}")
+    print(f"{'module':<24} {'compiled':>9} {'never entered':>14}  {'compiled':>9} {'never entered':>14}")
+    for module, row in [*sorted(rows.items(), key=lambda kv: (-kv[1][1], kv[0])),
+                        ("total", [sum(column) for column in zip(*rows.values())])]:
+        print(f"{module:<24} {row[0]:>9,} {row[1]:>14,}  {row[2]:>9,} {row[3]:>14,}")
 
 
 def main(argv: list) -> int:
@@ -93,11 +128,12 @@ def main(argv: list) -> int:
         print(json.dumps(census(argv[1:])))
         return 0
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    if argv[:1] == ["--by-module"]:
+        by_module(int(argv[1]), env)
+        return 0
     print(f"{'call':<34} {'modules':>7} {'compiled':>9} {'never entered':>14}")
     for call in calls():
-        out = subprocess.run([sys.executable, __file__, "--one", *call], env=env,
-                             capture_output=True, text=True, check=True)
-        row = json.loads(out.stdout)
+        row = run(call, env)
         print(f"{' '.join(call):<34} {len(row['modules']):>7} {row['compiled']:>9,} "
               f"{row['never_entered']:>14,}")
         if "--modules" in argv:

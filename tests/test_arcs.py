@@ -161,3 +161,16 @@ def test_comb_bracket_structure_satisfies_jacobi():
     S = PoissonStructure(ring, {("gb", "gd"): comb_bracket(b, d)})
     gb, gd = ring.gen("gb"), ring.gen("gd")
     assert jacobiator(S.bracket, gb, gd, gb * gd).is_zero()
+
+
+@pytest.mark.parametrize("tag", list(catalog.load("lambdas")["catalogs"]))
+def test_structures_are_built_once(tag):
+    assert lambda_catalog(tag).structure is lambda_catalog(tag).structure
+    assert lambda_catalog(tag).shear_structure is lambda_catalog(tag).shear_structure
+
+
+def test_subset_catalog_shares_its_parents_shear_structure():
+    shear = lambda_catalog("PIII_tilde").shear_structure
+    assert shear is not None
+    assert lambda_catalog("PIII_D7").shear_structure is shear
+    assert lambda_catalog("PIII_D8").shear_structure is shear

@@ -94,6 +94,19 @@ def test_lambda_and_bracket(capsys):
     assert "{a,d} = -1/2 * a * d" in out
 
 
+def test_bracket_prints_the_structure_pairing(capsys):
+    # the verb reads the table; the structure built from it gives the same pairing
+    from painleve_cubics import catalog
+    from painleve_cubics.arcs import lambda_catalog
+
+    for tag in catalog.load("lambdas")["catalogs"]:
+        cat = lambda_catalog(tag)
+        for u in cat.lambda_ring.names:
+            for v in cat.lambda_ring.names:
+                assert run_cli(capsys, "bracket", tag, u, v) == (
+                    0, f"{{{u},{v}}} = {cat.structure.pair(u, v)} * {u} * {v}\n", "")
+
+
 def test_confluence_command(capsys):
     code, out, _ = run_cli(capsys, "confluence", "PVI", "PV")
     assert code == 0

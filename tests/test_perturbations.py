@@ -239,6 +239,8 @@ WRONG_TYPED_FIELDS = [
      NOT_STRINGS),
     ("a3.singularity", "unfoldings", ("a3", "singularity"), "unfolding", "unfoldings.json a3",
      NOT_STRINGS),
+    ("catalogs.PV.table.a,b", "lambdas", ("catalogs", "PV", "table", "a,b"), "lambda",
+     "lambdas.json catalogs.PV", WRONG_TYPES + [True, 0.1, "1/0"]),
 ]
 
 
@@ -302,16 +304,30 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json twists.PVdeg: conflicting pairing on (b,a)"),
     ("arrows", ("embeddings", 6, "expected_mismatches", "b,b"), "0",
      "arrows.json embeddings[6]: expected_mismatches key is 'b,b', not a pair of different names"),
+    ("lambdas", ("catalogs", "PV", "table", "a,b"), True,
+     "lambdas.json catalogs.PV: table.a,b is True, not an integer or a fraction in a string"),
+    ("lambdas", ("catalogs", "PV", "table", "a,b"), 0.1,
+     "lambdas.json catalogs.PV: table.a,b is 0.1, not an integer or a fraction in a string"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
         "embedding-image-sum", "short-cusp-pair", "short-eps", "string-eps", "bad-word-letter",
         "empty-word", "diagonal-twist-pair", "conflicting-twist-pair",
-        "diagonal-expected-mismatch"])
+        "diagonal-expected-mismatch", "bool-table-coefficient", "float-table-coefficient"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("lambda", "PV"), ("bracket", "PV", "a", "b"), ("verify-all",)])
+def test_pair_listed_in_both_orders_must_be_opposite(tmp_path, capsys, argv):
+    # the arc catalog checks its table at load, before any structure is built
+    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", "table", "b,a"), "5"))
+    assert run_cli(capsys, "--catalog", root, *argv) == (
+        2, "", "error: lambdas.json catalogs.PV: conflicting pairing on (b,a)\n")
+    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", "table", "b,a"), -1))
+    assert run_cli(capsys, "--catalog", root, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("field", ["sub", "ambient"])
