@@ -117,7 +117,8 @@ class PoissonStructure:
         return ring.collect({key: _div(c, den) for key, c in out.items()})
 
     def bracket_expr(self, A, B, c: Fraction = 0) -> RationalExpr:
-        """{A, B} - c A B for quotients, via the Leibniz rule."""
+        """{A, B} - c A B for quotients, via the Leibniz rule; for two Laurent
+        polynomials that is ``bracket``."""
         A, B = as_expr(A), as_expr(B)
         p, q, r, s = A.num, A.den, B.num, B.den
         if q.is_one() and s.is_one():

@@ -2,8 +2,8 @@
 modules), every annotation names a class its module imports, a cold CLI
 call loads only the subsystems, the ``checks`` modules and the one ``verbs``
 module its verb runs, a bare import of the package or its CLI loads no
-kernel, and no product process loads ``ast``, ``argparse``, ``gettext`` or
-``locale``."""
+kernel, no product process loads ``ast``, ``argparse``, ``gettext`` or
+``locale``, and no package module imports ``importlib.resources``."""
 
 import ast
 import importlib
@@ -51,6 +51,18 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_imports_importlib_resources():
+    # catalog files are read by path from the package's data directory
+    imported = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported and not any(name.startswith("importlib.resources") for name in imported)
 
 
 def test_checker_finds_an_unused_import():
