@@ -6,8 +6,12 @@ import json
 from typing import NamedTuple
 
 
+# the title of a certificate whose check raised instead of deciding
+ERROR = "check raised an exception"
+
+
 class Certificate(NamedTuple):
-    cid: str
+    id: str
     title: str
     anchor: str          # which catalog identity this audits
     passed: bool
@@ -15,23 +19,13 @@ class Certificate(NamedTuple):
     residue: str = ""    # digest of the offending polynomial on failure
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        text = f"{status}  {self.cid:34s} {self.anchor}"
+        status = "PASS" if self.passed else "ERROR" if self.title == ERROR else "FAIL"
+        text = f"{status}  {self.id:34s} {self.anchor}"
         if self.detail:
             text += f"  [{self.detail}]"
         if not self.passed and self.residue:
             text += f"  residue: {self.residue}"
         return text
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.cid,
-            "title": self.title,
-            "anchor": self.anchor,
-            "passed": self.passed,
-            "detail": self.detail,
-            "residue": self.residue,
-        }
 
 
 def digest(obj, limit: int = 200) -> str:
@@ -47,10 +41,15 @@ def certify(cid: str, title: str, anchor: str, ok: bool,
                        "" if ok else digest(residue))
 
 
+def error(cid: str, exc: Exception) -> Certificate:
+    """The failing certificate ``cid`` of a check that raised ``exc``."""
+    return Certificate(cid, ERROR, "the check raised", False, digest(f"{type(exc).__name__}: {exc}"))
+
+
 def report(certs: list, fmt: str) -> int:
     """Print ``certs`` as text lines and a tally, or as JSON; 0 if all pass, else 1."""
     if fmt == "json":
-        print(json.dumps([c.to_json() for c in certs], indent=1, sort_keys=True))
+        print(json.dumps([c._asdict() for c in certs], indent=1, sort_keys=True))
     else:
         for c in certs:
             print(c.line())

@@ -10,54 +10,35 @@ a replaced ``cluster.exchange_polynomial`` is the one every check sees.
 from __future__ import annotations
 
 from .. import cluster
+from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cluster import base_values, cluster_ring, dehn_twist, initial_cluster, mutate, twist_case
-from ..cubics import cubic_form, omega_from_G
+from ..cubics import W_NAMES, W_RING, braid, cubic_form, omega_from_G
 from ..ring import LaurentPoly, Ring, as_expr, divide_exact
 
-W_NAMES = ("w1", "w2", "w3", "w4")
 
-
-def braid_ring() -> Ring:
-    return Ring(("x1", "x2", "x3") + W_NAMES)
-
-
-def braid_images(i: int, ring: Ring | None = None) -> dict:
-    """x_i -> -x_i - x_j x_k - w_i with x_j <-> x_k and w_j <-> w_k.
-
-    This is the Vieta involution for the cubic with +w_i x_i linear terms;
-    with the opposite sign convention on the w's it reads -x_i - x_j x_k + w_i.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError("braid index must be 1, 2 or 3")
-    ring = ring or braid_ring()
-    j, k = [t for t in (1, 2, 3) if t != i]
-    x = {t: ring.gen(f"x{t}") for t in (1, 2, 3)}
-    w = {t: ring.gen(f"w{t}") for t in (1, 2, 3)}
-    return {
-        f"x{i}": -x[i] - x[j] * x[k] - w[i],
-        f"x{j}": x[k],
-        f"x{k}": x[j],
-        f"w{j}": w[k],
-        f"w{k}": w[j],
-    }
+def braid_images(i: int) -> dict:
+    """``cubics.braid`` on the generators of ``W_RING``, with w_j <-> w_k."""
+    w = tuple(W_RING.gen(n) for n in W_NAMES)
+    images = dict(zip(X_NAMES, braid(i, tuple(W_RING.gen(n) for n in X_NAMES), w)))
+    j, k = (t for t in (1, 2, 3) if t != i)
+    images[f"w{j}"], images[f"w{k}"] = w[k - 1], w[j - 1]
+    return images
 
 
 def braid_preserves_cubic(i: int) -> Certificate:
-    ring = braid_ring()
-    phi = cubic_form(tuple(ring.gen(n) for n in ("x1", "x2", "x3")), (1, 1, 1),
-                     tuple(ring.gen(n) for n in W_NAMES))
-    res = phi.substitute(braid_images(i, ring)).as_poly() - phi
+    phi = cubic_form(tuple(W_RING.gen(n) for n in X_NAMES), (1, 1, 1),
+                     tuple(W_RING.gen(n) for n in W_NAMES))
+    res = phi.substitute(braid_images(i)).as_poly() - phi
     return certify(f"braid-{i}", "braid preserves the cubic",
                    f"braid generator {i} on the four-hole cubic", res.is_zero(),
                    detail="with parameter transport w_j <-> w_k", residue=res)
 
 
 def braid_involution_check(i: int) -> Certificate:
-    ring = braid_ring()
-    m = braid_images(i, ring)
+    m = braid_images(i)
     twice = {n: e.substitute(m).as_poly() for n, e in m.items()}
-    ok = all(twice[n] == ring.gen(n) for n in twice)
+    ok = all(twice[n] == W_RING.gen(n) for n in twice)
     return certify(f"braid-involution-{i}", "braid squared is the identity",
                    f"braid generator {i}", ok)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .. import catalog
 from ..catalog import SHEAR_NAMES
 from ..certificates import Certificate, certify
-from ..confluence import Arrow, EmbeddingMap, arrow, embeddings
+from ..confluence import Arrow, EmbeddingMap, arrow, embedding
 from ..exprs import parse_poly
 from ..ring import Ring, RingError
 from ..shear import chart
@@ -74,13 +74,6 @@ def two_route_check() -> Certificate:
     return certify("confluence-two-route", "route independence of the limit",
                    "PV -> PIII_D7 via PIII_D6 vs via PVdeg", not bad,
                    residue=bad[0] if bad else "")
-
-
-def embedding(sub: str, ambient: str) -> EmbeddingMap:
-    for e in embeddings():
-        if e.sub == sub and e.ambient == ambient:
-            return e
-    raise catalog.UnknownEntry(f"no embedding of {sub} into {ambient}")
 
 
 def _parsed_images(emb: EmbeddingMap) -> tuple:

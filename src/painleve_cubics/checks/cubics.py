@@ -99,15 +99,3 @@ def fn_jm_diffeo_check() -> Certificate:
                    "PII_FN coordinate change", lhs == as_expr(classical) * (s ** -1),
                    detail="holds with w1 = -1/s^2, factor 1/s",
                    residue=(lhs * s - classical))
-
-
-def singular_point_check(tag: str, gvalues: dict, point: tuple) -> bool:
-    """Is ``point`` a singular point of the specialised cubic at ``gvalues``?"""
-    c = cubic(tag)
-    ring = c.ring
-    phi = c.phi_specialized.substitute(
-        {name: ring.const(v) for name, v in gvalues.items()}).as_poly()
-    subs = {name: ring.const(v) for name, v in zip(X_NAMES, point)}
-    vals = [phi] + [phi.derivative(n) for n in X_NAMES]
-    results = [p.substitute(subs).as_poly().constant_value() for p in vals]
-    return all(v == 0 for v in results)

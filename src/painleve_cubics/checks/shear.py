@@ -11,9 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .. import catalog
-from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import cubic, pulled_back
+from ..cubics import braid, cubic, pulled_back
 from ..exprs import parse_expr
 from ..ring import GenImage, LaurentPoly, as_expr
 from ..shear import chart, shear_ring
@@ -87,30 +86,19 @@ def flip_involution_check(i: int) -> Certificate:
                    residue=bad[0] if bad else "")
 
 
-def _braid_candidates(xs, omega):
-    """All rational maps x -> beta_j(x) (both coefficient sign conventions)."""
-    for j in (1, 2, 3):
-        jj, kk = [t for t in (1, 2, 3) if t != j]
-        for sgn, conv in ((-1, "-w"), (1, "+w")):
-            rhs = {
-                f"x{j}": as_expr(-xs[j - 1] - xs[jj - 1] * xs[kk - 1] + sgn * omega[j - 1]),
-                f"x{jj}": as_expr(xs[kk - 1]),
-                f"x{kk}": as_expr(xs[jj - 1]),
-            }
-            yield j, conv, rhs
-
-
 def verify_flip_braid(i: int) -> Certificate:
-    """Which coordinate braid does the flip f_i induce on the PVI chart?"""
+    """Which coordinate braid does the flip f_i induce on the PVI chart?
+
+    The "-w" convention is ``braid(j, x, omega)``, the "+w" one ``braid(j, x, -omega)``.
+    """
     ch = chart("PVI")
     omega = tuple(w.substitute(ch.G, ring=ch.ring).as_poly()
                   for w in cubic("PVI").omega)
     m = flip(i)
-    lhs = {n: ch.x[k].substitute(m) for k, n in enumerate(X_NAMES)}
-    matches = []
-    for j, conv, rhs in _braid_candidates(ch.x, omega):
-        if all(lhs[n] == rhs[n] for n in X_NAMES):
-            matches.append((j, conv))
+    lhs = tuple(x.substitute(m) for x in ch.x)
+    minus = tuple(-w for w in omega)
+    matches = [(j, conv) for j in (1, 2, 3) for w, conv in ((omega, "-w"), (minus, "+w"))
+               if lhs == braid(j, ch.x, w)]
     ok = len(matches) == 1
     detail = f"induces braid {matches[0][0]} ({matches[0][1]} convention)" if matches else "no braid matches"
     return certify(f"flip-braid-{i}", "flip induces a coordinate braid",

@@ -16,11 +16,10 @@ from fractions import Fraction
 from .. import catalog, linalg
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import cubic, cubic_form
+from ..cubics import W_NAMES, W_RING, cubic, cubic_form
 from ..exprs import parse_expr, parse_poly
 from ..ring import LaurentPoly, RationalExpr, Ring, as_expr, divide_exact
-from ..unfolding import W_RING, cases, hat_param_table
-from .cubics import singular_point_check
+from ..unfolding import cases, hat_param_table
 
 
 def _substituted(phi: LaurentPoly, sub: dict, ring: Ring) -> RationalExpr:
@@ -37,10 +36,9 @@ def hat_param_rank_check(key: str) -> Certificate:
     for name in ("wh1", "wh2", "wh3", "wh4"):
         poly = table[name]
         terms = dict(poly.items())
-        rows.append([terms.get(W_RING.gen(w).monomial_exps(), Fraction(0))
-                     for w in ("w1", "w2", "w3", "w4")])
+        rows.append([terms.get(W_RING.gen(w).monomial_exps(), Fraction(0)) for w in W_NAMES])
     rank = linalg.rank(rows)
-    zero = {w: W_RING.const(0) for w in ("w1", "w2", "w3", "w4")}
+    zero = {w: W_RING.const(0) for w in W_NAMES}
     at_zero = [table[name].substitute(zero).as_poly().constant_value()
                for name in ("wh1", "wh2", "wh3", "wh4")]
     ok = rank == 4 and at_zero == stated
@@ -55,7 +53,7 @@ def unfold_d4(key: str) -> Certificate:
     with catalog.entry("unfoldings", key) as entry:
         shift = entry["pre_shift"]
         shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
-                             tuple(ring.gen(n) for n in ("w1", "w2", "w3", "w4")))
+                             tuple(ring.gen(n) for n in W_NAMES))
         result = _substituted(shifted, entry["diffeo"], ring).as_poly()
         tail = parse_poly(entry["tail"], ring)
         post_shift = parse_expr(entry["post_shift_x1"], ring)
@@ -82,7 +80,7 @@ def _implicit_case(key: str) -> Certificate:
         if "cubic" in entry:
             phi = parse_poly(entry["cubic"], ring)
         else:
-            omega = tuple(parse_poly(entry["omega"][w], ring) for w in ("w1", "w2", "w3", "w4"))
+            omega = tuple(parse_poly(entry["omega"][w], ring) for w in W_NAMES)
             phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(tag).eps, omega)
         out = _substituted(phi, entry["substitution"], ring).as_poly()
         diff = out - parse_poly(entry["target"], ring)
@@ -111,6 +109,18 @@ def unfold_a1_pvdeg(key: str) -> Certificate:
                    "degenerate fifth-equation unfolding", not bad,
                    detail="both chart maps verified by cross-multiplication",
                    residue=bad[:1])
+
+
+def singular_point_check(tag: str, gvalues: dict, point: tuple) -> bool:
+    """Is ``point`` a singular point of the specialised cubic at ``gvalues``?"""
+    c = cubic(tag)
+    ring = c.ring
+    phi = c.phi_specialized.substitute(
+        {name: ring.const(v) for name, v in gvalues.items()}).as_poly()
+    subs = {name: ring.const(v) for name, v in zip(X_NAMES, point)}
+    vals = [phi] + [phi.derivative(n) for n in X_NAMES]
+    results = [p.substitute(subs).as_poly().constant_value() for p in vals]
+    return all(v == 0 for v in results)
 
 
 def singular_points_check(key: str) -> Certificate:

@@ -15,7 +15,8 @@ Exit codes: 0 all requested certificates pass, 1 at least one fails, 2 a
 ``UsageError``, an unknown name (``catalog.UnknownEntry``) or a catalog error
 naming its file and key (``catalog.CatalogError``), as one ``error:`` line on
 stderr, 141 the reader closed stdout before the output ended.  Any other
-exception is a defect, and it ends in a traceback.
+exception is a defect, and it ends in a traceback; inside the suite,
+``verify.run`` makes it the ERROR certificate of the check that raised.
 """
 
 from __future__ import annotations

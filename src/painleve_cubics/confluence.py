@@ -50,7 +50,7 @@ def arrow(src: str, dst: str) -> Arrow:
     for a in arrows():
         if a.src == src and a.dst == dst:
             return a
-    raise catalog.UnknownEntry(f"no confluence arrow {src} -> {dst}")
+    raise catalog.UnknownEntry(f"arrows.json arrows has no {src} -> {dst}")
 
 
 # -- reversed embeddings ------------------------------------------------------
@@ -82,3 +82,10 @@ def embeddings() -> tuple:
                 expected_mismatches=catalog.pairs(e, "expected_mismatches", default={}),
                 where=where))
     return tuple(out)
+
+
+def embedding(sub: str, ambient: str) -> EmbeddingMap:
+    for e in embeddings():
+        if e.sub == sub and e.ambient == ambient:
+            return e
+    raise catalog.UnknownEntry(f"arrows.json embeddings has no {sub} in {ambient}")

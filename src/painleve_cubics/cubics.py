@@ -20,6 +20,10 @@ from .catalog import G_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import LaurentPoly, RationalExpr, Ring, as_expr
 
+# the free-coefficient ring of the cubic: coordinates and w1..w4 as generators
+W_NAMES = ("w1", "w2", "w3", "w4")
+W_RING = Ring(X_NAMES + W_NAMES)
+
 # how a reference row relates to the canonical cubic (``checks.cubics.table1_check``)
 TABLE1_STATUSES = ("exact", "exact_rational", "exact_after_sign_flip", "documented_mismatch")
 
@@ -100,6 +104,20 @@ def cubic_form(x: tuple, eps: tuple, omega: tuple):
         if e:
             phi = phi + xi * xi
     return phi
+
+
+def braid(i: int, x: tuple, w: tuple) -> tuple:
+    """Braid generator i at the values ``x``: x_i -> -x_i - x_j x_k - w_i, x_j <-> x_k.
+
+    The Vieta involution in x_i of ``cubic_form`` with eps_i = 1 and
+    coefficients ``w``, then the transposition; with w_j <-> w_k as well it
+    preserves the cubic.  An index outside 1, 2, 3 leaves three values for
+    (j, k), a ValueError.
+    """
+    j, k = (t for t in (0, 1, 2) if t != i - 1)
+    out = list(x)
+    out[i - 1], out[j], out[k] = -x[i - 1] - x[j] * x[k] - w[i - 1], x[k], x[j]
+    return tuple(out)
 
 
 def pulled_back(tag: str, xs, params: dict, ring: Ring):

@@ -2,14 +2,13 @@
 
 A PoissonStructure is a constant antisymmetric pairing P on the
 generators of a ring, inducing {g^a, g^b} = (a^T P b) g^{a+b} on
-monomials and extending bilinearly.  P is stored twice: as the pair
-table ``_pairs`` and as the antisymmetric integer matrix M = den * P over
-one common denominator, so a bracket needs one dot product a . M b
-per term pair.  Each monomial key is decoded to (a, M a) once per
-structure and memoised: the brackets of a run revisit few keys (188
-distinct keys among the 1,629 terms one ``verify-all`` brackets), so the
-memo stays small.  On exponentiated coordinates (g_z = e^{z/2}) the
-pairing is the coordinate bracket over 4:
+monomials and extending bilinearly.  P is stored once, as the
+antisymmetric integer matrix M = den * P over one common denominator, so a
+bracket needs one dot product a . M b per term pair.  Each monomial key
+is decoded to (a, M a) once per structure and memoised: the brackets of
+a run revisit few keys (188 distinct keys among the 1,629 terms one
+``verify-all`` brackets), so the memo stays small.  On exponentiated
+coordinates (g_z = e^{z/2}) the pairing is the coordinate bracket over 4:
 {z_i, z_j} = c  <=>  P(z_i, z_j) = c/4; ``from_log_brackets`` performs
 that conversion, ``log_bracket`` inverts it.
 
@@ -33,34 +32,26 @@ from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
 
 
 class PoissonStructure:
-    __slots__ = ("ring", "_pairs", "_den", "_matrix", "_decoded")
+    __slots__ = ("ring", "_den", "_matrix", "_decoded")
 
     def __init__(self, ring: Ring, pairs: Mapping[tuple, Fraction]):
         """pairs maps (name_i, name_j) -> P(i,j); antisymmetry is implied."""
         self.ring = ring
-        self._pairs: dict = {}
+        pairs = {uv: Fraction(c) for uv, c in pairs.items()}
+        # P over one common denominator: an antisymmetric int matrix
+        self._den = lcm(*(c.denominator for c in pairs.values()))
+        self._matrix = matrix = [[0] * len(ring.names) for _ in ring.names]
         for (u, v), c in pairs.items():
-            c = Fraction(c)
             if u not in ring.index or v not in ring.index:
                 raise RingError(f"pairing on unknown generators ({u},{v})")
-            if u == v and c != 0:
-                raise RingError("nonzero diagonal pairing")
-            if c == 0:
+            i, j, m = ring.index[u], ring.index[v], int(c * self._den)
+            if not m:
                 continue
-            i, j = ring.index[u], ring.index[v]
-            if i > j:
-                i, j, c = j, i, -c
-            existing = self._pairs.get((i, j))
-            if existing is not None and existing != c:
+            if i == j:
+                raise RingError("nonzero diagonal pairing")
+            if matrix[i][j] not in (0, m):
                 raise RingError(f"conflicting pairing on ({u},{v})")
-            self._pairs[(i, j)] = c
-        # P over one common denominator: an antisymmetric int matrix
-        self._den = lcm(*(c.denominator for c in self._pairs.values()))
-        n = len(ring.names)
-        self._matrix = [[0] * n for _ in range(n)]
-        for (i, j), c in self._pairs.items():
-            m = c.numerator * (self._den // c.denominator)
-            self._matrix[i][j], self._matrix[j][i] = m, -m
+            matrix[i][j], matrix[j][i] = m, -m
         self._decoded: dict = {}  # key -> (exponent vector a, M a)
 
     def _times(self, b: Sequence) -> list:
@@ -78,12 +69,7 @@ class PoissonStructure:
         return cls(ring, {k: Fraction(v) / 4 for k, v in log_pairs.items()})
 
     def pair(self, u: str, v: str) -> Fraction:
-        i, j = self.ring.index[u], self.ring.index[v]
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self._pairs.get((i, j), Fraction(0))
-        return -self._pairs.get((j, i), Fraction(0))
+        return Fraction(self._matrix[self.ring.index[u]][self.ring.index[v]], self._den)
 
     def log_bracket(self, u: str, v: str) -> Fraction:
         return 4 * self.pair(u, v)
@@ -132,25 +118,19 @@ class PoissonStructure:
         {U, V} = c U V, the residue being {U, V} - c U V.
 
         ``images`` maps the table's names to LaurentPoly or RationalExpr over
-        the structure's ring; two polynomials stay on ``bracket``, a quotient
-        goes through ``bracket_expr``.
+        the structure's ring.
         """
         out = []
         for (u, v), c in table.items():
-            U, V = images[u], images[v]
-            if isinstance(U, LaurentPoly) and isinstance(V, LaurentPoly):
-                residue = self.bracket(U, V, c)
-            else:
-                residue = self.bracket_expr(U, V, c)
+            residue = self.bracket_expr(images[u], images[v], c)
             if not residue.is_zero():
                 out.append((u, v, residue))
         return out
 
     def to_json(self) -> dict:
-        out = {}
-        for (i, j), c in sorted(self._pairs.items()):
-            out[f"{self.ring.names[i]},{self.ring.names[j]}"] = str(4 * c)
-        return out
+        names = self.ring.names
+        return {f"{names[i]},{names[j]}": str(Fraction(4 * m, self._den))
+                for i, row in enumerate(self._matrix) for j, m in enumerate(row) if j > i and m}
 
 
 class CasimirReport(NamedTuple):

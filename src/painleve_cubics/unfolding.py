@@ -7,10 +7,8 @@ Their change-of-variable certificates onto singularity normal forms are in
 from __future__ import annotations
 
 from . import catalog
+from .cubics import W_RING
 from .exprs import parse_poly
-from .ring import Ring
-
-W_RING = Ring(("x1", "x2", "x3", "w1", "w2", "w3", "w4"))
 
 
 def hat_param_table(key: str = "d4") -> dict:

@@ -104,14 +104,33 @@ def _suite(depth: int | None, selected: set):
         yield "arcs", arc_checks.comb_bracket_check, ()
 
 
+def _checked(group: str, fn, args: tuple):
+    """``fn(*args)``; if it raises anything but a catalog error, a failing ERROR
+    certificate named by the group, the function and the arguments (an
+    ``Arrow`` or ``EmbeddingMap`` by its two tags)."""
+    try:
+        return fn(*args)
+    except (catalog.CatalogError, catalog.UnknownEntry):
+        raise
+    except Exception as exc:
+        from .certificates import error
+        shown = ("-".join(a[:2]) if isinstance(a, tuple) else str(a) for a in args)
+        return error(f"{group}.{fn.__name__}({', '.join(shown)})", exc)
+
+
 def run(groups=None, depth: int | None = None) -> list:
-    """Run the suite (or the named groups); returns certificates in report order."""
+    """Run the suite (or the named groups); returns certificates in report order.
+
+    An exception inside one check fails only its own certificate (``_checked``).
+    """
     selected = set(GROUPS if not groups else groups)
     unknown = selected - set(GROUPS)
     if unknown:
         raise catalog.UnknownEntry(f"unknown suite group(s) {sorted(unknown)}; have {GROUPS}")
-    results = [(group, fn(*args)) for group, fn, args in _suite(depth, selected)]
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    results = [(group, _checked(group, fn, args)) for group, fn, args in _suite(depth, selected)]
     order = {g: i for i, g in enumerate(GROUPS)}
-    results.sort(key=lambda gc: (order[gc[0]], gc[1].cid))
+    results.sort(key=lambda gc: (order[gc[0]], gc[1].id))
     return [c for _, c in results]
 

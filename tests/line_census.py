@@ -1,14 +1,18 @@
-"""Line census: the package lines that no test enters.
+"""Line census: the package lines that no test enters, or that no product call runs.
 
 Runs tier-1, or the pytest selection given as arguments, in this process
 under a ``sys.settrace`` hook that records the lines run in package frames
 only.  The hook is set before pytest starts, so the imports that collection
 makes are traced too, and again before every test, since a test or a
-library (hypothesis) may replace it.  The lines of the package are those of
-every function body (``co_lines()`` of each function code object, module and
-class bodies skipped, as ``tests/test_reachability.py`` collects them), read
-before the run.  It prints each line that no test entered, ``raise`` lines
-marked, then a tally.
+library (hypothesis) may replace it.  With ``--product`` it runs the product
+corpus of ``tests/test_reachability.py`` instead (every CLI verb and
+certificate group, usage and lookup errors, a perturbed catalog, then the
+benchmark's set-up probe) in process under the same hook.  The lines of
+the package are those of every function body (``co_lines()`` of each
+function code object, module and class bodies skipped, as
+``tests/test_reachability.py`` collects them), read before the run.  It
+prints each line that the run never entered, ``raise`` lines marked, then a
+tally.
 
 Tests that start a subprocess (the golden report, the fresh-interpreter and
 broken-pipe tests, the reachability test) are not traced, so a line that
@@ -17,6 +21,7 @@ three times slower.  Opt-in and stdlib only beside pytest itself (pytest does
 not collect it):
 
     PYTHONPATH=src python tests/line_census.py [pytest arguments]
+    PYTHONPATH=src python tests/line_census.py --product
 """
 
 import sys
@@ -28,7 +33,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
-from test_reachability import PACKAGE, package_functions  # noqa: E402
+from test_reachability import PACKAGE, package_functions, run_corpus  # noqa: E402
 
 
 class Census:
@@ -66,10 +71,14 @@ def package_lines() -> set:
 
 def main(args: list) -> int:
     lines, census = package_lines(), Census()
-    sys.settrace(census._call)
-    code = pytest.main(["-q", "-p", "no:cacheprovider", *(args or [str(TESTS)])],
-                       plugins=[census])
-    sys.settrace(None)
+    if args == ["--product"]:
+        code = 0
+        run_corpus(sys.settrace, census._call)
+    else:
+        sys.settrace(census._call)
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *(args or [str(TESTS)])],
+                           plugins=[census])
+        sys.settrace(None)
     missed = sorted(lines - census.entered)
     sources = {}
     for filename, line in missed:

@@ -124,7 +124,7 @@ def test_criterion_09_signature_arithmetic():
 def test_criterion_10_unfoldings():
     """Normal-form identities: corank 3 with parameter table, corank 1 cases."""
     certs = [fn(*args) for key in cases() for fn, args in checks(key)]
-    assert sorted(c.cid for c in certs) == [
+    assert sorted(c.id for c in certs) == [
         "singular-points-pvdeg", "unfold-a1-pvdeg", "unfold-a1_pii", "unfold-a2",
         "unfold-a3", "unfold-d4", "unfold-d4-params"]
     report("10. unfolding normal forms (exact, modulo defining relations)", certs)
@@ -145,7 +145,7 @@ def test_criterion_12_arc_trace():
 def test_full_suite_green():
     """Every certificate in the library-wide suite passes."""
     certs = verify.run()
-    failing = [c.cid for c in certs if not c.passed]
+    failing = [c.id for c in certs if not c.passed]
     print(f"PASS  full suite: {len(certs)} certificates" if not failing
           else f"FAIL  full suite: {failing}")
     assert not failing

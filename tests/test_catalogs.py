@@ -93,7 +93,7 @@ def test_new_arc_catalog_entry_is_certified(tmp_path):
     data["catalogs"]["PVcopy"] = data["catalogs"]["PV"]
     (tmp_path / "lambdas.json").write_text(json.dumps(data))
     catalog.set_catalog_root(tmp_path)
-    certs = {c.cid: c.passed for c in verify.run(["lambda", "casimirs"])}
+    certs = {c.id: c.passed for c in verify.run(["lambda", "casimirs"])}
     assert certs["lambda-table-PVcopy"] and certs["lambda-solve-PVcopy"]
     assert certs["casimirs-PVcopy"]
     assert len(certs) == 15 + 9

@@ -150,7 +150,7 @@ def test_twist_unknown_case_lists_the_table(capsys):
                        "PIII_tilde, PIII_D7, PIII_D8, PII_JM, PII_FN)"),
     (("signature", "PX"), "error: signatures.json signatures has no 'PX' (have PVI, PV, PVdeg, "
                           "PIV, PIII_D6, PIII_D7, PIII_D8, PII_FN, PII_JM, PI, Weierstrass, Airy)"),
-    (("confluence", "PI", "PVI"), "error: no confluence arrow PI -> PVI"),
+    (("confluence", "PI", "PVI"), "error: arrows.json arrows has no PI -> PVI"),
     (("unfold", "PX"), "error: unfoldings.json has no tag 'PX' (have PVI, PV, PIV, PVdeg, PII_JM)"),
     (("bracket", "PV", "a", "z"), "error: unknown arc 'z' in PV"),
     (("mutate", "PVI", "14"), "error: bad mutation index '4' (use 1, 2, 3)"),
@@ -295,6 +295,34 @@ def test_catalog_override_failure_is_exit_2(tmp_path, capsys):
     # restore default catalogs for later tests
     from painleve_cubics import catalog
     catalog.set_catalog_root(None)
+
+
+@pytest.mark.parametrize("module, name, which, cid", [
+    ("shear", "pv_to_piii_change", [], "atlas.pv_to_piii_change()"),
+    ("shear", "verify_chart", ["PV"], "charts.verify_chart(PV)"),
+    ("confluence", "confluent_limit", [("PVI", "PV")], "confluence.confluent_limit(PVI-PV)"),
+    ("confluence", "embedding_check", [("PV", "PIV")], "confluence.embedding_check(PV-PIV)"),
+])
+def test_a_check_that_raises_fails_only_its_own_certificate(monkeypatch, capsys, module, name,
+                                                            which, cid):
+    import functools
+    import importlib
+    from painleve_cubics.ring import RingError
+    checks = importlib.import_module(f"painleve_cubics.checks.{module}")
+    real = getattr(checks, name)
+
+    @functools.wraps(real)
+    def broken(*args):
+        if [a if isinstance(a, str) else a[:2] for a in args] == which:
+            raise RingError("boom")
+        return real(*args)
+
+    monkeypatch.setattr(checks, name, broken)
+    code, out, err = run_cli(capsys, "verify-all")
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert [line for line in lines if not line.startswith("PASS  ")] == [
+        f"ERROR  {cid:34s} the check raised  [RingError: boom]", "159/160 certificates passed"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,13 +7,14 @@ import pytest
 from painleve_cubics import cluster
 from painleve_cubics.checks import cluster as cluster_checks
 from painleve_cubics.checks.cluster import (braid_images, braid_involution_check,
-                                            braid_preserves_cubic, braid_ring, laurent_check,
+                                            braid_preserves_cubic, laurent_check,
                                             mutation_involution_check, orbit_representatives,
                                             reduced_words, relabelling_failures, run_sequence,
                                             shifted_cubic, shifted_cubic_check, surface_invariance,
                                             twist_frozen_commutation, twist_invariants)
 from painleve_cubics.cluster import (base_values, cluster_ring, dehn_twist, initial_cluster, mutate,
                                      twist_case)
+from painleve_cubics.cubics import W_RING
 from painleve_cubics.ring import as_expr
 
 from laurent import content as laurent_content, evaluate
@@ -26,9 +27,8 @@ def test_braids_preserve_cubic(i):
 
 
 def test_braid_formula_shape():
-    ring = braid_ring()
-    m = braid_images(1, ring)
-    x1, x2, x3, w1 = (ring.gen(n) for n in ("x1", "x2", "x3", "w1"))
+    m = braid_images(1)
+    x1, x2, x3, w1 = (W_RING.gen(n) for n in ("x1", "x2", "x3", "w1"))
     assert m["x1"] == -x1 - x2 * x3 - w1
     assert m["x2"] == x3 and m["x3"] == x2
 

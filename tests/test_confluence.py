@@ -8,11 +8,10 @@ import pytest
 
 from painleve_cubics.checks import confluence as confluence_checks
 from painleve_cubics.checks.confluence import (composite_embedding_check, confluent_limit,
-                                               embedding, embedding_check, eps_ring,
-                                               limit_chart_coords, scaled_chart_coords,
-                                               two_route_check)
+                                               embedding_check, eps_ring, limit_chart_coords,
+                                               scaled_chart_coords, two_route_check)
 from painleve_cubics.cli import main
-from painleve_cubics.confluence import arrow, arrows, embeddings
+from painleve_cubics.confluence import arrow, arrows, embedding, embeddings
 from painleve_cubics.cubics import cubic, cubic_form
 from painleve_cubics.shear import chart
 from painleve_cubics.verbs.export import confluence_dot, graph_json, inclusion_dot

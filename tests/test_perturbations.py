@@ -98,7 +98,7 @@ def test_copied_twist_entry_is_certified(tmp_path):
         data["twists"]["PIII_D6copy"] = data["twists"]["PIII_D6"]
 
     catalog.set_catalog_root(catalog_copy(tmp_path, "lambdas", copy))
-    certs = {c.cid: c.passed for c in verify.run(["twists"])}
+    certs = {c.id: c.passed for c in verify.run(["twists"])}
     assert certs["twist-PIII_D6copy"] and certs["twist-frozen-PIII_D6copy"]
     assert len(certs) == 2 * (len(TWISTS) + 1)
 
@@ -473,6 +473,11 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
                  lambda data: data["charts"]["PVI"]["G"].pop("Ginf"), id="chart-G-without-Ginf"),
     pytest.param(("unfold", "PII_JM"), "unfoldings", put(("a1_pii", "tag"), None),
                  id="unfold-tag-not-a-string"),
+    # the two-route and composite checks look up PIII_D6 -> PIII_D7 and PV in PIV
+    pytest.param(("verify", "confluence"), "arrows", lambda data: data["arrows"].pop(4),
+                 id="deleted-arrow"),
+    pytest.param(("verify", "confluence"), "arrows", lambda data: data["embeddings"].pop(0),
+                 id="deleted-embedding"),
 ])
 def test_unknown_key_names_its_file(tmp_path, capsys, argv, name, edit):
     root = catalog_copy(tmp_path, name, edit or (lambda data: None))

@@ -140,6 +140,16 @@ def test_table_residues_name_each_broken_entry(xy_structure):
     assert S.bracket_expr(q, y, 2) == S.bracket_expr(q, y) - 2 * q * y
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ({("a", "z"): 1}, r"pairing on unknown generators \(a,z\)"),
+    ({("a", "a"): 1}, "nonzero diagonal pairing"),
+    ({("a", "b"): 1, ("b", "a"): 1}, r"conflicting pairing on \(b,a\)"),
+], ids=["unknown-generator", "diagonal", "conflicting"])
+def test_constructor_rejects_a_bad_pairing(pairs, message):
+    with pytest.raises(RingError, match=message):
+        PoissonStructure(Ring(("a", "b")), pairs)
+
+
 def test_solve_structure_trivial_and_inconsistent():
     ring = Ring(["a", "b"])
     mono = {"m": ring.gen("a")}

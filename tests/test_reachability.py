@@ -43,6 +43,9 @@ NEVER_ENTERED = {
     "ring.py:RationalExpr.__repr__": "a debugging aid: reports print quotients with to_text",
     "ring.py:Ring.__hash__": "defining __eq__ removes the inherited hash; rings stay hashable",
     "__init__.py:run_suite": "the public library entry point; the CLI calls verify.run itself",
+    "certificates.py:error": "the certificate of a check that raised; no catalog the corpus reads "
+                             "makes a check raise, so tests/test_cli.py monkeypatches one",
+    "verify.py:_checked.<locals>.<genexpr>": "names the arguments of a check that raised, as above",
     "linalg.py:_integerise.<locals>.<listcomp>":
         "the sign flip of a kernel vector whose first nonzero entry is negative; "
         "no Casimir kernel of the shipped catalogs has one",
@@ -116,22 +119,27 @@ def corpus(root: str) -> list:
     return calls
 
 
-def never_entered() -> list:
-    """Run the corpus under a profile hook; the sorted names of the functions it never entered."""
+def run_corpus(install, hook) -> None:
+    """Run every product call in process, the corpus then the probe, with
+    ``install(hook)`` in force (``sys.setprofile`` or ``sys.settrace``)."""
     from painleve_cubics import catalog
     from painleve_cubics.cli import main
 
-    functions = package_functions()
     with tempfile.TemporaryDirectory() as root:
         calls = corpus(root)
-        entered = set()
-        sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+        install(hook)
         for argv, code in calls:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert main(list(argv)) == code, argv
         catalog.set_catalog_root(None)
         exec(BUILD_EVERY_OBJECT, {})
-        sys.setprofile(None)
+        install(None)
+
+
+def never_entered() -> list:
+    """Run the corpus under a profile hook; the sorted names of the functions it never entered."""
+    functions, entered = package_functions(), set()
+    run_corpus(sys.setprofile, lambda frame, event, arg: entered.add(frame.f_code))
     for code in entered:
         functions.pop(key(code), None)
     return sorted(label(code) for code in functions.values())
