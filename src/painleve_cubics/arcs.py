@@ -74,7 +74,7 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             table = parent.table_between(names)
             frozen = tuple(n for n in parent.frozen if n in names)
         else:
-            sring = Ring(tuple(entry["shear_generators"]))
+            sring = Ring(catalog.typed(entry, "shear_generators", [str]))
             entries = {n: parse_poly(s, sring) for n, s in entry["entries"].items()}
             if "table" in entry:
                 table = catalog.pairs(entry, "table", tuple(entries))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .. import cluster
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cluster import base_values, cluster_ring, dehn_twist, initial_cluster, mutate, twist_case
+from ..cluster import CLUSTER_RING, base_values, dehn_twist, initial_cluster, mutate, twist_case
 from ..cubics import W_NAMES, W_RING, braid, cubic_form, omega_from_G
 from ..ring import LaurentPoly, Ring, as_expr, divide_exact
 
@@ -51,8 +51,8 @@ def shifted_form(y: tuple, G: tuple):
             + G1 * y2 * y3 + G2 * y1 * y3 + G3 * y1 * y2)
 
 
-def shifted_cubic(ring: Ring | None = None) -> LaurentPoly:
-    ring = ring or cluster_ring()
+def shifted_cubic(ring: Ring) -> LaurentPoly:
+    """``shifted_form`` at the generators y1, y2, y3, G1, G2, G3 of ``ring``."""
     return shifted_form(tuple(ring.gen(n) for n in ("y1", "y2", "y3")),
                         tuple(ring.gen(n) for n in ("G1", "G2", "G3")))
 
@@ -72,15 +72,14 @@ def shifted_cubic_check() -> Certificate:
 
 def surface_invariance(i: int) -> Certificate:
     """The mutated cubic's numerator is exactly divisible by the cubic."""
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
-    mutated = mutate(i, cl, ring)
-    phi = shifted_cubic(ring)
+    cl = initial_cluster()
+    mutated = mutate(i, cl)
+    phi = shifted_cubic(CLUSTER_RING)
     value = shifted_form(tuple(mutated[t] for t in (1, 2, 3)),
-                         tuple(as_expr(ring.gen(n)) for n in ("G1", "G2", "G3")))
+                         tuple(as_expr(CLUSTER_RING.gen(n)) for n in ("G1", "G2", "G3")))
     numerator = (value * (cl[i] ** 2)).as_poly()
     q = divide_exact(numerator, phi)
-    expected = cluster.exchange_polynomial(i, cl, ring).as_poly()
+    expected = cluster.exchange_polynomial(i, cl).as_poly()
     ok = q is not None and q == expected
     return certify(f"mutation-surface-{i}", "mutation maps the surface to itself",
                    f"exchange mutation {i} on the shifted cubic", ok,
@@ -89,9 +88,8 @@ def surface_invariance(i: int) -> Certificate:
 
 
 def mutation_involution_check(i: int) -> Certificate:
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
-    back = mutate(i, mutate(i, cl, ring), ring)
+    cl = initial_cluster()
+    back = mutate(i, mutate(i, cl))
     ok = all(back[t] == cl[t] for t in (1, 2, 3))
     return certify(f"mutation-involution-{i}", "exchange relation is involutive",
                    f"exchange mutation {i}", ok)
@@ -114,11 +112,10 @@ def reduced_words(max_depth: int) -> list:
     return words
 
 
-def run_sequence(word: tuple, ring: Ring | None = None) -> dict:
-    ring = ring or cluster_ring()
-    cl = initial_cluster(ring)
+def run_sequence(word: tuple) -> dict:
+    cl = initial_cluster()
     for i in word:
-        cl = mutate(i, cl, ring)
+        cl = mutate(i, cl)
     return cl
 
 
@@ -128,15 +125,15 @@ def relabelling_failures() -> list:
     tau relabels the y and G generators together, and E_i is the exchange
     polynomial of the initial cluster; each failure names tau and its i.
     """
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
+    ring = CLUSTER_RING
+    cl = initial_cluster()
     bad = []
     for a, b in ((1, 2), (1, 3), (2, 3)):
         tau = {1: 1, 2: 2, 3: 3, a: b, b: a}
         images = {f"{s}{t}": ring.gen(f"{s}{tau[t]}") for s in ("y", "G") for t in tau}
         broken = [f"E_{i}" for i in (1, 2, 3)
-                  if cluster.exchange_polynomial(i, cl, ring).substitute(images)
-                  != cluster.exchange_polynomial(tau[i], cl, ring)]
+                  if cluster.exchange_polynomial(i, cl).substitute(images)
+                  != cluster.exchange_polynomial(tau[i], cl)]
         if broken:
             bad.append(f"({a} {b}) breaks {', '.join(broken)}")
     return bad

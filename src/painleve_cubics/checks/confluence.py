@@ -1,50 +1,41 @@
 """Certificates of the confluence limits and of the reversed algebra inclusions.
 
-On the generators an arrow z -> z + c log(epsilon) is g_z -> eps^c g_z, where
-``eps`` is the exponentiated coordinate of log(epsilon), that is epsilon^{1/2}.
-The limit epsilon -> 0 is the part of least eps-degree d, an epsilon-degree
-d/2, taken per coordinate (the three coordinates may sit at different leading
-degrees); after expanding all parameter symbols it must coincide with the
+An arrow z -> z + c log(epsilon) sends each generator g_z = e^{z/2} to
+epsilon^{c/2} g_z, so it only rescales each monomial of a chart coordinate:
+the term with exponents e gets epsilon^{d/2}, d = sum_z c_z e_z.  The limit
+epsilon -> 0 is the part of least d, taken per coordinate (the three
+coordinates may sit at different leading degrees); read off the chart ring's
+own keys, with all parameter symbols expanded, it must coincide with the
 target chart exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .. import catalog
-from ..catalog import SHEAR_NAMES
 from ..certificates import Certificate, certify
 from ..confluence import Arrow, EmbeddingMap, arrow, embedding
 from ..exprs import parse_poly
-from ..ring import Ring, RingError
-from ..shear import chart
-
-
-def eps_ring() -> Ring:
-    """The shear ring with ``eps``, the generator that stands for epsilon^{1/2}."""
-    return Ring(SHEAR_NAMES + ("eps",))
-
-
-def scaled_chart_coords(a: Arrow) -> list:
-    """Source chart coordinates after the arrow's rescaling g_z -> eps^c g_z."""
-    ring = eps_ring()
-    images = {z: ring.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
-    return [x.cast(ring).substitute(images, ring=ring).as_poly()
-            for x in chart(a.src).x]
+from ..ring import LaurentPoly, RingError
+from ..shear import SHEAR_RING, chart
 
 
 def limit_chart_coords(a: Arrow) -> tuple:
     """(leading epsilon-degrees, leading parts) of the rescaled source coordinates."""
+    weights = [a.shift.get(z, 0) for z in SHEAR_RING.names]
     degrees, leads = [], []
-    for i, scaled in enumerate(scaled_chart_coords(a), start=1):
-        parts = scaled.coefficients("eps")
+    for i, x in enumerate(chart(a.src).x, start=1):
+        parts: dict = {}
+        for key, c in x.terms.items():
+            parts.setdefault(sum(map(mul, weights, SHEAR_RING.unpack(key))), {})[key] = c
         if not parts:
             with catalog.entry("charts", "charts", a.src):
                 raise ValueError(f"x{i} is zero, so it has no leading part")
         d = min(parts)
         degrees.append(Fraction(d, 2))
-        leads.append(parts[d])
+        leads.append(LaurentPoly(SHEAR_RING, parts[d]))
     return degrees, leads
 
 
@@ -54,9 +45,7 @@ def confluent_limit(a: Arrow) -> Certificate:
 
 def limit_certificate(a: Arrow, degrees: list, leads: list) -> Certificate:
     """Certify the limit (``degrees``, ``leads``) that ``limit_chart_coords(a)`` returned."""
-    ring = eps_ring()
-    target = [x.cast(ring) for x in chart(a.dst).x]
-    bad = [lead - t for lead, t in zip(leads, target) if lead != t]
+    bad = [lead - t for lead, t in zip(leads, chart(a.dst).x) if lead != t]
     degs = ",".join(str(d) for d in degrees)
     return certify(f"confluence-{a.src}-{a.dst}", "confluence limit lands on the target chart",
                    f"{a.src} -> {a.dst}", not bad,

@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import cubic, cubic_form
 from ..ring import Ring, as_expr
-
-if TYPE_CHECKING:  # nambu_context imports poisson when it runs
-    from ..poisson import NambuContext
-
-
-def nambu_context(tag: str) -> NambuContext:
-    from ..poisson import NambuContext
-
-    return NambuContext(cubic(tag).phi, X_NAMES)
 
 
 def volume_form_check(tag: str) -> Certificate:
@@ -37,10 +26,10 @@ def volume_form_check(tag: str) -> Certificate:
 
 def nambu_casimir_check(tag: str) -> Certificate:
     """phi is a Casimir and the induced bracket satisfies Jacobi."""
-    from ..poisson import jacobiator
+    from ..poisson import NambuContext, jacobiator
 
     c = cubic(tag)
-    ctx = nambu_context(tag)
+    ctx = NambuContext(c.phi)
     xs = [c.ring.gen(n) for n in X_NAMES]
     residues = [ctx.bracket(c.phi, x) for x in xs]
     jac = jacobiator(ctx.bracket, *xs)

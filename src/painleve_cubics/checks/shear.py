@@ -15,7 +15,7 @@ from ..certificates import Certificate, certify
 from ..cubics import braid, cubic, pulled_back
 from ..exprs import parse_expr
 from ..ring import GenImage, LaurentPoly, as_expr
-from ..shear import chart, shear_ring
+from ..shear import SHEAR_RING, chart
 
 
 def chart_phi_residue(tag: str) -> LaurentPoly:
@@ -48,11 +48,10 @@ def flip(i: int) -> dict:
 
     s-images carry granularity 2 (they are images of e^{s}); the x's only
     involve integer powers of e^{s_j}, so substitution never demands a half
-    power of a non-monomial.
+    power of a non-monomial.  An index outside 1, 2, 3 is a KeyError of the
+    ``order`` table.
     """
-    if i not in (1, 2, 3):
-        raise ValueError("flip index must be 1, 2 or 3")
-    ring = shear_ring()
+    ring = SHEAR_RING
     order = {1: ("s1", "s2", "s3", "p1", "p2", "p3"),
              2: ("s2", "s3", "s1", "p2", "p3", "p1"),
              3: ("s3", "s1", "s2", "p3", "p1", "p2")}[i]
@@ -68,7 +67,7 @@ def flip(i: int) -> dict:
 
 def flip_involution_check(i: int) -> Certificate:
     """f_i composed with itself is the identity on the exponentiated coordinates."""
-    ring = shear_ring()
+    ring = SHEAR_RING
     m = flip(i)
     probes = [ring.e({n: 1}) for n in ("s1", "s2", "s3")] + \
              [ring.e({n: Fraction(1, 2)}) for n in ("p1", "p2", "p3")]

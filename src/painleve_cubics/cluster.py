@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import catalog
 from .exprs import parse_expr
-from .ring import RationalExpr, Ring, RingError, as_expr
+from .ring import RationalExpr, Ring, as_expr
 
 if TYPE_CHECKING:  # twist_case imports poisson; mutate never loads it
     from .poisson import PoissonStructure
@@ -21,29 +21,25 @@ if TYPE_CHECKING:  # twist_case imports poisson; mutate never loads it
 # -- generalized mutations -----------------------------------------------------
 
 
-def cluster_ring() -> Ring:
-    return Ring(("y1", "y2", "y3", "G1", "G2", "G3"))
+CLUSTER_RING = Ring(("y1", "y2", "y3", "G1", "G2", "G3"))
 
 
-def exchange_polynomial(i: int, cluster: dict, ring: Ring) -> RationalExpr:
+def exchange_polynomial(i: int, cluster: dict) -> RationalExpr:
+    """y_j^2 + y_k^2 + G_i y_j y_k, with G_i from the cluster's own ring."""
     j, k = [t for t in (1, 2, 3) if t != i]
-    G = as_expr(ring.gen(f"G{i}"))
+    G = as_expr(cluster[i].ring.gen(f"G{i}"))
     return cluster[j] ** 2 + cluster[k] ** 2 + G * cluster[j] * cluster[k]
 
 
-def mutate(i: int, cluster: dict, ring: Ring | None = None) -> dict:
+def mutate(i: int, cluster: dict) -> dict:
     """One generalized exchange: y_i -> (y_j^2 + y_k^2 + G_i y_j y_k)/y_i."""
-    ring = ring or cluster_ring()
-    if cluster[i].is_zero():
-        raise RingError("cannot mutate a vanishing cluster variable")
     new = dict(cluster)
-    new[i] = exchange_polynomial(i, cluster, ring) / cluster[i]
+    new[i] = exchange_polynomial(i, cluster) / cluster[i]
     return new
 
 
-def initial_cluster(ring: Ring | None = None) -> dict:
-    ring = ring or cluster_ring()
-    return {i: as_expr(ring.gen(f"y{i}")) for i in (1, 2, 3)}
+def initial_cluster() -> dict:
+    return {i: as_expr(CLUSTER_RING.gen(f"y{i}")) for i in (1, 2, 3)}
 
 
 # -- Dehn twists ----------------------------------------------------------------

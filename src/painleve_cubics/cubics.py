@@ -20,6 +20,8 @@ from .catalog import G_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import LaurentPoly, RationalExpr, Ring, as_expr
 
+# the ring of the catalog's cubics: coordinates and the parameter symbols
+BASE_RING = Ring(X_NAMES + G_NAMES)
 # the free-coefficient ring of the cubic: coordinates and w1..w4 as generators
 W_NAMES = ("w1", "w2", "w3", "w4")
 W_RING = Ring(X_NAMES + W_NAMES)
@@ -57,15 +59,11 @@ def _display(poly: LaurentPoly) -> str:
     return poly.to_text().replace(" * ", " ").replace("*", " ")
 
 
-def base_ring() -> Ring:
-    return Ring(X_NAMES + G_NAMES)
-
-
 @catalog.cached
 def cubic(tag: str) -> CubicSurface:
-    ring = base_ring()
+    ring = BASE_RING
     with catalog.entry("cubics", "cubics", tag) as entry:
-        omega = tuple(parse_poly(s, ring) for s in entry["omega"])
+        omega = tuple(parse_poly(s, ring) for s in catalog.typed(entry, "omega", [str]))
         eps = catalog.typed(entry, "eps", [(0, 1)])
         if len(eps) != 3:
             raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
@@ -127,9 +125,8 @@ def pulled_back(tag: str, xs, params: dict, ring: Ring):
     return cubic_form(tuple(xs), c.eps, [w.substitute(params, ring=ring) for w in c.omega])
 
 
-def omega_from_G(eps: tuple, ring: Ring | None = None) -> tuple:
-    """The generic parameter-to-coefficient map for a given eps triple."""
-    ring = ring or base_ring()
+def omega_from_G(eps: tuple, ring: Ring) -> tuple:
+    """The generic parameter-to-coefficient map for a given eps triple, over ``ring``."""
     G1, G2, G3, Gf = (ring.gen(n) for n in G_NAMES)
     e1, e2, e3 = eps
     w1 = -G1 * Gf - e1 * G2 * G3

@@ -13,9 +13,10 @@ coordinates (g_z = e^{z/2}) the pairing is the coordinate bracket over 4:
 that conversion, ``log_bracket`` inverts it.
 
 NambuContext carries the bracket a cubic polynomial phi induces on
-C[x1,x2,x3]: {x1,x2} = d(phi)/d(x3) and cyclic, extended as a
-biderivation; phi itself is a Casimir by construction of the formula,
-which the certificates confirm symbolically.
+C[x1,x2,x3], x1, x2, x3 being generators of phi's ring: {x1,x2} =
+d(phi)/d(x3) and cyclic, extended as a biderivation; phi itself is a
+Casimir by construction of the formula, which the certificates confirm
+symbolically.
 
 ``casimir_kernel`` and ``solve_structure`` import ``linalg`` when called, so
 building a structure or taking a bracket never loads it.
@@ -28,6 +29,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from .catalog import X_NAMES
 from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
 
 
@@ -220,26 +222,24 @@ def solve_structure(ring: Ring,
 
 
 class NambuContext:
-    """The bracket {x_i, x_j} = d(phi)/d(x_k) (cyclic) on a cubic's ring."""
+    """The bracket {x_i, x_j} = d(phi)/d(x_k) (cyclic) on the ring of ``phi``,
+    whose coordinates are x1, x2, x3."""
 
-    def __init__(self, phi: LaurentPoly, xnames: Sequence[str] = ("x1", "x2", "x3")):
+    def __init__(self, phi: LaurentPoly):
         self.ring = phi.ring
         self.phi = phi
-        self.xnames = tuple(xnames)
-        for name in self.xnames:
+        for name in X_NAMES:
             if name not in self.ring.index:
                 raise RingError(f"missing coordinate {name!r}")
         for exps, _ in phi.items():
-            for name in self.xnames:
+            for name in X_NAMES:
                 if exps[self.ring.index[name]] < 0:
                     raise RingError("phi must be polynomial in the surface coordinates")
-        x1, x2, x3 = self.xnames
-        self._grad = (phi.derivative(x1), phi.derivative(x2), phi.derivative(x3))
+        self._grad = tuple(phi.derivative(n) for n in X_NAMES)
 
     def bracket(self, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-        x1, x2, x3 = self.xnames
-        df = (f.derivative(x1), f.derivative(x2), f.derivative(x3))
-        dg = (g.derivative(x1), g.derivative(x2), g.derivative(x3))
+        df = [f.derivative(n) for n in X_NAMES]
+        dg = [g.derivative(n) for n in X_NAMES]
         total = self.ring.zero()
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             total = total + self._grad[k] * (df[i] * dg[j] - df[j] * dg[i])

@@ -30,9 +30,9 @@ the keys with ``Ring.unpack`` or ``LaurentPoly.items()``.
 
 Convention for exponentiated coordinates: a generator named ``z`` stands
 for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Every exponent is an
-``int``, and no generator name is special: the confluence generator ``eps``
-is g_z for z = log(epsilon), that is epsilon^{1/2}, so a scaling like
-z -> z - log(epsilon) weights g_z by an integer power of it.
+``int``, and no generator name is special.  A scaling z -> z + c log(epsilon)
+sends g_z to epsilon^{c/2} g_z, so it multiplies the monomial with exponents
+e by epsilon^{d/2}, d = sum_z c_z e_z, an integer read off the monomial's key.
 
 ``RationalExpr`` is a quotient num/den of two polynomials.  Quotients by
 monomials collapse back into the Laurent ring during normalisation;
@@ -99,11 +99,12 @@ def _exact_root(n: int, k: int) -> int | None:
 class Ring:
     """A context of named invertible generators.
 
-    Polynomials from different Ring objects never mix; use
-    ``LaurentPoly.cast`` to move between rings sharing generator names.
+    Polynomials from rings with different generator names never mix.  The
+    unit polynomial is built once per ring and shared, which is safe because
+    no operation changes a polynomial's terms in place.
     """
 
-    __slots__ = ("names", "index", "_zero", "_guard", "_shifts", "_fields")
+    __slots__ = ("names", "index", "_zero", "_guard", "_shifts", "_fields", "_one")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -115,6 +116,7 @@ class Ring:
         self._zero = sum(_BIAS << s for s in self._shifts)
         self._guard = self._zero << 1
         self._fields = Struct(f">{len(names)}h")
+        self._one = LaurentPoly(self, {self._zero: 1})
 
     def __repr__(self) -> str:
         return f"Ring({', '.join(self.names)})"
@@ -153,7 +155,7 @@ class Ring:
         return LaurentPoly(self, {})
 
     def one(self) -> "LaurentPoly":
-        return LaurentPoly(self, {self._zero: 1})
+        return self._one
 
     def const(self, c: Scalar) -> "LaurentPoly":
         c = _scalar(c)
@@ -397,24 +399,6 @@ class LaurentPoly:
             d = ((k >> s) & _MASK) - _BIAS
             parts.setdefault(d, {})[k - (d << s)] = c
         return {d: LaurentPoly(ring, terms) for d, terms in parts.items()}
-
-    def cast(self, ring: Ring) -> "LaurentPoly":
-        """Re-express in a ring containing (by name) every used generator."""
-        if ring == self.ring:
-            return self
-        src = self.ring
-        # the target field of each source field
-        shifts = [ring._shifts[ring.index[n]] if n in ring.index else None for n in src.names]
-        out: dict = {}
-        for k, c in self.terms.items():
-            key = ring._zero
-            for i, v in enumerate(src.unpack(k)):
-                if v:
-                    if shifts[i] is None:
-                        raise RingError(f"generator {src.names[i]!r} missing from {ring}")
-                    key += v << shifts[i]
-            out[key] = c  # distinct generators stay distinct, so no two terms meet
-        return LaurentPoly(ring, out)
 
     # -- substitution ------------------------------------------------------
 

@@ -32,13 +32,12 @@ class ShearChart(NamedTuple):
     norm_residual: str
 
 
-def shear_ring() -> Ring:
-    return Ring(SHEAR_NAMES)
+SHEAR_RING = Ring(SHEAR_NAMES)
 
 
 @catalog.cached
 def chart(tag: str) -> ShearChart:
-    ring = shear_ring()
+    ring = SHEAR_RING
     with catalog.entry("charts", "charts", tag) as entry:
         G = {name: parse_poly(s, ring) for name, s in catalog.typed(entry, "G", {G_NAMES: str}).items()}
         images = {}

@@ -14,11 +14,10 @@ def mutate(fmt, tag, sequence) -> int:
         word.append(int(ch))
     if not word:
         raise catalog.UnknownEntry("no mutation given (use 1, 2, 3)")
-    ring = cluster.cluster_ring()
-    cl = cluster.initial_cluster(ring)
+    cl = cluster.initial_cluster()
     print("start: " + ", ".join(f"y{i} = {cl[i]}" for i in (1, 2, 3)))
     for step, i in enumerate(word, start=1):
-        cl = cluster.mutate(i, cl, ring)
+        cl = cluster.mutate(i, cl)
         print(f"after mutation {i} (step {step}):")
         for t in (1, 2, 3):
             print(f"  y{t} = {cl[t]}")

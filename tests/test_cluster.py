@@ -12,7 +12,7 @@ from painleve_cubics.checks.cluster import (braid_images, braid_involution_check
                                             reduced_words, relabelling_failures, run_sequence,
                                             shifted_cubic, shifted_cubic_check, surface_invariance,
                                             twist_frozen_commutation, twist_invariants)
-from painleve_cubics.cluster import (base_values, cluster_ring, dehn_twist, initial_cluster, mutate,
+from painleve_cubics.cluster import (CLUSTER_RING, base_values, dehn_twist, initial_cluster, mutate,
                                      twist_case)
 from painleve_cubics.cubics import W_RING
 from painleve_cubics.ring import as_expr
@@ -41,9 +41,9 @@ def test_braid_on_points():
 
 
 def test_exchange_relation():
-    ring = cluster_ring()
-    cl = initial_cluster(ring)
-    new = mutate(1, cl, ring)
+    ring = CLUSTER_RING
+    cl = initial_cluster()
+    new = mutate(1, cl)
     product = (new[1] * cl[1]).as_poly()
     y2, y3, G1 = ring.gen("y2"), ring.gen("y3"), ring.gen("G1")
     assert product == y2 ** 2 + y3 ** 2 + G1 * y2 * y3
@@ -64,8 +64,8 @@ def test_shifted_cubic_constant_vanishes():
 
 
 def test_depth_one_denominator():
-    ring = cluster_ring()
-    cl = run_sequence((1,), ring)
+    ring = CLUSTER_RING
+    cl = run_sequence((1,))
     poly = cl[1].as_poly()
     content = dict(zip(ring.names, laurent_content(poly)))
     assert content["y1"] == -1 and content["y2"] == 0 and content["y3"] == 0
@@ -74,8 +74,8 @@ def test_depth_one_denominator():
 def test_depth_two_denominator():
     # after mutating 1 then 2 the new second variable clears to y1^-2 y2^-1:
     # its numerator is not divisible by y1 (frozen exact outcome)
-    ring = cluster_ring()
-    cl = run_sequence((1, 2), ring)
+    ring = CLUSTER_RING
+    cl = run_sequence((1, 2))
     poly = cl[2].as_poly()
     content = dict(zip(ring.names, laurent_content(poly)))
     assert content["y1"] == -2 and content["y2"] == -1
@@ -116,11 +116,11 @@ def test_orbit_representatives_cover_every_word(depth, count):
 
 def test_relabelled_word_gives_relabelled_cluster():
     # sigma = (1 2 3) carries the word (1, 2, 3) to (2, 3, 1) and y_t, G_t to y_s(t), G_s(t)
-    ring = cluster_ring()
+    ring = CLUSTER_RING
     sigma = {1: 2, 2: 3, 3: 1}
     images = {f"{s}{t}": ring.gen(f"{s}{sigma[t]}") for s in ("y", "G") for t in sigma}
-    base = run_sequence((1, 2, 3), ring)
-    moved = run_sequence((2, 3, 1), ring)
+    base = run_sequence((1, 2, 3))
+    moved = run_sequence((2, 3, 1))
     for t in (1, 2, 3):
         assert moved[sigma[t]] == base[t].substitute(images)
 
@@ -128,9 +128,9 @@ def test_relabelled_word_gives_relabelled_cluster():
 def test_asymmetric_exchange_fails_through_the_symmetry_check(monkeypatch):
     # 2*y_j^2 + y_k^2 + G_i*y_j*y_k keeps both depth-2 representatives Laurent
     # but is not equivariant, so the orbit reduction must not be trusted
-    def lopsided(i, cl, ring):
+    def lopsided(i, cl):
         j, k = [t for t in (1, 2, 3) if t != i]
-        return 2 * cl[j] ** 2 + cl[k] ** 2 + as_expr(ring.gen(f"G{i}")) * cl[j] * cl[k]
+        return 2 * cl[j] ** 2 + cl[k] ** 2 + as_expr(cl[i].ring.gen(f"G{i}")) * cl[j] * cl[k]
 
     monkeypatch.setattr(cluster, "exchange_polynomial", lopsided)
     assert all(run_sequence(w)[i].is_poly() for w in orbit_representatives(2) for i in (1, 2, 3))
@@ -144,8 +144,8 @@ def test_asymmetric_exchange_fails_through_the_symmetry_check(monkeypatch):
 def test_non_laurent_mutation_is_named_as_a_witness(monkeypatch):
     # dividing by y_i + 1 keeps the exchange polynomials equivariant, so the
     # symmetry check passes and the genuine quotient is reported with its word
-    def shifted(i, cl, ring):
-        return {**cl, i: cluster.exchange_polynomial(i, cl, ring) / (cl[i] + 1)}
+    def shifted(i, cl):
+        return {**cl, i: cluster.exchange_polynomial(i, cl) / (cl[i] + 1)}
 
     monkeypatch.setattr(cluster_checks, "mutate", shifted)
     cert = laurent_check(1)
@@ -165,8 +165,8 @@ def test_laurent_depth_below_one_raises(depth):
 
 def test_composite_mutations_stay_on_surface():
     # the cubic transported along a length-2 sequence is still divisible by it
-    ring = cluster_ring()
-    y = run_sequence((1, 2), ring)
+    ring = CLUSTER_RING
+    y = run_sequence((1, 2))
     phi = shifted_cubic(ring)
     G1, G2, G3 = (ring.gen(n) for n in ("G1", "G2", "G3"))
     value = (y[1] * y[2] * y[3] + y[1] ** 2 + y[2] ** 2 + y[3] ** 2

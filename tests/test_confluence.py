@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics.checks import confluence as confluence_checks
+from painleve_cubics.catalog import SHEAR_NAMES
 from painleve_cubics.checks.confluence import (composite_embedding_check, confluent_limit,
-                                               embedding_check, eps_ring, limit_chart_coords,
-                                               scaled_chart_coords, two_route_check)
+                                               embedding_check, limit_chart_coords,
+                                               two_route_check)
 from painleve_cubics.cli import main
 from painleve_cubics.confluence import arrow, arrows, embedding, embeddings
 from painleve_cubics.cubics import cubic, cubic_form
+from painleve_cubics.ring import Ring
 from painleve_cubics.shear import chart
+from painleve_cubics.verbs import confluence as confluence_verb
 from painleve_cubics.verbs.export import confluence_dot, graph_json, inclusion_dot
 
 EXPECTED_ARROWS = {
@@ -44,9 +46,9 @@ def test_confluence_command_rescales_the_chart_once(monkeypatch, capsys, src, ds
 
     def counting(*args):
         calls.append(args)
-        return scaled_chart_coords(*args)
+        return limit_chart_coords(*args)
 
-    monkeypatch.setattr(confluence_checks, "scaled_chart_coords", counting)
+    monkeypatch.setattr(confluence_verb, "limit_chart_coords", counting)
     assert main(["confluence", src, dst]) == 0
     assert capsys.readouterr().out == expected
     assert len(calls) == 1
@@ -69,12 +71,15 @@ def test_two_routes_agree():
 
 
 def degree_bound_check(a):
-    """min eps-degree of phi(x(eps)) >= a crude product bound from the x-degrees."""
-    ring = eps_ring()
-    scaled = scaled_chart_coords(a)
+    """min eps-degree of phi(x(eps)) >= a crude product bound from the x-degrees.
+
+    The chart is rescaled by substitution into its own ring with ``eps``, the
+    generator standing for epsilon^{1/2}, independently of ``limit_chart_coords``.
+    """
+    ring = Ring(SHEAR_NAMES + ("eps",))
     shift = {z: ring.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
-    G = {name: g.cast(ring).substitute(shift, ring=ring).as_poly()
-         for name, g in chart(a.src).G.items()}
+    scaled = [x.substitute(shift, ring=ring).as_poly() for x in chart(a.src).x]
+    G = {name: g.substitute(shift, ring=ring).as_poly() for name, g in chart(a.src).G.items()}
     omega = [w.substitute(G, ring=ring).as_poly() for w in cubic(a.src).omega]
     phi = cubic_form(scaled, cubic(a.src).eps, omega)
     if phi.is_zero():

@@ -6,7 +6,7 @@ import pytest
 
 from painleve_cubics import Ring, RingError, catalog, parse_poly
 from painleve_cubics.checks import cubics as cubic_checks
-from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, nambu_context, table1_check,
+from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, table1_check,
                                            torus_param_check, volume_form_check)
 from painleve_cubics.checks.unfolding import singular_point_check
 from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve_cubics import ExprSyntaxError, Ring, RingError, parse_expr
+from painleve_cubics import ExprSyntaxError, Ring, RingError, exprs, parse_expr
 from painleve_cubics.ring import as_expr
 
 from exprs_ast import parse_expr_ast
@@ -172,6 +172,24 @@ def test_quarter_coordinate_is_a_ring_error_naming_it():
         parse_expr("e[s1/4]", RING)
     with pytest.raises(ExprSyntaxError, match=r"division by zero in e\[\.\.\.\] of"):
         parse_expr("e[s1/(1 - 1)]", RING)
+
+
+def test_deep_nesting_is_named():
+    with pytest.raises(ExprSyntaxError, match="nesting too deep") as info:
+        parse_expr("(" * 1000 + "x" + ")" * 1000, RING)
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
+def test_recursion_anywhere_in_the_reader_is_named_nesting(monkeypatch):
+    # under sys.settrace the interpreter's own RecursionError strikes inside the
+    # trace function, which switches tracing off, so the line census sees the
+    # handler only through a reader that raises it directly
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(exprs._Reader, "binary", too_deep)
+    with pytest.raises(ExprSyntaxError, match="nesting too deep in 'x'"):
+        parse_expr("x", RING)
 
 
 @pytest.mark.parametrize("text", [

@@ -3,11 +3,13 @@ modules), every annotation names a class its module imports, a cold CLI
 call loads only the subsystems, the ``checks`` modules and the one ``verbs``
 module its verb runs, a bare import of the package or its CLI loads no
 kernel, no product process loads ``ast``, ``argparse``, ``gettext`` or
-``locale``, and no package module imports ``importlib.resources``."""
+``locale``, no package module imports ``importlib.resources``, and ``cli.py``
+and the benchmark's set-up probe stay within their compile budgets."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import typing
 from pathlib import Path
 
 import pytest
+from compile_census import tokens
 from test_reachability import BUILD_EVERY_OBJECT
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_cubics"
@@ -231,3 +234,19 @@ def test_no_product_call_loads_ast():
     loaded = modules_after(cli_call("show", "PV") + BUILD_EVERY_OBJECT)
     assert {"painleve_cubics.exprs", "painleve_cubics.arcs", "re"} <= loaded
     assert "ast" not in loaded
+
+
+# compile budgets, in tokens counted as ``tests/compile_census.py`` counts them:
+# the benchmark's processes run without bytecode, so each compiles what it imports
+def test_cli_stays_within_its_compile_budget():
+    # every CLI process compiles cli.py; a new verb's handler goes in ``verbs``
+    assert len(tokens(PACKAGE / "cli.py")) <= 1200
+
+
+def test_the_set_up_probe_stays_within_its_compile_budget():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(Path(__file__).with_name("compile_census.py")),
+                          "--one", "probe"],
+                         env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout)["compiled"] <= 13050

@@ -96,6 +96,10 @@ def test_solve_consistent_matches_rref(rows, data):
     assert all(sum(a * b for a, b in zip(r, x)) == c for r, c in zip(rows, rhs))
 
 
+def test_solve_of_no_equations_is_empty():
+    assert linalg.solve([], []) == ([], [], [])
+
+
 def greedy_violations(rows, rhs):
     """Keep each equation that leaves the kept set consistent; solve the kept
     set with its free variables 0; list the equations that solution breaks."""

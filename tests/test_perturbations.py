@@ -241,6 +241,10 @@ WRONG_TYPED_FIELDS = [
      NOT_STRINGS),
     ("catalogs.PV.table.a,b", "lambdas", ("catalogs", "PV", "table", "a,b"), "lambda",
      "lambdas.json catalogs.PV", WRONG_TYPES + [True, 0.1, "1/0"]),
+    ("cubics.PVI.omega[0]", "cubics", ("cubics", "PVI", "omega", 0), "cubics",
+     "cubics.json cubics.PVI", WRONG_TYPES),
+    ("catalogs.PV.shear_generators[0]", "lambdas", ("catalogs", "PV", "shear_generators", 0),
+     "lambda", "lambdas.json catalogs.PV", WRONG_TYPES),
 ]
 
 
@@ -308,12 +312,17 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json catalogs.PV: table.a,b is True, not an integer or a fraction in a string"),
     ("lambdas", ("catalogs", "PV", "table", "a,b"), 0.1,
      "lambdas.json catalogs.PV: table.a,b is 0.1, not an integer or a fraction in a string"),
+    ("cubics", ("cubics", "PVI", "omega", 0), None,
+     "cubics.json cubics.PVI: omega[0] is None, not a string"),
+    ("lambdas", ("catalogs", "PV", "shear_generators", 0), [],
+     "lambdas.json catalogs.PV: shear_generators[0] is [], not a string"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
         "embedding-image-sum", "short-cusp-pair", "short-eps", "string-eps", "bad-word-letter",
         "empty-word", "diagonal-twist-pair", "conflicting-twist-pair",
-        "diagonal-expected-mismatch", "bool-table-coefficient", "float-table-coefficient"])
+        "diagonal-expected-mismatch", "bool-table-coefficient", "float-table-coefficient",
+        "null-omega-entry", "list-shear-generator"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")

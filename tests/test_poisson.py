@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from painleve_cubics import (NambuContext, PoissonStructure, Ring, RingError, casimir_kernel,
                              parse_poly, solve_structure)
 from painleve_cubics.arcs import lambda_catalog
-from painleve_cubics.checks.cubics import nambu_context
 from painleve_cubics.cubics import cubic
 from painleve_cubics.poisson import jacobiator
 
@@ -72,7 +71,7 @@ def det_bracket(phi, f, g):
 
 
 def test_nambu_bracket_pvi_example():
-    ctx = nambu_context("PVI")
+    ctx = NambuContext(cubic("PVI").phi)
     ring = ctx.ring
     x1, x2, x3 = (ring.gen(n) for n in ("x1", "x2", "x3"))
     got = ctx.bracket(x1, x2)
@@ -86,13 +85,13 @@ def test_nambu_bracket_pvi_example():
 def test_phi_is_casimir_for_every_cubic():
     from painleve_cubics.cubics import tags
     for tag in tags():
-        ctx = nambu_context(tag)
+        ctx = NambuContext(cubic(tag).phi)
         for n in ("x1", "x2", "x3"):
             assert ctx.bracket(ctx.phi, ctx.ring.gen(n)).is_zero(), tag
 
 
 def test_nambu_jacobi_pvi():
-    ctx = nambu_context("PVI")
+    ctx = NambuContext(cubic("PVI").phi)
     xs = [ctx.ring.gen(n) for n in ("x1", "x2", "x3")]
     assert jacobiator(ctx.bracket, *xs).is_zero()
 
@@ -148,6 +147,21 @@ def test_table_residues_name_each_broken_entry(xy_structure):
 def test_constructor_rejects_a_bad_pairing(pairs, message):
     with pytest.raises(RingError, match=message):
         PoissonStructure(Ring(("a", "b")), pairs)
+
+
+def test_bracket_refuses_an_argument_from_another_ring(xy_structure):
+    ring, S = xy_structure
+    with pytest.raises(RingError, match="bracket arguments outside the structure's ring"):
+        S.bracket(ring.gen("x"), Ring(["z"]).gen("z"))
+
+
+@pytest.mark.parametrize("phi, message", [
+    (Ring(["x1", "x2"]).gen("x1"), "missing coordinate 'x3'"),
+    (Ring(["x1", "x2", "x3"]).gen("x2", -1), "phi must be polynomial in the surface coordinates"),
+], ids=["missing-coordinate", "negative-power"])
+def test_nambu_context_refuses_a_bad_phi(phi, message):
+    with pytest.raises(RingError, match=message):
+        NambuContext(phi)
 
 
 def test_solve_structure_trivial_and_inconsistent():

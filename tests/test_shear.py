@@ -11,7 +11,7 @@ from painleve_cubics.checks.shear import (chart_phi_residue, flip, flip_involuti
                                           pv_to_piii_change, verify_chart, verify_flip_braid)
 from painleve_cubics.cubics import G_NAMES, tags
 from painleve_cubics.ring import GenImage, as_expr
-from painleve_cubics.shear import chart, shear_ring
+from painleve_cubics.shear import SHEAR_RING, chart
 
 from laurent import evaluate
 
@@ -38,13 +38,13 @@ def test_pi_chart_has_no_third_parameter():
 
 
 def test_pvi_chart_unit_point():
-    unit = {n: 1 for n in shear_ring().names}
+    unit = {n: 1 for n in SHEAR_RING.names}
     for x in chart("PVI").x:
         assert evaluate(x, unit) == -7
 
 
 def test_flip_images():
-    ring = shear_ring()
+    ring = SHEAR_RING
     m = flip(1)
     # e^{s1} -> e^{-p1-s1}
     out = ring.e({"s1": 1}).substitute(m).as_poly()
@@ -58,7 +58,7 @@ def test_flip_images():
 
 
 def test_flip_involution_on_s2():
-    ring = shear_ring()
+    ring = SHEAR_RING
     m = flip(1)
     es2 = ring.e({"s2": 1})
     assert es2.substitute(m).substitute(m) == as_expr(es2)
