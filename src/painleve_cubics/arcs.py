@@ -34,11 +34,11 @@ class LambdaCatalog(NamedTuple):
     params: tuple                 # central parameter symbols (loop lengths)
     lambda_ring: Ring             # arcs + params as direct generators
     frozen: tuple
-    identifications: dict         # cubic parameter symbol -> RationalExpr over lambda_ring
-    casimirs: tuple               # the catalog strings, e.g. "a*b^-1*h^2"
-    casimir_exps: tuple           # the same as {name: exponent} maps
+    # text over lambda_ring, parsed by ``checks.arcs.commutant_check`` and ``casimir_check``
+    identifications: dict         # cubic parameter symbol -> text
+    casimirs: tuple               # monomials, e.g. "a*b^-1*h^2"
     leaf_dim: int
-    xexprs: dict                  # x-name -> RationalExpr over lambda_ring
+    xexprs: dict                  # x-name -> text
     stated_log_brackets: dict
     solved_log_brackets: dict
     central_shear: tuple          # shear generators carrying the loop parameters
@@ -63,7 +63,7 @@ class LambdaCatalog(NamedTuple):
 
 @catalog.cached
 def lambda_catalog(tag: str) -> LambdaCatalog:
-    from .exprs import parse_expr, parse_poly
+    from .exprs import parse_poly
     from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
         if "subset_of" in entry:
@@ -75,7 +75,8 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             frozen = tuple(n for n in parent.frozen if n in names)
         else:
             sring = Ring(catalog.typed(entry, "shear_generators", [str]))
-            entries = {n: parse_poly(s, sring) for n, s in entry["entries"].items()}
+            texts = catalog.typed(entry, "entries", {str: str})
+            entries = {n: parse_poly(s, sring) for n, s in texts.items()}
             if "table" in entry:
                 table = catalog.pairs(entry, "table", tuple(entries))
             else:
@@ -89,7 +90,6 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         if len(central_shear) != len(params):
             raise ValueError(f"central_shear is {list(central_shear)}, not one per parameter")
         lring = Ring(tuple(entries) + params)
-        xs = catalog.typed(entry, "xexprs", {catalog.X_NAMES: str}, {})
         cusps = catalog.typed(entry, "cusp_indices", {tuple(entries): [[int]]}, {})
         if any(len(pair) != 2 for pairs in cusps.values() for pair in (pairs, *pairs)):
             raise ValueError(f"cusp_indices is {entry['cusp_indices']!r}, "
@@ -97,13 +97,10 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         return LambdaCatalog(
             tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
             lambda_ring=lring, frozen=frozen,
-            identifications={g: parse_expr(s, lring) for g, s in
-                             catalog.typed(entry, "identifications", {catalog.G_NAMES: str}, {}).items()},
-            casimirs=tuple(entry.get("casimirs", ())),
-            casimir_exps=tuple(dict(zip(lring.names, parse_poly(text, lring).monomial_exps()))
-                               for text in entry.get("casimirs", ())),
+            identifications=catalog.typed(entry, "identifications", {catalog.G_NAMES: str}, {}),
+            casimirs=catalog.typed(entry, "casimirs", [str], ()),
             leaf_dim=catalog.typed(entry, "leaf_dim", int, 0),
-            xexprs={n: parse_expr(xs[n], lring) for n in catalog.X_NAMES} if xs else {},
+            xexprs=catalog.typed(entry, "xexprs", {catalog.X_NAMES: str}, {}),
             stated_log_brackets=stated, solved_log_brackets=solved,
             central_shear=central_shear,
             cusp_indices=cusps,

@@ -14,7 +14,7 @@ from ..arcs import lambda_catalog, signature
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import G_NAMES, pulled_back
-from ..exprs import parse_expr
+from ..exprs import parse_expr, parse_poly
 from ..poisson import casimir_kernel, is_casimir_product, solve_structure
 from ..ring import LaurentPoly, Ring
 
@@ -172,14 +172,16 @@ def casimir_check(tag: str) -> Certificate:
     catalog without such a structure are a catalog error.
     """
     cat = lambda_catalog(tag)
-    if cat.shear_structure is None or not all(m.is_monomial() for m in cat.entries.values()):
-        with catalog.entry("lambdas", "catalogs", tag):
+    ring = cat.lambda_ring
+    with catalog.entry("lambdas", "catalogs", tag):
+        if cat.shear_structure is None or not all(m.is_monomial() for m in cat.entries.values()):
             raise ValueError(f"{tag} has Casimirs but no monomial shear-level structure")
+        expected = [dict(zip(ring.names, parse_poly(text, ring).monomial_exps()))
+                    for text in cat.casimirs]
     structure, mono = cat.shear_structure, dict(cat.entries)
     for p, z in zip(cat.params, cat.central_shear):
         mono[p] = cat.shear_ring.gen(z)
     report = casimir_kernel(structure, mono)
-    expected = cat.casimir_exps
     members = all(is_casimir_product(structure, vec, mono) for vec in expected)
     ok = (report.rank == cat.leaf_dim
           and len(report.kernel) == len(expected) and members)
@@ -195,13 +197,16 @@ def commutant_check(tag: str) -> Certificate:
     """The x-expressions commute with the frozen arcs and satisfy the cubic."""
     cat = lambda_catalog(tag)
     ring = cat.lambda_ring
-    images = {**cat.xexprs, **{f: ring.gen(f) for f in cat.frozen}}
-    table = {(x, f): 0 for x in cat.xexprs for f in cat.frozen}
+    with catalog.entry("lambdas", "catalogs", tag):
+        xs = {n: parse_expr(cat.xexprs[n], ring) for n in X_NAMES}
+        identified = {g: parse_expr(text, ring) for g, text in cat.identifications.items()}
+    images = {**xs, **{f: ring.gen(f) for f in cat.frozen}}
+    table = {(x, f): 0 for x in xs for f in cat.frozen}
     bad = [(x, f, "bracket does not vanish")
            for x, f, _ in cat.structure.table_residues(images, table)]
     # a G the ring lacks is zero
-    params = {**{g: ring.zero() for g in G_NAMES if g not in ring.index}, **cat.identifications}
-    phi = pulled_back(cat.tag, [cat.xexprs[n] for n in X_NAMES], params, ring)
+    params = {**{g: ring.zero() for g in G_NAMES if g not in ring.index}, **identified}
+    phi = pulled_back(cat.tag, [xs[n] for n in X_NAMES], params, ring)
     if not phi.is_zero():
         bad.append(("phi", cat.tag, "cubic not satisfied"))
     return certify(f"commutant-{tag}", "x-expressions: frozen commutation and cubic",

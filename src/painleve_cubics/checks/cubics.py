@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from .. import catalog
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import cubic, cubic_form
+from ..exprs import parse_expr
 from ..ring import Ring, as_expr
 
 
@@ -43,10 +45,14 @@ def table1_check(tag: str) -> Certificate:
     """The reference row, sign-flipped where documented, differs from the
     canonical cubic by its documented residue (zero unless a mismatch is documented)."""
     c = cubic(tag)
-    row = c.table1_expr
+    with catalog.entry("cubics", "cubics", tag) as entry:
+        row = parse_expr(c.table1, c.ring,
+                         {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()})
+        if c.table1_status == "documented_mismatch":
+            row = row - parse_expr(entry["table1_residue"], c.ring)
     if c.table1_status == "exact_after_sign_flip":
         row = row.substitute({name: -c.ring.gen(name) for name in c.table1_flip})
-    res = row - as_expr(c.phi_specialized) - c.table1_residue_expr
+    res = row - as_expr(c.phi_specialized)
     detail = {"exact_after_sign_flip": f"after {','.join(c.table1_flip)} sign flip",
               "documented_mismatch": f"documented mismatch, residue {c.table1_residue}",
               }.get(c.table1_status, c.table1_status)

@@ -13,7 +13,7 @@ from itertools import combinations
 from .. import catalog
 from ..certificates import Certificate, certify
 from ..cubics import braid, cubic, pulled_back
-from ..exprs import parse_expr
+from ..exprs import parse_expr, parse_poly
 from ..ring import GenImage, LaurentPoly, as_expr
 from ..shear import SHEAR_RING, chart
 
@@ -34,9 +34,13 @@ def verify_chart(tag: str) -> Certificate:
 def chart_normalization_check(tag: str) -> Certificate:
     """The constraint drives the parameter definitions to their stated values."""
     ch = chart(tag)
-    bad = [(g, want) for g, (want, value) in ch.norm_targets.items()
-           if ch.G[g].substitute(ch.norm_images) != value.substitute(ch.norm_images)]
-    detail = ", ".join(f"{g} = {w}" for g, (w, _) in ch.norm_targets.items()) or "no constraint needed"
+    with catalog.entry("charts", "charts", tag):
+        images = {gen: GenImage(parse_expr(text, ch.ring), granularity)
+                  for gen, (text, granularity) in ch.norm_images.items()}
+        values = {g: parse_poly(text, ch.ring, ch.G) for g, text in ch.norm_targets.items()}
+    bad = [(g, ch.norm_targets[g]) for g, value in values.items()
+           if ch.G[g].substitute(images) != value.substitute(images)]
+    detail = ", ".join(f"{g} = {w}" for g, w in ch.norm_targets.items()) or "no constraint needed"
     if ch.norm_residual:
         detail += f"; {ch.norm_residual}"
     return certify(f"chart-normalization-{tag}", "normalisation fixes the parameters",

@@ -7,8 +7,8 @@ Every cubic has the shape
 
 with e_i in {0,1} and the w_i polynomials in the parameter symbols
 G1, G2, G3, Ginf (see data/cubics.json).  The classical reference rows
-are carried as derived views together with their documented relation to
-the canonical parametrisation.
+are carried as catalog text together with their documented relation to
+the canonical parametrisation; ``checks.cubics.table1_check`` parses them.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from . import catalog
 from .catalog import G_NAMES, X_NAMES
-from .exprs import parse_expr, parse_poly
-from .ring import LaurentPoly, RationalExpr, Ring, as_expr
+from .exprs import parse_poly
+from .ring import LaurentPoly, Ring
 
 # the ring of the catalog's cubics: coordinates and the parameter symbols
 BASE_RING = Ring(X_NAMES + G_NAMES)
@@ -43,11 +43,11 @@ class CubicSurface(NamedTuple):
     omega: tuple                  # four LaurentPoly in the G symbols
     phi: LaurentPoly              # canonical cubic over `ring`
     phi_specialized: LaurentPoly  # redundant parameters fixed
-    table1: str                   # reference row as printed (w-symbols)
-    table1_expr: RationalExpr     # reference row with parameters tied in
+    # the reference row as text, parsed by ``checks.cubics.table1_check``
+    table1: str                   # as printed, in w-symbols
+    table1_params: dict           # w-symbol -> catalog text in the G symbols
     table1_status: str
     table1_residue: str
-    table1_residue_expr: RationalExpr  # the documented mismatch, parsed; else zero
     table1_flip: tuple
     theta_doc: str
 
@@ -68,10 +68,9 @@ def cubic(tag: str) -> CubicSurface:
         if len(eps) != 3:
             raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
         phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
-        spec = {name: parse_poly(s, ring) for name, s in entry["specialization"].items()}
+        spec = {name: parse_poly(s, ring) for name, s in
+                catalog.typed(entry, "specialization", {G_NAMES: str}).items()}
         phi_spec = phi.substitute(spec).as_poly() if spec else phi
-        symbols = {w: parse_expr(s, ring) for w, s in entry["table1_params"].items()}
-        status = catalog.typed(entry, "table1_status", TABLE1_STATUSES)
         return CubicSurface(
             tag=tag,
             eps=eps,
@@ -80,11 +79,9 @@ def cubic(tag: str) -> CubicSurface:
             phi=phi,
             phi_specialized=phi_spec,
             table1=catalog.typed(entry, "table1", str),
-            table1_expr=parse_expr(entry["table1"], ring, symbols=symbols),
-            table1_status=status,
+            table1_params=catalog.typed(entry, "table1_params", {W_NAMES: str}),
+            table1_status=catalog.typed(entry, "table1_status", TABLE1_STATUSES),
             table1_residue=catalog.typed(entry, "table1_residue", str, ""),
-            table1_residue_expr=(parse_expr(entry["table1_residue"], ring)
-                                 if status == "documented_mismatch" else as_expr(ring.zero())),
             table1_flip=catalog.typed(entry, "table1_flip", [ring.names], ()),
             theta_doc=catalog.typed(entry, "theta_doc", str, ""),
         )

@@ -19,11 +19,15 @@ polynomials.
 
 One recursive-descent pass over the tokens evaluates as it reads.  Every
 refusal is an ExprSyntaxError, nesting too deep for the interpreter's stack
-included; ring arithmetic on the values raises RingError.
+included; ring arithmetic on the values raises RingError.  A text read
+without ``symbols`` is read once per ``(text, ring)``: the value is memoised
+and shared, which is safe because no operation changes a value in place; a
+refusal is not memoised, so it is raised again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import add, mul, sub, truediv
 from typing import Mapping
@@ -147,9 +151,11 @@ class _Reader:
 
 def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> RationalExpr:
     """Parse an expression string over ``ring`` (see module docstring)."""
+    if symbols is None:
+        return _read_plain(text, ring)
     if "**" in text:
         raise ExprSyntaxError(f"powers are written '^', not '**', in {text!r}")
-    reader = _Reader(text, ring, symbols or {})
+    reader = _Reader(text, ring, symbols)
     try:
         value = reader.binary(False)
     except RecursionError as exc:
@@ -157,6 +163,12 @@ def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = Non
     if reader.tokens != [""]:
         raise ExprSyntaxError(f"cannot parse {text!r}")
     return as_expr(value)
+
+
+@functools.cache
+def _read_plain(text: str, ring: Ring) -> RationalExpr:
+    """``parse_expr`` without symbols, memoised per ``(text, ring)``."""
+    return parse_expr(text, ring, {})
 
 
 def parse_poly(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> LaurentPoly:

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 from . import catalog
 from .catalog import G_NAMES, SHEAR_NAMES, X_NAMES
-from .exprs import parse_expr, parse_poly
-from .ring import GenImage, Ring
+from .exprs import parse_poly
+from .ring import Ring
 
 # GenImage granularity of a normalization_subst power: an image of e^{z/2} is
 # one of g_z, an image of e^{z} one of g_z^2
@@ -27,8 +27,9 @@ class ShearChart(NamedTuple):
     x_sym: tuple        # the catalog strings (parameters symbolic)
     G: dict             # parameter name -> LaurentPoly in shear coordinates
     normalization: str
-    norm_images: dict   # the parameter-fixing constraint as substitution images
-    norm_targets: dict  # parameter name -> (catalog text, stated value)
+    # the parameter-fixing constraint as text, parsed by ``checks.shear.chart_normalization_check``
+    norm_images: dict   # generator -> (image text, GenImage granularity)
+    norm_targets: dict  # parameter name -> stated value, text in the G symbols
     norm_residual: str
 
 
@@ -41,15 +42,16 @@ def chart(tag: str) -> ShearChart:
     with catalog.entry("charts", "charts", tag) as entry:
         G = {name: parse_poly(s, ring) for name, s in catalog.typed(entry, "G", {G_NAMES: str}).items()}
         images = {}
-        for gen, spec in catalog.typed(entry, "normalization_subst", {SHEAR_NAMES: dict}, {}).items():
-            power = catalog.typed(entry, f"normalization_subst.{gen}.power", GRANULARITY.keys())
-            images[gen] = GenImage(parse_expr(spec["image"], ring), GRANULARITY[power])
-        targets = {g: (text, parse_poly(text, ring, symbols=G))
-                   for g, text in catalog.typed(entry, "normalization_targets", {tuple(G): str},
-                                                {}).items()}
+        for gen in catalog.typed(entry, "normalization_subst", {SHEAR_NAMES: dict}, {}):
+            field = f"normalization_subst.{gen}"
+            power = catalog.typed(entry, f"{field}.power", GRANULARITY.keys())
+            images[gen] = catalog.typed(entry, f"{field}.image", str), GRANULARITY[power]
+        x_sym = tuple(catalog.typed(entry, n, str) for n in X_NAMES)
         return ShearChart(tag=tag, ring=ring,
-                          x=tuple(parse_poly(entry[n], ring, symbols=G) for n in X_NAMES),
-                          x_sym=tuple(entry[n] for n in X_NAMES),
+                          x=tuple(parse_poly(s, ring, symbols=G) for s in x_sym),
+                          x_sym=x_sym,
                           G=G, normalization=catalog.typed(entry, "normalization", str),
-                          norm_images=images, norm_targets=targets,
+                          norm_images=images,
+                          norm_targets=catalog.typed(entry, "normalization_targets",
+                                                     {tuple(G): str}, {}),
                           norm_residual=catalog.typed(entry, "normalization_residual", str, ""))

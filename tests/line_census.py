@@ -12,7 +12,10 @@ the package are those of every function body (``co_lines()`` of each
 function code object, module and class bodies skipped, as
 ``tests/test_reachability.py`` collects them), read before the run.  It
 prints each line that the run never entered, ``raise`` lines marked, then a
-tally.
+tally.  A test that ends with no trace function set (an interpreter
+``RecursionError`` inside the trace function switches tracing off for the
+thread) is named after the tally: the lines it ran after that point are not
+seen.
 
 Tests that start a subprocess (the golden report, the fresh-interpreter and
 broken-pipe tests, the reachability test) are not traced, so a line that
@@ -42,6 +45,7 @@ class Census:
     def __init__(self):
         self.entered = set()
         self.prefix = str(PACKAGE)
+        self.untraced = []  # node ids of the tests that ended with tracing off
 
     def _call(self, frame, event, arg):
         if not frame.f_code.co_filename.startswith(self.prefix):
@@ -59,6 +63,8 @@ class Census:
         sys.settrace(self._call)
         threading.settrace(self._call)
         yield
+        if sys.gettrace() is None:
+            self.untraced.append(item.nodeid)
         sys.settrace(None)
         threading.settrace(None)
 
@@ -88,6 +94,8 @@ def main(args: list) -> int:
     raises = sum(1 for f, n in missed if sources[f][n - 1].lstrip().startswith("raise"))
     print(f"{len(missed)} of {len(lines)} package lines never entered, "
           f"{raises} of them raise lines")
+    for nodeid in census.untraced:  # a drawn parameter can be thousands of characters
+        print(f"tracing was off when {nodeid if len(nodeid) < 120 else nodeid[:116] + '...]'} ended")
     return int(code)
 
 

@@ -23,6 +23,7 @@ from painleve_cubics import ExprSyntaxError, Ring, RingError, exprs, parse_expr
 from painleve_cubics.ring import as_expr
 
 from exprs_ast import parse_expr_ast
+from test_reachability import BUILD_EVERY_OBJECT
 
 RING = Ring(("x", "y", "s1", "s2"))
 EPS_RING = Ring(("s1", "s2", "eps"))
@@ -188,8 +189,53 @@ def test_recursion_anywhere_in_the_reader_is_named_nesting(monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(exprs._Reader, "binary", too_deep)
+    exprs._read_plain.cache_clear()  # an "x" already read would not be read again
     with pytest.raises(ExprSyntaxError, match="nesting too deep in 'x'"):
         parse_expr("x", RING)
+
+
+@pytest.fixture
+def readers(monkeypatch):
+    """(text, ring names, whether symbols were given) of every reader built
+    from here on, the memo of texts read without symbols emptied first."""
+    built = []
+
+    class Counting(exprs._Reader):
+        def __init__(self, text, ring, symbols):
+            built.append((text, ring.names, bool(symbols)))
+            super().__init__(text, ring, symbols)
+
+    exprs._read_plain.cache_clear()
+    monkeypatch.setattr(exprs, "_Reader", Counting)
+    yield built
+    exprs._read_plain.cache_clear()
+
+
+def test_a_text_without_symbols_is_read_once(readers):
+    first = parse_expr("x*y + 1/x", RING)
+    assert parse_expr("x*y + 1/x", RING) is first
+    assert readers == [("x*y + 1/x", RING.names, False)]
+
+
+def test_a_text_with_symbols_is_read_on_every_call(readers):
+    symbols = {"g": RING.gen("x") + 1}
+    first, second = (parse_expr("g*y", RING, symbols) for _ in range(2))
+    assert first == second and first is not second
+    assert readers == [("g*y", RING.names, True)] * 2
+
+
+def test_a_refused_text_is_refused_on_every_call(readers):
+    for _ in range(2):
+        with pytest.raises(ExprSyntaxError, match="cannot parse 'x \\+'"):
+            parse_expr("x +", RING)
+    assert readers == [("x +", RING.names, False)] * 2
+
+
+def test_building_every_catalog_object_reads_each_plain_text_once(readers):
+    # the catalog caches are empty at the start of every test
+    exec(BUILD_EVERY_OBJECT, {})
+    plain = [(text, names) for text, names, symbols in readers if not symbols]
+    assert len(plain) > 50 and len(plain) == len(set(plain))
 
 
 @pytest.mark.parametrize("text", [

@@ -245,6 +245,12 @@ WRONG_TYPED_FIELDS = [
      "cubics.json cubics.PVI", WRONG_TYPES),
     ("catalogs.PV.shear_generators[0]", "lambdas", ("catalogs", "PV", "shear_generators", 0),
      "lambda", "lambdas.json catalogs.PV", WRONG_TYPES),
+    ("charts.PVI.x1", "charts", ("charts", "PVI", "x1"), "charts", "charts.json charts.PVI",
+     WRONG_TYPES),
+    ("catalogs.PV.entries.a", "lambdas", ("catalogs", "PV", "entries", "a"), "lambda",
+     "lambdas.json catalogs.PV", WRONG_TYPES),
+    ("cubics.PV.specialization.Ginf", "cubics", ("cubics", "PV", "specialization", "Ginf"),
+     "cubics", "cubics.json cubics.PV", WRONG_TYPES),
 ]
 
 
@@ -316,17 +322,54 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "cubics.json cubics.PVI: omega[0] is None, not a string"),
     ("lambdas", ("catalogs", "PV", "shear_generators", 0), [],
      "lambdas.json catalogs.PV: shear_generators[0] is [], not a string"),
+    ("charts", ("charts", "PVI", "x1"), None, "charts.json charts.PVI: x1 is None, not a string"),
+    ("lambdas", ("catalogs", "PV", "entries", "a"), None,
+     "lambdas.json catalogs.PV: entries.a is None, not a string"),
+    ("cubics", ("cubics", "PV", "specialization", "Ginf"), None,
+     "cubics.json cubics.PV: specialization.Ginf is None, not a string"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
         "embedding-image-sum", "short-cusp-pair", "short-eps", "string-eps", "bad-word-letter",
         "empty-word", "diagonal-twist-pair", "conflicting-twist-pair",
         "diagonal-expected-mismatch", "bool-table-coefficient", "float-table-coefficient",
-        "null-omega-entry", "list-shear-generator"])
+        "null-omega-entry", "list-shear-generator", "null-chart-coordinate", "null-arc-entry",
+        "null-specialization"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name, path, value, argv, group, where", [
+    pytest.param("cubics", ("cubics", "PV", "table1"), "x1 +* (", ("show", "PV"), "cubics",
+                 "cubics.json cubics.PV", id="cubics.PV.table1"),
+    pytest.param("charts", ("charts", "PV", "normalization_subst", "p3", "image"), "e[p1 +* (",
+                 ("chart", "PV"), "charts", "charts.json charts.PV",
+                 id="charts.PV.normalization_subst.p3.image"),
+    pytest.param("lambdas", ("catalogs", "PV", "xexprs", "x1"), "a +* (", ("lambda", "PV"),
+                 "commutant", "lambdas.json catalogs.PV", id="catalogs.PV.xexprs.x1"),
+    pytest.param("lambdas", ("catalogs", "PV", "casimirs", 2), "d*e^x", ("lambda", "PV"),
+                 "casimirs", "lambdas.json catalogs.PV", id="catalogs.PV.casimirs[2]"),
+])
+def test_a_field_only_a_check_reads_is_parsed_by_that_check(tmp_path, capsys, name, path, value,
+                                                            argv, group, where):
+    # the loader keeps the text, so a verb that never reads it runs; the check
+    # parses it inside the entry, so a malformed one is still exit 2 naming it
+    root = catalog_copy(tmp_path, name, put(path, value))
+    code, out, err = run_cli(capsys, "--catalog", root, *argv)
+    assert (code, err) == (0, "") and out
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
+
+
+def test_a_casimir_that_is_not_a_string_stops_the_lambda_verb(tmp_path, capsys):
+    # the loader keeps the Casimirs as text that the verb prints, so it checks their type
+    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", "casimirs", 0), None))
+    code, out, err = run_cli(capsys, "--catalog", root, "lambda", "PV")
+    assert (code, out) == (2, "")
+    assert err == "error: lambdas.json catalogs.PV: casimirs[0] is None, not a string\n"
 
 
 @pytest.mark.parametrize("argv", [("lambda", "PV"), ("bracket", "PV", "a", "b"), ("verify-all",)])

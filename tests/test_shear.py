@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from painleve_cubics import Ring, catalog, parse_poly
+from painleve_cubics import Ring, catalog, parse_expr, parse_poly
 from painleve_cubics.catalog import SHEAR_NAMES
 from painleve_cubics.checks import shear as shear_checks
 from painleve_cubics.checks.shear import (chart_phi_residue, flip, flip_involution_check,
@@ -109,5 +109,7 @@ def test_chart_normalizations(tag):
 def test_pv_normalization_hits_unit_parameter():
     from painleve_cubics.shear import chart
     ch = chart("PV")
-    constrained = ch.G["Ginf"].substitute(ch.norm_images)
+    images = {gen: GenImage(parse_expr(text, ch.ring), granularity)
+              for gen, (text, granularity) in ch.norm_images.items()}
+    constrained = ch.G["Ginf"].substitute(images)
     assert constrained.is_poly() and constrained.as_poly().is_one()
