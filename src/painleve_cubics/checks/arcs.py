@@ -206,7 +206,7 @@ def commutant_check(tag: str) -> Certificate:
            for x, f, _ in cat.structure.table_residues(images, table)]
     # a G the ring lacks is zero
     params = {**{g: ring.zero() for g in G_NAMES if g not in ring.index}, **identified}
-    phi = pulled_back(cat.tag, [xs[n] for n in X_NAMES], params, ring)
+    phi = pulled_back(cat.tag, xs.values(), params, ring)
     if not phi.is_zero():
         bad.append(("phi", cat.tag, "cubic not satisfied"))
     return certify(f"commutant-{tag}", "x-expressions: frozen commutation and cubic",

@@ -151,8 +151,16 @@ class _Reader:
 
 def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> RationalExpr:
     """Parse an expression string over ``ring`` (see module docstring)."""
-    if symbols is None:
-        return _read_plain(text, ring)
+    return _read(text, ring, symbols) if symbols else _read_plain(text, ring)
+
+
+@functools.cache
+def _read_plain(text, ring):
+    """``parse_expr`` without symbols, memoised per ``(text, ring)``."""
+    return _read(text, ring, {})
+
+
+def _read(text, ring, symbols):
     if "**" in text:
         raise ExprSyntaxError(f"powers are written '^', not '**', in {text!r}")
     reader = _Reader(text, ring, symbols)
@@ -163,12 +171,6 @@ def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = Non
     if reader.tokens != [""]:
         raise ExprSyntaxError(f"cannot parse {text!r}")
     return as_expr(value)
-
-
-@functools.cache
-def _read_plain(text: str, ring: Ring) -> RationalExpr:
-    """``parse_expr`` without symbols, memoised per ``(text, ring)``."""
-    return parse_expr(text, ring, {})
 
 
 def parse_poly(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> LaurentPoly:

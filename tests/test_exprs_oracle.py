@@ -214,6 +214,7 @@ def readers(monkeypatch):
 def test_a_text_without_symbols_is_read_once(readers):
     first = parse_expr("x*y + 1/x", RING)
     assert parse_expr("x*y + 1/x", RING) is first
+    assert parse_expr("x*y + 1/x", RING, {}) is first
     assert readers == [("x*y + 1/x", RING.names, False)]
 
 
