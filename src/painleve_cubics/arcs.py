@@ -94,13 +94,17 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         if any(len(pair) != 2 for pairs in cusps.values() for pair in (pairs, *pairs)):
             raise ValueError(f"cusp_indices is {entry['cusp_indices']!r}, "
                              f"not two (hole, order) pairs per arc")
+        xexprs = catalog.typed(entry, "xexprs", {catalog.X_NAMES: str}, {})
+        if "identifications" in entry and not xexprs:
+            raise ValueError(f"identifications is {entry['identifications']!r}, "
+                             f"not allowed without xexprs")
         return LambdaCatalog(
             tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
             lambda_ring=lring, frozen=frozen,
             identifications=catalog.typed(entry, "identifications", {catalog.G_NAMES: str}, {}),
             casimirs=catalog.typed(entry, "casimirs", [str], ()),
             leaf_dim=catalog.typed(entry, "leaf_dim", int, 0),
-            xexprs=catalog.typed(entry, "xexprs", {catalog.X_NAMES: str}, {}),
+            xexprs=xexprs,
             stated_log_brackets=stated, solved_log_brackets=solved,
             central_shear=central_shear,
             cusp_indices=cusps,

@@ -133,7 +133,8 @@ def entry(name: str, *path: str):
 
 
 def typed(table: dict, field: str, kind, default=None, what: str = ""):
-    """``table[field]`` (a dotted path; ``default`` if given and absent) of ``kind``:
+    """``table[field]`` (a dotted path, a number indexing an array; ``default`` if
+    given and absent) of ``kind``:
     an exact type, a tuple or dict view of allowed values (``what``, else ``one
     of ...``), ``[kind]`` for an array (returned as a tuple) or ``{names: kind}``
     for an object keyed by ``names``.  Only a str or an int is sought among
@@ -142,7 +143,7 @@ def typed(table: dict, field: str, kind, default=None, what: str = ""):
     ``<field>[i]``, ``<field>.<key>`` or ``<field> key``."""
     *path, last = field.split(".")
     for key in path:
-        table = table[key]
+        table = table[int(key) if type(table) is list else key]
     return _checked(field, table[last] if default is None else table.get(last, default),
                     kind, what)
 

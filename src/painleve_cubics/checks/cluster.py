@@ -14,7 +14,7 @@ from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cluster import CLUSTER_RING, base_values, dehn_twist, initial_cluster, mutate, twist_case
 from ..cubics import W_NAMES, W_RING, braid, cubic_form, omega_from_G
-from ..ring import LaurentPoly, Ring, as_expr, divide_exact
+from ..ring import LaurentPoly, Ring, divide_exact
 
 
 def braid_images(i: int) -> dict:
@@ -76,7 +76,7 @@ def surface_invariance(i: int) -> Certificate:
     mutated = mutate(i, cl)
     phi = shifted_cubic(CLUSTER_RING)
     value = shifted_form(tuple(mutated[t] for t in (1, 2, 3)),
-                         tuple(as_expr(CLUSTER_RING.gen(n)) for n in ("G1", "G2", "G3")))
+                         tuple(CLUSTER_RING.gen(n) for n in ("G1", "G2", "G3")))
     numerator = (value * (cl[i] ** 2)).as_poly()
     q = divide_exact(numerator, phi)
     expected = cluster.exchange_polynomial(i, cl).as_poly()

@@ -18,12 +18,14 @@ from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import W_NAMES, W_RING, cubic, cubic_form
 from ..exprs import parse_expr, parse_poly
-from ..ring import LaurentPoly, RationalExpr, Ring, as_expr, divide_exact
+from ..ring import LaurentPoly, Ring, divide_exact
 from ..unfolding import cases, hat_param_table
 
 
-def _substituted(phi: LaurentPoly, sub: dict, ring: Ring) -> RationalExpr:
-    images = {name: parse_expr(text, ring) for name, text in sub.items()}
+def _substituted(phi: LaurentPoly, entry: dict, field: str, ring: Ring):
+    """``phi`` under the substitution ``entry[field]``, {generator: expression text}."""
+    images = {name: parse_expr(text, ring)
+              for name, text in catalog.typed(entry, field, {str: str}).items()}
     return phi.substitute(images, ring=ring)
 
 
@@ -54,10 +56,10 @@ def unfold_d4(key: str) -> Certificate:
         shift = entry["pre_shift"]
         shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
                              tuple(ring.gen(n) for n in W_NAMES))
-        result = _substituted(shifted, entry["diffeo"], ring).as_poly()
-        tail = parse_poly(entry["tail"], ring)
-        post_shift = parse_expr(entry["post_shift_x1"], ring)
-        target = parse_poly(entry["target"], ring, symbols=hat_param_table(key))
+        result = _substituted(shifted, entry, "diffeo", ring).as_poly()
+        tail = parse_poly(catalog.typed(entry, "tail", str), ring)
+        post_shift = parse_expr(catalog.typed(entry, "post_shift_x1", str), ring)
+        target = parse_poly(catalog.typed(entry, "target", str), ring, symbols=hat_param_table(key))
     # split off the x3 directions: nothing mixed, quadratic coefficient constant
     parts = result.coefficients("x3")
     pure = set(parts) <= {0, 2}
@@ -75,17 +77,17 @@ def unfold_d4(key: str) -> Certificate:
 def _implicit_case(key: str) -> Certificate:
     with catalog.entry("unfoldings", key) as entry:
         tag = catalog.typed(entry, "tag", str)
-        params = tuple(entry["param_generators"])
-        ring = Ring(("x1", "x2", "x3", "u") + params)
+        ring = Ring(("x1", "x2", "x3", "u") + catalog.typed(entry, "param_generators", [str]))
         if "cubic" in entry:
-            phi = parse_poly(entry["cubic"], ring)
+            phi = parse_poly(catalog.typed(entry, "cubic", str), ring)
         else:
-            omega = tuple(parse_poly(entry["omega"][w], ring) for w in W_NAMES)
-            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(tag).eps, omega)
-        out = _substituted(phi, entry["substitution"], ring).as_poly()
-        diff = out - parse_poly(entry["target"], ring)
-        relation = (parse_expr(entry["relation_lhs"], ring)
-                    - parse_expr(entry["relation_rhs"], ring)).as_poly()
+            omega = catalog.typed(entry, "omega", {str: str})
+            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(tag).eps,
+                             tuple(parse_poly(omega[w], ring) for w in W_NAMES))
+        out = _substituted(phi, entry, "substitution", ring).as_poly()
+        diff = out - parse_poly(catalog.typed(entry, "target", str), ring)
+        relation = (parse_expr(catalog.typed(entry, "relation_lhs", str), ring)
+                    - parse_expr(catalog.typed(entry, "relation_rhs", str), ring)).as_poly()
         udegs = relation.coefficients("u")
         title = f"corank-1 normal form ({catalog.typed(entry, 'singularity', str)})"
     return certify(f"unfold-{key}", title, f"{tag} unfolding",
@@ -98,13 +100,13 @@ def unfold_a1_pvdeg(key: str) -> Certificate:
     """Both explicit charts map onto the Morse normal form, as rational identities."""
     bad = []
     with catalog.entry("unfoldings", key) as entry:
-        ring = Ring(("x1", "x2", "x3") + tuple(entry["param_generators"]))
-        phi = parse_poly(entry["cubic"], ring)
-        for i, chart in enumerate(entry["charts"], start=1):
-            out = _substituted(phi, chart["substitution"], ring)
-            target = parse_poly(chart["target"], ring)
-            if out != as_expr(target):
-                bad.append((i, out - as_expr(target)))
+        ring = Ring(("x1", "x2", "x3") + catalog.typed(entry, "param_generators", [str]))
+        phi = parse_poly(catalog.typed(entry, "cubic", str), ring)
+        for i in range(len(catalog.typed(entry, "charts", [dict]))):
+            out = _substituted(phi, entry, f"charts.{i}.substitution", ring)
+            target = parse_poly(catalog.typed(entry, f"charts.{i}.target", str), ring)
+            if out != target:
+                bad.append((i + 1, out - target))
     return certify(f"unfold-{key.replace('_', '-')}", "corank-1 normal form (two charts)",
                    "degenerate fifth-equation unfolding", not bad,
                    detail="both chart maps verified by cross-multiplication",

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import catalog
 from .exprs import parse_expr
-from .ring import RationalExpr, Ring, as_expr
+from .ring import Ring
 
 if TYPE_CHECKING:  # twist_case imports poisson; mutate never loads it
     from .poisson import PoissonStructure
@@ -24,10 +24,10 @@ if TYPE_CHECKING:  # twist_case imports poisson; mutate never loads it
 CLUSTER_RING = Ring(("y1", "y2", "y3", "G1", "G2", "G3"))
 
 
-def exchange_polynomial(i: int, cluster: dict) -> RationalExpr:
+def exchange_polynomial(i: int, cluster: dict):
     """y_j^2 + y_k^2 + G_i y_j y_k, with G_i from the cluster's own ring."""
     j, k = [t for t in (1, 2, 3) if t != i]
-    G = as_expr(cluster[i].ring.gen(f"G{i}"))
+    G = cluster[i].ring.gen(f"G{i}")
     return cluster[j] ** 2 + cluster[k] ** 2 + G * cluster[j] * cluster[k]
 
 
@@ -39,7 +39,7 @@ def mutate(i: int, cluster: dict) -> dict:
 
 
 def initial_cluster() -> dict:
-    return {i: as_expr(CLUSTER_RING.gen(f"y{i}")) for i in (1, 2, 3)}
+    return {i: CLUSTER_RING.gen(f"y{i}") for i in (1, 2, 3)}
 
 
 # -- Dehn twists ----------------------------------------------------------------
@@ -51,7 +51,7 @@ class TwistCase(NamedTuple):
     frozen: tuple
     ring: Ring
     structure: PoissonStructure
-    invariants: dict      # label -> RationalExpr
+    invariants: dict      # label -> value of the parsed text
     steps: tuple          # {arc: expression}, each applied at once
 
 
@@ -89,4 +89,4 @@ def dehn_twist(case: TwistCase, values: dict) -> dict:
 
 
 def base_values(case: TwistCase) -> dict:
-    return {n: as_expr(case.ring.gen(n)) for n in case.ring.names}
+    return {n: case.ring.gen(n) for n in case.ring.names}

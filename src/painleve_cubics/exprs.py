@@ -13,9 +13,9 @@ decimal, so ``0x10``, ``1_000`` and ``007`` are refused.  ``e[...]`` is
 e^{linear form} on the g_z = e^{z/2} convention; the form combines
 coordinates with rational coefficients.  A bare name is an entry of the
 caller's symbol table (used to expand G-symbols into their shear
-definitions), else a generator of the ring.  ``/`` builds genuine quotients,
-so parsing yields a RationalExpr; ``parse_poly`` is for strings that must be
-polynomials.
+definitions), else a generator of the ring.  Parsing yields a LaurentPoly,
+or a RationalExpr when ``/`` leaves a genuine quotient; ``parse_poly`` is
+for strings that must be polynomials.
 
 One recursive-descent pass over the tokens evaluates as it reads.  Every
 refusal is an ExprSyntaxError, nesting too deep for the interpreter's stack
@@ -32,7 +32,7 @@ import re
 from operator import add, mul, sub, truediv
 from typing import Mapping
 
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, as_expr
+from .ring import LaurentPoly, Ring, RingError, _div
 
 
 class ExprSyntaxError(ValueError):
@@ -149,8 +149,8 @@ class _Reader:
         raise ExprSyntaxError(f"cannot parse {text!r}")
 
 
-def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> RationalExpr:
-    """Parse an expression string over ``ring`` (see module docstring)."""
+def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = None):
+    """The LaurentPoly or RationalExpr value of ``text`` over ``ring`` (see module docstring)."""
     return _read(text, ring, symbols) if symbols else _read_plain(text, ring)
 
 
@@ -170,7 +170,7 @@ def _read(text, ring, symbols):
         raise ExprSyntaxError(f"nesting too deep in {text!r}") from exc
     if reader.tokens != [""]:
         raise ExprSyntaxError(f"cannot parse {text!r}")
-    return as_expr(value)
+    return value
 
 
 def parse_poly(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> LaurentPoly:

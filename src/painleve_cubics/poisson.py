@@ -30,7 +30,7 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .catalog import X_NAMES
-from .ring import LaurentPoly, RationalExpr, Ring, RingError, _div, _q, as_expr
+from .ring import LaurentPoly, Ring, RingError, _div, _q, quotient
 
 
 class PoissonStructure:
@@ -104,16 +104,16 @@ class PoissonStructure:
         den = self._den
         return ring.collect({key: _div(c, den) for key, c in out.items()})
 
-    def bracket_expr(self, A, B, c: Fraction = 0) -> RationalExpr:
-        """{A, B} - c A B for quotients, via the Leibniz rule; for two Laurent
-        polynomials that is ``bracket``."""
-        A, B = as_expr(A), as_expr(B)
+    def bracket_expr(self, A, B, c: Fraction = 0):
+        """{A, B} - c A B for LaurentPoly or RationalExpr values: ``bracket``
+        for two Laurent polynomials, else the Leibniz rule on num/den, whose
+        value ``quotient`` builds."""
+        if A.is_poly() and B.is_poly():
+            return self.bracket(A, B, c)
         p, q, r, s = A.num, A.den, B.num, B.den
-        if q.is_one() and s.is_one():
-            return RationalExpr.from_poly(self.bracket(p, r, c))
         br = self.bracket
         num = (br(p, r, c) * q * s - br(p, s) * q * r - br(q, r) * p * s + br(q, s) * p * r)
-        return RationalExpr(num, q * q * s * s)
+        return quotient(num, q * q * s * s)
 
     def table_residues(self, images: Mapping, table: Mapping[tuple, Fraction]) -> list:
         """(u, v, residue) for each entry of ``table`` whose images break

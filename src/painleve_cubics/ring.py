@@ -34,13 +34,15 @@ for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Every exponent is an
 sends g_z to epsilon^{c/2} g_z, so it multiplies the monomial with exponents
 e by epsilon^{d/2}, d = sum_z c_z e_z, an integer read off the monomial's key.
 
-``RationalExpr`` is a quotient num/den of two polynomials.  Quotients by
-monomials collapse back into the Laurent ring during normalisation;
-equality of genuine quotients is tested by cross-multiplication.  Exact
-division (``divide_exact``) is lead-term division on one mutable remainder
-dict whose leading key comes from a heap of plain ints with lazy deletion.
-Integer order of keys is lexicographic order of the exponents, a monomial
-order.
+A value is a ``LaurentPoly`` whenever it is one.  ``quotient(num, den)``
+builds every quotient: by a monomial it stays in the Laurent ring, as does
+an exact one, and only a genuine quotient becomes a ``RationalExpr``.  Both
+types read as num/den (a ``LaurentPoly`` is its own numerator over the
+ring's unit), and equality of genuine quotients is tested by
+cross-multiplication.  Exact division (``divide_exact``) is lead-term
+division on one mutable remainder dict whose leading key comes from a heap
+of plain ints with lazy deletion.  Integer order of keys is lexicographic
+order of the exponents, a monomial order.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def _grlex_key(exps: tuple):
 
 
 class LaurentPoly:
-    """Immutable-by-convention sparse Laurent polynomial over Q."""
+    """Immutable-by-convention sparse Laurent polynomial over Q.  Like a
+    RationalExpr it reads as num/den: itself over the ring's unit."""
 
     __slots__ = ("ring", "terms")
 
@@ -227,6 +230,20 @@ class LaurentPoly:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
+
+    @property
+    def num(self) -> "LaurentPoly":
+        return self
+
+    @property
+    def den(self) -> "LaurentPoly":
+        return self.ring._one
+
+    def is_poly(self) -> bool:
+        return True
+
+    def as_poly(self) -> "LaurentPoly":
+        return self
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -337,7 +354,7 @@ class LaurentPoly:
                 (k, c), = self.terms.items()
                 inv = self.ring.collect({2 * self.ring._zero - k: _div(1, c)})
                 return inv if n == -1 else inv ** -n
-            return RationalExpr.from_poly(self) ** n
+            return quotient(self.ring.one(), self ** -n)
         if n == 0:
             return self.ring.one()
         result = None
@@ -352,11 +369,11 @@ class LaurentPoly:
 
     def __truediv__(self, other):
         if isinstance(other, RationalExpr):
-            return RationalExpr.from_poly(self) / other
+            return quotient(self * other.den, other.num)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalExpr(self, other)
+        return quotient(self, other)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -402,7 +419,7 @@ class LaurentPoly:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, images: Mapping[str, object], ring: Ring | None = None) -> "RationalExpr":
+    def substitute(self, images: Mapping[str, object], ring: Ring | None = None):
         """Substitute generators by expressions.
 
         ``images`` maps generator names to LaurentPoly / RationalExpr /
@@ -411,13 +428,14 @@ class LaurentPoly:
         granularity k gives the image of g_name^k; occurrences whose exponent
         is not a multiple of k are an error, unless the image is a monomial.
 
-        The sum stays in the Laurent ring as long as it can.  The image of
+        The value is a LaurentPoly unless it is a genuine quotient.  The sum
+        stays in the Laurent ring as long as it can.  The image of
         each (generator, exponent) pair is computed once per call.  A term
         whose factors are all polynomials is multiplied out and its terms
         are added to one dict.  The other terms are summed per denominator:
         every image denominator is normalised (content 0, leading
         coefficient 1), and so is a product of them, so equal denominators
-        have equal term tuples.  Each of those sums becomes one quotient,
+        have equal term tuples.  Each of those sums becomes one ``quotient``,
         the first one with the polynomial part folded into its numerator.
         """
         norm: dict[str, GenImage] = {}
@@ -425,7 +443,7 @@ class LaurentPoly:
         for name, img in images.items():
             if name not in self.ring.index:
                 raise RingError(f"substitution for unknown generator {name!r}")
-            gi = img if isinstance(img, GenImage) else GenImage(as_expr(img))
+            gi = img if isinstance(img, GenImage) else GenImage(img)
             norm[name] = gi
             if target is None:
                 target = gi.expr.ring
@@ -443,11 +461,11 @@ class LaurentPoly:
             if gi is None:
                 return target.gen(name, e), None
             if e % gi.granularity:
-                if gi.expr.is_poly() and gi.expr.num.is_monomial():
-                    return gi.monomial_root_power(e).num, None
+                if gi.expr.is_poly() and gi.expr.is_monomial():
+                    return gi.monomial_root_power(e), None
                 raise RingError("substitution requires half-power of non-monomial")
             p = gi.expr ** (e // gi.granularity)
-            return p.num, None if p.den.is_one() else p.den
+            return (p, None) if p.is_poly() else (p.num, p.den)
 
         powers: dict = {}
         polys: dict = {}
@@ -479,10 +497,10 @@ class LaurentPoly:
         for den, sums in quotients.values():
             num = target.collect(sums)
             if total is None:
-                total = RationalExpr(num + poly * den if poly.terms else num, den)
+                total = quotient(num + poly * den if poly.terms else num, den)
             else:
-                total = total + RationalExpr(num, den)
-        return RationalExpr.from_poly(poly) if total is None else total
+                total = total + quotient(num, den)
+        return poly if total is None else total
 
     # -- printing / serialisation -------------------------------------------
 
@@ -534,32 +552,26 @@ class GenImage:
 
     __slots__ = ("expr", "granularity")
 
-    def __init__(self, expr: "RationalExpr | LaurentPoly", granularity: int = 1):
-        self.expr = as_expr(expr)
+    def __init__(self, expr: "LaurentPoly | RationalExpr", granularity: int = 1):
+        if not isinstance(expr, (LaurentPoly, RationalExpr)):
+            raise RingError(f"cannot interpret {expr!r} as an expression")
+        self.expr = expr
         if granularity < 1:
             raise RingError("granularity must be >= 1")
         self.granularity = granularity
 
-    def monomial_root_power(self, e: int) -> "RationalExpr":
+    def monomial_root_power(self, e: int) -> LaurentPoly:
         """Image of g_name^e when the image is a monomial (fractional powers ok)."""
-        (exps, c), = self.expr.num.items()
+        (exps, c), = self.expr.items()
         ratio = Fraction(e, self.granularity)
         k = ratio.denominator
         roots = (c, 1) if k == 1 else [_exact_root(n, k) if c > 0 else None
                                        for n in (c.numerator, c.denominator)]
         if None in roots:
             raise RingError(f"monomial image coefficient {c} has no positive rational root of order {k}")
-        ring = self.expr.num.ring
+        ring = self.expr.ring
         vec = {ring.names[i]: e_i * ratio for i, e_i in enumerate(exps) if e_i != 0}
-        return RationalExpr.from_poly(ring.monomial(vec, Fraction(*roots) ** ratio.numerator))
-
-
-def as_expr(x) -> "RationalExpr":
-    if isinstance(x, RationalExpr):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalExpr.from_poly(x)
-    raise RingError(f"cannot interpret {x!r} as an expression")
+        return ring.monomial(vec, Fraction(*roots) ** ratio.numerator)
 
 
 def divide_exact(f: LaurentPoly, g: LaurentPoly):
@@ -603,7 +615,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
     shift = cf - cg
     heap = [-k for k in rem]
     heapify(heap)
-    quotient: dict = {}
+    out: dict = {}
     while rem:
         rkey = -heappop(heap)
         rc = rem.pop(rkey, None)
@@ -613,7 +625,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
         if (step + zero) & zero != zero:
             return None
         qc = _div(rc, glc)
-        quotient[step + zero + shift] = qc
+        out[step + zero + shift] = qc
         for gk, gc in tail:
             key = step + gk
             v = rem.get(key)
@@ -626,44 +638,41 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly):
                     rem[key] = v
                 else:
                     del rem[key]
-    return ring.collect(quotient)
+    return ring.collect(out)
+
+
+def quotient(num: LaurentPoly, den: LaurentPoly):
+    """num/den: a LaurentPoly when it is one (a monomial denominator is folded
+    into ``num``, an exact one cancels), else a genuine RationalExpr."""
+    if num.ring is not den.ring and num.ring != den.ring:
+        raise RingError("numerator/denominator ring mismatch")
+    if den.is_zero():
+        raise RingError("zero denominator")
+    if den.is_one() or num.is_zero():
+        return num
+    if den.is_monomial():
+        return num * den ** -1
+    q = divide_exact(num, den)
+    return RationalExpr(num, den) if q is None else q
 
 
 class RationalExpr:
-    """Quotient of two Laurent polynomials, normalised on construction.
+    """A genuine quotient num/den of two Laurent polynomials, built by ``quotient``.
 
-    Monomial denominators (units of the Laurent ring) are folded into the
-    numerator, and exactly-divisible denominators cancel, so ``den`` is 1
-    whenever the quotient is actually a Laurent polynomial.
+    The denominator has content 0 (its least exponent in each generator)
+    and leading coefficient 1.  Quotients that are Laurent polynomials are
+    LaurentPoly values, never RationalExprs.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if num.ring is not den.ring and num.ring != den.ring:
-            raise RingError("numerator/denominator ring mismatch")
-        if den.is_zero():
-            raise RingError("zero denominator")
-        if den.is_one():
-            self.num, self.den = num, den
-            return
-        ring = num.ring
-        if num.is_zero():
-            self.num, self.den = num, ring.one()
-            return
-        if den.is_monomial():
-            self.num, self.den = num * den ** -1, ring.one()
-            return
-        q = divide_exact(num, den)
-        if q is not None:
-            self.num, self.den = q, ring.one()
-            return
-        unit = LaurentPoly(ring, {den._content_key(): 1}) ** -1
+        unit = LaurentPoly(num.ring, {den._content_key(): 1}) ** -1
         num = num * unit
         den = den * unit
         _, lc = den.lead()
         if lc != 1:
-            inv = ring.const(_div(1, lc))
+            inv = num.ring.const(_div(1, lc))
             num = num * inv
             den = den * inv
         self.num, self.den = num, den
@@ -672,37 +681,27 @@ class RationalExpr:
     def ring(self) -> Ring:
         return self.num.ring
 
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RationalExpr":
-        return RationalExpr(p, p.ring.one())
-
     def is_poly(self) -> bool:
-        return self.den.is_one()
+        return False
 
     def as_poly(self) -> LaurentPoly:
-        if not self.is_poly():
-            raise RingError(f"not a Laurent polynomial: denominator {self.den}")
-        return self.num
+        raise RingError(f"not a Laurent polynomial: denominator {self.den}")
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return False
 
-    def _coerce(self, other) -> "RationalExpr":
-        if isinstance(other, RationalExpr):
+    def _coerce(self, other):
+        if isinstance(other, (RationalExpr, LaurentPoly)):
             return other
-        if isinstance(other, LaurentPoly):
-            return RationalExpr.from_poly(other)
         if isinstance(other, (int, Fraction)):
-            return RationalExpr.from_poly(self.ring.const(other))
-        return NotImplemented  # type: ignore[return-value]
+            return self.ring.const(other)
+        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalExpr(self.num + other.num, self.den)
-        return RationalExpr(self.num * other.den + other.num * self.den, self.den * other.den)
+        return quotient(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -722,9 +721,7 @@ class RationalExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalExpr(self.num * other.num, self.den)
-        return RationalExpr(self.num * other.num, self.den * other.den)
+        return quotient(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -732,43 +729,29 @@ class RationalExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise RingError("division by zero expression")
-        if self.den.is_one() and other.den.is_one():
-            return RationalExpr(self.num, other.num)
-        return RationalExpr(self.num * other.den, self.den * other.num)
+        return quotient(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise RingError("exponent must be an integer")
         if n == 0:
-            return RationalExpr.from_poly(self.ring.one())
+            return self.ring.one()
         if n < 0:
-            if self.is_zero():
-                raise RingError("negative power of zero")
-            return RationalExpr(self.den, self.num) ** (-n)
-        if self.den.is_one():
-            return RationalExpr(self.num ** n, self.den)
-        return RationalExpr(self.num ** n, self.den ** n)
+            return quotient(self.den, self.num) ** -n
+        return quotient(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # type: ignore[assignment]
 
-    def substitute(self, images: Mapping[str, object], ring: Ring | None = None) -> "RationalExpr":
-        num = self.num.substitute(images, ring)
-        den = self.den.substitute(images, ring)
-        return num / den
+    def substitute(self, images: Mapping[str, object], ring: Ring | None = None):
+        return self.num.substitute(images, ring) / self.den.substitute(images, ring)
 
     def to_text(self) -> str:
-        if self.is_poly():
-            return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     __str__ = to_text

@@ -14,7 +14,8 @@ from .exprs import parse_poly
 def hat_param_table(key: str = "d4") -> dict:
     """The hat parameters of entry ``key`` (by default the corank-3 entry d4)."""
     with catalog.entry("unfoldings", key) as entry:
-        return {name: parse_poly(text, W_RING) for name, text in entry["hat_params"].items()}
+        return {name: parse_poly(text, W_RING)
+                for name, text in catalog.typed(entry, "hat_params", {str: str}).items()}
 
 
 def cases() -> dict:

@@ -15,6 +15,8 @@ def unfold(fmt, tag) -> int:
     if tag not in keys:
         raise catalog.UnknownEntry(f"unfoldings.json has no tag {tag!r} (have {', '.join(keys)})")
     entry = entries[keys[tag]]
+    # the checks read every field with its type, so a wrong one stops before any output
+    certificates = [fn(*fargs) for fn, fargs in checks(keys[tag])]
     if fmt != "json":
         for field in ("substitution", "diffeo"):
             if field in entry:
@@ -27,4 +29,4 @@ def unfold(fmt, tag) -> int:
         if "hat_params" in entry:
             for name, text in entry["hat_params"].items():
                 print(f"  {name} = {text}")
-    return report([fn(*fargs) for fn, fargs in checks(keys[tag])], fmt)
+    return report(certificates, fmt)

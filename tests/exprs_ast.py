@@ -13,7 +13,7 @@ import ast
 from operator import add, mul, sub, truediv
 
 from painleve_cubics import ExprSyntaxError
-from painleve_cubics.ring import _div, as_expr
+from painleve_cubics.ring import _div
 
 _ARITHMETIC = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 _SIGNS = {ast.UAdd: 1, ast.USub: -1}
@@ -86,7 +86,7 @@ def _value(node, text: str, ring, symbols):
 
 
 def parse_expr_ast(text: str, ring, symbols=None):
-    """``text`` over ``ring`` as a RationalExpr, read through ``ast``."""
+    """``text`` over ``ring`` as a LaurentPoly or RationalExpr, read through ``ast``."""
     if "**" in text:
         raise ExprSyntaxError(f"powers are written '^', not '**', in {text!r}")
     source = text.lstrip().replace("^", "**")
@@ -99,4 +99,4 @@ def parse_expr_ast(text: str, ring, symbols=None):
     except (SyntaxError, UnicodeError, RecursionError) as exc:
         # ast's own refusals: bad syntax, unencodable text, nesting too deep
         raise ExprSyntaxError(f"cannot parse {text!r}") from exc
-    return as_expr(value)
+    return value

@@ -99,8 +99,7 @@ def test_commutants(tag):
 def test_pv_x1_commutes_with_frozen_arc():
     cat = lambda_catalog("PV")
     x1 = parse_expr(cat.xexprs["x1"], cat.lambda_ring)
-    from painleve_cubics.ring import as_expr
-    br = cat.structure.bracket_expr(x1, as_expr(cat.lambda_ring.gen("e")))
+    br = cat.structure.bracket_expr(x1, cat.lambda_ring.gen("e"))
     assert br.is_zero()
 
 

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from painleve_cubics import ExprSyntaxError, Ring, RingError, exprs, parse_expr
-from painleve_cubics.ring import as_expr
 
 from exprs_ast import parse_expr_ast
 from test_reachability import BUILD_EVERY_OBJECT
@@ -63,11 +62,11 @@ trees = st.recursive(leaves, extend, max_leaves=8)
 def value(tree):
     kind = tree[0]
     if kind == "int":
-        return as_expr(RING.const(tree[1]))
+        return RING.const(tree[1])
     if kind == "name":
-        return as_expr(RING.gen(tree[1]))
+        return RING.gen(tree[1])
     if kind == "e":
-        return as_expr(RING.e(form_value(tree[1])))
+        return RING.e(form_value(tree[1]))
     if kind == "add":
         a, b = value(tree[2]), value(tree[3])
         return a + b if tree[1] == "+" else a - b
@@ -278,8 +277,8 @@ def test_parse_matches_the_ast_reference(text):
     ("0", RING.zero()),
 ])
 def test_pinned_values(text, expected):
-    assert parse_expr(text, RING) == as_expr(expected)
-    assert parse_expr_ast(text, RING) == as_expr(expected)
+    assert parse_expr(text, RING) == expected
+    assert parse_expr_ast(text, RING) == expected
 
 
 @pytest.mark.parametrize("text", [

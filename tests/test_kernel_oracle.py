@@ -7,14 +7,15 @@ polynomial in the sympy symbols x, y and eps.
 """
 
 from functools import partial
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from painleve_cubics import GenImage, RationalExpr, Ring, divide_exact
-from painleve_cubics.ring import as_expr
+from painleve_cubics import GenImage, RationalExpr, Ring, divide_exact, parse_expr
+from painleve_cubics.ring import quotient
 
-from laurent import poly
+from laurent import content, poly
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.polyerrors import HeuristicGCDFailed  # noqa: E402
@@ -31,7 +32,7 @@ laurent = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(ring_po
 # substitution images stay small: the sympy side expands their fourth powers
 images = st.dictionaries(exponents, coeffs, min_size=1, max_size=2).map(ring_poly)
 # quotients by a two-term (so non-monomial) denominator
-quotients = st.builds(RationalExpr, images,
+quotients = st.builds(quotient, images,
                       st.dictionaries(exponents, coeffs, min_size=2, max_size=2).map(ring_poly))
 # (a, b, c) for the monomial x^2a y^2b eps^2c with coefficient 1, the image of g^2
 # under granularity 2: an odd power of g takes its square root x^a y^b eps^c
@@ -140,7 +141,7 @@ def substitution_holds(got, f, gx, gy) -> bool:
 
 
 @SETTINGS
-@given(laurent, quotients, st.one_of(images.map(as_expr), quotients))
+@given(laurent, quotients, st.one_of(images, quotients))
 def test_substitute_quotients_matches_cancel(f, gx, gy):
     # x and y carry positive and negative exponents: quotients and their inverses
     assert substitution_holds(f.substitute({"x": gx, "y": gy}), f, gx, gy)
@@ -172,7 +173,7 @@ even_exponents = st.tuples(st.integers(-2, 2).map(lambda k: 2 * k), st.integers(
 
 @SETTINGS
 @given(st.dictionaries(even_exponents, coeffs, min_size=1, max_size=4).map(ring_poly),
-       st.one_of(images.map(as_expr), quotients))
+       st.one_of(images, quotients))
 def test_substitute_granularity_two_matches_cancel(f, gx):
     # gx is the image of g_x^2, and every x exponent of f is even
     got = f.substitute({"x": GenImage(gx, 2)})
@@ -194,10 +195,35 @@ def test_substitute_monomial_roots_matches_cancel(f, rx, reps):
     assert to_field(got) == image_sum(f, lambda i: root_x ** i, pe=lambda t: root_e ** t)
 
 
+# each operator, and the (num, den) of a op b from the pairs of a and b, uncancelled
+FIELD_OPS = {"+": (add, lambda p, q, r, s: (p * s + r * q, q * s)),
+             "-": (sub, lambda p, q, r, s: (p * s - r * q, q * s)),
+             "*": (mul, lambda p, q, r, s: (p * r, q * s)),
+             "/": (truediv, lambda p, q, r, s: (p * s, q * r))}
+
+
+@SETTINGS
+@given(st.one_of(laurent, quotients), st.one_of(laurent, quotients), st.sampled_from("+-*/"))
+# a Laurent polynomial minus a genuine quotient: the quotient's reflected difference
+@example(a=ring_poly({(1, 0, 0): 1}), op="-",
+         b=quotient(ring_poly({(0, 1, 0): 1}), ring_poly({(0, 0, 0): 1, (1, 0, 0): 1})))
+def test_quotient_arithmetic_matches_the_field(a, b, op):
+    apply, pair = FIELD_OPS[op]
+    got = apply(a, b)
+    num, den = pair(*sympy_pair(a), *sympy_pair(b))
+    got_num, got_den = sympy_pair(got)
+    assert sympy.expand(got_num * den - num * got_den) == 0
+    # a RationalExpr is a genuine quotient with a normalised denominator, and prints faithfully
+    if isinstance(got, RationalExpr):
+        assert divide_exact(got.num, got.den) is None and not got.is_zero()
+        assert content(got.den) == (0, 0, 0) and got.den.lead()[1] == 1
+        assert parse_expr(got.to_text(), RING) == got
+
+
 @SETTINGS
 @given(laurent, laurent, laurent, laurent, laurent, st.booleans())
 def test_rational_equality_matches_cancel(f, g, h, k, m, scaled):
-    a = RationalExpr(f, g)
-    b = RationalExpr(f * m, g * m) if scaled else RationalExpr(h, k)
+    a = quotient(f, g)
+    b = quotient(f * m, g * m) if scaled else quotient(h, k)
     assert sympy.cancel(ratio(a) - to_sympy(f) / to_sympy(g)) == 0
     assert (a == b) == (sympy.cancel(ratio(a) - ratio(b)) == 0)

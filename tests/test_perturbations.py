@@ -251,6 +251,14 @@ WRONG_TYPED_FIELDS = [
      "lambdas.json catalogs.PV", WRONG_TYPES),
     ("cubics.PV.specialization.Ginf", "cubics", ("cubics", "PV", "specialization", "Ginf"),
      "cubics", "cubics.json cubics.PV", WRONG_TYPES),
+    *((f"{key}.{'.'.join(map(str, path))}", "unfoldings", (key, *path), "unfolding",
+       f"unfoldings.json {key}", WRONG_TYPES) for key, path in [
+        ("d4", ("tail",)), ("d4", ("post_shift_x1",)), ("d4", ("target",)),
+        ("d4", ("diffeo", "x3")), ("d4", ("hat_params", "wh2")), ("a3", ("omega", "w1")),
+        ("a3", ("substitution", "x2")), ("a3", ("relation_lhs",)), ("a3", ("relation_rhs",)),
+        ("a3", ("target",)), ("a3", ("param_generators", 0)), ("a1_pii", ("cubic",)),
+        ("a1_pvdeg", ("charts", 1, "target")), ("a1_pvdeg", ("charts", 0, "substitution", "x3")),
+        ("a1_pvdeg", ("param_generators", 1))]),
 ]
 
 
@@ -327,6 +335,12 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json catalogs.PV: entries.a is None, not a string"),
     ("cubics", ("cubics", "PV", "specialization", "Ginf"), None,
      "cubics.json cubics.PV: specialization.Ginf is None, not a string"),
+    ("unfoldings", ("d4", "tail"), None, "unfoldings.json d4: tail is None, not a string"),
+    ("unfoldings", ("a1_pvdeg", "charts", 1, "target"), [],
+     "unfoldings.json a1_pvdeg: charts.1.target is [], not a string"),
+    ("lambdas", ("catalogs", "PII_JM", "identifications"), {"G1": "x +* ("},
+     "lambdas.json catalogs.PII_JM: identifications is {'G1': 'x +* ('}, "
+     "not allowed without xexprs"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
@@ -334,7 +348,8 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
         "empty-word", "diagonal-twist-pair", "conflicting-twist-pair",
         "diagonal-expected-mismatch", "bool-table-coefficient", "float-table-coefficient",
         "null-omega-entry", "list-shear-generator", "null-chart-coordinate", "null-arc-entry",
-        "null-specialization"])
+        "null-specialization", "null-unfolding-tail", "list-unfolding-chart-target",
+        "identifications-without-xexprs"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
@@ -362,6 +377,13 @@ def test_a_field_only_a_check_reads_is_parsed_by_that_check(tmp_path, capsys, na
     code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
+
+
+def test_a_wrong_typed_unfolding_field_stops_the_unfold_verb_before_it_prints(tmp_path, capsys):
+    root = catalog_copy(tmp_path, "unfoldings", put(("d4", "diffeo"), None))
+    code, out, err = run_cli(capsys, "--catalog", root, "unfold", "PVI")
+    assert (code, out, err) == (2, "", "error: unfoldings.json d4: diffeo is None, "
+                                       "not a JSON object\n")
 
 
 def test_a_casimir_that_is_not_a_string_stops_the_lambda_verb(tmp_path, capsys):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from painleve_cubics import (GenImage, LaurentPoly, RationalExpr, Ring, RingError,
                              divide_exact, parse_expr, parse_poly)
 from painleve_cubics.poisson import PoissonStructure
-from painleve_cubics.ring import FIELD_BITS, as_expr
+from painleve_cubics.ring import FIELD_BITS, quotient
 
-from laurent import evaluate, poly
+from laurent import content, evaluate, poly
 
 
 @pytest.fixture
@@ -217,7 +217,7 @@ def test_negative_power_of_sum_promotes(ring):
     f = ring.gen("x") + 1
     inv = f ** -1
     assert isinstance(inv, RationalExpr) and not inv.is_poly()
-    assert (inv * f) == as_expr(ring.one())
+    assert (inv * f).is_one()
 
 
 def test_rational_expr_equality_cross_multiplied(ring):
@@ -252,8 +252,26 @@ def test_each_ring_shares_one_unit(ring):
     assert ring.one() is one and one.is_one()
     assert Ring(ring.names).one() is not one
     x = ring.gen("x")
-    assert RationalExpr.from_poly(x).den is one
-    assert x ** 0 is one and (as_expr(x) ** 0).num is one
+    assert x.den is one and x.num is x
+    assert x ** 0 is one and ((x + 1) ** -1) ** 0 is one
+
+
+def test_a_laurent_value_is_a_laurent_poly(ring):
+    x = ring.gen("x")
+    assert isinstance(x / x, LaurentPoly) and x / x == ring.one()
+    assert isinstance((x + 1) / (x + 1), LaurentPoly) and ((x + 1) / (x + 1)).is_one()
+    assert isinstance(parse_expr("a*b - a", Ring(["a", "b"])), LaurentPoly)
+    assert x.is_poly() and x.as_poly() is x and x.num is x and x.den is ring.one()
+
+
+def test_a_genuine_quotient_has_a_normalised_denominator(ring):
+    x, y = ring.gen("x"), ring.gen("y")
+    q = x / (1 + x)
+    assert isinstance(q, RationalExpr) and not q.is_poly() and not q.is_zero()
+    assert content(q.den) == (0, 0, 0) and q.den.lead()[1] == 1
+    # content x^-1 and leading coefficient 4 move to the numerator
+    scaled = y / (2 * x ** -1 + 4 * y)
+    assert scaled.den == x * y + Fraction(1, 2) and scaled.num == x * y / 4
 
 
 XY = Ring(["x", "y"])
@@ -269,13 +287,16 @@ X = XY.gen("x")
     (lambda: XY.zero()._content_key(), "zero polynomial has no content"),
     (lambda: X ** 0.5, "exponent must be an integer, got 0.5"),
     (lambda: GenImage(X, 0), "granularity must be >= 1"),
-    (lambda: as_expr("x"), "cannot interpret 'x' as an expression"),
+    (lambda: GenImage("x"), "cannot interpret 'x' as an expression"),
     (lambda: divide_exact(X, Ring(["x"]).gen("x")), "mixed ring contexts in divide_exact"),
-    (lambda: RationalExpr(X, Ring(["x"]).one()), "numerator/denominator ring mismatch"),
-    (lambda: as_expr(X) ** 0.5, "exponent must be an integer"),
+    (lambda: quotient(X, Ring(["x"]).one()), "numerator/denominator ring mismatch"),
+    (lambda: ((X + 1) ** -1) ** 0.5, "exponent must be an integer"),
+    (lambda: (X / (X + 1)).as_poly(), "not a Laurent polynomial: denominator x \\+ 1"),
+    (lambda: X / XY.zero(), "zero denominator"),
 ], ids=["duplicate-names", "monomial-unknown-generator", "constant-value", "monomial-exps",
         "lead-of-zero", "content-of-zero", "poly-fractional-power", "granularity",
-        "as-expr", "divide-mixed-rings", "quotient-mixed-rings", "expr-fractional-power"])
+        "gen-image-type", "divide-mixed-rings", "quotient-mixed-rings", "expr-fractional-power",
+        "quotient-as-poly", "zero-denominator"])
 def test_kernel_error_paths(op, message):
     with pytest.raises(RingError, match=message):
         op()
@@ -389,7 +410,7 @@ def assert_exact(poly):
 def test_mutations_stay_exact(word):
     from painleve_cubics.cluster import CLUSTER_RING, mutate
     ring = Ring(CLUSTER_RING.names + ("eps",))
-    cl = {i: as_expr(ring.gen(f"y{i}")) for i in (1, 2, 3)}
+    cl = {i: ring.gen(f"y{i}") for i in (1, 2, 3)}
     for i in word:
         cl = mutate(i, cl)
     for value in cl.values():

@@ -10,7 +10,7 @@ from painleve_cubics.checks import shear as shear_checks
 from painleve_cubics.checks.shear import (chart_phi_residue, flip, flip_involution_check,
                                           pv_to_piii_change, verify_chart, verify_flip_braid)
 from painleve_cubics.cubics import G_NAMES, tags
-from painleve_cubics.ring import GenImage, as_expr
+from painleve_cubics.ring import GenImage
 from painleve_cubics.shear import SHEAR_RING, chart
 
 from laurent import evaluate
@@ -61,7 +61,7 @@ def test_flip_involution_on_s2():
     ring = SHEAR_RING
     m = flip(1)
     es2 = ring.e({"s2": 1})
-    assert es2.substitute(m).substitute(m) == as_expr(es2)
+    assert es2.substitute(m).substitute(m) == es2
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
