@@ -2,7 +2,10 @@
 
 The catalogs record each surface's arcs as monomials (or short sums) in
 exponentiated shear coordinates, the pairwise bracket table, and the
-frozen arcs cutting out the monodromy manifold.  The SL2 word traces and
+frozen arcs cutting out the monodromy manifold.  A catalog's shear-level
+log brackets are the shared theta bracket plus one graft per cusp pair
+({s,k} = 1, {s,k'} = -1, {k,k'} = 1 on the edge s), unless it states them;
+the shear generators they leave unnamed carry the loop parameters.  The SL2 word traces and
 the combinatorial cusp bracket that certify them are in ``checks.arcs``.
 Only ``lambda_catalog`` needs the Laurent kernel, and it imports it, so a
 signature is read without it.  A catalog's Poisson structures are built on
@@ -41,7 +44,7 @@ class LambdaCatalog(NamedTuple):
     xexprs: dict                  # x-name -> text
     stated_log_brackets: dict
     solved_log_brackets: dict
-    central_shear: tuple          # shear generators carrying the loop parameters
+    central_shear: tuple          # shear generators no log bracket names: one per parameter
     cusp_indices: dict            # arc -> ((hole, order), (hole, order))
     signature: str                # signatures.json entry of the surface
 
@@ -67,8 +70,8 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
     from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
         if "subset_of" in entry:
-            parent = lambda_catalog(entry["subset_of"])
-            names = tuple(entry["subset"])
+            parent = lambda_catalog(catalog.typed(entry, "subset_of", str))
+            names = catalog.typed(entry, "subset", [parent.entries.keys()])
             sring, params = parent.shear_ring, ()
             entries = {n: parent.entries[n] for n in names}
             table = parent.table_between(names)
@@ -80,15 +83,25 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             if "table" in entry:
                 table = catalog.pairs(entry, "table", tuple(entries))
             else:
-                with catalog.entry("lambdas", "catalogs", entry["table_ref"]) as ref:
+                with catalog.entry("lambdas", "catalogs",
+                                   catalog.typed(entry, "table_ref", str)) as ref:
                     table = catalog.pairs(ref, "table", tuple(entries))
-            params = tuple(entry.get("params", ()))
+            params = catalog.typed(entry, "params", [catalog.G_NAMES], ())
             frozen = catalog.typed(entry, "frozen", [entries.keys()], ())
         stated, solved = (catalog.pairs(entry, field, sring.names, {})
                           for field in ("stated_log_brackets", "solved_log_brackets"))
-        central_shear = catalog.typed(entry, "central_shear", [sring.names], ())
+        if "grafts" in entry:
+            with catalog.context("lambdas.json"):
+                solved = catalog.pairs(catalog.load("lambdas"), "theta", sring.names)
+            for s, pair in catalog.typed(entry, "grafts", {sring.names: [sring.names]}).items():
+                if len(pair) != 2:
+                    raise ValueError(f"grafts.{s} is {list(pair)}, not a cusp pair")
+                solved |= {(s, pair[0]): 1, (s, pair[1]): -1, pair: 1}
+        log = solved or stated
+        central_shear = tuple(z for z in sring.names if log and not any(z in uv for uv in log))
         if len(central_shear) != len(params):
-            raise ValueError(f"central_shear is {list(central_shear)}, not one per parameter")
+            raise ValueError(f"central shear is {list(central_shear)}, not one per parameter of "
+                             f"{list(params)}")
         lring = Ring(tuple(entries) + params)
         cusps = catalog.typed(entry, "cusp_indices", {tuple(entries): [[int]]}, {})
         if any(len(pair) != 2 for pairs in cusps.values() for pair in (pairs, *pairs)):
@@ -145,9 +158,6 @@ class Signature(NamedTuple):
 
     def katz(self) -> tuple:
         return tuple(Fraction(c, 2) for c in self.row)
-
-    def stokes_rays(self) -> tuple:
-        return tuple(self.row)
 
     def pole_orders(self) -> tuple:
         return tuple(c + 2 for c in self.row)

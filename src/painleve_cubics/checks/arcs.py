@@ -80,7 +80,7 @@ def word_trace(ring: Ring, letters: list, close_with_K: bool = False) -> Laurent
 def arc_trace_check() -> Certificate:
     """The worked arc of ``lambdas.json arc_trace``: its K-closed word trace is the catalog arc."""
     with catalog.entry("lambdas", "arc_trace") as data:
-        cat = lambda_catalog(data["catalog"])
+        cat = lambda_catalog(catalog.typed(data, "catalog", str))
         arc = catalog.typed(data, "arc", cat.entries.keys())
         word = catalog.typed(data, "word", [str])
         trace = word_trace(cat.shear_ring, word, close_with_K=True)
@@ -219,8 +219,10 @@ def pvi_from_pv_check() -> Certificate:
     """The four-hole coordinates recovered in the PV arc algebra satisfy their cubic."""
     ring = lambda_catalog("PV").lambda_ring
     with catalog.entry("lambdas", "pvi_from_pv") as data:
-        xs = {n: parse_expr(s, ring) for n, s in data["xexprs"].items()}
-        ident = {g: parse_expr(s, ring) for g, s in data["identifications"].items()}
+        xs = {n: parse_expr(s, ring)
+              for n, s in catalog.typed(data, "xexprs", {X_NAMES: str}).items()}
+        ident = {g: parse_expr(s, ring)
+                 for g, s in catalog.typed(data, "identifications", {G_NAMES: str}).items()}
         phi = pulled_back("PVI", [xs[n] for n in X_NAMES], ident, ring)
         # specialisation e = 1 collapses the extra parameter to the value 2
         deg = ident["G3"].substitute({"e": ring.one()}).as_poly()
@@ -247,7 +249,7 @@ def signature_check(tag: str) -> Certificate:
     ok = sig.dimension() == sig.stated_dim
     katz = ",".join(str(k) for k in sig.katz())
     detail = (f"s={len(sig.holes)} n={sum(sig.holes)} dim={sig.dimension()} "
-              f"katz={katz} stokes={','.join(map(str, sig.stokes_rays()))} "
+              f"katz={katz} stokes={','.join(map(str, sig.row))} "
               f"poles={','.join(map(str, sig.pole_orders()))}")
     if sig.phantom_hole:
         detail += " (row keeps a phantom uncusped point)"

@@ -73,16 +73,19 @@ def _parsed_images(emb: EmbeddingMap) -> tuple:
     """
     from ..arcs import lambda_catalog  # the embeddings alone need the arc catalogs
     with catalog.context(emb.where):
-        ring, arcs = lambda_catalog(emb.ambient).lambda_ring, tuple(lambda_catalog(emb.sub).entries)
+        ring, sub = lambda_catalog(emb.ambient).lambda_ring, lambda_catalog(emb.sub)
+        fields = emb._asdict()
         images = {}
-        for name, text in catalog.typed(emb._asdict(), "images", {arcs: str}).items():
+        for name, text in catalog.typed(fields, "images", {tuple(sub.entries): str}).items():
             mono = parse_poly(text, ring)
             if not mono.is_monomial():
                 raise RingError(f"embedding image of {name} is not a monomial")
             images[name] = mono
-        images.update({p: parse_poly(t, ring) for p, t in emb.param_images.items()})
-        carriers = {p: parse_poly(t, ring) for p, t in emb.central_images.items()}
-        carriers.update({p: images[p] for p in emb.param_images})
+        carried, central = (catalog.typed(fields, field, {sub.params: str})
+                            for field in ("param_images", "central_images"))
+        images.update({p: parse_poly(t, ring) for p, t in carried.items()})
+        carriers = {p: parse_poly(t, ring) for p, t in central.items()}
+        carriers.update({p: images[p] for p in carried})
     return images, carriers
 
 

@@ -120,7 +120,8 @@ def pv_to_piii_change() -> Certificate:
     with catalog.entry("lambdas", "pv_to_piii") as data:
         if structure is None:
             raise ValueError("the PV arc catalog has no shear-level structure")
-        images = {z: parse_expr(text, structure.ring) for z, text in data["images"].items()}
+        images = {z: parse_expr(text, structure.ring)
+                  for z, text in catalog.typed(data, "images", {str: str}).items()}
         quoted = catalog.pairs(data, "log_brackets", tuple(images))
     table = {(u, v): quoted.get((u, v), -quoted.get((v, u), 0)) for u, v in combinations(images, 2)}
     bad = [(u, v, str(r)[:60]) for u, v, r in structure.table_residues(images, table)]

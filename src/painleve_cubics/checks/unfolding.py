@@ -33,7 +33,7 @@ def hat_param_rank_check(key: str) -> Certificate:
     """The affine-linear part of w -> w-hat has full rank 4 and the stated value at w = 0."""
     table = hat_param_table(key)
     with catalog.entry("unfoldings", key) as entry:
-        stated = [Fraction(v) for v in entry["hat_params_at_zero"]]
+        stated = catalog.typed(entry, "hat_params_at_zero", [int])
     rows = []
     for name in ("wh1", "wh2", "wh3", "wh4"):
         poly = table[name]
@@ -41,8 +41,8 @@ def hat_param_rank_check(key: str) -> Certificate:
         rows.append([terms.get(W_RING.gen(w).monomial_exps(), Fraction(0)) for w in W_NAMES])
     rank = linalg.rank(rows)
     zero = {w: W_RING.const(0) for w in W_NAMES}
-    at_zero = [table[name].substitute(zero).as_poly().constant_value()
-               for name in ("wh1", "wh2", "wh3", "wh4")]
+    at_zero = tuple(table[name].substitute(zero).as_poly().constant_value()
+                    for name in ("wh1", "wh2", "wh3", "wh4"))
     ok = rank == 4 and at_zero == stated
     return certify(f"unfold-{key}-params", "unfolding parameters are independent",
                    "corank-3 parameter map", ok,
@@ -53,7 +53,7 @@ def unfold_d4(key: str) -> Certificate:
     """Exact decomposition: shifted cubic = Morse term + quartic tail + normal form."""
     ring = W_RING
     with catalog.entry("unfoldings", key) as entry:
-        shift = entry["pre_shift"]
+        shift = catalog.typed(entry, "pre_shift", int)
         shifted = cubic_form(tuple(ring.gen(n) + shift for n in X_NAMES), (1, 1, 1),
                              tuple(ring.gen(n) for n in W_NAMES))
         result = _substituted(shifted, entry, "diffeo", ring).as_poly()
@@ -128,11 +128,12 @@ def singular_point_check(tag: str, gvalues: dict, point: tuple) -> bool:
 def singular_points_check(key: str) -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
     with catalog.entry("unfoldings", key) as entry:
-        tag, fibre = catalog.typed(entry, "tag", str), entry["singular_fibre"]
+        tag, fibre = catalog.typed(entry, "tag", str), catalog.typed(entry, "singular_fibre", dict)
         gvals = {f"G{i}": -catalog.typed(fibre["params"], f"w{i}", int) for i in (1, 2)}
-        ok = all(singular_point_check(tag, gvals, tuple(pt))
-                 for pt in fibre["singular_points"])
-        probe_singular = singular_point_check(tag, gvals, tuple(fibre["regular_probe"]))
+        points = catalog.typed(entry, "singular_fibre.singular_points", [[int]])
+        ok = all(singular_point_check(tag, gvals, pt) for pt in points)
+        probe_singular = singular_point_check(
+            tag, gvals, catalog.typed(entry, "singular_fibre.regular_probe", [int]))
     return certify(f"singular-points-{tag.lower()}", "singular points of the degenerate fibre",
                    f"{tag} singular fibre", ok and not probe_singular,
                    detail=f"points {fibre['singular_points']} singular; probe {fibre['regular_probe']} is not")

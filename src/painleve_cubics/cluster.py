@@ -63,10 +63,10 @@ def twist_case(name: str) -> TwistCase:
     from .poisson import PoissonStructure
     with catalog.entry("lambdas", "twists", name) as entry:
         if "arcs" in entry:
-            cat = lambda_catalog(entry["arcs"])
+            cat = lambda_catalog(catalog.typed(entry, "arcs", str))
             ring, structure = cat.lambda_ring, cat.structure
         else:
-            ring = Ring(tuple(entry["generators"]))
+            ring = Ring(catalog.typed(entry, "generators", [str]))
             structure = PoissonStructure(ring, catalog.pairs(entry, "table", ring.names))
         variables = catalog.typed(entry, "variables", [ring.names])
         steps = catalog.typed(entry, "steps", [{variables: str}])
@@ -75,8 +75,8 @@ def twist_case(name: str) -> TwistCase:
                 parse_expr(text, ring)
         return TwistCase(name=name, variables=variables, ring=ring, structure=structure,
                          frozen=catalog.typed(entry, "frozen", [ring.names]),
-                         invariants={label: parse_expr(text, ring)
-                                     for label, text in entry["invariants"].items()},
+                         invariants={label: parse_expr(text, ring) for label, text
+                                     in catalog.typed(entry, "invariants", {str: str}).items()},
                          steps=steps)
 
 

@@ -60,6 +60,7 @@ class EmbeddingMap(NamedTuple):
     sub: str
     ambient: str
     images: dict          # sub arc name -> monomial string over the ambient arcs
+    # text, type-checked and parsed by ``checks.confluence``
     central_images: dict  # sub central parameter -> ambient monomial standing in
     param_images: dict    # sub parameter carried to an ambient parameter
     expected_mismatches: dict
@@ -77,8 +78,8 @@ def embeddings() -> tuple:
                 sub=catalog.typed(e, "sub", tags, what="an arc catalog tag"),
                 ambient=catalog.typed(e, "ambient", tags, what="an arc catalog tag"),
                 images=dict(e["images"]),
-                central_images=dict(e.get("central_images", {})),
-                param_images=dict(e.get("param_images", {})),
+                central_images=e.get("central_images", {}),
+                param_images=e.get("param_images", {}),
                 expected_mismatches=catalog.pairs(e, "expected_mismatches", default={}),
                 where=where))
     return tuple(out)

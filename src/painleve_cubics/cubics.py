@@ -52,11 +52,7 @@ class CubicSurface(NamedTuple):
     theta_doc: str
 
     def phi_display(self) -> str:
-        return _display(self.phi_specialized)
-
-
-def _display(poly: LaurentPoly) -> str:
-    return poly.to_text().replace(" * ", " ").replace("*", " ")
+        return self.phi_specialized.to_text().replace(" * ", " ").replace("*", " ")
 
 
 @catalog.cached

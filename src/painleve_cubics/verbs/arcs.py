@@ -50,6 +50,6 @@ def signature(fmt, tag) -> int:
     sig = arcs.signature(tag)
     katz = ",".join(str(k) for k in sig.katz())
     print(f"s={len(sig.holes)} n={sum(sig.holes)} dim={sig.dimension()} katz={katz}")
-    print(f"stokes rays: {','.join(map(str, sig.stokes_rays()))}  "
+    print(f"stokes rays: {','.join(map(str, sig.row))}  "
           f"pole orders: {','.join(map(str, sig.pole_orders()))}")
     return 0

@@ -61,7 +61,7 @@ def _suite(depth: int | None, selected: set):
         from .checks import arcs as arc_checks
         for tag in having("table", "table_ref"):
             yield "lambda", arc_checks.verify_lambda_table, (tag,)
-        for tag in having("solved_log_brackets"):
+        for tag in having("solved_log_brackets", "grafts"):
             yield "lambda", arc_checks.solve_structure_check, (tag,)
     if "casimirs" in selected:
         from .checks import arcs as arc_checks

@@ -112,7 +112,7 @@ def test_criterion_09_signature_arithmetic():
     for tag, dim in stated.items():
         assert signature(tag).dimension() == dim, tag
     pv = signature("PV")
-    assert pv.katz() == (0, 0, 1) and pv.stokes_rays() == (0, 0, 2)
+    assert pv.katz() == (0, 0, 1) and pv.row == (0, 0, 2)
     assert pv.pole_orders() == (2, 2, 4)
     from painleve_cubics.checks.arcs import signature_check
     certs = [signature_check(tag) for tag in

@@ -173,3 +173,21 @@ def test_subset_catalog_shares_its_parents_shear_structure():
     assert shear is not None
     assert lambda_catalog("PIII_D7").shear_structure is shear
     assert lambda_catalog("PIII_D8").shear_structure is shear
+
+
+@pytest.mark.parametrize("tag", list(catalog.load("lambdas")["catalogs"]))
+def test_central_shear_is_the_perimeters_one_per_parameter(tag):
+    # derived from the log brackets: the shear generators no bracket names
+    cat = lambda_catalog(tag)
+    perimeters = tuple(z for z in cat.shear_ring.names if z.startswith("p"))
+    assert cat.central_shear == (perimeters if cat.params else ())
+    assert len(cat.central_shear) == len(cat.params)
+
+
+def test_grafted_structure_is_theta_plus_one_graft_per_cusp_pair():
+    # PIV: k1k2 grafted on s3 and k3k4 on s2, over {s1,s2} = {s2,s3} = {s3,s1} = 1
+    log = lambda_catalog("PIV").shear_structure.log_bracket
+    assert (log("s1", "s2"), log("s2", "s3"), log("s3", "s1")) == (1, 1, 1)
+    assert (log("s3", "k1"), log("s3", "k2"), log("k1", "k2")) == (1, -1, 1)
+    assert (log("s2", "k3"), log("s2", "k4"), log("k3", "k4")) == (1, -1, 1)
+    assert log("s1", "k1") == log("k1", "k3") == log("p1", "s1") == 0

@@ -6,6 +6,7 @@ CLI (``--catalog``) or the library at it.
 """
 
 import json
+import re
 import shutil
 from importlib import resources
 
@@ -259,6 +260,47 @@ WRONG_TYPED_FIELDS = [
         ("a3", ("target",)), ("a3", ("param_generators", 0)), ("a1_pii", ("cubic",)),
         ("a1_pvdeg", ("charts", 1, "target")), ("a1_pvdeg", ("charts", 0, "substitution", "x3")),
         ("a1_pvdeg", ("param_generators", 1))]),
+    # fields that are references or values, read by their loader or their one check
+    ("catalogs.PIII_D7.subset_of", "lambdas", ("catalogs", "PIII_D7", "subset_of"), "casimirs",
+     "lambdas.json catalogs.PIII_D7", NOT_STRINGS),
+    ("catalogs.PIII_D7.subset[0]", "lambdas", ("catalogs", "PIII_D7", "subset", 0), "casimirs",
+     "lambdas.json catalogs.PIII_D7", WRONG_TYPES),
+    ("catalogs.PIII_hat.table_ref", "lambdas", ("catalogs", "PIII_hat", "table_ref"), "lambda",
+     "lambdas.json catalogs.PIII_hat", NOT_STRINGS),
+    ("catalogs.PV.params[0]", "lambdas", ("catalogs", "PV", "params", 0), "lambda",
+     "lambdas.json catalogs.PV", WRONG_TYPES),
+    ("catalogs.PIV.grafts.s2[1]", "lambdas", ("catalogs", "PIV", "grafts", "s2", 1), "lambda",
+     "lambdas.json catalogs.PIV", WRONG_TYPES),
+    ("twists.PV.arcs", "lambdas", ("twists", "PV", "arcs"), "twists", "lambdas.json twists.PV",
+     NOT_STRINGS),
+    ("twists.PVdeg.generators[0]", "lambdas", ("twists", "PVdeg", "generators", 0), "twists",
+     "lambdas.json twists.PVdeg", NOT_STRINGS),
+    ("twists.PV.invariants.G_gamma", "lambdas", ("twists", "PV", "invariants", "G_gamma"),
+     "twists", "lambdas.json twists.PV", NOT_STRINGS),
+    ("pvi_from_pv.xexprs.x1", "lambdas", ("pvi_from_pv", "xexprs", "x1"), "commutant",
+     "lambdas.json pvi_from_pv", NOT_STRINGS),
+    ("pvi_from_pv.identifications.G3", "lambdas", ("pvi_from_pv", "identifications", "G3"),
+     "commutant", "lambdas.json pvi_from_pv", NOT_STRINGS),
+    ("arc_trace.catalog", "lambdas", ("arc_trace", "catalog"), "arcs", "lambdas.json arc_trace",
+     NOT_STRINGS),
+    ("pv_to_piii.images.s1", "lambdas", ("pv_to_piii", "images", "s1"), "atlas",
+     "lambdas.json pv_to_piii", NOT_STRINGS),
+    ("embeddings[0].param_images.G1", "arrows", ("embeddings", 0, "param_images", "G1"),
+     "confluence", "arrows.json embeddings[0]", NOT_STRINGS),
+    ("embeddings[0].central_images.G2", "arrows", ("embeddings", 0, "central_images", "G2"),
+     "confluence", "arrows.json embeddings[0]", NOT_STRINGS),
+    ("d4.pre_shift", "unfoldings", ("d4", "pre_shift"), "unfolding", "unfoldings.json d4",
+     WRONG_TYPES),
+    ("d4.hat_params_at_zero[0]", "unfoldings", ("d4", "hat_params_at_zero", 0), "unfolding",
+     "unfoldings.json d4", WRONG_TYPES),
+    ("a1_pvdeg.singular_fibre", "unfoldings", ("a1_pvdeg", "singular_fibre"), "unfolding",
+     "unfoldings.json a1_pvdeg", [v for v in WRONG_TYPES if v != {}]),
+    ("a1_pvdeg.singular_fibre.singular_points[0][1]", "unfoldings",
+     ("a1_pvdeg", "singular_fibre", "singular_points", 0, 1), "unfolding",
+     "unfoldings.json a1_pvdeg", WRONG_TYPES),
+    ("a1_pvdeg.singular_fibre.regular_probe[0]", "unfoldings",
+     ("a1_pvdeg", "singular_fibre", "regular_probe", 0), "unfolding", "unfoldings.json a1_pvdeg",
+     WRONG_TYPES),
 ]
 
 
@@ -271,6 +313,11 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
     code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1
+    # a value of the wrong JSON type is named with its field, down to its last
+    # key and item index (a string a text field fails to parse is a parse error)
+    field = [key for key in path if isinstance(key, str)][-1]
+    assert isinstance(value, str) or re.match(
+        rf"error: {re.escape(where)}: \S*{re.escape(field)}(\[\d+\])* is ", err), err
 
 
 @pytest.mark.parametrize("name, path, value, message", [
@@ -341,6 +388,15 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
     ("lambdas", ("catalogs", "PII_JM", "identifications"), {"G1": "x +* ("},
      "lambdas.json catalogs.PII_JM: identifications is {'G1': 'x +* ('}, "
      "not allowed without xexprs"),
+    ("lambdas", ("catalogs", "PIV", "grafts", "s2", 1), "kz",
+     "lambdas.json catalogs.PIV: grafts.s2[1] is 'kz', not one of s1, s2, s3, p1, k1, k2, k3, k4"),
+    # a graft on the perimeter p1 pairs it, so no shear generator carries G1
+    ("lambdas", ("catalogs", "PIV", "grafts"), {"s3": ["k1", "k2"], "p1": ["k3", "k4"]},
+     "lambdas.json catalogs.PIV: central shear is [], not one per parameter of ['G1']"),
+    ("lambdas", ("catalogs", "PV", "grafts", "s3"), ["k1", "k2", "s1"],
+     "lambdas.json catalogs.PV: grafts.s3 is ['k1', 'k2', 's1'], not a cusp pair"),
+    ("lambdas", ("theta", "s1,zz"), "1",
+     "lambdas.json: theta key is 's1,zz', not a pair of s1, s2, s3, p1, p2, k1, k2"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
@@ -349,7 +405,8 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
         "diagonal-expected-mismatch", "bool-table-coefficient", "float-table-coefficient",
         "null-omega-entry", "list-shear-generator", "null-chart-coordinate", "null-arc-entry",
         "null-specialization", "null-unfolding-tail", "list-unfolding-chart-target",
-        "identifications-without-xexprs"])
+        "identifications-without-xexprs", "misnamed-graft-generator", "perimeter-graft",
+        "graft-of-three", "misnamed-theta-key"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
@@ -464,8 +521,13 @@ def renamed(path: tuple, key: str):
      "lambdas.json catalogs.PV: xexprs key is 'x1zz', not one of x1, x2, x3"),
     ("lambdas", ("catalogs", "PV", "cusp_indices"), "b",
      "lambdas.json catalogs.PV: cusp_indices key is 'bzz', not one of a, b, c, d, e"),
-    ("lambdas", ("catalogs", "PV"), "central_shear",
-     "lambdas.json catalogs.PV: central_shear is [], not one per parameter"),
+    # without its grafts, PV's structure is its three quoted brackets, which
+    # leave s1 and s2 central beside the perimeters
+    ("lambdas", ("catalogs", "PV"), "grafts",
+     "lambdas.json catalogs.PV: central shear is ['s1', 's2', 'p1', 'p2'], "
+     "not one per parameter of ['G1', 'G2']"),
+    ("lambdas", ("catalogs", "PIV", "grafts"), "s2",
+     "lambdas.json catalogs.PIV: grafts key is 's2zz', not one of s1, s2, s3, p1, k1, k2, k3, k4"),
     ("lambdas", ("catalogs", "PV", "stated_log_brackets"), "k1,k2",
      "lambdas.json catalogs.PV: stated_log_brackets key is 'k1,k2zz', "
      "not a pair of s1, s2, s3, p1, p2, k1, k2"),
@@ -474,7 +536,8 @@ def renamed(path: tuple, key: str):
     ("lambdas", ("twists", "PV", "steps", 0), "a",
      "lambdas.json twists.PV: steps[0] key is 'azz', not one of a, b"),
 ], ids=["chart-G", "normalization-subst", "normalization-targets", "identifications", "xexprs",
-        "cusp-indices", "central-shear", "stated-log-brackets", "embedding-images", "twist-step"])
+        "cusp-indices", "central-shear", "graft-edge", "stated-log-brackets", "embedding-images",
+        "twist-step"])
 def test_misnamed_key_names_its_file_and_key(tmp_path, capsys, name, path, key, message):
     # a key the code looks a name up by, misspelt: exit 2 naming the entry,
     # not a RingError or KeyError from deep inside a certificate
@@ -572,12 +635,17 @@ def test_stray_expected_mismatch_is_exit_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
-def test_pv_without_log_brackets_is_exit_2(tmp_path, capsys):
-    def drop(data):
-        for table in ("solved_log_brackets", "stated_log_brackets"):
-            del data["catalogs"]["PV"][table]
+def without_shear_structure(tag: str):
+    """An edit that drops the log brackets of catalog ``tag``, and its parameters,
+    whose central shear generators a structure would carry."""
+    def edit(data):
+        for field in ("grafts", "stated_log_brackets", "params"):
+            data["catalogs"][tag].pop(field, None)
+    return edit
 
-    root = catalog_copy(tmp_path, "lambdas", drop)
+
+def test_pv_without_log_brackets_is_exit_2(tmp_path, capsys):
+    root = catalog_copy(tmp_path, "lambdas", without_shear_structure("PV"))
     code, out, err = run_cli(capsys, "--catalog", root, "verify", "atlas")
     assert code == 2 and out == ""
     assert err == ("error: lambdas.json pv_to_piii: "
@@ -585,11 +653,7 @@ def test_pv_without_log_brackets_is_exit_2(tmp_path, capsys):
 
 
 def test_table_without_log_brackets_names_its_catalog(tmp_path, capsys):
-    def drop(data):
-        for table in ("solved_log_brackets", "stated_log_brackets"):
-            del data["catalogs"]["PV"][table]
-
-    root = catalog_copy(tmp_path, "lambdas", drop)
+    root = catalog_copy(tmp_path, "lambdas", without_shear_structure("PV"))
     code, out, err = run_cli(capsys, "--catalog", root, "verify", "lambda")
     assert code == 2 and out == ""
     assert err == ("error: lambdas.json catalogs.PV: "
@@ -607,7 +671,7 @@ def test_missing_field_reads_missing_key(tmp_path, capsys):
 
 
 MISMATCH_DETAIL = {
-    "solved_log_brackets":
+    "theta":
         "unique solution; differs from frozen matrix; quoted coordinate brackets reproduced",
     "stated_log_brackets":
         "unique solution; matches frozen matrix; quoted coordinate brackets not reproduced",
@@ -615,11 +679,13 @@ MISMATCH_DETAIL = {
 
 
 @pytest.mark.parametrize("table, key, value, residue", [
-    ("solved_log_brackets", "s1,s2", "5", "('s1', 's2', 'solved 1, catalog 5')"),
+    ("theta", "s1,s2", "5", "('s1', 's2', 'solved 1, catalog 5')"),
     ("stated_log_brackets", "k1,k2", "3", "('k1', 'k2', 'solved 1, catalog 3')"),
 ])
 def test_quoted_log_bracket_mismatch_is_named(tmp_path, capsys, table, key, value, residue):
-    root = catalog_copy(tmp_path, "lambdas", put(("catalogs", "PV", table, key), value))
+    # the theta bracket is shared at the top level; the quoted brackets are PV's own
+    path = ("theta", key) if table == "theta" else ("catalogs", "PV", table, key)
+    root = catalog_copy(tmp_path, "lambdas", put(path, value))
     code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
     line = next(line for line in out.splitlines() if " lambda-solve-PV " in line)
     assert code == 1 and line.startswith("FAIL")
@@ -649,15 +715,41 @@ def test_underdetermined_solve_names_its_free_pairs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tag, edit", [
-    ("PIII_hat", lambda entry: entry.update(casimirs=["a"])),
-    ("PIV", lambda entry: entry.pop("solved_log_brackets")),
+    ("PIII_hat", put(("catalogs", "PIII_hat", "casimirs"), ["a"])),
+    ("PIV", without_shear_structure("PIV")),
 ], ids=["sum-entries", "no-shear-structure"])
 def test_casimirs_without_a_monomial_shear_structure_are_exit_2(tmp_path, capsys, tag, edit):
-    root = catalog_copy(tmp_path, "lambdas", lambda data: edit(data["catalogs"][tag]))
+    root = catalog_copy(tmp_path, "lambdas", edit)
     code, out, err = run_cli(capsys, "--catalog", root, "verify", "casimirs")
     assert code == 2 and out == ""
     assert err == (f"error: lambdas.json catalogs.{tag}: "
                    f"{tag} has Casimirs but no monomial shear-level structure\n")
+
+
+GRAFTED = [tag for tag, entry in catalog.load("lambdas")["catalogs"].items() if "grafts" in entry]
+
+
+def failed_lambda_certificates(tmp_path, capsys, edit) -> set:
+    root = catalog_copy(tmp_path, "lambdas", edit)
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
+    assert code == 1
+    return {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+
+
+def test_a_graft_moved_to_another_edge_fails_both_lambda_certificates(tmp_path, capsys):
+    def move(data):
+        grafts = data["catalogs"]["PIV"]["grafts"]
+        grafts["s1"] = grafts.pop("s3")
+
+    assert failed_lambda_certificates(tmp_path, capsys, move) == {"lambda-table-PIV",
+                                                                  "lambda-solve-PIV"}
+
+
+def test_a_changed_theta_bracket_fails_every_grafted_catalog(tmp_path, capsys):
+    # PIII_tilde states its structure and PIII_hat quotes its own, so both still pass
+    failed = failed_lambda_certificates(tmp_path, capsys, put(("theta", "s2,s3"), "2"))
+    assert GRAFTED == ["PV", "PVdeg", "PIV", "PII_JM", "PII_FN"]
+    assert failed == {f"lambda-{kind}-{tag}" for tag in GRAFTED for kind in ("table", "solve")}
 
 
 @pytest.mark.parametrize("name, path, value, group, cid", [
