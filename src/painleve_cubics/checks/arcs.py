@@ -13,7 +13,7 @@ from .. import catalog
 from ..arcs import lambda_catalog, signature
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import G_NAMES, pulled_back
+from ..cubics import G_NAMES, cubic
 from ..exprs import parse_expr, parse_poly
 from ..poisson import casimir_kernel, is_casimir_product, solve_structure
 from ..ring import LaurentPoly, Ring
@@ -206,7 +206,7 @@ def commutant_check(tag: str) -> Certificate:
            for x, f, _ in cat.structure.table_residues(images, table)]
     # a G the ring lacks is zero
     params = {**{g: ring.zero() for g in G_NAMES if g not in ring.index}, **identified}
-    phi = pulled_back(cat.tag, xs.values(), params, ring)
+    phi = cubic(cat.tag).phi.substitute({**xs, **params}, ring)
     if not phi.is_zero():
         bad.append(("phi", cat.tag, "cubic not satisfied"))
     return certify(f"commutant-{tag}", "x-expressions: frozen commutation and cubic",
@@ -223,7 +223,7 @@ def pvi_from_pv_check() -> Certificate:
               for n, s in catalog.typed(data, "xexprs", {X_NAMES: str}).items()}
         ident = {g: parse_expr(s, ring)
                  for g, s in catalog.typed(data, "identifications", {G_NAMES: str}).items()}
-        phi = pulled_back("PVI", [xs[n] for n in X_NAMES], ident, ring)
+        phi = cubic("PVI").phi.substitute({**xs, **ident}, ring)
         # specialisation e = 1 collapses the extra parameter to the value 2
         deg = ident["G3"].substitute({"e": ring.one()}).as_poly()
     ok = phi.is_zero() and deg.constant_value() == 2

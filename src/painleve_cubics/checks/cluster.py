@@ -43,18 +43,11 @@ def braid_involution_check(i: int) -> Certificate:
                    f"braid generator {i}", ok)
 
 
-def shifted_form(y: tuple, G: tuple):
-    """y1 y2 y3 + sum y_i^2 + G1 y2 y3 + G2 y1 y3 + G3 y1 y2 at the values ``y``."""
-    y1, y2, y3 = y
-    G1, G2, G3 = G
+def shifted_cubic(ring: Ring) -> LaurentPoly:
+    """y1 y2 y3 + sum y_i^2 + G1 y2 y3 + G2 y1 y3 + G3 y1 y2 over the generators of ``ring``."""
+    y1, y2, y3, G1, G2, G3 = (ring.gen(n) for n in ("y1", "y2", "y3", "G1", "G2", "G3"))
     return (y1 * y2 * y3 + y1 ** 2 + y2 ** 2 + y3 ** 2
             + G1 * y2 * y3 + G2 * y1 * y3 + G3 * y1 * y2)
-
-
-def shifted_cubic(ring: Ring) -> LaurentPoly:
-    """``shifted_form`` at the generators y1, y2, y3, G1, G2, G3 of ``ring``."""
-    return shifted_form(tuple(ring.gen(n) for n in ("y1", "y2", "y3")),
-                        tuple(ring.gen(n) for n in ("G1", "G2", "G3")))
 
 
 def shifted_cubic_check() -> Certificate:
@@ -75,8 +68,7 @@ def surface_invariance(i: int) -> Certificate:
     cl = initial_cluster()
     mutated = mutate(i, cl)
     phi = shifted_cubic(CLUSTER_RING)
-    value = shifted_form(tuple(mutated[t] for t in (1, 2, 3)),
-                         tuple(CLUSTER_RING.gen(n) for n in ("G1", "G2", "G3")))
+    value = phi.substitute({f"y{t}": mutated[t] for t in (1, 2, 3)})
     numerator = (value * (cl[i] ** 2)).as_poly()
     q = divide_exact(numerator, phi)
     expected = cluster.exchange_polynomial(i, cl).as_poly()

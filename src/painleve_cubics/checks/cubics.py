@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from .. import catalog
-from ..catalog import X_NAMES
+from ..catalog import G_NAMES, X_NAMES
 from ..certificates import Certificate, certify
-from ..cubics import cubic, cubic_form
+from ..cubics import W_NAMES, cubic, cubic_form
 from ..exprs import parse_expr
 from ..ring import Ring
+
+# a reference row's ring: the cubic's generators and the w-symbols, so a row may name a G
+ROW_RING = Ring(X_NAMES + G_NAMES + W_NAMES)
 
 
 def volume_form_check(tag: str) -> Certificate:
@@ -46,8 +49,8 @@ def table1_check(tag: str) -> Certificate:
     canonical cubic by its documented residue (zero unless a mismatch is documented)."""
     c = cubic(tag)
     with catalog.entry("cubics", "cubics", tag) as entry:
-        row = parse_expr(c.table1, c.ring,
-                         {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()})
+        params = {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()}
+        row = parse_expr(c.table1, ROW_RING).substitute(params, c.ring)
         if c.table1_status == "documented_mismatch":
             row = row - parse_expr(entry["table1_residue"], c.ring)
     if c.table1_status == "exact_after_sign_flip":

@@ -12,17 +12,18 @@ from itertools import combinations
 
 from .. import catalog
 from ..certificates import Certificate, certify
-from ..cubics import braid, cubic, pulled_back
-from ..exprs import parse_expr, parse_poly
+from ..catalog import X_NAMES
+from ..cubics import braid, cubic
+from ..exprs import parse_expr
 from ..ring import GenImage, LaurentPoly
-from ..shear import SHEAR_RING, chart
+from ..shear import SHEAR_RING, TEXT_RING, chart
 
 
 def chart_phi_residue(tag: str) -> LaurentPoly:
     """phi(x1,x2,x3) with the chart's parameter values; zero iff the chart lies on the cubic."""
     ch = chart(tag)
     with catalog.entry("charts", "charts", tag):  # a parameter of the cubic that G lacks
-        return pulled_back(tag, ch.x, ch.G, ch.ring).as_poly()
+        return cubic(tag).phi.substitute({**dict(zip(X_NAMES, ch.x)), **ch.G}, ch.ring).as_poly()
 
 
 def verify_chart(tag: str) -> Certificate:
@@ -37,7 +38,8 @@ def chart_normalization_check(tag: str) -> Certificate:
     with catalog.entry("charts", "charts", tag):
         images = {gen: GenImage(parse_expr(text, ch.ring), granularity)
                   for gen, (text, granularity) in ch.norm_images.items()}
-        values = {g: parse_poly(text, ch.ring, ch.G) for g, text in ch.norm_targets.items()}
+        values = {g: parse_expr(text, TEXT_RING).substitute(ch.G, ch.ring)
+                  for g, text in ch.norm_targets.items()}
     bad = [(g, ch.norm_targets[g]) for g, value in values.items()
            if ch.G[g].substitute(images) != value.substitute(images)]
     detail = ", ".join(f"{g} = {w}" for g, w in ch.norm_targets.items()) or "no constraint needed"

@@ -59,7 +59,9 @@ def unfold_d4(key: str) -> Certificate:
         result = _substituted(shifted, entry, "diffeo", ring).as_poly()
         tail = parse_poly(catalog.typed(entry, "tail", str), ring)
         post_shift = parse_expr(catalog.typed(entry, "post_shift_x1", str), ring)
-        target = parse_poly(catalog.typed(entry, "target", str), ring, symbols=hat_param_table(key))
+        hats = hat_param_table(key)  # the target is read over the ring and the hat names
+        target = parse_poly(catalog.typed(entry, "target", str),
+                            Ring(ring.names + tuple(hats))).substitute(hats, ring)
     # split off the x3 directions: nothing mixed, quadratic coefficient constant
     parts = result.coefficients("x3")
     pure = set(parts) <= {0, 2}

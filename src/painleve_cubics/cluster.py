@@ -52,7 +52,7 @@ class TwistCase(NamedTuple):
     ring: Ring
     structure: PoissonStructure
     invariants: dict      # label -> value of the parsed text
-    steps: tuple          # {arc: expression}, each applied at once
+    steps: tuple          # {arc: value of the parsed text}, each applied at once
 
 
 @catalog.cached
@@ -69,10 +69,8 @@ def twist_case(name: str) -> TwistCase:
             ring = Ring(catalog.typed(entry, "generators", [str]))
             structure = PoissonStructure(ring, catalog.pairs(entry, "table", ring.names))
         variables = catalog.typed(entry, "variables", [ring.names])
-        steps = catalog.typed(entry, "steps", [{variables: str}])
-        for step in steps:
-            for text in step.values():
-                parse_expr(text, ring)
+        steps = tuple({arc: parse_expr(text, ring) for arc, text in step.items()}
+                      for step in catalog.typed(entry, "steps", [{variables: str}]))
         return TwistCase(name=name, variables=variables, ring=ring, structure=structure,
                          frozen=catalog.typed(entry, "frozen", [ring.names]),
                          invariants={label: parse_expr(text, ring) for label, text
@@ -84,7 +82,7 @@ def dehn_twist(case: TwistCase, values: dict) -> dict:
     """One full twist; each step maps its arcs at once, from the values before it."""
     vals = dict(values)
     for step in case.steps:
-        vals.update({arc: parse_expr(text, case.ring, symbols=vals) for arc, text in step.items()})
+        vals.update({arc: value.substitute(vals, case.ring) for arc, value in step.items()})
     return vals
 
 

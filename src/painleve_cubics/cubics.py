@@ -111,13 +111,6 @@ def braid(i: int, x: tuple, w: tuple) -> tuple:
     return tuple(out)
 
 
-def pulled_back(tag: str, xs, params: dict, ring: Ring):
-    """The cubic of ``tag`` at the values ``xs``, each G of ``params`` replaced
-    by its value over ``ring``; an unmapped G must be a generator of ``ring``."""
-    c = cubic(tag)
-    return cubic_form(tuple(xs), c.eps, [w.substitute(params, ring=ring) for w in c.omega])
-
-
 def omega_from_G(eps: tuple, ring: Ring) -> tuple:
     """The generic parameter-to-coefficient map for a given eps triple, over ``ring``."""
     G1, G2, G3, Gf = (ring.gen(n) for n in G_NAMES)

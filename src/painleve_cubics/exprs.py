@@ -11,18 +11,19 @@ exponent ``n`` is a signed integer literal, optionally in parentheses
 (``x^-1``, ``x^(-1)``; not ``x^--1`` or ``x^2^2``).  A literal is plain
 decimal, so ``0x10``, ``1_000`` and ``007`` are refused.  ``e[...]`` is
 e^{linear form} on the g_z = e^{z/2} convention; the form combines
-coordinates with rational coefficients.  A bare name is an entry of the
-caller's symbol table (used to expand G-symbols into their shear
-definitions), else a generator of the ring.  Parsing yields a LaurentPoly,
-or a RationalExpr when ``/`` leaves a genuine quotient; ``parse_poly`` is
-for strings that must be polynomials.
+coordinates with rational coefficients.  A bare name is a generator of the
+ring; a text that names a parameter (a G-symbol, a w-coefficient) is read
+over a ring that holds it, and its value is put in afterwards with
+``LaurentPoly.substitute``.  Parsing yields a LaurentPoly, or a
+RationalExpr when ``/`` leaves a genuine quotient; ``parse_poly`` is for
+strings that must be polynomials.
 
 One recursive-descent pass over the tokens evaluates as it reads.  Every
 refusal is an ExprSyntaxError, nesting too deep for the interpreter's stack
-included; ring arithmetic on the values raises RingError.  A text read
-without ``symbols`` is read once per ``(text, ring)``: the value is memoised
-and shared, which is safe because no operation changes a value in place; a
-refusal is not memoised, so it is raised again on every call.
+included; ring arithmetic on the values raises RingError.  A text is read
+once per ``(text, ring)``: the value is memoised and shared, which is safe
+because no operation changes a value in place; a refusal is not memoised,
+so it is raised again on every call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import re
 from operator import add, mul, sub, truediv
-from typing import Mapping
 
 from .ring import LaurentPoly, Ring, RingError, _div
 
@@ -80,8 +80,8 @@ class _Reader:
     is not an integer.
     """
 
-    def __init__(self, text: str, ring: Ring, symbols: Mapping[str, object]):
-        self.text, self.ring, self.symbols = text, ring, symbols
+    def __init__(self, text: str, ring: Ring):
+        self.text, self.ring = text, ring
         self.tokens = [""] + _TOKEN.findall(text)[::-1]  # read by pop(); "" is the end
 
     def binary(self, form: bool, ops: dict = _SUMS):
@@ -141,29 +141,18 @@ class _Reader:
                 if self.tokens.pop() == "]" and isinstance(exps, dict):
                     return self.ring.monomial(exps)
                 raise ExprSyntaxError(f"e[...] takes a linear form of coordinates in {text!r}")
-            if tok in self.symbols:
-                return self.symbols[tok]
             if tok in self.ring.index:
                 return self.ring.gen(tok)
             raise ExprSyntaxError(f"unknown symbol {tok!r} in {text!r}")
         raise ExprSyntaxError(f"cannot parse {text!r}")
 
 
-def parse_expr(text: str, ring: Ring, symbols: Mapping[str, object] | None = None):
-    """The LaurentPoly or RationalExpr value of ``text`` over ``ring`` (see module docstring)."""
-    return _read(text, ring, symbols) if symbols else _read_plain(text, ring)
-
-
 @functools.cache
-def _read_plain(text, ring):
-    """``parse_expr`` without symbols, memoised per ``(text, ring)``."""
-    return _read(text, ring, {})
-
-
-def _read(text, ring, symbols):
+def parse_expr(text: str, ring: Ring):
+    """The LaurentPoly or RationalExpr value of ``text`` over ``ring`` (see module docstring)."""
     if "**" in text:
         raise ExprSyntaxError(f"powers are written '^', not '**', in {text!r}")
-    reader = _Reader(text, ring, symbols)
+    reader = _Reader(text, ring)
     try:
         value = reader.binary(False)
     except RecursionError as exc:
@@ -173,8 +162,8 @@ def _read(text, ring, symbols):
     return value
 
 
-def parse_poly(text: str, ring: Ring, symbols: Mapping[str, object] | None = None) -> LaurentPoly:
-    expr = parse_expr(text, ring, symbols)
+def parse_poly(text: str, ring: Ring) -> LaurentPoly:
+    expr = parse_expr(text, ring)
     try:
         return expr.as_poly()
     except RingError as exc:

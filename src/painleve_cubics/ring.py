@@ -667,9 +667,10 @@ class RationalExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        unit = LaurentPoly(num.ring, {den._content_key(): 1}) ** -1
-        num = num * unit
-        den = den * unit
+        key = den._content_key()
+        if key != den.ring._zero:  # content 0 already: no unit to divide out
+            unit = LaurentPoly(num.ring, {key: 1}) ** -1
+            num, den = num * unit, den * unit
         _, lc = den.lead()
         if lc != 1:
             inv = num.ring.const(_div(1, lc))

@@ -3,7 +3,9 @@
 A chart parametrises a cubic's coordinates x1, x2, x3 by Laurent
 monomial sums in exponentiated shear coordinates; substituting the chart
 (and its parameter definitions) into the cubic must give the zero
-polynomial, which ``checks.shear`` certifies together with the flips.
+polynomial, which ``checks.shear`` certifies together with the flips.  A
+chart text may name the parameters: it is read over ``TEXT_RING`` and the
+parameter definitions are substituted into it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 from . import catalog
 from .catalog import G_NAMES, SHEAR_NAMES, X_NAMES
-from .exprs import parse_poly
+from .exprs import parse_expr, parse_poly
 from .ring import Ring
 
 # GenImage granularity of a normalization_subst power: an image of e^{z/2} is
@@ -29,11 +31,13 @@ class ShearChart(NamedTuple):
     normalization: str
     # the parameter-fixing constraint as text, parsed by ``checks.shear.chart_normalization_check``
     norm_images: dict   # generator -> (image text, GenImage granularity)
-    norm_targets: dict  # parameter name -> stated value, text in the G symbols
+    norm_targets: dict  # parameter name -> stated value, text over TEXT_RING
     norm_residual: str
 
 
 SHEAR_RING = Ring(SHEAR_NAMES)
+# a chart text's ring: the shear coordinates and the parameter names
+TEXT_RING = Ring(SHEAR_NAMES + G_NAMES)
 
 
 @catalog.cached
@@ -48,7 +52,8 @@ def chart(tag: str) -> ShearChart:
             images[gen] = catalog.typed(entry, f"{field}.image", str), GRANULARITY[power]
         x_sym = tuple(catalog.typed(entry, n, str) for n in X_NAMES)
         return ShearChart(tag=tag, ring=ring,
-                          x=tuple(parse_poly(s, ring, symbols=G) for s in x_sym),
+                          x=tuple(parse_expr(s, TEXT_RING).substitute(G, ring).as_poly()
+                                  for s in x_sym),
                           x_sym=x_sym,
                           G=G, normalization=catalog.typed(entry, "normalization", str),
                           norm_images=images,

@@ -6,7 +6,11 @@ from .. import catalog, cluster, cubics
 
 
 def mutate(fmt, tag, sequence) -> int:
-    cubics.cubic(tag)  # the lookup: an unknown tag exits 2
+    # the exchange relation is the shifted cubic with eps (1, 1, 1); an unknown tag exits 2
+    eps = cubics.cubic(tag).eps
+    if eps != (1, 1, 1):
+        raise catalog.UnknownEntry(f"mutate takes a tag whose cubic has eps (1, 1, 1); "
+                                   f"{tag} has {eps}")
     word = []
     for ch in sequence.replace(",", ""):
         if ch not in "123":

@@ -58,21 +58,19 @@ def _form(node, text: str, ring):
     raise ExprSyntaxError(f"e[...] takes a linear form of coordinates in {text!r}")
 
 
-def _value(node, text: str, ring, symbols):
+def _value(node, text: str, ring):
     """A LaurentPoly, or a RationalExpr once a quotient is genuine."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        return _value(node.left, text, ring, symbols) ** _integer(node.right, text)
+        return _value(node.left, text, ring) ** _integer(node.right, text)
     if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
-        return _ARITHMETIC[type(node.op)](_value(node.left, text, ring, symbols),
-                                          _value(node.right, text, ring, symbols))
+        return _ARITHMETIC[type(node.op)](_value(node.left, text, ring),
+                                          _value(node.right, text, ring))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
-        operand = _value(node.operand, text, ring, symbols)
+        operand = _value(node.operand, text, ring)
         return -operand if isinstance(node.op, ast.USub) else operand
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return ring.const(node.value)
     if isinstance(node, ast.Name):
-        if node.id in symbols:
-            return symbols[node.id]
         if node.id in ring.index:
             return ring.gen(node.id)
         raise ExprSyntaxError(f"unknown symbol {node.id!r} in {text!r}")
@@ -85,7 +83,7 @@ def _value(node, text: str, ring, symbols):
     raise ExprSyntaxError(f"unsupported {type(node).__name__} in {text!r}")
 
 
-def parse_expr_ast(text: str, ring, symbols=None):
+def parse_expr_ast(text: str, ring):
     """``text`` over ``ring`` as a LaurentPoly or RationalExpr, read through ``ast``."""
     if "**" in text:
         raise ExprSyntaxError(f"powers are written '^', not '**', in {text!r}")
@@ -95,7 +93,7 @@ def parse_expr_ast(text: str, ring, symbols=None):
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and ast.get_source_segment(source, node) != repr(node.value):
                 raise ExprSyntaxError(f"literal not in plain decimal in {text!r}")
-        value = _value(tree.body, text, ring, symbols or {})
+        value = _value(tree.body, text, ring)
     except (SyntaxError, UnicodeError, RecursionError) as exc:
         # ast's own refusals: bad syntax, unencodable text, nesting too deep
         raise ExprSyntaxError(f"cannot parse {text!r}") from exc

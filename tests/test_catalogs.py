@@ -51,21 +51,25 @@ def test_solved_brackets_name_real_generators():
 
 
 def test_all_catalog_expressions_parse():
+    # a text that names a parameter is read over a ring that holds it, then
+    # the parameter's value is substituted
+    from painleve_cubics.checks.cubics import ROW_RING
     from painleve_cubics.ring import Ring
+    from painleve_cubics.shear import TEXT_RING
 
     charts = catalog.load("charts")["charts"]
     for tag, entry in charts.items():
         ring = Ring(SHEAR_NAMES)
         G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
         for n in ("x1", "x2", "x3"):
-            parse_poly(entry[n], ring, symbols=G)
+            parse_poly(entry[n], TEXT_RING).substitute(G, ring).as_poly()
     cubics = catalog.load("cubics")["cubics"]
     gring = Ring(("x1", "x2", "x3", "G1", "G2", "G3", "Ginf"))
     for tag, entry in cubics.items():
         for s in entry["omega"]:
             parse_poly(s, gring)
-        symbols = {w: parse_expr(s, gring) for w, s in entry["table1_params"].items()}
-        parse_expr(entry["table1"], gring, symbols=symbols)
+        params = {w: parse_expr(s, gring) for w, s in entry["table1_params"].items()}
+        parse_expr(entry["table1"], ROW_RING).substitute(params, gring)
 
 
 def test_signature_rows_are_consistent():

@@ -137,6 +137,14 @@ def test_mutate_unknown_tag_is_exit_2(capsys):
     assert "NOSUCHTAG" in err
 
 
+@pytest.mark.parametrize("tag", CUBIC_TAGS.split(", ")[1:])
+def test_mutate_refuses_a_tag_whose_cubic_is_not_the_four_hole_form(capsys, tag):
+    # the exchange relation shifts the eps (1, 1, 1) cubic, so PV 121 is no PVI 121
+    code, out, err = run_cli(capsys, "mutate", tag, "121")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: mutate takes a tag whose cubic has eps (1, 1, 1); {tag} has (")
+
+
 def test_twist_unknown_case_lists_the_table(capsys):
     code, out, err = run_cli(capsys, "twist", "PVII")
     assert code == 2 and out == ""

@@ -3,6 +3,7 @@
 import json
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -13,8 +14,8 @@ from painleve_cubics.checks.confluence import (composite_embedding_check, conflu
 from painleve_cubics.cli import main
 from painleve_cubics.confluence import arrow, arrows, embedding, embeddings
 from painleve_cubics.cubics import cubic, cubic_form
-from painleve_cubics.ring import Ring
-from painleve_cubics.shear import chart
+from painleve_cubics.ring import LaurentPoly, Ring
+from painleve_cubics.shear import SHEAR_RING, chart
 from painleve_cubics.verbs import confluence as confluence_verb
 from painleve_cubics.verbs.export import confluence_dot, graph_json, inclusion_dot
 
@@ -91,6 +92,34 @@ def degree_bound_check(a):
 @pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
 def test_degree_bound(src, dst):
     assert degree_bound_check(arrow(src, dst))
+
+
+def initial_cubic(a):
+    """The least-weight part of the source phi, each x_i and G_j weighted by the
+    least epsilon-degree of its value on the source chart (a zero G by 0)."""
+    weights = [a.shift.get(z, 0) for z in SHEAR_NAMES]
+
+    def least_degree(value):
+        return min((sum(map(mul, weights, SHEAR_RING.unpack(k))) for k in value.terms), default=0)
+
+    ch = chart(a.src)
+    values = {**dict(zip(("x1", "x2", "x3"), ch.x)), **ch.G}
+    phi = cubic(a.src).phi
+    w = [least_degree(values[n]) for n in phi.ring.names]
+    parts = {}
+    for k, c in phi.terms.items():
+        parts.setdefault(sum(map(mul, w, phi.ring.unpack(k))), {})[k] = c
+    return LaurentPoly(phi.ring, parts[min(parts)])
+
+
+@pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
+def test_the_target_cubic_is_the_initial_form_of_the_source_cubic(src, dst):
+    assert initial_cubic(arrow(src, dst)) == cubic(dst).phi
+
+
+def test_a_changed_shift_changes_the_initial_cubic():
+    a = arrow("PV", "PIII_D6")
+    assert initial_cubic(a._replace(shift={**a.shift, "s1": 1})) != cubic("PIII_D6").phi
 
 
 def test_embedding_pv_in_piv_first_pair():

@@ -6,7 +6,7 @@ import pytest
 
 from painleve_cubics import Ring, RingError, catalog, parse_expr, parse_poly
 from painleve_cubics.checks import cubics as cubic_checks
-from painleve_cubics.checks.cubics import (fn_jm_diffeo_check, table1_check,
+from painleve_cubics.checks.cubics import (ROW_RING, fn_jm_diffeo_check, table1_check,
                                            torus_param_check, volume_form_check)
 from painleve_cubics.checks.unfolding import singular_point_check
 from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags
@@ -126,8 +126,8 @@ def test_reference_rows(tag, status):
 def test_pv_reference_rational_identity_detail():
     # the rational constant of the reference row equals the polynomial form
     c = cubic("PV")
-    symbols = {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()}
-    assert parse_expr(c.table1, c.ring, symbols) == c.phi_specialized
+    params = {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()}
+    assert parse_expr(c.table1, ROW_RING).substitute(params, c.ring) == c.phi_specialized
 
 
 def test_torus_parametrization():

@@ -188,54 +188,54 @@ def test_recursion_anywhere_in_the_reader_is_named_nesting(monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(exprs._Reader, "binary", too_deep)
-    exprs._read_plain.cache_clear()  # an "x" already read would not be read again
+    exprs.parse_expr.cache_clear()  # an "x" already read would not be read again
     with pytest.raises(ExprSyntaxError, match="nesting too deep in 'x'"):
         parse_expr("x", RING)
 
 
 @pytest.fixture
 def readers(monkeypatch):
-    """(text, ring names, whether symbols were given) of every reader built
-    from here on, the memo of texts read without symbols emptied first."""
+    """(text, ring names) of every reader built from here on, the memo emptied first."""
     built = []
 
     class Counting(exprs._Reader):
-        def __init__(self, text, ring, symbols):
-            built.append((text, ring.names, bool(symbols)))
-            super().__init__(text, ring, symbols)
+        def __init__(self, text, ring):
+            built.append((text, ring.names))
+            super().__init__(text, ring)
 
-    exprs._read_plain.cache_clear()
+    exprs.parse_expr.cache_clear()
     monkeypatch.setattr(exprs, "_Reader", Counting)
     yield built
-    exprs._read_plain.cache_clear()
+    exprs.parse_expr.cache_clear()
 
 
-def test_a_text_without_symbols_is_read_once(readers):
+def test_a_text_is_read_once_per_ring(readers):
     first = parse_expr("x*y + 1/x", RING)
     assert parse_expr("x*y + 1/x", RING) is first
-    assert parse_expr("x*y + 1/x", RING, {}) is first
-    assert readers == [("x*y + 1/x", RING.names, False)]
+    assert parse_expr("x*y + 1/x", Ring(RING.names)) is first  # an equal ring
+    parse_expr("s1 + s2", EPS_RING)
+    assert readers == [("x*y + 1/x", RING.names), ("s1 + s2", EPS_RING.names)]
 
 
-def test_a_text_with_symbols_is_read_on_every_call(readers):
-    symbols = {"g": RING.gen("x") + 1}
-    first, second = (parse_expr("g*y", RING, symbols) for _ in range(2))
-    assert first == second and first is not second
-    assert readers == [("g*y", RING.names, True)] * 2
+def test_a_name_is_a_generator_and_a_value_goes_in_by_substitute():
+    g = RING.gen("x") + 1
+    value = parse_expr("g*y", Ring(RING.names + ("g",))).substitute({"g": g}, RING)
+    assert value == g * RING.gen("y")
+    with pytest.raises(ExprSyntaxError, match="unknown symbol 'g' in 'g\\*y'"):
+        parse_expr("g*y", RING)
 
 
 def test_a_refused_text_is_refused_on_every_call(readers):
     for _ in range(2):
         with pytest.raises(ExprSyntaxError, match="cannot parse 'x \\+'"):
             parse_expr("x +", RING)
-    assert readers == [("x +", RING.names, False)] * 2
+    assert readers == [("x +", RING.names)] * 2
 
 
-def test_building_every_catalog_object_reads_each_plain_text_once(readers):
+def test_building_every_catalog_object_reads_each_text_once(readers):
     # the catalog caches are empty at the start of every test
     exec(BUILD_EVERY_OBJECT, {})
-    plain = [(text, names) for text, names, symbols in readers if not symbols]
-    assert len(plain) > 50 and len(plain) == len(set(plain))
+    assert len(readers) > 50 and len(readers) == len(set(readers))
 
 
 @pytest.mark.parametrize("text", [

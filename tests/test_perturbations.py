@@ -436,6 +436,37 @@ def test_a_field_only_a_check_reads_is_parsed_by_that_check(tmp_path, capsys, na
     assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
 
 
+def drop(path: tuple):
+    """An edit that deletes the key at ``path``, a tuple of keys."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("name, path, group, message", [
+    ("charts", ("charts", "PV", "G", "G3"), "charts",
+     "charts.json charts.PV: generator 'G3' not in Ring(s1, s2, s3, p1, p2, p3)"),
+    ("charts", ("charts", "PIV", "G", "Ginf"), "charts",
+     "charts.json charts.PIV: generator 'Ginf' not in Ring(s1, s2, s3, p1, p2, p3)"),
+    ("cubics", ("cubics", "PV", "table1_params", "w3"), "cubics",
+     "cubics.json cubics.PV: generator 'w3' not in Ring(x1, x2, x3, G1, G2, G3, Ginf)"),
+    ("unfoldings", ("d4", "hat_params", "wh4"), "unfolding",
+     "unfoldings.json d4: unknown symbol 'wh4' in '-2*x1^3 + x1*x2^2/2 + wh1*x1 + wh2*x2 "
+     "+ wh3*x1^2 + wh4'"),
+], ids=["chart-x", "chart-normalization", "reference-row", "unfolding-target"])
+def test_a_text_naming_a_parameter_its_entry_does_not_define_is_exit_2(tmp_path, capsys, name,
+                                                                       path, group, message):
+    # a chart text or reference row is read over a ring holding every parameter
+    # name, so the name left after substituting the entry's values is refused
+    # by the target ring; the unfolding target's ring holds the entry's own hat
+    # names, so the parser refuses it
+    root = catalog_copy(tmp_path, name, drop(path))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_a_wrong_typed_unfolding_field_stops_the_unfold_verb_before_it_prints(tmp_path, capsys):
     root = catalog_copy(tmp_path, "unfoldings", put(("d4", "diffeo"), None))
     code, out, err = run_cli(capsys, "--catalog", root, "unfold", "PVI")

@@ -43,8 +43,7 @@ NEVER_ENTERED = {
     "ring.py:RationalExpr.__repr__": "a debugging aid: reports print quotients with to_text",
     **dict.fromkeys(
         (f"ring.py:RationalExpr.{name}" for name in
-         ("__eq__", "__mul__", "__truediv__", "__neg__", "__sub__", "__rsub__", "to_text",
-          "as_poly", "is_zero")),
+         ("__eq__", "__mul__", "__truediv__", "__sub__", "to_text", "as_poly", "is_zero")),
         "kernel algebra on genuine quotients, reached by a catalog text with a non-monomial "
         "denominator and by FAIL residues; tests/test_kernel_oracle.py checks it"),
     "__init__.py:run_suite": "the public library entry point; the CLI calls verify.run itself",

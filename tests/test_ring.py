@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +275,19 @@ def test_a_genuine_quotient_has_a_normalised_denominator(ring):
     assert scaled.den == x * y + Fraction(1, 2) and scaled.num == x * y / 4
 
 
+def test_a_content_zero_denominator_is_not_multiplied_by_a_unit(ring, monkeypatch):
+    x, y = ring.gen("x"), ring.gen("y")
+    den, shifted = 1 + x, x ** -1 + 1
+    calls = []
+    original = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(b) or original(a, b))
+    q = RationalExpr(y, den)
+    assert calls == [] and q.num is y and q.den is den
+    # content x^-1: numerator and denominator are both multiplied by x
+    q = RationalExpr(y, shifted)
+    assert calls == [x, x] and q.num == x * y and q.den == den
+
+
 XY = Ring(["x", "y"])
 X = XY.gen("x")
 
@@ -300,6 +314,21 @@ X = XY.gen("x")
 def test_kernel_error_paths(op, message):
     with pytest.raises(RingError, match=message):
         op()
+
+
+@pytest.mark.parametrize("value", [X + 1, (X + 1) ** -1], ids=["poly", "quotient"])
+@pytest.mark.parametrize("op", [add, sub, mul, truediv], ids=["add", "sub", "mul", "div"])
+def test_an_operand_of_another_type_is_a_type_error(value, op):
+    for a, b in ((value, 1.5), (1.5, value), (value, "x")):
+        with pytest.raises(TypeError):
+            op(a, b)
+    assert value != "x" and not value == 1.5
+
+
+def test_substitute_without_images_or_ring_is_the_identity():
+    p = X ** 2 - X ** -1 + 1
+    q = p.substitute({})
+    assert q == p and q.ring is XY
 
 
 # -- randomized algebra laws ---------------------------------------------------
