@@ -81,8 +81,9 @@ def load(name: str) -> dict:
 
 @contextlib.contextmanager
 def context(where: str):
-    """Build one catalog entry: a LookupError, ValueError or TypeError inside
-    becomes a CatalogError prefixed with ``where`` ("<file>.json <section>.<key>").
+    """Build one catalog entry: a LookupError, ValueError, TypeError or RecursionError
+    (a cycle of derivations) becomes a CatalogError prefixed with ``where``
+    ("<file>.json <section>.<key>").
 
     A missing field reads ``missing key 'x'``; an UnknownEntry keeps its own
     sentence.  A CatalogError already raised by an inner entry passes
@@ -92,7 +93,7 @@ def context(where: str):
         yield
     except CatalogError:
         raise
-    except (LookupError, ValueError, TypeError) as exc:
+    except (LookupError, ValueError, TypeError, RecursionError) as exc:
         if isinstance(exc, UnknownEntry):
             message = exc.args[0]
         elif isinstance(exc, KeyError):

@@ -13,7 +13,7 @@ from .. import cluster
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cluster import CLUSTER_RING, base_values, dehn_twist, initial_cluster, mutate, twist_case
-from ..cubics import W_NAMES, W_RING, braid, cubic_form, omega_from_G
+from ..cubics import W_NAMES, W_RING, braid, cubic, cubic_form
 from ..ring import LaurentPoly, Ring, divide_exact
 
 
@@ -51,11 +51,10 @@ def shifted_cubic(ring: Ring) -> LaurentPoly:
 
 
 def shifted_cubic_check() -> Certificate:
-    """At Ginf = 2 the shift y_i = x_i - G_i kills linear and constant terms."""
+    """At Ginf = 2 the shift y_i = x_i - G_i kills linear and constant terms of the PVI cubic."""
     ring = Ring(("y1", "y2", "y3", "G1", "G2", "G3", "Ginf"))
-    x = tuple(ring.gen(f"y{i}") + ring.gen(f"G{i}") for i in (1, 2, 3))
-    phi = cubic_form(x, (1, 1, 1), omega_from_G((1, 1, 1), ring))
-    shifted = phi.substitute({"Ginf": ring.const(2)}).as_poly()
+    x = {f"x{i}": ring.gen(f"y{i}") + ring.gen(f"G{i}") for i in (1, 2, 3)}
+    shifted = cubic("PVI").phi.substitute({**x, "Ginf": ring.const(2)}, ring).as_poly()
     target = shifted_cubic(ring)
     res = shifted - target
     return certify("shifted-cubic", "puncture normalisation of the cluster form",

@@ -1,52 +1,50 @@
 """Certificates of the confluence limits and of the reversed algebra inclusions.
 
-An arrow z -> z + c log(epsilon) sends each generator g_z = e^{z/2} to
-epsilon^{c/2} g_z, so it only rescales each monomial of a chart coordinate:
-the term with exponents e gets epsilon^{d/2}, d = sum_z c_z e_z.  The limit
-epsilon -> 0 is the part of least d, taken per coordinate (the three
-coordinates may sit at different leading degrees); read off the chart ring's
-own keys, with all parameter symbols expanded, it must coincide with the
-target chart exactly.
+An arrow z -> z + c log(epsilon) gives the term of a chart coordinate with
+exponents e the factor epsilon^{d/2}, d = sum_z c_z e_z; ``confluence.limit``
+keeps the part of least d per coordinate, parameters expanded.  A
+``confluence-<src>-<dst>`` certificate compares it with the target's x1..x3
+texts at the target's G: a primary arrow certifies its target's texts, a
+secondary one that its route lands there too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .. import catalog
+from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
-from ..confluence import Arrow, EmbeddingMap, arrow, embedding
-from ..exprs import parse_poly
-from ..ring import LaurentPoly, RingError
-from ..shear import SHEAR_RING, chart
+from ..confluence import Arrow, EmbeddingMap, Limit, arrow, embedding, limit
+from ..exprs import parse_expr, parse_poly
+from ..ring import RingError
+from ..shear import SHEAR_RING, TEXT_RING, chart
 
 
-def limit_chart_coords(a: Arrow) -> tuple:
-    """(leading epsilon-degrees, leading parts) of the rescaled source coordinates."""
-    weights = [a.shift.get(z, 0) for z in SHEAR_RING.names]
-    degrees, leads = [], []
-    for i, x in enumerate(chart(a.src).x, start=1):
-        parts: dict = {}
-        for key, c in x.terms.items():
-            parts.setdefault(sum(map(mul, weights, SHEAR_RING.unpack(key))), {})[key] = c
-        if not parts:
-            with catalog.entry("charts", "charts", a.src):
-                raise ValueError(f"x{i} is zero, so it has no leading part")
-        d = min(parts)
-        degrees.append(Fraction(d, 2))
-        leads.append(LaurentPoly(SHEAR_RING, parts[d]))
-    return degrees, leads
+def arrow_limit(a: Arrow) -> Limit:
+    """``confluence.limit`` along ``a``: a primary arrow's is its target's own."""
+    zero = [n for n, x in zip(X_NAMES, chart(a.src).x) if x.is_zero()]
+    if zero:
+        raise catalog.CatalogError(f"charts.json charts.{a.src}: {zero[0]} is zero, "
+                                   "so it has no leading part")
+    if not a.secondary and arrow(None, a.dst) is not a:  # the first one's limit would certify it
+        raise catalog.CatalogError(f"arrows.json arrows: {a.src} -> {a.dst} is a second "
+                                   f"primary arrow into {a.dst}")
+    return limit(a.dst, a.src) if a.secondary else limit(a.dst)
+
+
+def leading_degrees(lim: Limit) -> list:
+    """The epsilon-degree d/2 of the leading part of each x_i."""
+    return [Fraction(lim.least[n], 2) for n in X_NAMES]
 
 
 def confluent_limit(a: Arrow) -> Certificate:
-    return limit_certificate(a, *limit_chart_coords(a))
-
-
-def limit_certificate(a: Arrow, degrees: list, leads: list) -> Certificate:
-    """Certify the limit (``degrees``, ``leads``) that ``limit_chart_coords(a)`` returned."""
-    bad = [lead - t for lead, t in zip(leads, chart(a.dst).x) if lead != t]
-    degs = ",".join(str(d) for d in degrees)
+    """The limit along ``a`` against the target chart's x1..x3 texts at its G."""
+    lim, ch = arrow_limit(a), chart(a.dst)
+    with catalog.entry("charts", "charts", a.dst):
+        texts = [parse_expr(s, TEXT_RING).substitute(ch.G, SHEAR_RING).as_poly() for s in ch.x_sym]
+    bad = [lead - t for lead, t in zip(lim.x, texts) if lead != t]
+    degs = ",".join(map(str, leading_degrees(lim)))
     return certify(f"confluence-{a.src}-{a.dst}", "confluence limit lands on the target chart",
                    f"{a.src} -> {a.dst}", not bad,
                    detail=f"{a.label}; leading degrees {degs}",
@@ -55,10 +53,8 @@ def limit_certificate(a: Arrow, degrees: list, leads: list) -> Certificate:
 
 def two_route_check() -> Certificate:
     """Both routes into the doubly-degenerate third-equation chart agree."""
-    via_d6 = arrow("PIII_D6", "PIII_D7")
-    via_deg = arrow("PVdeg", "PIII_D7")
-    _, leads_a = limit_chart_coords(via_d6)
-    _, leads_b = limit_chart_coords(via_deg)
+    leads_a = arrow_limit(arrow("PIII_D6", "PIII_D7")).x
+    leads_b = arrow_limit(arrow("PVdeg", "PIII_D7")).x
     bad = [p - q for p, q in zip(leads_a, leads_b) if p != q]
     return certify("confluence-two-route", "route independence of the limit",
                    "PV -> PIII_D7 via PIII_D6 vs via PVdeg", not bad,

@@ -50,7 +50,11 @@ def table1_check(tag: str) -> Certificate:
     c = cubic(tag)
     with catalog.entry("cubics", "cubics", tag) as entry:
         params = {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()}
-        row = parse_expr(c.table1, ROW_RING).substitute(params, c.ring)
+        row = parse_expr(c.table1, ROW_RING)
+        for w in W_NAMES:
+            if w not in params and any(set(p.graded({w: 1})) - {0} for p in (row.num, row.den)):
+                raise ValueError(f"table1 names {w}, which table1_params does not define")
+        row = row.substitute(params, c.ring)
         if c.table1_status == "documented_mismatch":
             row = row - parse_expr(entry["table1_residue"], c.ring)
     if c.table1_status == "exact_after_sign_flip":

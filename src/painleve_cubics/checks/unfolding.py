@@ -62,14 +62,14 @@ def unfold_d4(key: str) -> Certificate:
         hats = hat_param_table(key)  # the target is read over the ring and the hat names
         target = parse_poly(catalog.typed(entry, "target", str),
                             Ring(ring.names + tuple(hats))).substitute(hats, ring)
-    # split off the x3 directions: nothing mixed, quadratic coefficient constant
-    parts = result.coefficients("x3")
+    # split off the x3 directions: nothing mixed, the quadratic part exactly x3^2
+    parts = result.graded({"x3": 1})
     pure = set(parts) <= {0, 2}
-    kappa = parts.get(2, ring.zero())
+    morse = parts.get(2) == ring.gen("x3") ** 2
     plane = parts.get(0, ring.zero())
     moved = (plane + tail).substitute({"x1": post_shift}).as_poly()
     res = moved - target
-    ok = pure and kappa.is_one() and res.is_zero()
+    ok = pure and morse and res.is_zero()
     return certify(f"unfold-{key}", "corank-3 normal form",
                    "four-hole cubic unfolding", ok,
                    detail="Morse coefficient 1; tail -(x1^2 - x2^2/4)^2/4 recorded",
@@ -90,7 +90,7 @@ def _implicit_case(key: str) -> Certificate:
         diff = out - parse_poly(catalog.typed(entry, "target", str), ring)
         relation = (parse_expr(catalog.typed(entry, "relation_lhs", str), ring)
                     - parse_expr(catalog.typed(entry, "relation_rhs", str), ring)).as_poly()
-        udegs = relation.coefficients("u")
+        udegs = relation.graded({"u": 1})
         title = f"corank-1 normal form ({catalog.typed(entry, 'singularity', str)})"
     return certify(f"unfold-{key}", title, f"{tag} unfolding",
                    divide_exact(diff, relation) is not None,

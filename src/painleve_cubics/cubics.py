@@ -5,10 +5,11 @@ Every cubic has the shape
     phi = x1 x2 x3 + e1 x1^2 + e2 x2^2 + e3 x3^2
           + w1 x1 + w2 x2 + w3 x3 + w4
 
-with e_i in {0,1} and the w_i polynomials in the parameter symbols
-G1, G2, G3, Ginf (see data/cubics.json).  The classical reference rows
-are carried as catalog text together with their documented relation to
-the canonical parametrisation; ``checks.cubics.table1_check`` parses them.
+with e_i in {0,1} and the w_i polynomials in the parameter symbols G1, G2,
+G3, Ginf; only PVI's entry in data/cubics.json states them, every other cubic
+is the limit of its parent's (``confluence.limit``).  The classical reference
+rows are catalog text with their documented relation to the canonical
+parametrisation; ``checks.cubics.table1_check`` parses them.
 """
 
 from __future__ import annotations
@@ -59,10 +60,14 @@ class CubicSurface(NamedTuple):
 def cubic(tag: str) -> CubicSurface:
     ring = BASE_RING
     with catalog.entry("cubics", "cubics", tag) as entry:
-        omega = tuple(parse_poly(s, ring) for s in catalog.typed(entry, "omega", [str]))
-        eps = catalog.typed(entry, "eps", [(0, 1)])
-        if len(eps) != 3:
-            raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
+        if "omega" in entry:
+            omega = tuple(parse_poly(s, ring) for s in catalog.typed(entry, "omega", [str]))
+            eps = catalog.typed(entry, "eps", [(0, 1)])
+            if len(eps) != 3:
+                raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
+        else:
+            from .confluence import limit
+            eps, omega = limit(tag)[3:]  # Limit.eps, Limit.omega
         phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
         spec = {name: parse_poly(s, ring) for name, s in
                 catalog.typed(entry, "specialization", {G_NAMES: str}).items()}
@@ -109,15 +114,3 @@ def braid(i: int, x: tuple, w: tuple) -> tuple:
     out = list(x)
     out[i - 1], out[j], out[k] = -x[i - 1] - x[j] * x[k] - w[i - 1], x[k], x[j]
     return tuple(out)
-
-
-def omega_from_G(eps: tuple, ring: Ring) -> tuple:
-    """The generic parameter-to-coefficient map for a given eps triple, over ``ring``."""
-    G1, G2, G3, Gf = (ring.gen(n) for n in G_NAMES)
-    e1, e2, e3 = eps
-    w1 = -G1 * Gf - e1 * G2 * G3
-    w2 = -G2 * Gf - e2 * G1 * G3
-    w3 = -G3 * Gf - e3 * G1 * G2
-    w4 = (e2 * e3 * G1 ** 2 + e1 * e3 * G2 ** 2 + e1 * e2 * G3 ** 2
-          + Gf ** 2 + G1 * G2 * G3 * Gf - ring.const(4 * e1 * e2 * e3))
-    return (w1, w2, w3, w4)

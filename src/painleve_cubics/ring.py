@@ -32,7 +32,8 @@ Convention for exponentiated coordinates: a generator named ``z`` stands
 for e^{z/2}, so e^{z} is g_z^2 and e^{z/2} is g_z^1.  Every exponent is an
 ``int``, and no generator name is special.  A scaling z -> z + c log(epsilon)
 sends g_z to epsilon^{c/2} g_z, so it multiplies the monomial with exponents
-e by epsilon^{d/2}, d = sum_z c_z e_z, an integer read off the monomial's key.
+e by epsilon^{d/2}, d = sum_z c_z e_z, an integer read off the monomial's key;
+``LaurentPoly.graded(shift)`` splits a polynomial by d.
 
 A value is a ``LaurentPoly`` whenever it is one.  ``quotient(num, den)``
 builds every quotient: by a monomial it stays in the Laurent ring, as does
@@ -68,9 +69,7 @@ class RingError(ValueError):
 def _q(x: Scalar) -> Scalar:
     """Normalise a scalar: integral Fractions become ints."""
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
+        return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
     raise RingError(f"non-exact scalar {x!r}")
@@ -404,17 +403,14 @@ class LaurentPoly:
                 out[k - step] = c * v
         return ring.collect(out)
 
-    def coefficients(self, name: str) -> dict:
-        """{d: the coefficient of g_name^d}, each a polynomial free of ``name``."""
+    def graded(self, weights: Mapping[str, int]) -> dict:
+        """{d: the terms of weighted degree d}, the degree of a term with exponents
+        e being the sum of ``weights[name] * e_name``; an unweighted generator has weight 0."""
         ring = self.ring
-        i = ring.index.get(name)
-        if i is None:
-            raise RingError(f"generator {name!r} not in {ring}")
-        s = ring._shifts[i]
+        fields = [(ring._shifts[ring.index[name]], w) for name, w in weights.items()]
         parts: dict = {}
         for k, c in self.terms.items():
-            d = ((k >> s) & _MASK) - _BIAS
-            parts.setdefault(d, {})[k - (d << s)] = c
+            parts.setdefault(sum(w * (((k >> s) & _MASK) - _BIAS) for s, w in fields), {})[k] = c
         return {d: LaurentPoly(ring, terms) for d, terms in parts.items()}
 
     # -- substitution ------------------------------------------------------
@@ -505,31 +501,14 @@ class LaurentPoly:
     # -- printing / serialisation -------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
+        text = ""
         for exps, c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = self.ring.names[i]
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = " * ".join(factors)
+            mono = " * ".join(n if e == 1 else f"{n}^{e}" for n, e in zip(self.ring.names, exps) if e)
             mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag} * {mono}"
-            sign = "-" if c < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            body = f"{mag} * {mono}" if mono and mag != 1 else mono or str(mag)
+            text += f" {'-' if c < 0 else '+'} {body}"
+        # the first sign is written only when it is a minus, and without spaces
+        return ("-" if text[1:2] == "-" else "") + text[3:] if text else "0"
 
     __str__ = to_text
 
@@ -537,14 +516,8 @@ class LaurentPoly:
         return f"<LaurentPoly {self.to_text()}>"
 
     def to_terms_json(self) -> list:
-        out = []
-        for exps, c in self.sorted_terms():
-            entry = {"c": str(c), "e": {}}
-            for i, e in enumerate(exps):
-                if e != 0:
-                    entry["e"][self.ring.names[i]] = str(e)
-            out.append(entry)
-        return out
+        return [{"c": str(c), "e": {n: str(e) for n, e in zip(self.ring.names, exps) if e}}
+                for exps, c in self.sorted_terms()]
 
 
 class GenImage:

@@ -1,11 +1,15 @@
 """Shear-coordinate charts.
 
-A chart parametrises a cubic's coordinates x1, x2, x3 by Laurent
-monomial sums in exponentiated shear coordinates; substituting the chart
-(and its parameter definitions) into the cubic must give the zero
-polynomial, which ``checks.shear`` certifies together with the flips.  A
-chart text may name the parameters: it is read over ``TEXT_RING`` and the
-parameter definitions are substituted into it.
+A chart parametrises a cubic's coordinates x1, x2, x3 by Laurent monomial
+sums in exponentiated shear coordinates; substituting the chart and its
+parameter values G into the cubic must give the zero polynomial, which
+``checks.shear`` certifies together with the flips.  Only PVI's entry
+states its G: its x1..x3 texts are read over ``TEXT_RING``, the G
+substituted.  Every other chart and cubic is the limit of its parent's
+(``confluence.limit``); the ``confluence-*`` certificates check its texts.
+A derived ``chart-<tag>`` is implied: the arrow scales each term of
+phi(x, G) by a power of epsilon, and phi(x, G) = 0 on the parent chart makes
+the lowest coefficient, the derived cubic at the derived chart, vanish.
 """
 
 from __future__ import annotations
@@ -44,17 +48,19 @@ TEXT_RING = Ring(SHEAR_NAMES + G_NAMES)
 def chart(tag: str) -> ShearChart:
     ring = SHEAR_RING
     with catalog.entry("charts", "charts", tag) as entry:
-        G = {name: parse_poly(s, ring) for name, s in catalog.typed(entry, "G", {G_NAMES: str}).items()}
+        x_sym = tuple(catalog.typed(entry, n, str) for n in X_NAMES)
+        if "G" in entry:
+            G = {n: parse_poly(s, ring) for n, s in catalog.typed(entry, "G", {G_NAMES: str}).items()}
+            x = tuple(parse_expr(s, TEXT_RING).substitute(G, ring).as_poly() for s in x_sym)
+        else:
+            from .confluence import limit
+            x, G = limit(tag)[1:3]  # Limit.x, Limit.G
         images = {}
         for gen in catalog.typed(entry, "normalization_subst", {SHEAR_NAMES: dict}, {}):
             field = f"normalization_subst.{gen}"
             power = catalog.typed(entry, f"{field}.power", GRANULARITY.keys())
             images[gen] = catalog.typed(entry, f"{field}.image", str), GRANULARITY[power]
-        x_sym = tuple(catalog.typed(entry, n, str) for n in X_NAMES)
-        return ShearChart(tag=tag, ring=ring,
-                          x=tuple(parse_expr(s, TEXT_RING).substitute(G, ring).as_poly()
-                                  for s in x_sym),
-                          x_sym=x_sym,
+        return ShearChart(tag=tag, ring=ring, x=x, x_sym=x_sym,
                           G=G, normalization=catalog.typed(entry, "normalization", str),
                           norm_images=images,
                           norm_targets=catalog.typed(entry, "normalization_targets",

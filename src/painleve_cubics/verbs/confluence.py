@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from ..checks.confluence import limit_certificate, limit_chart_coords
+from ..checks.confluence import arrow_limit, confluent_limit, leading_degrees
 from ..confluence import arrow
 
 
 def confluence(fmt, src, dst) -> int:
     a = arrow(src, dst)
-    degrees, leads = limit_chart_coords(a)
-    cert = limit_certificate(a, degrees, leads)
+    cert = confluent_limit(a)  # the limit is cached, so the degrees below reuse it
     print(f"substitution: {a.label}")
-    print(f"leading eps-degrees: {', '.join(str(d) for d in degrees)}")
+    print(f"leading eps-degrees: {', '.join(map(str, leading_degrees(arrow_limit(a))))}")
     print(cert.line())
     return 0 if cert.passed else 1

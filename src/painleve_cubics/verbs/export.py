@@ -1,8 +1,7 @@
 """``export``: the confluence and inclusion graphs, or the cubic catalog.
 
 ``export confluence`` and ``export inclusions`` read the catalogs only, so
-they load no Laurent kernel, and ``export catalog`` does not load
-``confluence``: each function imports what it reads.
+they load no Laurent kernel: each function imports what it reads.
 """
 
 from __future__ import annotations
@@ -10,6 +9,7 @@ from __future__ import annotations
 import json
 
 from .. import catalog
+from ..catalog import G_NAMES
 
 
 def confluence_dot() -> str:
@@ -45,6 +45,15 @@ def graph_json() -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+def omega_from_G(eps: tuple, ring) -> tuple:
+    """The generic parameter-to-coefficient map for a given eps triple, over ``ring``."""
+    G1, G2, G3, Gf = (ring.gen(n) for n in G_NAMES)
+    e1, e2, e3 = eps
+    return (-G1 * Gf - e1 * G2 * G3, -G2 * Gf - e2 * G1 * G3, -G3 * Gf - e3 * G1 * G2,
+            e2 * e3 * G1 ** 2 + e1 * e3 * G2 ** 2 + e1 * e2 * G3 ** 2
+            + Gf ** 2 + G1 * G2 * G3 * Gf - ring.const(4 * e1 * e2 * e3))
+
+
 def export(fmt, what) -> int:
     if what == "confluence":
         if fmt == "dot":
@@ -67,7 +76,7 @@ def export(fmt, what) -> int:
         payload = {"cubics": {}}
         for t in cubics.tags():
             c = cubics.cubic(t)
-            generic = cubics.omega_from_G(c.eps, c.ring)
+            generic = omega_from_G(c.eps, c.ring)
             payload["cubics"][t] = {
                 "eps": list(c.eps),
                 "omega": [w.to_text() for w in c.omega],

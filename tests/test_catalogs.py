@@ -52,24 +52,36 @@ def test_solved_brackets_name_real_generators():
 
 def test_all_catalog_expressions_parse():
     # a text that names a parameter is read over a ring that holds it, then
-    # the parameter's value is substituted
+    # the parameter's value is substituted: PVI's stated G, or a derived chart's
+    from painleve_cubics import chart
     from painleve_cubics.checks.cubics import ROW_RING
     from painleve_cubics.ring import Ring
     from painleve_cubics.shear import TEXT_RING
 
+    ring = Ring(SHEAR_NAMES)
     charts = catalog.load("charts")["charts"]
+    for s in charts["PVI"]["G"].values():
+        parse_poly(s, ring)
     for tag, entry in charts.items():
-        ring = Ring(SHEAR_NAMES)
-        G = {name: parse_poly(s, ring) for name, s in entry["G"].items()}
         for n in ("x1", "x2", "x3"):
-            parse_poly(entry[n], TEXT_RING).substitute(G, ring).as_poly()
+            parse_poly(entry[n], TEXT_RING).substitute(chart(tag).G, ring).as_poly()
     cubics = catalog.load("cubics")["cubics"]
     gring = Ring(("x1", "x2", "x3", "G1", "G2", "G3", "Ginf"))
+    for s in cubics["PVI"]["omega"]:
+        parse_poly(s, gring)
     for tag, entry in cubics.items():
-        for s in entry["omega"]:
-            parse_poly(s, gring)
         params = {w: parse_expr(s, gring) for w, s in entry["table1_params"].items()}
         parse_expr(entry["table1"], ROW_RING).substitute(params, gring)
+
+
+def test_only_pvi_states_its_cubic_and_chart_parameters():
+    # every other eps, omega and G is the limit along the primary arrow into its tag
+    cubics = catalog.load("cubics")["cubics"]
+    charts = catalog.load("charts")["charts"]
+    assert [tag for tag, entry in cubics.items() if {"eps", "omega"} & set(entry)] == ["PVI"]
+    assert [tag for tag, entry in charts.items() if "G" in entry] == ["PVI"]
+    assert {"eps", "omega"} <= set(cubics["PVI"])
+    assert not any("omega_note" in entry for entry in cubics.values())
 
 
 def test_signature_rows_are_consistent():

@@ -3,18 +3,17 @@
 import json
 
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
-from painleve_cubics.catalog import SHEAR_NAMES
-from painleve_cubics.checks.confluence import (composite_embedding_check, confluent_limit,
-                                               embedding_check, limit_chart_coords,
-                                               two_route_check)
+from painleve_cubics.catalog import G_NAMES, SHEAR_NAMES, X_NAMES
+from painleve_cubics.checks.confluence import (arrow_limit, composite_embedding_check,
+                                               confluent_limit, embedding_check,
+                                               leading_degrees, two_route_check)
 from painleve_cubics.cli import main
 from painleve_cubics.confluence import arrow, arrows, embedding, embeddings
-from painleve_cubics.cubics import cubic, cubic_form
-from painleve_cubics.ring import LaurentPoly, Ring
+from painleve_cubics.cubics import BASE_RING, cubic, cubic_form
+from painleve_cubics.ring import Ring
 from painleve_cubics.shear import SHEAR_RING, chart
 from painleve_cubics.verbs import confluence as confluence_verb
 from painleve_cubics.verbs.export import confluence_dot, graph_json, inclusion_dot
@@ -37,56 +36,87 @@ def test_all_limits(src, dst):
 
 
 @pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
-def test_confluence_command_rescales_the_chart_once(monkeypatch, capsys, src, dst):
+def test_confluence_command_takes_the_limit_once(monkeypatch, capsys, src, dst):
+    from painleve_cubics import catalog
+    from painleve_cubics.ring import LaurentPoly
+
     a = arrow(src, dst)
-    degrees, _ = limit_chart_coords(a)
+    degrees = leading_degrees(arrow_limit(a))
     expected = (f"substitution: {a.label}\n"
                 f"leading eps-degrees: {', '.join(map(str, degrees))}\n"
                 f"{confluent_limit(a).line()}\n")
-    calls = []
+    graded, calls = LaurentPoly.graded, []
 
-    def counting(*args):
-        calls.append(args)
-        return limit_chart_coords(*args)
+    def counting(self, weights):
+        calls.append(weights is a.shift)
+        return graded(self, weights)
 
-    monkeypatch.setattr(confluence_verb, "limit_chart_coords", counting)
+    # each of the 3 x and 4 G of the source chart is split by the arrow's shift once
+    catalog.clear_caches()
+    a = arrow(src, dst)
+    monkeypatch.setattr(LaurentPoly, "graded", counting)
     assert main(["confluence", src, dst]) == 0
     assert capsys.readouterr().out == expected
-    assert len(calls) == 1
+    assert calls.count(True) == 7
+
+
+def test_an_empty_source_is_no_arrow(capsys):
+    # only the limit looks up the primary arrow into a tag, by passing no source
+    assert main(["confluence", "", "PV"]) == 2
+    assert capsys.readouterr().err == "error: arrows.json arrows has no  -> PV\n"
 
 
 def test_first_arrow_leading_degrees():
-    degrees, _ = limit_chart_coords(arrow("PVI", "PV"))
-    assert degrees == [Fraction(-1), Fraction(-1), Fraction(0)]
+    assert leading_degrees(arrow_limit(arrow("PVI", "PV"))) == [Fraction(-1), Fraction(-1), 0]
 
 
 def test_half_integer_degrees_on_cusp_removal():
-    degrees, _ = limit_chart_coords(arrow("PV", "PVdeg"))
-    assert degrees == [Fraction(-1), Fraction(-1), Fraction(0)]
-    degrees, _ = limit_chart_coords(arrow("PIII_D7", "PIII_D8"))
-    assert Fraction(-1) in degrees
+    assert leading_degrees(arrow_limit(arrow("PV", "PVdeg"))) == [-1, -1, 0]
+    assert Fraction(-1) in leading_degrees(arrow_limit(arrow("PIII_D7", "PIII_D8")))
+
+
+def test_a_primary_arrow_limit_is_its_targets_own():
+    from painleve_cubics.confluence import limit
+    for a in arrows():
+        assert (arrow_limit(a) is limit(a.dst)) is not a.secondary
 
 
 def test_two_routes_agree():
     assert two_route_check().passed
 
 
-def degree_bound_check(a):
-    """min eps-degree of phi(x(eps)) >= a crude product bound from the x-degrees.
+EPS_RING = Ring(SHEAR_NAMES + ("eps",))
 
-    The chart is rescaled by substitution into its own ring with ``eps``, the
-    generator standing for epsilon^{1/2}, independently of ``limit_chart_coords``.
-    """
-    ring = Ring(SHEAR_NAMES + ("eps",))
-    shift = {z: ring.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
-    scaled = [x.substitute(shift, ring=ring).as_poly() for x in chart(a.src).x]
-    G = {name: g.substitute(shift, ring=ring).as_poly() for name, g in chart(a.src).G.items()}
-    omega = [w.substitute(G, ring=ring).as_poly() for w in cubic(a.src).omega]
-    phi = cubic_form(scaled, cubic(a.src).eps, omega)
+
+def scaled(value, a):
+    """``value`` on the source chart of ``a`` with each g_z sent to eps^{c_z} g_z,
+    over ``EPS_RING``: eps stands for epsilon^{1/2}, by substitution."""
+    shift = {z: EPS_RING.monomial({z: 1, "eps": c}) for z, c in a.shift.items()}
+    return value.substitute(shift, ring=EPS_RING).as_poly()
+
+
+def lowest_eps(value, ring):
+    """(least eps exponent, the part of that exponent as a polynomial over ``ring``)
+    of ``value``, whose ring is ``ring`` plus a last generator eps; (0, 0) for 0."""
+    terms = value.items()
+    low = min((e[-1] for e, _ in terms), default=0)
+    part = ring.zero()
+    for e, c in terms:
+        if e[-1] == low:
+            part += ring.monomial(dict(zip(ring.names, e[:-1])), c)
+    return low, part
+
+
+def degree_bound_check(a):
+    """min eps-degree of phi(x(eps)) >= a crude product bound from the x-degrees."""
+    xs = [scaled(x, a) for x in chart(a.src).x]
+    G = {name: scaled(g, a) for name, g in chart(a.src).G.items()}
+    omega = [w.substitute(G, ring=EPS_RING).as_poly() for w in cubic(a.src).omega]
+    phi = cubic_form(xs, cubic(a.src).eps, omega)
     if phi.is_zero():
         return True
-    worst = min(min(x.coefficients("eps")) for x in scaled)
-    return min(phi.coefficients("eps")) >= 2 * worst
+    worst = min(lowest_eps(x, SHEAR_RING)[0] for x in xs)
+    return lowest_eps(phi, SHEAR_RING)[0] >= 2 * worst
 
 
 @pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
@@ -94,32 +124,48 @@ def test_degree_bound(src, dst):
     assert degree_bound_check(arrow(src, dst))
 
 
-def initial_cubic(a):
-    """The least-weight part of the source phi, each x_i and G_j weighted by the
-    least epsilon-degree of its value on the source chart (a zero G by 0)."""
-    weights = [a.shift.get(z, 0) for z in SHEAR_NAMES]
+PHI_EPS_RING = Ring(BASE_RING.names + ("eps",))
 
-    def least_degree(value):
-        return min((sum(map(mul, weights, SHEAR_RING.unpack(k))) for k in value.terms), default=0)
 
+def epsilon_limit(a):
+    """The limit along ``a`` by the epsilon-substitution route, independently of
+    ``LaurentPoly.graded``: (x, G, phi) of the target.
+
+    Each chart value is rescaled by substitution and its lowest eps part
+    taken.  Then each x_i and G_j of the source phi is sent to
+    eps^{its least exponent} times itself (a zero G to itself), and the
+    lowest eps part of the result is the target phi; G_j is its leading
+    part where that phi names G_j, else 0.
+    """
     ch = chart(a.src)
-    values = {**dict(zip(("x1", "x2", "x3"), ch.x)), **ch.G}
-    phi = cubic(a.src).phi
-    w = [least_degree(values[n]) for n in phi.ring.names]
-    parts = {}
-    for k, c in phi.terms.items():
-        parts.setdefault(sum(map(mul, w, phi.ring.unpack(k))), {})[k] = c
-    return LaurentPoly(phi.ring, parts[min(parts)])
+    values = {**dict(zip(X_NAMES, ch.x)), **ch.G}
+    lows = {n: lowest_eps(scaled(v, a), SHEAR_RING) for n, v in values.items()}
+    weights = {n: PHI_EPS_RING.monomial({n: 1, "eps": low}) for n, (low, _) in lows.items()}
+    _, phi = lowest_eps(cubic(a.src).phi.substitute(weights, ring=PHI_EPS_RING).as_poly(),
+                        BASE_RING)
+    G = {n: lows[n][1] if phi.derivative(n).terms else SHEAR_RING.zero() for n in G_NAMES}
+    return tuple(lows[n][1] for n in X_NAMES), G, phi
 
 
 @pytest.mark.parametrize("src,dst", sorted(EXPECTED_ARROWS))
 def test_the_target_cubic_is_the_initial_form_of_the_source_cubic(src, dst):
-    assert initial_cubic(arrow(src, dst)) == cubic(dst).phi
+    assert epsilon_limit(arrow(src, dst))[2] == cubic(dst).phi
+
+
+@pytest.mark.parametrize("tag", sorted({dst for _, dst in EXPECTED_ARROWS}))
+def test_every_derived_chart_and_cubic_is_the_epsilon_limit_of_its_parent(tag):
+    a = next(a for a in arrows() if a.dst == tag and not a.secondary)
+    x, G, phi = epsilon_limit(a)
+    c, ch = cubic(tag), chart(tag)
+    xs = tuple(BASE_RING.gen(n) for n in X_NAMES)
+    assert cubic_form(xs, c.eps, c.omega) == phi
+    assert set(c.eps) <= {0, 1} and all(w.ring == BASE_RING for w in c.omega)
+    assert (ch.x, ch.G) == (x, G)
 
 
 def test_a_changed_shift_changes_the_initial_cubic():
     a = arrow("PV", "PIII_D6")
-    assert initial_cubic(a._replace(shift={**a.shift, "s1": 1})) != cubic("PIII_D6").phi
+    assert epsilon_limit(a._replace(shift={**a.shift, "s1": 1}))[2] != cubic("PIII_D6").phi
 
 
 def test_embedding_pv_in_piv_first_pair():

@@ -9,7 +9,8 @@ from painleve_cubics.checks import cubics as cubic_checks
 from painleve_cubics.checks.cubics import (ROW_RING, fn_jm_diffeo_check, table1_check,
                                            torus_param_check, volume_form_check)
 from painleve_cubics.checks.unfolding import singular_point_check
-from painleve_cubics.cubics import cubic, cubic_form, omega_from_G, tags
+from painleve_cubics.cubics import cubic, cubic_form, tags
+from painleve_cubics.verbs.export import omega_from_G
 
 from laurent import evaluate
 

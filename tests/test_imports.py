@@ -145,20 +145,22 @@ VERIFY = {"painleve_cubics.verify"}
 KERNEL = {f"painleve_cubics.{m}" for m in ("ring", "exprs", "cubics", "shear", "poisson", "linalg")}
 
 
+# a derived cubic or chart is the limit of its parent's chart and cubic along
+# the primary arrow into it, so a call on any tag but PVI loads all three
+DERIVED = {"painleve_cubics.cubics", "painleve_cubics.shear", "painleve_cubics.confluence"}
+
+
 @pytest.mark.parametrize("argv, absent", [
     ((), SUBSYSTEMS | BRACKETS | CHECKS | VERIFY),
-    (("show", "PV"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.cluster",
-                      "painleve_cubics.confluence", "painleve_cubics.unfolding"}
-     | BRACKETS | CHECKS | VERIFY),
-    (("export", "catalog"), SUBSYSTEMS - {"painleve_cubics.cubics"} | BRACKETS | CHECKS | VERIFY),
+    (("show", "PV"), SUBSYSTEMS - DERIVED | BRACKETS | CHECKS | VERIFY),
+    (("export", "catalog"), SUBSYSTEMS - DERIVED | BRACKETS | CHECKS | VERIFY),
     (("unfold", "PVI"), {"painleve_cubics.arcs", "painleve_cubics.shear", "painleve_cubics.poisson"}
      | VERIFY),
     (("export", "confluence"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
                                 "painleve_cubics.unfolding"} | BRACKETS | CHECKS | VERIFY | KERNEL),
     (("verify", "charts"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
-                            "painleve_cubics.confluence", "painleve_cubics.unfolding"} | BRACKETS),
-    (("chart", "PV"), SUBSYSTEMS - {"painleve_cubics.cubics", "painleve_cubics.shear"}
-     | BRACKETS | CHECKS | VERIFY),
+                            "painleve_cubics.unfolding"} | BRACKETS),
+    (("chart", "PV"), SUBSYSTEMS - DERIVED | BRACKETS | CHECKS | VERIFY),
     (("confluence", "PVI", "PV"), {"painleve_cubics.arcs", "painleve_cubics.cluster",
                                    "painleve_cubics.unfolding"} | BRACKETS | VERIFY),
     (("mutate", "PVI", "12"), {"painleve_cubics.arcs", "painleve_cubics.shear",
@@ -176,6 +178,16 @@ def test_cold_call_loads_only_its_subsystem(argv, absent):
     loaded = loaded_modules(*argv)
     assert "painleve_cubics.cli" in loaded
     assert sorted(loaded & (absent | {"dataclasses"})) == []
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("show", "PVI"), {"painleve_cubics.confluence", "painleve_cubics.shear"}),
+    (("mutate", "PVI", "1231"), {"painleve_cubics.confluence", "painleve_cubics.shear"}),
+    (("chart", "PVI"), {"painleve_cubics.confluence", "painleve_cubics.cubics"}),
+], ids=["show-PVI", "mutate-PVI", "chart-PVI"])
+def test_a_call_on_the_root_tag_derives_nothing(argv, absent):
+    # PVI states its cubic and chart, so it pays for no limit
+    assert sorted(loaded_modules(*argv) & absent) == []
 
 
 # one call of each verb, and the module of ``verbs`` that holds its handler

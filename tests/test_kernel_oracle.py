@@ -66,6 +66,21 @@ def test_product_matches_expand(f, g):
 
 
 @SETTINGS
+@given(laurent, st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)))
+def test_graded_matches_collect(f, weights):
+    # x -> t^a x, y -> t^b y, eps -> t^c eps: the coefficient of t^d is the part of degree d
+    T = sympy.Symbol("t")
+    scaled = sympy.expand(to_sympy(f).subs({X: T ** weights[0] * X, Y: T ** weights[1] * Y,
+                                            E: T ** weights[2] * E}, simultaneous=True))
+    by_power = sympy.collect(scaled, T, evaluate=False)
+    expected = {0 if k == 1 else int(k.as_base_exp()[1]): c for k, c in by_power.items()}
+    parts = f.graded(dict(zip(RING.names, weights)))
+    assert sorted(parts) == sorted(expected)
+    for d, part in parts.items():
+        assert sympy.expand(to_sympy(part) - expected[d]) == 0
+
+
+@SETTINGS
 @given(laurent, laurent, laurent, st.booleans())
 def test_divide_exact_matches_div(h, g, f, divisible):
     if divisible:

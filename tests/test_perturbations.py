@@ -168,8 +168,8 @@ def put(path: tuple, value):
 @pytest.mark.parametrize("name, path, value, where", [
     pytest.param("charts", ("charts", "PVI", "x1"), "s1 +* (", "charts.json charts.PVI",
                  id="charts.PVI.x1"),
-    pytest.param("cubics", ("cubics", "PV", "omega", 0), "G1 +* (", "cubics.json cubics.PV",
-                 id="cubics.PV.omega[0]"),
+    pytest.param("cubics", ("cubics", "PVI", "omega", 0), "G1 +* (", "cubics.json cubics.PVI",
+                 id="cubics.PVI.omega[0]"),
     pytest.param("lambdas", ("catalogs", "PV", "entries", "a"), "e[k1 +* (",
                  "lambdas.json catalogs.PV", id="catalogs.PV.entries.a"),
     pytest.param("cubics", ("cubics", "PIV", "table1_residue"), "x1 +* (",
@@ -196,8 +196,8 @@ def put(path: tuple, value):
                  "charts.json charts.PI", id="charts.PI.normalization_subst.s3.power"),
     pytest.param("arrows", ("arrows", 5, "secondary"), "no", "arrows.json arrows[5]",
                  id="arrows[5].secondary"),
-    pytest.param("cubics", ("cubics", "PV", "omega"), ["G1", "G2", "G3"], "cubics.json cubics.PV",
-                 id="cubics.PV.omega-three"),
+    pytest.param("cubics", ("cubics", "PVI", "omega"), ["G1", "G2", "G3"],
+                 "cubics.json cubics.PVI", id="cubics.PVI.omega-three"),
 ])
 def test_malformed_entry_names_its_file_and_key(tmp_path, capsys, name, path, value, where):
     root = catalog_copy(tmp_path, name, put(path, value))
@@ -339,12 +339,12 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "signatures.json signatures.PV: dim is True, not an integer"),
     ("signatures", ("signatures", "PI", "phantom_hole"), "no",
      "signatures.json signatures.PI: phantom_hole is 'no', not true or false"),
-    ("cubics", ("cubics", "PV", "eps", 0), 1.5,
-     "cubics.json cubics.PV: eps[0] is 1.5, not one of 0, 1"),
-    ("cubics", ("cubics", "PV", "eps", 0), True,
-     "cubics.json cubics.PV: eps[0] is True, not one of 0, 1"),
-    ("cubics", ("cubics", "PV", "eps", 0), 2,
-     "cubics.json cubics.PV: eps[0] is 2, not one of 0, 1"),
+    ("cubics", ("cubics", "PVI", "eps", 0), 1.5,
+     "cubics.json cubics.PVI: eps[0] is 1.5, not one of 0, 1"),
+    ("cubics", ("cubics", "PVI", "eps", 0), True,
+     "cubics.json cubics.PVI: eps[0] is True, not one of 0, 1"),
+    ("cubics", ("cubics", "PVI", "eps", 0), 2,
+     "cubics.json cubics.PVI: eps[0] is 2, not one of 0, 1"),
     ("lambdas", ("catalogs", "PV", "leaf_dim"), 4.5,
      "lambdas.json catalogs.PV: leaf_dim is 4.5, not an integer"),
     ("lambdas", ("catalogs", "PV", "leaf_dim"), "4",
@@ -358,9 +358,10 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
     ("lambdas", ("catalogs", "PV", "cusp_indices", "b", 0), [1],
      "lambdas.json catalogs.PV: cusp_indices is {'b': [[1], [1, 4]], 'd': [[2, 1], [1, 8]]}, "
      "not two (hole, order) pairs per arc"),
-    ("cubics", ("cubics", "PV", "eps"), [1, 1],
-     "cubics.json cubics.PV: eps is [1, 1], not three of 0 and 1"),
-    ("cubics", ("cubics", "PV", "eps"), "11", "cubics.json cubics.PV: eps is '11', not an array"),
+    ("cubics", ("cubics", "PVI", "eps"), [1, 1],
+     "cubics.json cubics.PVI: eps is [1, 1], not three of 0 and 1"),
+    ("cubics", ("cubics", "PVI", "eps"), "11",
+     "cubics.json cubics.PVI: eps is '11', not an array"),
     ("lambdas", ("arc_trace", "word"), ["Q"], "lambdas.json arc_trace: bad word letter 'Q'"),
     ("lambdas", ("arc_trace", "word"), [], "lambdas.json arc_trace: empty word"),
     ("lambdas", ("twists", "PVdeg", "table", "a,a"), "1",
@@ -446,22 +447,24 @@ def drop(path: tuple):
 
 
 @pytest.mark.parametrize("name, path, group, message", [
-    ("charts", ("charts", "PV", "G", "G3"), "charts",
-     "charts.json charts.PV: generator 'G3' not in Ring(s1, s2, s3, p1, p2, p3)"),
-    ("charts", ("charts", "PIV", "G", "Ginf"), "charts",
-     "charts.json charts.PIV: generator 'Ginf' not in Ring(s1, s2, s3, p1, p2, p3)"),
+    ("charts", ("charts", "PVI", "G", "G3"), "charts",
+     "charts.json charts.PVI: generator 'G3' not in Ring(s1, s2, s3, p1, p2, p3)"),
+    # PVI's texts name no Ginf, so its cubic is the first text to miss it
+    ("charts", ("charts", "PVI", "G", "Ginf"), "charts",
+     "charts.json charts.PVI: generator 'Ginf' not in Ring(s1, s2, s3, p1, p2, p3)"),
     ("cubics", ("cubics", "PV", "table1_params", "w3"), "cubics",
-     "cubics.json cubics.PV: generator 'w3' not in Ring(x1, x2, x3, G1, G2, G3, Ginf)"),
+     "cubics.json cubics.PV: table1 names w3, which table1_params does not define"),
     ("unfoldings", ("d4", "hat_params", "wh4"), "unfolding",
      "unfoldings.json d4: unknown symbol 'wh4' in '-2*x1^3 + x1*x2^2/2 + wh1*x1 + wh2*x2 "
      "+ wh3*x1^2 + wh4'"),
-], ids=["chart-x", "chart-normalization", "reference-row", "unfolding-target"])
+], ids=["chart-x", "chart-cubic", "reference-row", "unfolding-target"])
 def test_a_text_naming_a_parameter_its_entry_does_not_define_is_exit_2(tmp_path, capsys, name,
                                                                        path, group, message):
-    # a chart text or reference row is read over a ring holding every parameter
-    # name, so the name left after substituting the entry's values is refused
-    # by the target ring; the unfolding target's ring holds the entry's own hat
-    # names, so the parser refuses it
+    # a chart text is read over a ring holding every parameter name, so the
+    # name left after substituting PVI's stated G is refused by the target ring
+    # (a derived chart has all four G); a reference row names its missing
+    # w-symbol; the unfolding target's ring holds the entry's own hat names,
+    # so the parser refuses it
     root = catalog_copy(tmp_path, name, drop(path))
     code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -540,8 +543,8 @@ def renamed(path: tuple, key: str):
 
 
 @pytest.mark.parametrize("name, path, key, message", [
-    ("charts", ("charts", "PV", "G"), "Ginf",
-     "charts.json charts.PV: G key is 'Ginfzz', not one of G1, G2, G3, Ginf"),
+    ("charts", ("charts", "PVI", "G"), "Ginf",
+     "charts.json charts.PVI: G key is 'Ginfzz', not one of G1, G2, G3, Ginf"),
     ("charts", ("charts", "PI", "normalization_subst"), "s3",
      "charts.json charts.PI: normalization_subst key is 's3zz', not one of s1, s2, s3, p1, p2, p3"),
     ("charts", ("charts", "PV", "normalization_targets"), "Ginf",
@@ -578,18 +581,98 @@ def test_misnamed_key_names_its_file_and_key(tmp_path, capsys, name, path, key, 
 
 
 def test_half_power_on_a_full_power_generator_takes_its_monomial_root(tmp_path, capsys):
-    # Ginf at e[s3/2] needs g_s3^1, whose normalisation image is given for
-    # g_s3^2: the image is a monomial, so its square root is taken and the PI
-    # certificates fail on the changed parameter instead of the run erroring
-    def halve(data):
-        G = data["charts"]["PI"]["G"]
-        G["Ginf"] = G["Ginf"].replace("s3", "s3/2")
-
-    root = catalog_copy(tmp_path, "charts", halve)
+    # G1 at e[p1/2] needs g_p1^1, whose normalisation image is now given for
+    # g_p1^2: the image is a monomial, so its square root is taken and the PI
+    # normalisation fails on the changed parameter instead of the run erroring
+    root = catalog_copy(tmp_path, "charts", put(("charts", "PI", "normalization_subst", "p1"),
+                                                {"power": "full", "image": "e[s1]"}))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 1 and err == ""
-    assert failed == ["chart-PI", "chart-normalization-PI"]
+    assert failed == ["chart-normalization-PI"]
+
+
+def derive_from(moves: dict):
+    """An edit that gives arrow i of arrows.json the source ``moves[i]``."""
+    def edit(data):
+        for i, src in moves.items():
+            data["arrows"][i]["src"] = src
+    return edit
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("show", "PIII_D7"), "cubics.json cubics.PIII_D7: "
+                          "arrows.json arrows has no primary arrow -> PIII_D7"),
+    (("chart", "PIII_D8"), "charts.json charts.PIII_D7: "
+                           "arrows.json arrows has no primary arrow -> PIII_D7"),
+    (("verify-all",), "charts.json charts.PIII_D7: "
+                      "arrows.json arrows has no primary arrow -> PIII_D7"),
+], ids=["show", "chart-below", "verify-all"])
+def test_a_tag_that_states_no_cubic_needs_a_primary_arrow_into_it(tmp_path, capsys, argv,
+                                                                 message):
+    # only the secondary PVdeg -> PIII_D7 is left, so PIII_D7 has nothing to derive from
+    assert catalog.load("arrows")["arrows"][4] == {"src": "PIII_D6", "dst": "PIII_D7",
+                                                   "shift": {"s3": -1}}
+    root = catalog_copy(tmp_path, "arrows", lambda data: data["arrows"].pop(4))
+    assert run_cli(capsys, "--catalog", root, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_second_primary_arrow_into_a_tag_is_exit_2(tmp_path, capsys):
+    # PIII_D7 is derived along the first primary arrow into it, so a second one,
+    # perturbed or not, would be certified against that one's limit
+    def make_primary(data):
+        del data["arrows"][5]["secondary"]
+
+    assert catalog.load("arrows")["arrows"][5]["src"] == "PVdeg"
+    root = catalog_copy(tmp_path, "arrows", make_primary)
+    assert run_cli(capsys, "--catalog", root, "verify", "confluence") == (
+        2, "", "error: arrows.json arrows: PVdeg -> PIII_D7 is a second primary arrow "
+               "into PIII_D7\n")
+
+
+@pytest.mark.parametrize("argv", [("show", "PI"), ("chart", "Weierstrass"), ("verify-all",),
+                                  ("export", "catalog"), ("confluence", "PI", "PVdeg")])
+def test_a_cycle_of_primary_arrows_is_exit_2(tmp_path, capsys, argv):
+    # PV -> PVdeg becomes PI -> PVdeg and PII_JM -> PI becomes PVdeg -> PI
+    arrows = catalog.load("arrows")["arrows"]
+    assert [(arrows[i]["src"], arrows[i]["dst"]) for i in (1, 10)] == [("PV", "PVdeg"),
+                                                                      ("PII_JM", "PI")]
+    root = catalog_copy(tmp_path, "arrows", derive_from({1: "PI", 10: "PVdeg"}))
+    code, out, err = run_cli(capsys, "--catalog", root, *argv)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert re.fullmatch(r"error: (cubics|charts)\.json (cubics|charts)\.(PI|PVdeg): "
+                        r"maximum recursion depth exceeded.*\n", err), err
+
+
+def appended(path: tuple, text: str):
+    """An edit that appends ``text`` to the string at ``path``."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] += text
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, failed", [
+    # PIII_D6's cubic and chart are the limit along PV -> PIII_D6, and PIII_D7's and
+    # PIII_D8's follow from them: their reference rows and texts fail, and so does
+    # the route through PIII_D6, which no longer meets the one through PVdeg
+    pytest.param("arrows", put(("arrows", 3, "shift", "s1"), 1),
+                 ["table1-PIII_D6", "table1-PIII_D7", "table1-PIII_D8",
+                  "confluence-PIII_D6-PIII_D7", "confluence-PIII_D7-PIII_D8",
+                  "confluence-PV-PIII_D6", "confluence-two-route"], id="primary-shift"),
+    pytest.param("arrows", put(("arrows", 9, "shift", "s1"), 1), ["confluence-PVdeg-PII_FN"],
+                 id="secondary-shift"),
+    # PI's chart is the limit of PII_JM's; its texts are checked by both arrows into it
+    pytest.param("charts", appended(("charts", "PI", "x1"), " + 1"),
+                 ["confluence-PII_FN-PI", "confluence-PII_JM-PI"], id="derived-chart-text"),
+])
+def test_a_perturbed_arrow_or_derived_text_fails_exactly_its_certificates(tmp_path, capsys, name,
+                                                                          edit, failed):
+    root = catalog_copy(tmp_path, name, edit)
+    code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
+    assert (code, err) == (1, "")
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == failed
 
 
 def test_zero_chart_coordinate_has_no_confluence_limit(tmp_path, capsys):
@@ -641,8 +724,8 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
                  lambda data: data["charts"]["PVI"]["G"].pop("Ginf"), id="chart-G-without-Ginf"),
     pytest.param(("unfold", "PII_JM"), "unfoldings", put(("a1_pii", "tag"), None),
                  id="unfold-tag-not-a-string"),
-    # the two-route and composite checks look up PIII_D6 -> PIII_D7 and PV in PIV
-    pytest.param(("verify", "confluence"), "arrows", lambda data: data["arrows"].pop(4),
+    # the two-route and composite checks look up PVdeg -> PIII_D7 and PV in PIV
+    pytest.param(("verify", "confluence"), "arrows", lambda data: data["arrows"].pop(5),
                  id="deleted-arrow"),
     pytest.param(("verify", "confluence"), "arrows", lambda data: data["embeddings"].pop(0),
                  id="deleted-embedding"),

@@ -83,15 +83,14 @@ def package_functions() -> dict:
 
 def perturbed_catalogs(root: str) -> None:
     """Copy the catalogs to ``root`` with two perturbations whose certificates
-    fail: the PI chart's Ginf at e[s3/2], a half power that only the monomial
-    image of a full-power normalisation generator can take, and the PV arc b
-    equal to a, which makes the solve for the shear structure inconsistent."""
+    fail: the PI normalisation's image of p1 given for e^{p1}, so that G1 at
+    e[p1/2] is a half power that only the monomial image can take, and the PV
+    arc b equal to a, which makes the solve for the shear structure inconsistent."""
     src = PACKAGE / "data"
     for path in src.glob("*.json"):
         shutil.copy(path, root)
     charts = json.loads((src / "charts.json").read_text())
-    G = charts["charts"]["PI"]["G"]
-    G["Ginf"] = G["Ginf"].replace("s3", "s3/2")
+    charts["charts"]["PI"]["normalization_subst"]["p1"] = {"power": "full", "image": "e[s1]"}
     (Path(root) / "charts.json").write_text(json.dumps(charts))
     lambdas = json.loads((src / "lambdas.json").read_text())
     entries = lambdas["catalogs"]["PV"]["entries"]

@@ -72,7 +72,7 @@ def test_substitute_eps_scaling():
     half_p3 = ring.e({"p3": Fraction(1, 2)})  # the monomial for e^{p3/2}
     # p3 -> p3 - 2 log(epsilon) weights g_p3 by eps^-2, eps standing for epsilon^(1/2)
     image = half_p3.substitute({"p3": ring.monomial({"p3": 1, "eps": -2})}).as_poly()
-    assert image.coefficients("eps") == {-2: half_p3}
+    assert image.graded({"eps": 1}) == {-2: image} and image == half_p3 * ring.gen("eps", -2)
 
 
 def test_substitute_square_image_has_no_denominator():
@@ -183,21 +183,29 @@ def test_epsilon_leading_examples():
     A, B, C = ring.gen("a"), ring.gen("b"), ring.gen("c")
     e = ring.gen("eps")
     f = e ** -1 * A + B + e * C
-    parts = f.coefficients("eps")
-    assert min(parts) == -1 and parts[-1] == A
-    assert (A + B).coefficients("eps") == {0: A + B}
+    parts = f.graded({"eps": 1})
+    assert min(parts) == -1 and parts[-1] == e ** -1 * A
+    assert (A + B).graded({"eps": 1}) == {0: A + B}
 
 
-def test_coefficients_split_by_degree_free_of_the_generator():
+def test_graded_splits_the_terms_by_weighted_degree():
     ring = Ring(["a", "b", "eps"])
     a, b, e = ring.gen("a"), ring.gen("b"), ring.gen("eps")
     f = 3 * a * e ** -2 - b * e ** -2 + Fraction(1, 2) * e ** -5 + a * b
-    assert f.coefficients("eps") == {-2: 3 * a - b, -5: ring.const(Fraction(1, 2)), 0: a * b}
-    assert f.coefficients("a") == {1: 3 * e ** -2 + b, 0: -b * e ** -2 + Fraction(1, 2) * e ** -5}
-    assert ring.zero().coefficients("eps") == {}
-    assert (a + b).coefficients("eps") == {0: a + b}
-    with pytest.raises(RingError, match="generator 'q' not in Ring\\(a, b, eps\\)"):
-        f.coefficients("q")
+    assert f.graded({"eps": 1}) == {-2: (3 * a - b) * e ** -2, -5: Fraction(1, 2) * e ** -5,
+                                    0: a * b}
+    assert f.graded({"a": 1}) == {1: 3 * a * e ** -2 + a * b,
+                                  0: -b * e ** -2 + Fraction(1, 2) * e ** -5}
+    # weights add over the generators, an unlisted one weighs 0, and a weight may be negative
+    assert f.graded({"a": 2, "eps": -1}) == {4: 3 * a * e ** -2, 2: -b * e ** -2 + a * b,
+                                             5: Fraction(1, 2) * e ** -5}
+    assert f.graded({}) == {0: f} and f.graded({"eps": 0}) == {0: f}
+    assert ring.zero().graded({"eps": 1}) == {}
+    assert (a + b).graded({"eps": 1}) == {0: a + b}
+    # the parts share the terms' coefficients, and sum back to the polynomial
+    assert sum(f.graded({"a": 1, "b": 3}).values(), ring.zero()) == f
+    with pytest.raises(KeyError):
+        f.graded({"q": 1})
 
 
 def test_evaluate_examples(ring):
@@ -389,7 +397,7 @@ def test_divide_exact_roundtrip(f, g):
 def test_epsilon_leading_multiplicative(f, g):
     if f.is_zero() or g.is_zero():
         return
-    pf, pg, pfg = (p.coefficients("eps") for p in (f, g, f * g))
+    pf, pg, pfg = (p.graded({"eps": 1}) for p in (f, g, f * g))
     assert min(pfg) == min(pf) + min(pg)
     assert pfg[min(pfg)] == pf[min(pf)] * pg[min(pg)]
 
@@ -448,13 +456,13 @@ def test_mutations_stay_exact(word):
 
 
 def test_eps_scalings_stay_exact():
-    from painleve_cubics.checks.confluence import limit_chart_coords
+    from painleve_cubics.checks.confluence import arrow_limit, leading_degrees
     from painleve_cubics.confluence import arrows
     for a in arrows():
-        degrees, leads = limit_chart_coords(a)
-        assert all(type(d) is Fraction for d in degrees)
-        for lead in leads:
-            assert_exact(lead)
+        lim = arrow_limit(a)
+        assert all(type(d) is Fraction for d in leading_degrees(lim))
+        for value in (*lim.x, *lim.G.values(), *lim.omega):
+            assert_exact(value)
     ring = Ring(["x", "y", "eps"])
     root = ring.monomial({"x": 1, "eps": 1})  # e^{x/2} epsilon^(1/2)
     square = root * root
@@ -600,7 +608,7 @@ def kernel_results(f, g, image, c) -> dict:
             "divide": outcome(lambda: divide_exact(f * g, g)),
             "derivative": outcome(lambda: f.derivative(name)),
             "substitute": outcome(lambda: f.substitute({name: monomial}).as_poly()),
-            "coefficients": outcome(lambda: f.coefficients(name)),
+            "graded": outcome(lambda: f.graded({name: 1, "a": 2})),
             "text": f.to_text()}
 
 
