@@ -333,6 +333,15 @@ def test_an_operand_of_another_type_is_a_type_error(value, op):
     assert value != "x" and not value == 1.5
 
 
+def test_a_polynomial_divides_and_compares_with_a_genuine_quotient():
+    # entered here by name, not only by the quotients hypothesis happens to draw
+    q = (X + 1) / (X + 2)
+    assert isinstance(q, RationalExpr)
+    assert X != q and not X == q and X + 1 == q * (X + 2)
+    r = X / q
+    assert isinstance(r, RationalExpr) and r == X * (X + 2) / (X + 1)
+
+
 def test_substitute_without_images_or_ring_is_the_identity():
     p = X ** 2 - X ** -1 + 1
     q = p.substitute({})
