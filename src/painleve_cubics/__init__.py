@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _MODULES = {
-    **dict.fromkeys(("GenImage", "LaurentPoly", "RationalExpr", "Ring", "RingError",
-                     "divide_exact"), "ring"),
+    **dict.fromkeys(("GenImage", "LaurentPoly", "Ring", "RingError"), "ring"),
+    **dict.fromkeys(("RationalExpr", "divide_exact"), "division"),
     **dict.fromkeys(("ExprSyntaxError", "parse_expr", "parse_poly"), "exprs"),
     **dict.fromkeys(("NambuContext", "PoissonStructure", "casimir_kernel",
                      "solve_structure"), "poisson"),

@@ -17,36 +17,33 @@ has already checked every table they are built from.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from . import catalog
 
 if TYPE_CHECKING:
     from .poisson import PoissonStructure
-    from .ring import Ring
 
 
 # -- lambda catalogs -----------------------------------------------------------
 
 
-class LambdaCatalog(NamedTuple):
-    tag: str
-    shear_ring: Ring
-    entries: dict                 # name -> LaurentPoly in shear coordinates
-    table: dict                   # (u, v) -> Fraction: {u, v} = table[u, v] u v
-    params: tuple                 # central parameter symbols (loop lengths)
-    lambda_ring: Ring             # arcs + params as direct generators
-    frozen: tuple
-    # text over lambda_ring, parsed by ``checks.arcs.commutant_check`` and ``casimir_check``
-    identifications: dict         # cubic parameter symbol -> text
-    casimirs: tuple               # monomials, e.g. "a*b^-1*h^2"
-    leaf_dim: int
-    xexprs: dict                  # x-name -> text
-    stated_log_brackets: dict
-    solved_log_brackets: dict
-    central_shear: tuple          # shear generators no log bracket names: one per parameter
-    cusp_indices: dict            # arc -> ((hole, order), (hole, order))
-    signature: str                # signatures.json entry of the surface
+# entries:       name -> LaurentPoly in shear coordinates
+# table:         (u, v) -> Fraction: {u, v} = table[u, v] u v
+# params:        central parameter symbols (loop lengths)
+# lambda_ring:   arcs + params as direct generators
+# text over lambda_ring, parsed by ``checks.arcs.commutant_check`` and ``casimir_check``:
+# identifications: cubic parameter symbol -> text
+# casimirs:      monomials, e.g. "a*b^-1*h^2"
+# xexprs:        x-name -> text
+# central_shear: shear generators no log bracket names: one per parameter
+# cusp_indices:  arc -> ((hole, order), (hole, order))
+# signature:     signatures.json entry of the surface
+class LambdaCatalog(namedtuple("LambdaCatalog", "tag shear_ring entries table params lambda_ring "
+                               "frozen identifications casimirs leaf_dim xexprs stated_log_brackets "
+                               "solved_log_brackets central_shear cusp_indices signature")):
+    __slots__ = ()
 
     def table_between(self, names) -> dict:
         """The entries of the bracket table between two of ``names``."""
@@ -141,11 +138,9 @@ def _structures(tag: str) -> tuple:
 # -- signatures (irregularity bookkeeping) ------------------------------------
 
 
-class Signature(NamedTuple):
-    tag: str
-    holes: tuple       # cusps per hole of the actual (genus 0) surface
-    stated_dim: int
-    phantom_hole: bool
+# holes: cusps per hole of the actual (genus 0) surface
+class Signature(namedtuple("Signature", "tag holes stated_dim phantom_hole")):
+    __slots__ = ()
 
     @property
     def row(self) -> tuple:

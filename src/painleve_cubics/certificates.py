@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 
 # the title of a certificate whose check raised instead of deciding
 ERROR = "check raised an exception"
 
 
-class Certificate(NamedTuple):
-    id: str
-    title: str
-    anchor: str          # which catalog identity this audits
-    passed: bool
-    detail: str = ""
-    residue: str = ""    # digest of the offending polynomial on failure
+# anchor:  which catalog identity this audits
+# residue: digest of the offending polynomial on failure
+class Certificate(namedtuple("Certificate", "id title anchor passed detail residue",
+                             defaults=("", ""))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "ERROR" if self.title == ERROR else "FAIL"

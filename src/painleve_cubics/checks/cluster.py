@@ -14,7 +14,8 @@ from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cluster import CLUSTER_RING, base_values, dehn_twist, initial_cluster, mutate, twist_case
 from ..cubics import W_NAMES, W_RING, braid, cubic, cubic_form
-from ..ring import LaurentPoly, Ring, divide_exact
+from ..division import divide_exact
+from ..ring import LaurentPoly, Ring
 
 
 def braid_images(i: int) -> dict:

@@ -17,8 +17,9 @@ from .. import catalog, linalg
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import W_NAMES, W_RING, cubic, cubic_form
+from ..division import divide_exact
 from ..exprs import parse_expr, parse_poly
-from ..ring import LaurentPoly, Ring, divide_exact
+from ..ring import LaurentPoly, Ring
 from ..unfolding import cases, hat_param_table
 
 

@@ -8,14 +8,11 @@ braid action and the certificates are in ``checks.cluster``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from . import catalog
 from .exprs import parse_expr
 from .ring import Ring
-
-if TYPE_CHECKING:  # twist_case imports poisson; mutate never loads it
-    from .poisson import PoissonStructure
 
 
 # -- generalized mutations -----------------------------------------------------
@@ -45,14 +42,10 @@ def initial_cluster() -> dict:
 # -- Dehn twists ----------------------------------------------------------------
 
 
-class TwistCase(NamedTuple):
-    name: str
-    variables: tuple      # mutating arc names, in role order
-    frozen: tuple
-    ring: Ring
-    structure: PoissonStructure
-    invariants: dict      # label -> value of the parsed text
-    steps: tuple          # {arc: value of the parsed text}, each applied at once
+# variables:  mutating arc names, in role order
+# invariants: label -> value of the parsed text
+# steps:      {arc: value of the parsed text}, each applied at once
+TwistCase = namedtuple("TwistCase", "name variables frozen ring structure invariants steps")
 
 
 @catalog.cached

@@ -16,17 +16,15 @@ This module reads ``arrows.json`` and imports the Laurent kernel only inside
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import catalog
 from .catalog import G_NAMES, SHEAR_NAMES, X_NAMES
 
 
-class Arrow(NamedTuple):
-    src: str
-    dst: str
-    shift: dict          # shear coordinate -> integer coefficient of log(epsilon)
-    secondary: bool
+# shift: shear coordinate -> integer coefficient of log(epsilon)
+class Arrow(namedtuple("Arrow", "src dst shift secondary")):
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -56,12 +54,10 @@ def arrow(src: str | None, dst: str) -> Arrow:
     raise catalog.UnknownEntry(f"arrows.json arrows has no {'primary arrow' if src is None else src} -> {dst}")
 
 
-class Limit(NamedTuple):
-    least: dict   # x_i, G_j -> the least d of its terms epsilon^{d/2} (0 for a zero G)
-    x: tuple      # the least-degree parts of x1..x3
-    G: dict
-    eps: tuple
-    omega: tuple
+# least: x_i, G_j -> the least d of its terms epsilon^{d/2} (0 for a zero G)
+# x:     the least-degree parts of x1..x3
+# phi:   the cubic over ``cubics.BASE_RING``, checked to be ``cubic_form`` of eps and omega
+Limit = namedtuple("Limit", "least x G eps omega phi")
 
 
 @catalog.cached
@@ -70,10 +66,18 @@ def limit(tag: str, src: str | None = None) -> Limit:
     (by default the primary arrow into ``tag``): x_i and G_j are the least-degree
     parts of the source's, G_j only where the cubic names it, and the cubic is
     the least-weight part of the source phi, each x_i and G_j weighted by its
-    least degree."""
-    from .cubics import cubic
+    least degree.  A cycle of primary arrows above the source, or a part that
+    is not of the cubic's form, is a CatalogError naming the arrows."""
+    from .cubics import cubic, cubic_form
     from .shear import chart
     a = arrow(src, tag)
+    parents = {b.dst: b.src for b in reversed(arrows()) if not b.secondary}  # the first wins
+    up = [a.src]
+    while up[-1] in parents and up[-1] not in up[:-1]:
+        up.append(parents[up[-1]])
+    if up[-1] in up[:-1]:  # deriving a.src would never end
+        raise catalog.CatalogError("arrows.json arrows: primary arrows form a cycle "
+                                   + " -> ".join(reversed(up[up.index(up[-1]):])))
     ch = chart(a.src)
     parts = {n: v.graded(a.shift) for n, v in (*zip(X_NAMES, ch.x), *ch.G.items())}
     least = {n: min(p, default=0) for n, p in parts.items()}  # a zero G weighs 0
@@ -81,25 +85,28 @@ def limit(tag: str, src: str | None = None) -> Limit:
     by_weight = cubic(a.src).phi.graded(least)
     phi = by_weight[min(by_weight)]
     # eps_i: phi has a part of degree 2 in x_i; omega: phi's x-gradient and phi at x = 0
+    eps = tuple(int(2 in phi.graded({n: 1})) for n in X_NAMES)
+    omega = tuple(p.graded(dict.fromkeys(X_NAMES, 1)).get(0, phi.ring.zero())
+                  for p in (*map(phi.derivative, X_NAMES), phi))
+    if phi != cubic_form(tuple(map(phi.ring.gen, X_NAMES)), eps, omega):
+        raise catalog.CatalogError(f"arrows.json arrows: along {a.src} -> {tag} the least-weight "
+                                   f"part of phi is {phi}, not of the form x1 x2 x3 + "
+                                   "sum eps_i x_i^2 + sum omega_i x_i + omega_4")
     return Limit(least=least, x=tuple(lead[n] for n in X_NAMES),
                  G={n: ch.ring.zero() if phi.derivative(n).is_zero() else lead[n] for n in G_NAMES},
-                 eps=tuple(int(2 in phi.graded({n: 1})) for n in X_NAMES),
-                 omega=tuple(p.graded(dict.fromkeys(X_NAMES, 1)).get(0, phi.ring.zero())
-                             for p in (*map(phi.derivative, X_NAMES), phi)))
+                 eps=eps, omega=omega, phi=phi)
 
 
 # -- reversed embeddings ------------------------------------------------------
 
 
-class EmbeddingMap(NamedTuple):
-    sub: str
-    ambient: str
-    images: dict          # sub arc name -> monomial string over the ambient arcs
-    # text, type-checked and parsed by ``checks.confluence``
-    central_images: dict  # sub central parameter -> ambient monomial standing in
-    param_images: dict    # sub parameter carried to an ambient parameter
-    expected_mismatches: dict
-    where: str            # "arrows.json embeddings[<i>]", for parse errors
+# images:         sub arc name -> monomial string over the ambient arcs
+# text, type-checked and parsed by ``checks.confluence``:
+# central_images: sub central parameter -> ambient monomial standing in
+# param_images:   sub parameter carried to an ambient parameter
+# where:          "arrows.json embeddings[<i>]", for parse errors
+EmbeddingMap = namedtuple("EmbeddingMap", "sub ambient images central_images param_images "
+                                          "expected_mismatches where")
 
 
 @catalog.cached

@@ -14,12 +14,12 @@ parametrisation; ``checks.cubics.table1_check`` parses them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import catalog
 from .catalog import G_NAMES, X_NAMES
 from .exprs import parse_poly
-from .ring import LaurentPoly, Ring
+from .ring import Ring
 
 # the ring of the catalog's cubics: coordinates and the parameter symbols
 BASE_RING = Ring(X_NAMES + G_NAMES)
@@ -37,20 +37,17 @@ def tags() -> list:
                                   [catalog.section("cubics", "cubics").keys()]))
 
 
-class CubicSurface(NamedTuple):
-    tag: str
-    eps: tuple
-    ring: Ring                    # x1,x2,x3,G1,G2,G3,Ginf
-    omega: tuple                  # four LaurentPoly in the G symbols
-    phi: LaurentPoly              # canonical cubic over `ring`
-    phi_specialized: LaurentPoly  # redundant parameters fixed
-    # the reference row as text, parsed by ``checks.cubics.table1_check``
-    table1: str                   # as printed, in w-symbols
-    table1_params: dict           # w-symbol -> catalog text in the G symbols
-    table1_status: str
-    table1_residue: str
-    table1_flip: tuple
-    theta_doc: str
+# ring:            x1,x2,x3,G1,G2,G3,Ginf
+# omega:           four LaurentPoly in the G symbols
+# phi:             canonical cubic over `ring`
+# phi_specialized: redundant parameters fixed
+# the reference row as text, parsed by ``checks.cubics.table1_check``:
+# table1:          as printed, in w-symbols
+# table1_params:   w-symbol -> catalog text in the G symbols
+# table1_status, table1_residue, table1_flip, theta_doc
+class CubicSurface(namedtuple("CubicSurface", "tag eps ring omega phi phi_specialized table1 "
+                              "table1_params table1_status table1_residue table1_flip theta_doc")):
+    __slots__ = ()
 
     def phi_display(self) -> str:
         return self.phi_specialized.to_text().replace(" * ", " ").replace("*", " ")
@@ -65,10 +62,10 @@ def cubic(tag: str) -> CubicSurface:
             eps = catalog.typed(entry, "eps", [(0, 1)])
             if len(eps) != 3:
                 raise ValueError(f"eps is {entry['eps']!r}, not three of 0 and 1")
+            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
         else:
             from .confluence import limit
-            eps, omega = limit(tag)[3:]  # Limit.eps, Limit.omega
-        phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), eps, omega)
+            eps, omega, phi = limit(tag)[3:]  # Limit.eps, Limit.omega, Limit.phi
         spec = {name: parse_poly(s, ring) for name, s in
                 catalog.typed(entry, "specialization", {G_NAMES: str}).items()}
         phi_spec = phi.substitute(spec).as_poly() if spec else phi

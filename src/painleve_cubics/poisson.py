@@ -24,10 +24,11 @@ building a structure or taking a bracket never loads it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .catalog import X_NAMES
 from .ring import LaurentPoly, Ring, RingError, _div, _q, quotient
@@ -135,9 +136,9 @@ class PoissonStructure:
                 for i, row in enumerate(self._matrix) for j, m in enumerate(row) if j > i and m}
 
 
-class CasimirReport(NamedTuple):
-    rank: int
-    kernel: list  # list of {name: int} exponent dicts over the input monomials
+# kernel: list of {name: int} exponent dicts over the input monomials
+class CasimirReport(namedtuple("CasimirReport", "rank kernel")):
+    __slots__ = ()
 
     def kernel_names(self) -> list:
         out = []
@@ -181,10 +182,8 @@ def is_casimir_product(structure: PoissonStructure, candidate: Mapping[str, int]
     return all(structure.pair_exps(vec, m.monomial_exps()) == 0 for m in monomials.values())
 
 
-class SolveResult(NamedTuple):
-    structure: "PoissonStructure | None"
-    free_pairs: Sequence = ()
-    violations: Sequence = ()
+# the solved PoissonStructure, the pairs left free (set to zero), the violated equations
+SolveResult = namedtuple("SolveResult", "structure free_pairs violations", defaults=((), ()))
 
 
 def solve_structure(ring: Ring,

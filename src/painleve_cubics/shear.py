@@ -14,7 +14,7 @@ the lowest coefficient, the derived cubic at the derived chart, vanish.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import catalog
 from .catalog import G_NAMES, SHEAR_NAMES, X_NAMES
@@ -26,17 +26,15 @@ from .ring import Ring
 GRANULARITY = {"half": 1, "full": 2}
 
 
-class ShearChart(NamedTuple):
-    tag: str
-    ring: Ring
-    x: tuple            # three LaurentPoly with parameters expanded
-    x_sym: tuple        # the catalog strings (parameters symbolic)
-    G: dict             # parameter name -> LaurentPoly in shear coordinates
-    normalization: str
-    # the parameter-fixing constraint as text, parsed by ``checks.shear.chart_normalization_check``
-    norm_images: dict   # generator -> (image text, GenImage granularity)
-    norm_targets: dict  # parameter name -> stated value, text over TEXT_RING
-    norm_residual: str
+# x:             three LaurentPoly with parameters expanded
+# x_sym:         the catalog strings (parameters symbolic)
+# G:             parameter name -> LaurentPoly in shear coordinates
+# the parameter-fixing constraint as text, parsed by ``checks.shear.chart_normalization_check``:
+# norm_images:   generator -> (image text, GenImage granularity)
+# norm_targets:  parameter name -> stated value, text over TEXT_RING
+# norm_residual
+ShearChart = namedtuple("ShearChart", "tag ring x x_sym G normalization "
+                                      "norm_images norm_targets norm_residual")
 
 
 SHEAR_RING = Ring(SHEAR_NAMES)

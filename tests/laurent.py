@@ -3,7 +3,8 @@ and constructors, so that tests can compare the kernel against them."""
 
 from fractions import Fraction
 
-from painleve_cubics.ring import RationalExpr, RingError
+from painleve_cubics.division import RationalExpr
+from painleve_cubics.ring import RingError
 
 
 def poly(ring, terms: dict):

@@ -178,7 +178,7 @@ def test_composite_mutations_stay_on_surface():
     G1, G2, G3 = (ring.gen(n) for n in ("G1", "G2", "G3"))
     value = (y[1] * y[2] * y[3] + y[1] ** 2 + y[2] ** 2 + y[3] ** 2
              + G1 * y[2] * y[3] + G2 * y[1] * y[3] + G3 * y[1] * y[2])
-    from painleve_cubics.ring import divide_exact
+    from painleve_cubics.division import divide_exact
     assert divide_exact((value * value.den).as_poly(), phi) is not None
 
 

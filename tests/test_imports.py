@@ -212,6 +212,23 @@ def test_a_call_loads_only_its_own_verbs_module(argv, own):
     assert verbs == ({"painleve_cubics.verbs", f"painleve_cubics.verbs.{own}"} if own else set())
 
 
+# exact division and genuine quotients load only for a non-monomial denominator
+DIVISION = "painleve_cubics.division"
+
+
+@pytest.mark.parametrize("argv", [("show", "PV"), ("chart", "PV"), ("lambda", "PV"),
+                                  ("bracket", "PV", "a", "b"), ("export", "catalog"),
+                                  ("verify", "charts"), ("verify", "confluence")],
+                         ids=lambda argv: "-".join(argv))
+def test_a_call_that_divides_by_no_polynomial_loads_no_division(argv):
+    assert DIVISION not in loaded_modules(*argv)
+
+
+def test_a_call_that_divides_by_a_polynomial_loads_division():
+    # the later exchanges of 1231 divide by a mutated cluster variable, no monomial
+    assert DIVISION in loaded_modules("mutate", "PVI", "1231")
+
+
 def test_verify_charts_loads_only_the_shear_checks():
     assert loaded_modules("verify", "charts") & CHECKS == {"painleve_cubics.checks",
                                                           "painleve_cubics.checks.shear"}
@@ -222,7 +239,7 @@ def test_building_every_catalog_object_loads_no_check():
     # an arc catalog builds its Poisson structures on first use
     loaded = modules_after(BUILD_EVERY_OBJECT)
     assert {"painleve_cubics.arcs", "painleve_cubics.shear"} <= loaded
-    assert sorted(loaded & (CHECKS | BRACKETS)) == []
+    assert sorted(loaded & (CHECKS | BRACKETS | {DIVISION})) == []
     assert sorted(m for m in loaded if m.startswith("painleve_cubics.verbs")) == []
 
 
@@ -261,4 +278,23 @@ def test_the_set_up_probe_stays_within_its_compile_budget():
                           "--one", "probe"],
                          env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
                          capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout)["compiled"] <= 12600
+    assert json.loads(out.stdout)["compiled"] <= 11500
+
+
+def test_the_benchmark_tracer_binds_every_entry_point():
+    # perfbench/spans.py wraps each of its ENTRY_POINTS by module and attribute
+    # name, and raises TraceError on one it cannot resolve or finds bound nowhere;
+    # ring.divide_exact and ring.RationalExpr resolve from ``division``, and a
+    # quotient built after the install enters both wrappers
+    path = os.pathsep.join([str(PACKAGE.parent), str(PACKAGE.parents[1] / "perfbench")])
+    code = ("import spans\n"
+            "from painleve_cubics.ring import Ring, quotient\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "x = Ring(['x']).gen('x')\n"
+            "quotient(x + 1, x + 2)\n"
+            "print(*sorted({tracer.names[i] for i in tracer.name_ix}))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ring.add", "ring.divide_exact", "ring.rational"]

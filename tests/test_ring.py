@@ -334,12 +334,24 @@ def test_an_operand_of_another_type_is_a_type_error(value, op):
 
 
 def test_a_polynomial_divides_and_compares_with_a_genuine_quotient():
-    # entered here by name, not only by the quotients hypothesis happens to draw
+    # entered here by name, not only by the quotients hypothesis happens to draw;
+    # a LaurentPoly operator leaves a quotient operand to its reflected method
     q = (X + 1) / (X + 2)
     assert isinstance(q, RationalExpr)
-    assert X != q and not X == q and X + 1 == q * (X + 2)
+    assert all(op(X, q) is NotImplemented
+               for op in (LaurentPoly.__mul__, LaurentPoly.__truediv__, LaurentPoly.__eq__))
+    assert X != q and not X == q and X + 1 == q * (X + 2) == (X + 2) * q
     r = X / q
     assert isinstance(r, RationalExpr) and r == X * (X + 2) / (X + 1)
+    assert 2 / q == q.__rtruediv__(2) == 2 * (X + 2) / (X + 1)
+
+
+def test_the_ring_module_resolves_the_division_names_on_first_use():
+    # the benchmark's tracer binds ring.divide_exact and ring.RationalExpr.__init__
+    from painleve_cubics import division, ring
+    assert ring.divide_exact is division.divide_exact and ring.RationalExpr is RationalExpr
+    with pytest.raises(AttributeError, match="has no attribute 'heappush'"):
+        ring.heappush
 
 
 def test_substitute_without_images_or_ring_is_the_identity():

@@ -7,7 +7,7 @@ import pytest
 from painleve_cubics import Ring, catalog, unfolding
 from painleve_cubics.checks.unfolding import (_implicit_case, checks, hat_param_rank_check,
                                               singular_points_check, unfold_a1_pvdeg, unfold_d4)
-from painleve_cubics.ring import divide_exact
+from painleve_cubics.division import divide_exact
 from painleve_cubics.unfolding import W_RING, hat_param_table
 
 
