@@ -33,16 +33,13 @@ if TYPE_CHECKING:
 # table:         (u, v) -> Fraction: {u, v} = table[u, v] u v
 # params:        central parameter symbols (loop lengths)
 # lambda_ring:   arcs + params as direct generators
-# text over lambda_ring, parsed by ``checks.arcs.commutant_check`` and ``casimir_check``:
-# identifications: cubic parameter symbol -> text
-# casimirs:      monomials, e.g. "a*b^-1*h^2"
-# xexprs:        x-name -> text
+# casimirs:      monomials over lambda_ring as text, e.g. "a*b^-1*h^2", parsed by
+#                ``checks.arcs.casimir_check``
 # central_shear: shear generators no log bracket names: one per parameter
 # cusp_indices:  arc -> ((hole, order), (hole, order))
-# signature:     signatures.json entry of the surface
 class LambdaCatalog(namedtuple("LambdaCatalog", "tag shear_ring entries table params lambda_ring "
-                               "frozen identifications casimirs leaf_dim xexprs stated_log_brackets "
-                               "solved_log_brackets central_shear cusp_indices signature")):
+                               "frozen casimirs leaf_dim stated_log_brackets solved_log_brackets "
+                               "central_shear cusp_indices")):
     __slots__ = ()
 
     def table_between(self, names) -> dict:
@@ -67,7 +64,12 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
     from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
         if "subset_of" in entry:
-            parent = lambda_catalog(catalog.typed(entry, "subset_of", str))
+            name = catalog.typed(entry, "subset_of", str)
+            with catalog.entry("lambdas", "catalogs", name) as ref:
+                nested = "subset_of" in ref  # a cycle would recurse without end
+            if nested:
+                raise ValueError(f"subset_of is {name!r}, itself a subset catalog")
+            parent = lambda_catalog(name)
             names = catalog.typed(entry, "subset", [parent.entries.keys()])
             sring, params = parent.shear_ring, ()
             entries = {n: parent.entries[n] for n in names}
@@ -104,21 +106,13 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         if any(len(pair) != 2 for pairs in cusps.values() for pair in (pairs, *pairs)):
             raise ValueError(f"cusp_indices is {entry['cusp_indices']!r}, "
                              f"not two (hole, order) pairs per arc")
-        xexprs = catalog.typed(entry, "xexprs", {catalog.X_NAMES: str}, {})
-        if "identifications" in entry and not xexprs:
-            raise ValueError(f"identifications is {entry['identifications']!r}, "
-                             f"not allowed without xexprs")
         return LambdaCatalog(
             tag=tag, shear_ring=sring, entries=entries, table=table, params=params,
             lambda_ring=lring, frozen=frozen,
-            identifications=catalog.typed(entry, "identifications", {catalog.G_NAMES: str}, {}),
             casimirs=catalog.typed(entry, "casimirs", [str], ()),
             leaf_dim=catalog.typed(entry, "leaf_dim", int, 0),
-            xexprs=xexprs,
             stated_log_brackets=stated, solved_log_brackets=solved,
-            central_shear=central_shear,
-            cusp_indices=cusps,
-            signature=catalog.typed(entry, "signature", str, tag))
+            central_shear=central_shear, cusp_indices=cusps)
 
 
 @catalog.cached
@@ -139,7 +133,7 @@ def _structures(tag: str) -> tuple:
 
 
 # holes: cusps per hole of the actual (genus 0) surface
-class Signature(namedtuple("Signature", "tag holes stated_dim phantom_hole")):
+class Signature(namedtuple("Signature", "tag holes phantom_hole")):
     __slots__ = ()
 
     @property
@@ -164,5 +158,4 @@ def signature(tag: str) -> Signature:
         holes = catalog.typed(entry, "holes", [int])
         if min(holes, default=0) < 0:
             raise ValueError(f"holes is {entry['holes']!r}, not counts of cusps")
-        return Signature(tag=tag, holes=holes, stated_dim=catalog.typed(entry, "dim", int),
-                         phantom_hole=catalog.typed(entry, "phantom_hole", bool, False))
+        return Signature(tag, holes, catalog.typed(entry, "phantom_hole", bool, False))

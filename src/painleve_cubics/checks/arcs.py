@@ -193,13 +193,24 @@ def casimir_check(tag: str) -> Certificate:
                    residue=report.kernel_names())
 
 
+def _coordinates(entry: dict, ring: Ring) -> tuple:
+    """The ``xexprs`` x1..x3 and the ``identifications`` {G name: value} of
+    ``entry``, parsed over ``ring``; identifications need x-expressions."""
+    if "xexprs" not in entry and "identifications" in entry:
+        raise ValueError(f"identifications is {entry['identifications']!r}, "
+                         f"not allowed without xexprs")
+    texts = catalog.typed(entry, "xexprs", {X_NAMES: str})
+    return ({n: parse_expr(texts[n], ring) for n in X_NAMES},
+            {g: parse_expr(s, ring)
+             for g, s in catalog.typed(entry, "identifications", {G_NAMES: str}, {}).items()})
+
+
 def commutant_check(tag: str) -> Certificate:
     """The x-expressions commute with the frozen arcs and satisfy the cubic."""
     cat = lambda_catalog(tag)
     ring = cat.lambda_ring
-    with catalog.entry("lambdas", "catalogs", tag):
-        xs = {n: parse_expr(cat.xexprs[n], ring) for n in X_NAMES}
-        identified = {g: parse_expr(text, ring) for g, text in cat.identifications.items()}
+    with catalog.entry("lambdas", "catalogs", tag) as entry:
+        xs, identified = _coordinates(entry, ring)
     images = {**xs, **{f: ring.gen(f) for f in cat.frozen}}
     table = {(x, f): 0 for x in xs for f in cat.frozen}
     bad = [(x, f, "bracket does not vanish")
@@ -219,10 +230,7 @@ def pvi_from_pv_check() -> Certificate:
     """The four-hole coordinates recovered in the PV arc algebra satisfy their cubic."""
     ring = lambda_catalog("PV").lambda_ring
     with catalog.entry("lambdas", "pvi_from_pv") as data:
-        xs = {n: parse_expr(s, ring)
-              for n, s in catalog.typed(data, "xexprs", {X_NAMES: str}).items()}
-        ident = {g: parse_expr(s, ring)
-                 for g, s in catalog.typed(data, "identifications", {G_NAMES: str}).items()}
+        xs, ident = _coordinates(data, ring)
         phi = cubic("PVI").phi.substitute({**xs, **ident}, ring)
         # specialisation e = 1 collapses the extra parameter to the value 2
         deg = ident["G3"].substitute({"e": ring.one()}).as_poly()
@@ -236,7 +244,9 @@ def pvi_from_pv_check() -> Certificate:
 def lamination_count_check(tag: str) -> Certificate:
     """Moduli dimension = number of arcs + number of loop parameters."""
     cat = lambda_catalog(tag)
-    sig = signature(cat.signature)
+    with catalog.entry("lambdas", "catalogs", tag) as entry:
+        name = catalog.typed(entry, "signature", str, tag)
+    sig = signature(name)
     count = len(cat.entries) + len(cat.params)
     ok = sig.dimension() == count
     return certify(f"lamination-count-{tag}", "arc count matches moduli dimension",
@@ -246,7 +256,8 @@ def lamination_count_check(tag: str) -> Certificate:
 
 def signature_check(tag: str) -> Certificate:
     sig = signature(tag)
-    ok = sig.dimension() == sig.stated_dim
+    with catalog.entry("signatures", "signatures", tag) as entry:
+        ok = sig.dimension() == catalog.typed(entry, "dim", int)
     katz = ",".join(str(k) for k in sig.katz())
     detail = (f"s={len(sig.holes)} n={sum(sig.holes)} dim={sig.dimension()} "
               f"katz={katz} stokes={','.join(map(str, sig.row))} "

@@ -49,21 +49,25 @@ def table1_check(tag: str) -> Certificate:
     canonical cubic by its documented residue (zero unless a mismatch is documented)."""
     c = cubic(tag)
     with catalog.entry("cubics", "cubics", tag) as entry:
-        params = {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()}
+        texts = catalog.typed(entry, "table1_params", {W_NAMES: str})
+        mismatch = c.table1_status == "documented_mismatch"  # must state its residue
+        residue = catalog.typed(entry, "table1_residue", str, None if mismatch else "")
+        flip = catalog.typed(entry, "table1_flip", [c.ring.names], ())
+        params = {w: parse_expr(s, c.ring) for w, s in texts.items()}
         row = parse_expr(c.table1, ROW_RING)
         for w in W_NAMES:
             if w not in params and any(set(p.graded({w: 1})) - {0} for p in (row.num, row.den)):
                 raise ValueError(f"table1 names {w}, which table1_params does not define")
         row = row.substitute(params, c.ring)
-        if c.table1_status == "documented_mismatch":
-            row = row - parse_expr(entry["table1_residue"], c.ring)
+        if mismatch:
+            row = row - parse_expr(residue, c.ring)
     if c.table1_status == "exact_after_sign_flip":
-        row = row.substitute({name: -c.ring.gen(name) for name in c.table1_flip})
+        row = row.substitute({name: -c.ring.gen(name) for name in flip})
     res = row - c.phi_specialized
-    detail = {"exact_after_sign_flip": f"after {','.join(c.table1_flip)} sign flip",
-              "documented_mismatch": f"documented mismatch, residue {c.table1_residue}",
+    detail = {"exact_after_sign_flip": f"after {','.join(flip)} sign flip",
+              "documented_mismatch": f"documented mismatch, residue {residue}",
               }.get(c.table1_status, c.table1_status)
-    title = "relation" if c.table1_status == "documented_mismatch" else "match"
+    title = "relation" if mismatch else "match"
     return certify(f"table1-{tag}", f"reference polynomial {title}", f"{tag} reference row",
                    res.is_zero(), detail=detail, residue=res)
 

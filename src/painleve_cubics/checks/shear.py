@@ -12,11 +12,15 @@ from itertools import combinations
 
 from .. import catalog
 from ..certificates import Certificate, certify
-from ..catalog import X_NAMES
+from ..catalog import SHEAR_NAMES, X_NAMES
 from ..cubics import braid, cubic
 from ..exprs import parse_expr
 from ..ring import GenImage, LaurentPoly
 from ..shear import SHEAR_RING, TEXT_RING, chart
+
+# GenImage granularity of a normalization_subst power: an image of e^{z/2} is
+# one of g_z, an image of e^{z} one of g_z^2
+GRANULARITY = {"half": 1, "full": 2}
 
 
 def chart_phi_residue(tag: str) -> LaurentPoly:
@@ -35,16 +39,22 @@ def verify_chart(tag: str) -> Certificate:
 def chart_normalization_check(tag: str) -> Certificate:
     """The constraint drives the parameter definitions to their stated values."""
     ch = chart(tag)
-    with catalog.entry("charts", "charts", tag):
-        images = {gen: GenImage(parse_expr(text, ch.ring), granularity)
-                  for gen, (text, granularity) in ch.norm_images.items()}
+    with catalog.entry("charts", "charts", tag) as entry:
+        images = {}
+        for gen in catalog.typed(entry, "normalization_subst", {SHEAR_NAMES: dict}, {}):
+            field = f"normalization_subst.{gen}"
+            power = catalog.typed(entry, f"{field}.power", GRANULARITY.keys())
+            text = catalog.typed(entry, f"{field}.image", str)
+            images[gen] = GenImage(parse_expr(text, ch.ring), GRANULARITY[power])
+        targets = catalog.typed(entry, "normalization_targets", {tuple(ch.G): str}, {})
         values = {g: parse_expr(text, TEXT_RING).substitute(ch.G, ch.ring)
-                  for g, text in ch.norm_targets.items()}
-    bad = [(g, ch.norm_targets[g]) for g, value in values.items()
+                  for g, text in targets.items()}
+        residual = catalog.typed(entry, "normalization_residual", str, "")
+    bad = [(g, targets[g]) for g, value in values.items()
            if ch.G[g].substitute(images) != value.substitute(images)]
-    detail = ", ".join(f"{g} = {w}" for g, w in ch.norm_targets.items()) or "no constraint needed"
-    if ch.norm_residual:
-        detail += f"; {ch.norm_residual}"
+    detail = ", ".join(f"{g} = {w}" for g, w in targets.items()) or "no constraint needed"
+    if residual:
+        detail += f"; {residual}"
     return certify(f"chart-normalization-{tag}", "normalisation fixes the parameters",
                    f"{tag} chart normalisation", not bad, detail=detail, residue=bad)
 

@@ -84,9 +84,7 @@ def _implicit_case(key: str) -> Certificate:
         if "cubic" in entry:
             phi = parse_poly(catalog.typed(entry, "cubic", str), ring)
         else:
-            omega = catalog.typed(entry, "omega", {str: str})
-            phi = cubic_form(tuple(ring.gen(n) for n in X_NAMES), cubic(tag).eps,
-                             tuple(parse_poly(omega[w], ring) for w in W_NAMES))
+            phi = cubic(tag).phi_specialized.substitute({}, ring)
         out = _substituted(phi, entry, "substitution", ring).as_poly()
         diff = out - parse_poly(catalog.typed(entry, "target", str), ring)
         relation = (parse_expr(catalog.typed(entry, "relation_lhs", str), ring)

@@ -45,7 +45,7 @@ def initial_cluster() -> dict:
 # variables:  mutating arc names, in role order
 # invariants: label -> value of the parsed text
 # steps:      {arc: value of the parsed text}, each applied at once
-TwistCase = namedtuple("TwistCase", "name variables frozen ring structure invariants steps")
+TwistCase = namedtuple("TwistCase", "variables frozen ring structure invariants steps")
 
 
 @catalog.cached
@@ -64,7 +64,7 @@ def twist_case(name: str) -> TwistCase:
         variables = catalog.typed(entry, "variables", [ring.names])
         steps = tuple({arc: parse_expr(text, ring) for arc, text in step.items()}
                       for step in catalog.typed(entry, "steps", [{variables: str}]))
-        return TwistCase(name=name, variables=variables, ring=ring, structure=structure,
+        return TwistCase(variables=variables, ring=ring, structure=structure,
                          frozen=catalog.typed(entry, "frozen", [ring.names]),
                          invariants={label: parse_expr(text, ring) for label, text
                                      in catalog.typed(entry, "invariants", {str: str}).items()},

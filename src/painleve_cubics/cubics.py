@@ -41,12 +41,11 @@ def tags() -> list:
 # omega:           four LaurentPoly in the G symbols
 # phi:             canonical cubic over `ring`
 # phi_specialized: redundant parameters fixed
-# the reference row as text, parsed by ``checks.cubics.table1_check``:
-# table1:          as printed, in w-symbols
-# table1_params:   w-symbol -> catalog text in the G symbols
-# table1_status, table1_residue, table1_flip, theta_doc
+# table1:          the reference row as printed, in w-symbols, parsed by
+#                  ``checks.cubics.table1_check``
+# table1_status, theta_doc
 class CubicSurface(namedtuple("CubicSurface", "tag eps ring omega phi phi_specialized table1 "
-                              "table1_params table1_status table1_residue table1_flip theta_doc")):
+                              "table1_status theta_doc")):
     __slots__ = ()
 
     def phi_display(self) -> str:
@@ -77,10 +76,7 @@ def cubic(tag: str) -> CubicSurface:
             phi=phi,
             phi_specialized=phi_spec,
             table1=catalog.typed(entry, "table1", str),
-            table1_params=catalog.typed(entry, "table1_params", {W_NAMES: str}),
             table1_status=catalog.typed(entry, "table1_status", TABLE1_STATUSES),
-            table1_residue=catalog.typed(entry, "table1_residue", str, ""),
-            table1_flip=catalog.typed(entry, "table1_flip", [ring.names], ()),
             theta_doc=catalog.typed(entry, "theta_doc", str, ""),
         )
 

@@ -183,7 +183,7 @@ def is_casimir_product(structure: PoissonStructure, candidate: Mapping[str, int]
 
 
 # the solved PoissonStructure, the pairs left free (set to zero), the violated equations
-SolveResult = namedtuple("SolveResult", "structure free_pairs violations", defaults=((), ()))
+SolveResult = namedtuple("SolveResult", "structure free_pairs violations")
 
 
 def solve_structure(ring: Ring,

@@ -21,20 +21,10 @@ from .catalog import G_NAMES, SHEAR_NAMES, X_NAMES
 from .exprs import parse_expr, parse_poly
 from .ring import Ring
 
-# GenImage granularity of a normalization_subst power: an image of e^{z/2} is
-# one of g_z, an image of e^{z} one of g_z^2
-GRANULARITY = {"half": 1, "full": 2}
-
-
 # x:             three LaurentPoly with parameters expanded
 # x_sym:         the catalog strings (parameters symbolic)
 # G:             parameter name -> LaurentPoly in shear coordinates
-# the parameter-fixing constraint as text, parsed by ``checks.shear.chart_normalization_check``:
-# norm_images:   generator -> (image text, GenImage granularity)
-# norm_targets:  parameter name -> stated value, text over TEXT_RING
-# norm_residual
-ShearChart = namedtuple("ShearChart", "tag ring x x_sym G normalization "
-                                      "norm_images norm_targets norm_residual")
+ShearChart = namedtuple("ShearChart", "tag ring x x_sym G normalization")
 
 
 SHEAR_RING = Ring(SHEAR_NAMES)
@@ -53,14 +43,5 @@ def chart(tag: str) -> ShearChart:
         else:
             from .confluence import limit
             x, G = limit(tag)[1:3]  # Limit.x, Limit.G
-        images = {}
-        for gen in catalog.typed(entry, "normalization_subst", {SHEAR_NAMES: dict}, {}):
-            field = f"normalization_subst.{gen}"
-            power = catalog.typed(entry, f"{field}.power", GRANULARITY.keys())
-            images[gen] = catalog.typed(entry, f"{field}.image", str), GRANULARITY[power]
         return ShearChart(tag=tag, ring=ring, x=x, x_sym=x_sym,
-                          G=G, normalization=catalog.typed(entry, "normalization", str),
-                          norm_images=images,
-                          norm_targets=catalog.typed(entry, "normalization_targets",
-                                                     {tuple(G): str}, {}),
-                          norm_residual=catalog.typed(entry, "normalization_residual", str, ""))
+                          G=G, normalization=catalog.typed(entry, "normalization", str))

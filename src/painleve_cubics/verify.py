@@ -69,7 +69,7 @@ def _suite(depth: int | None, selected: set):
             yield "casimirs", arc_checks.casimir_check, (tag,)
     if "commutant" in selected:
         from .checks import arcs as arc_checks
-        for tag in having("xexprs"):
+        for tag in having("xexprs", "identifications"):
             yield "commutant", arc_checks.commutant_check, (tag,)
         yield "commutant", arc_checks.pvi_from_pv_check, ()
     if "cluster" in selected:

@@ -127,7 +127,8 @@ def test_reference_rows(tag, status):
 def test_pv_reference_rational_identity_detail():
     # the rational constant of the reference row equals the polynomial form
     c = cubic("PV")
-    params = {w: parse_expr(s, c.ring) for w, s in c.table1_params.items()}
+    params = {w: parse_expr(s, c.ring)
+              for w, s in catalog.load("cubics")["cubics"]["PV"]["table1_params"].items()}
     assert parse_expr(c.table1, ROW_RING).substitute(params, c.ring) == c.phi_specialized
 
 

@@ -278,7 +278,7 @@ def test_the_set_up_probe_stays_within_its_compile_budget():
                           "--one", "probe"],
                          env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
                          capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout)["compiled"] <= 11500
+    assert json.loads(out.stdout)["compiled"] <= 11200
 
 
 def test_the_benchmark_tracer_binds_every_entry_point():

@@ -255,8 +255,7 @@ WRONG_TYPED_FIELDS = [
     *((f"{key}.{'.'.join(map(str, path))}", "unfoldings", (key, *path), "unfolding",
        f"unfoldings.json {key}", WRONG_TYPES) for key, path in [
         ("d4", ("tail",)), ("d4", ("post_shift_x1",)), ("d4", ("target",)),
-        ("d4", ("diffeo", "x3")), ("d4", ("hat_params", "wh2")), ("a3", ("omega", "w1")),
-        ("a3", ("substitution", "x2")), ("a3", ("relation_lhs",)), ("a3", ("relation_rhs",)),
+        ("d4", ("diffeo", "x3")), ("d4", ("hat_params", "wh2")), ("a3", ("substitution", "x2")), ("a3", ("relation_lhs",)), ("a3", ("relation_rhs",)),
         ("a3", ("target",)), ("a3", ("param_generators", 0)), ("a1_pii", ("cubic",)),
         ("a1_pvdeg", ("charts", 1, "target")), ("a1_pvdeg", ("charts", 0, "substitution", "x3")),
         ("a1_pvdeg", ("param_generators", 1))]),
@@ -424,17 +423,29 @@ def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, messa
                  "commutant", "lambdas.json catalogs.PV", id="catalogs.PV.xexprs.x1"),
     pytest.param("lambdas", ("catalogs", "PV", "casimirs", 2), "d*e^x", ("lambda", "PV"),
                  "casimirs", "lambdas.json catalogs.PV", id="catalogs.PV.casimirs[2]"),
+    # fields no loader reads: the one check that reads one checks its type
+    pytest.param("charts", ("charts", "PV", "normalization_subst", "p3", "power"), None,
+                 ("chart", "PV"), "charts", "charts.json charts.PV",
+                 id="charts.PV.normalization_subst.p3.power"),
+    pytest.param("cubics", ("cubics", "PIII_D6", "table1_flip", 0), None, ("show", "PIII_D6"),
+                 "cubics", "cubics.json cubics.PIII_D6", id="cubics.PIII_D6.table1_flip[0]"),
+    pytest.param("lambdas", ("catalogs", "PV", "identifications", "G3"), 1.5, ("lambda", "PV"),
+                 "commutant", "lambdas.json catalogs.PV", id="catalogs.PV.identifications.G3"),
+    pytest.param("signatures", ("signatures", "PV", "dim"), "seven", ("signature", "PV"),
+                 "signatures", "signatures.json signatures.PV", id="signatures.PV.dim"),
 ])
 def test_a_field_only_a_check_reads_is_parsed_by_that_check(tmp_path, capsys, name, path, value,
                                                             argv, group, where):
-    # the loader keeps the text, so a verb that never reads it runs; the check
-    # parses it inside the entry, so a malformed one is still exit 2 naming it
+    # the loader does not read the field, so a verb that never reads it runs;
+    # the check reads it inside the entry, so a malformed or wrong-typed one is
+    # still exit 2 naming it, from its group and from the whole suite
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, *argv)
     assert (code, err) == (0, "") and out
-    code, out, err = run_cli(capsys, "--catalog", root, "verify", group)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
+    for verify in (("verify", group), ("verify-all",)):
+        code, out, err = run_cli(capsys, "--catalog", root, *verify)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
 
 
 def drop(path: tuple):
@@ -717,6 +728,25 @@ def test_lookup_error_in_an_entry_is_its_own_sentence(tmp_path, capsys):
                        f"lambdas.json catalogs has no 'NOPE' (have {ARC_CATALOGS})\n")
 
 
+@pytest.mark.parametrize("path, value, argv, message", [
+    (("catalogs", "PIII_tilde", "subset_of"), "PIII_D7", ("lambda", "PIII_D7"),
+     "lambdas.json catalogs.PIII_D7: subset_of is 'PIII_tilde', itself a subset catalog"),
+    # the suite reads PIII_tilde before PIII_D7
+    (("catalogs", "PIII_tilde", "subset_of"), "PIII_D7", ("verify", "casimirs"),
+     "lambdas.json catalogs.PIII_tilde: subset_of is 'PIII_D7', itself a subset catalog"),
+    (("catalogs", "PIII_D7", "subset_of"), "PIII_D7", ("lambda", "PIII_D7"),
+     "lambdas.json catalogs.PIII_D7: subset_of is 'PIII_D7', itself a subset catalog"),
+    (("catalogs", "PIII_tilde"), 5, ("lambda", "PIII_D7"),
+     "lambdas.json: catalogs.PIII_tilde is not a JSON object"),
+], ids=["cycle-lambda", "cycle-casimirs", "self-subset", "parent-not-an-object"])
+def test_a_subset_catalog_names_a_catalog_that_is_not_one(tmp_path, capsys, path, value, argv,
+                                                          message):
+    # PIII_D7 is a subset of PIII_tilde: making PIII_tilde a subset of PIII_D7
+    # closes a cycle, and so does a catalog that is a subset of itself
+    root = catalog_copy(tmp_path, "lambdas", put(path, value))
+    assert run_cli(capsys, "--catalog", root, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, name, edit", [
     pytest.param(("show", "PX"), "cubics", None, id="show"),
     pytest.param(("chart", "PX"), "charts", None, id="chart"),
@@ -932,3 +962,13 @@ def test_wrong_typed_leaf_is_a_verdict_or_a_named_error(copies, mutant):
     code, err = copies.run(*mutant)
     assert code in (0, 1, 2), code
     assert code != 2 or (".json" in err and len(err.splitlines()) == 1), err
+
+
+@pytest.mark.parametrize("tag, key, value, cert", [("PV", "Ginf", "2", "unfold-a3"),
+                                                   ("PIV", "G2", "G1", "unfold-a2")])
+def test_an_implicit_unfolding_certifies_its_tags_cubic(tmp_path, capsys, tag, key, value, cert):
+    # a3 and a2 state no cubic: they substitute into the atlas's specialised cubic
+    root = catalog_copy(tmp_path, "cubics", put(("cubics", tag, "specialization", key), value))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "unfolding")
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert (code, err, failed) == (1, "", [cert])

@@ -109,7 +109,8 @@ def test_chart_normalizations(tag):
 def test_pv_normalization_hits_unit_parameter():
     from painleve_cubics.shear import chart
     ch = chart("PV")
-    images = {gen: GenImage(parse_expr(text, ch.ring), granularity)
-              for gen, (text, granularity) in ch.norm_images.items()}
+    substs = catalog.load("charts")["charts"]["PV"]["normalization_subst"]
+    images = {gen: GenImage(parse_expr(s["image"], ch.ring), shear_checks.GRANULARITY[s["power"]])
+              for gen, s in substs.items()}
     constrained = ch.G["Ginf"].substitute(images)
     assert constrained.is_poly() and constrained.as_poly().is_one()
