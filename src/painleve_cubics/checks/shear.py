@@ -1,8 +1,8 @@
 """Certificates of the shear charts, the flips and the PV -> PIII coordinate change.
 
-Flips act on the coordinates by the exponentiated exchange relations;
-they only ever need integer powers of e^{s_i}, which is why their images
-are registered with granularity 2 on the half-generators.
+A flip is the generalized mutation of ``cluster`` at an edge of theta; it
+only ever needs integer powers of e^{s_i}, which is why its images are
+registered with granularity 2 on the half-generators.
 """
 
 from __future__ import annotations
@@ -60,25 +60,23 @@ def chart_normalization_check(tag: str) -> Certificate:
 
 
 def flip(i: int) -> dict:
-    """The i-th exchange move as substitution images on the shear generators.
-
-    s-images carry granularity 2 (they are images of e^{s}); the x's only
-    involve integer powers of e^{s_j}, so substitution never demands a half
-    power of a non-monomial.  An index outside 1, 2, 3 is a KeyError of the
-    ``order`` table.
-    """
-    ring = SHEAR_RING
-    order = {1: ("s1", "s2", "s3", "p1", "p2", "p3"),
-             2: ("s2", "s3", "s1", "p2", "p3", "p1"),
-             3: ("s3", "s1", "s2", "p3", "p1", "p2")}[i]
-    si, sj, sk, pi_, pj, pk = order
-    return {
-        si: GenImage(parse_expr(f"e[-{pi_}/2-{si}/2]", ring)),
-        sj: GenImage(parse_expr(f"e[{sk}]*(1+e[{si}])*(1+e[{si}+{pi_}])", ring), granularity=2),
-        sk: GenImage(parse_expr(f"e[{sj}]/((1+e[-{si}])*(1+e[-{si}-{pi_}]))", ring), granularity=2),
-        pj: GenImage(parse_expr(f"e[{pk}/2]", ring)),
-        pk: GenImage(parse_expr(f"e[{pj}/2]", ring)),
-    }
+    """The generalized mutation (``cluster``) at s_i, then the swap s_j <-> s_k, p_j <-> p_k
+    of its neighbours, as images of the shear generators: with X = e^{s} and t = e^{p_i/2}
+    X_i, X_i -> 1/(e^{p_i} X_i), and a neighbour with B(s_i, s_j) = b is multiplied by
+    P_i(t)^-b if b < 0, divided by P_i(1/t)^b if b > 0 (granularity 2: images of e^{s})."""
+    from ..cluster import exchange, exchanges  # only the flips read the exchange matrix
+    ring, half, G = SHEAR_RING, Fraction(1, 2), chart("PVI").G
+    t = ring.e({f"p{i}": half, f"s{i}": 1})
+    row, coefficients = exchanges()[i]
+    P = tuple(c.substitute(G) for c in coefficients)
+    images = {f"s{i}": GenImage(ring.e({f"p{i}": -half, f"s{i}": -half}))}
+    for (j, b), k in zip(row.items(), reversed(row)):  # k is j's other neighbour
+        x = ring.e({f"s{j}": 1})
+        image = x / exchange(P, t ** -1, ring.one()) ** b if b > 0 else \
+            x * exchange(P, t, ring.one()) ** -b
+        images[f"s{k}"] = GenImage(image, granularity=2)
+        images[f"p{k}"] = GenImage(ring.e({f"p{j}": half}))
+    return images
 
 
 def flip_involution_check(i: int) -> Certificate:
@@ -87,18 +85,14 @@ def flip_involution_check(i: int) -> Certificate:
     m = flip(i)
     probes = [ring.e({n: 1}) for n in ("s1", "s2", "s3")] + \
              [ring.e({n: Fraction(1, 2)}) for n in ("p1", "p2", "p3")]
-    bad = []
-    for probe in probes:
-        once = probe.substitute(m)
-        twice = once.substitute(m)
-        if twice != probe:
-            bad.append(twice - probe)
+    twice = [(probe.substitute(m).substitute(m), probe) for probe in probes]
+    bad = [back - probe for back, probe in twice if back != probe]
     ginf = chart("PVI").G["Ginf"]
-    ginf_ok = ginf.substitute(m) == ginf
+    moved = ginf.substitute(m) - ginf  # a flip that moves only Ginf has it as its residue
     return certify(f"flip-involution-{i}", "flip is an involution",
-                   f"exchange move f{i}", not bad and ginf_ok,
+                   f"exchange move f{i}", not bad and moved.is_zero(),
                    detail="also fixes Ginf",
-                   residue=bad[0] if bad else "")
+                   residue=bad[0] if bad else moved)
 
 
 def verify_flip_braid(i: int) -> Certificate:

@@ -1,17 +1,21 @@
-"""Generalized exchange mutations and Dehn twists.
+"""Generalized mutations (Chekhov-Shapiro) and Dehn twists.
 
-At the puncture value Ginf = 2 the shift y_i = x_i - G_i turns the braid
-relation of the cubic into the generalized exchange relation
-y_i y_i' = y_j^2 + y_k^2 + G_i y_j y_k, whose iterates stay Laurent.  The
-braid action and the certificates are in ``checks.cluster``.
+One mutation rule gives the flips of the shear coordinates (``checks.shear``)
+and the cluster exchanges: its exchange matrix B is the top-level ``theta`` of
+lambdas.json, and ``exchange`` gives each edge s_i its exchange polynomial
+P_i(t) = c0 + c1 t + c2 t^2.  At Ginf = 2 the shift y_i = x_i - G_i turns the
+cubic's braid relation into y_i y_i' = v^2 P_i(u/v), whose iterates stay
+Laurent.  The braid action and the certificates are in ``checks.cluster``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from operator import add, mul
 
 from . import catalog
-from .exprs import parse_expr
+from .exprs import parse_expr, parse_poly
 from .ring import Ring
 
 
@@ -19,20 +23,57 @@ from .ring import Ring
 
 
 CLUSTER_RING = Ring(("y1", "y2", "y3", "G1", "G2", "G3"))
+EDGES = catalog.SHEAR_NAMES[:3]
+
+
+@catalog.cached
+def exchanges() -> dict:
+    """Edge index i -> (row {j: B(s_i, s_j)}, P_i's coefficients in G1..Ginf) from lambdas.json."""
+    with catalog.context("lambdas.json"):
+        data = catalog.load("lambdas")
+        theta = catalog.pairs(data, "theta", EDGES)
+        B = {(v, u): -b for (u, v), b in theta.items()} | theta
+        texts = catalog.typed(data, "exchange", {EDGES: [str]})
+        out = {}
+        for i, s in enumerate(EDGES, start=1):
+            row = {v: b for (u, v), b in B.items() if u == s and b}
+            if len(row) != 2 or any(b.denominator != 1 for b in row.values()):
+                raise ValueError(f"theta gives {s} the neighbours {sorted(row)}, "
+                                 f"not two with integer brackets")
+            if len(texts.get(s, ())) != 3:
+                raise ValueError(f"exchange.{s} is {list(texts[s])}, not three coefficients"
+                                 if s in texts else f"exchange has no {s!r}, an edge of theta")
+            coefficients = tuple(parse_poly(c, Ring(catalog.G_NAMES)) for c in texts[s])
+            if all(c.is_zero() for c in coefficients):  # a mutation would divide by zero
+                raise ValueError(f"exchange.{s} is {list(texts[s])}, the zero polynomial")
+            out[i] = ({EDGES.index(v) + 1: int(b) for v, b in row.items()}, coefficients)
+        return out
+
+
+def exchange(coefficients: tuple, u, v):
+    """c0 v^2 + c1 u v + c2 u^2 = v^2 P(u/v) for P's ``coefficients``; a 1 multiplies nothing."""
+    terms = zip(coefficients, (v ** 2, u * v, u ** 2))
+    return reduce(add, [t if c.is_one() else c * t for c, t in terms])
+
+
+@catalog.cached
+def cluster_coefficients(i: int, ring: Ring) -> tuple:
+    """The coefficients of P_i in a cluster ``ring``: its G1..G3, and Ginf = 2."""
+    return tuple(c.substitute({"Ginf": ring.const(2)}) for c in exchanges()[i][1])
 
 
 def exchange_polynomial(i: int, cluster: dict):
-    """y_j^2 + y_k^2 + G_i y_j y_k, with G_i from the cluster's own ring."""
-    j, k = [t for t in (1, 2, 3) if t != i]
-    G = cluster[i].ring.gen(f"G{i}")
-    return cluster[j] ** 2 + cluster[k] ** 2 + G * cluster[j] * cluster[k]
+    """``exchange`` of P_i at u (v), the product of cluster[j]^|b| over the
+    neighbours with B(s_i, s_j) = b > 0 (< 0)."""
+    ring = cluster[i].ring
+    u, v = ([cluster[j] ** abs(b) for j, b in exchanges()[i][0].items() if (b > 0) is side]
+            or [ring.one()] for side in (True, False))
+    return exchange(cluster_coefficients(i, ring), reduce(mul, u), reduce(mul, v))
 
 
 def mutate(i: int, cluster: dict) -> dict:
-    """One generalized exchange: y_i -> (y_j^2 + y_k^2 + G_i y_j y_k)/y_i."""
-    new = dict(cluster)
-    new[i] = exchange_polynomial(i, cluster) / cluster[i]
-    return new
+    """One generalized exchange: y_i -> exchange_polynomial(i, cluster)/y_i."""
+    return {**cluster, i: exchange_polynomial(i, cluster) / cluster[i]}
 
 
 def initial_cluster() -> dict:

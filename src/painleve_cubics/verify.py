@@ -30,8 +30,9 @@ def _suite(depth: int | None, selected: set):
             yield "charts", shear_checks.verify_chart, (tag,)
             yield "charts", shear_checks.chart_normalization_check, (tag,)
     if "atlas" in selected:
+        from . import cluster
         from .checks import shear as shear_checks
-        for i in (1, 2, 3):
+        for i in cluster.exchanges():
             yield "atlas", shear_checks.flip_involution_check, (i,)
             yield "atlas", shear_checks.verify_flip_braid, (i,)
         yield "atlas", shear_checks.pv_to_piii_change, ()
@@ -73,8 +74,9 @@ def _suite(depth: int | None, selected: set):
             yield "commutant", arc_checks.commutant_check, (tag,)
         yield "commutant", arc_checks.pvi_from_pv_check, ()
     if "cluster" in selected:
+        from . import cluster
         from .checks import cluster as cluster_checks
-        for i in (1, 2, 3):
+        for i in cluster.exchanges():
             yield "cluster", cluster_checks.braid_preserves_cubic, (i,)
             yield "cluster", cluster_checks.braid_involution_check, (i,)
             yield "cluster", cluster_checks.surface_invariance, (i,)

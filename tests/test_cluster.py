@@ -132,20 +132,13 @@ def test_relabelled_word_gives_relabelled_cluster():
         assert moved[sigma[t]] == base[t].substitute(images)
 
 
-def test_asymmetric_exchange_fails_through_the_symmetry_check(monkeypatch):
-    # 2*y_j^2 + y_k^2 + G_i*y_j*y_k keeps both depth-2 representatives Laurent
-    # but is not equivariant, so the orbit reduction must not be trusted
-    def lopsided(i, cl):
-        j, k = [t for t in (1, 2, 3) if t != i]
-        return 2 * cl[j] ** 2 + cl[k] ** 2 + cl[i].ring.gen(f"G{i}") * cl[j] * cl[k]
-
-    monkeypatch.setattr(cluster, "exchange_polynomial", lopsided)
-    assert all(run_sequence(w)[i].is_poly() for w in orbit_representatives(2) for i in (1, 2, 3))
-    cert = laurent_check(2)
-    assert not cert.passed
-    assert cert.anchor == "all 9 reduced sequences of length <= 2"
-    assert cert.detail == "relabelling symmetry fails"
-    assert all(f"({a} {b}) breaks" in cert.residue for a, b in ((1, 2), (1, 3), (2, 3)))
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_exchange_polynomial_of_the_shipped_catalog(i):
+    # theta and exchange.s<i> = [1, G<i>, 1] give y_j^2 + y_k^2 + G_i y_j y_k
+    cl = initial_cluster()
+    j, k = (t for t in (1, 2, 3) if t != i)
+    G = CLUSTER_RING.gen(f"G{i}")
+    assert cluster.exchange_polynomial(i, cl) == cl[j] ** 2 + cl[k] ** 2 + G * cl[j] * cl[k]
 
 
 def test_non_laurent_mutation_is_named_as_a_witness(monkeypatch):
@@ -158,6 +151,16 @@ def test_non_laurent_mutation_is_named_as_a_witness(monkeypatch):
     cert = laurent_check(1)
     assert not cert.passed and cert.detail == ""
     assert cert.residue == "[((1,), 1, 'y1 + 1')]"
+
+
+def test_a_mutation_that_is_not_an_involution_fails(monkeypatch):
+    # no exchange polynomial can break the involution, since it leaves out y_i,
+    # so only a changed rule can: y_i -> E_i/y_i + 1
+    def shifted(i, cl):
+        return {**cl, i: mutate(i, cl)[i] + 1}
+
+    monkeypatch.setattr(cluster_checks, "mutate", shifted)
+    assert not mutation_involution_check(1).passed
 
 
 @pytest.mark.parametrize("depth", [0, -3])

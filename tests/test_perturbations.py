@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from painleve_cubics import catalog, verify
+from painleve_cubics.checks.cluster import orbit_representatives, run_sequence
 from painleve_cubics.cli import main
 
 import catalog_mutations
@@ -282,6 +283,8 @@ WRONG_TYPED_FIELDS = [
      "commutant", "lambdas.json pvi_from_pv", NOT_STRINGS),
     ("arc_trace.catalog", "lambdas", ("arc_trace", "catalog"), "arcs", "lambdas.json arc_trace",
      NOT_STRINGS),
+    ("exchange.s1[1]", "lambdas", ("exchange", "s1", 1), "atlas", "lambdas.json", WRONG_TYPES),
+    ("exchange.s2[0]", "lambdas", ("exchange", "s2", 0), "cluster", "lambdas.json", WRONG_TYPES),
     ("pv_to_piii.images.s1", "lambdas", ("pv_to_piii", "images", "s1"), "atlas",
      "lambdas.json pv_to_piii", NOT_STRINGS),
     ("embeddings[0].param_images.G1", "arrows", ("embeddings", 0, "param_images", "G1"),
@@ -395,8 +398,23 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json catalogs.PIV: central shear is [], not one per parameter of ['G1']"),
     ("lambdas", ("catalogs", "PV", "grafts", "s3"), ["k1", "k2", "s1"],
      "lambdas.json catalogs.PV: grafts.s3 is ['k1', 'k2', 's1'], not a cusp pair"),
+    # theta is first read as the exchange matrix of the edges s1, s2, s3
     ("lambdas", ("theta", "s1,zz"), "1",
-     "lambdas.json: theta key is 's1,zz', not a pair of s1, s2, s3, p1, p2, k1, k2"),
+     "lambdas.json: theta key is 's1,zz', not a pair of s1, s2, s3"),
+    ("lambdas", ("theta", "s3,s1"), "0",
+     "lambdas.json: theta gives s1 the neighbours ['s2'], not two with integer brackets"),
+    ("lambdas", ("theta", "s1,s2"), "1/2",
+     "lambdas.json: theta gives s1 the neighbours ['s2', 's3'], not two with integer brackets"),
+    ("lambdas", ("exchange", "s1", 1), None,
+     "lambdas.json: exchange.s1[1] is None, not a string"),
+    ("lambdas", ("exchange", "s1"), ["1", "G1"],
+     "lambdas.json: exchange.s1 is ['1', 'G1'], not three coefficients"),
+    ("lambdas", ("exchange", "p1"), ["1", "G1", "1"],
+     "lambdas.json: exchange key is 'p1', not one of s1, s2, s3"),
+    ("lambdas", ("exchange",), {"s1": ["1", "G1", "1"], "s2": ["1", "G2", "1"]},
+     "lambdas.json: exchange has no 's3', an edge of theta"),
+    ("lambdas", ("exchange", "s2"), ["0", "G2 - G2", "0"],
+     "lambdas.json: exchange.s2 is ['0', 'G2 - G2', '0'], the zero polynomial"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
@@ -406,7 +424,9 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
         "null-omega-entry", "list-shear-generator", "null-chart-coordinate", "null-arc-entry",
         "null-specialization", "null-unfolding-tail", "list-unfolding-chart-target",
         "identifications-without-xexprs", "misnamed-graft-generator", "perimeter-graft",
-        "graft-of-three", "misnamed-theta-key"])
+        "graft-of-three", "misnamed-theta-key", "theta-edge-with-one-neighbour",
+        "fractional-theta-bracket", "null-exchange-coefficient", "two-exchange-coefficients",
+        "exchange-key-not-an-edge", "exchange-edge-missing", "zero-exchange-polynomial"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
@@ -781,6 +801,11 @@ def test_a_subset_catalog_names_a_catalog_that_is_not_one(tmp_path, capsys, path
                  id="deleted-arrow"),
     pytest.param(("verify", "confluence"), "arrows", lambda data: data["embeddings"].pop(0),
                  id="deleted-embedding"),
+    # mutate reads the exchange rule before it prints anything
+    pytest.param(("mutate", "PVI", "11"), "lambdas", lambda data: data.pop("exchange"),
+                 id="mutate-without-exchange"),
+    pytest.param(("mutate", "PVI", "11"), "lambdas", put(("exchange", "s1"), ["0", "0", "0"]),
+                 id="mutate-zero-exchange"),
 ])
 def test_unknown_key_names_its_file(tmp_path, capsys, argv, name, edit):
     root = catalog_copy(tmp_path, name, edit or (lambda data: None))
@@ -895,11 +920,13 @@ def test_casimirs_without_a_monomial_shear_structure_are_exit_2(tmp_path, capsys
 GRAFTED = [tag for tag, entry in catalog.load("lambdas")["catalogs"].items() if "grafts" in entry]
 
 
-def failed_lambda_certificates(tmp_path, capsys, edit) -> set:
+def failed_certificates(tmp_path, capsys, group, edit) -> dict:
+    """{id: report line} of the certificates of ``group`` that FAIL once ``edit``
+    has changed lambdas.json."""
     root = catalog_copy(tmp_path, "lambdas", edit)
-    code, out, _ = run_cli(capsys, "--catalog", root, "verify", "lambda")
+    code, out, _ = run_cli(capsys, "--catalog", root, "verify", group)
     assert code == 1
-    return {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    return {line.split()[1]: line for line in out.splitlines() if line.startswith("FAIL")}
 
 
 def test_a_graft_moved_to_another_edge_fails_both_lambda_certificates(tmp_path, capsys):
@@ -907,15 +934,39 @@ def test_a_graft_moved_to_another_edge_fails_both_lambda_certificates(tmp_path, 
         grafts = data["catalogs"]["PIV"]["grafts"]
         grafts["s1"] = grafts.pop("s3")
 
-    assert failed_lambda_certificates(tmp_path, capsys, move) == {"lambda-table-PIV",
-                                                                  "lambda-solve-PIV"}
+    assert failed_certificates(tmp_path, capsys, "lambda", move).keys() == {"lambda-table-PIV",
+                                                                         "lambda-solve-PIV"}
 
 
 def test_a_changed_theta_bracket_fails_every_grafted_catalog(tmp_path, capsys):
     # PIII_tilde states its structure and PIII_hat quotes its own, so both still pass
-    failed = failed_lambda_certificates(tmp_path, capsys, put(("theta", "s2,s3"), "2"))
+    failed = failed_certificates(tmp_path, capsys, "lambda", put(("theta", "s2,s3"), "2"))
     assert GRAFTED == ["PV", "PVdeg", "PIV", "PII_JM", "PII_FN"]
-    assert failed == {f"lambda-{kind}-{tag}" for tag in GRAFTED for kind in ("table", "solve")}
+    assert failed.keys() == {f"lambda-{kind}-{tag}" for tag in GRAFTED
+                             for kind in ("table", "solve")}
+
+
+def test_a_reversed_theta_bracket_fails_the_flips_it_enters(tmp_path, capsys):
+    # {s1, s2} = -1 gives s1 two neighbours with B = -1 and s2 two with B = +1;
+    # the PV catalog grafts its cusps onto theta, so its flipped chart fails too
+    failed = failed_certificates(tmp_path, capsys, "atlas", put(("theta", "s1,s2"), "-1"))
+    assert failed.keys() == {"flip-involution-1", "flip-braid-1", "flip-involution-2",
+                             "flip-braid-2", "pv-to-piii-change"}
+
+
+def test_a_lopsided_exchange_polynomial_fails_the_laurent_and_flip_checks(tmp_path, capsys):
+    # 1 + G1 t + 2 t^2 keeps both depth-2 orbit representatives Laurent but is
+    # not equivariant under relabelling, so the orbit reduction must not be trusted
+    edit = put(("exchange", "s1"), ["1", "G1", "2"])
+    catalog.set_catalog_root(catalog_copy(tmp_path, "lambdas", edit))
+    assert all(run_sequence(w)[i].is_poly() for w in orbit_representatives(2) for i in (1, 2, 3))
+    failed = failed_certificates(tmp_path, capsys, "cluster", edit)
+    assert failed.keys() == {"laurent-phenomenon", "mutation-surface-1"}
+    assert "[relabelling symmetry fails]" in failed["laurent-phenomenon"]
+    failed = failed_certificates(tmp_path, capsys, "atlas", edit)
+    assert failed.keys() == {"flip-involution-1", "flip-braid-1"}
+    # every probe comes back, so the residue is what the flip does to Ginf
+    assert "residue: " in failed["flip-involution-1"]
 
 
 @pytest.mark.parametrize("name, path, value, group, cid", [

@@ -43,18 +43,23 @@ def test_pvi_chart_unit_point():
         assert evaluate(x, unit) == -7
 
 
-def test_flip_images():
-    ring = SHEAR_RING
-    m = flip(1)
-    # e^{s1} -> e^{-p1-s1}
-    out = ring.e({"s1": 1}).substitute(m).as_poly()
-    assert out == ring.e({"p1": -1, "s1": -1})
-    # p1 <-> p2 under flip 3
-    m3 = flip(3)
-    assert ring.e({"p1": Fraction(1, 2)}).substitute(m3).as_poly() == \
-        ring.e({"p2": Fraction(1, 2)})
-    assert ring.e({"p2": Fraction(1, 2)}).substitute(m3).as_poly() == \
-        ring.e({"p1": Fraction(1, 2)})
+@pytest.mark.parametrize("i, j, k", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+def test_flip_images(i, j, k):
+    # the generalized mutation of theta gives the flips as they were first
+    # written by hand, over the cyclic order (i, j, k): the same values, the
+    # same granularities and the same texts
+    reference = {f"s{i}": (f"e[-p{i}/2-s{i}/2]", 1),
+                 f"s{j}": (f"e[s{k}]*(1+e[s{i}])*(1+e[s{i}+p{i}])", 2),
+                 f"s{k}": (f"e[s{j}]/((1+e[-s{i}])*(1+e[-s{i}-p{i}]))", 2),
+                 f"p{j}": (f"e[p{k}/2]", 1),
+                 f"p{k}": (f"e[p{j}/2]", 1)}
+    images = flip(i)
+    assert sorted(images) == sorted(reference)
+    for name, (text, granularity) in reference.items():
+        expected = parse_expr(text, SHEAR_RING)
+        assert images[name].granularity == granularity
+        assert images[name].expr == expected
+        assert images[name].expr.to_text() == expected.to_text()
 
 
 def test_flip_involution_on_s2():
