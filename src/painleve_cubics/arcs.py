@@ -90,8 +90,8 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
         stated, solved = (catalog.pairs(entry, field, sring.names, {})
                           for field in ("stated_log_brackets", "solved_log_brackets"))
         if "grafts" in entry:
-            with catalog.context("lambdas.json"):
-                solved = catalog.pairs(catalog.load("lambdas"), "theta", sring.names)
+            with catalog.context("lambdas.json"):  # over s1..s3, as ``cluster.exchanges`` reads it
+                solved = catalog.pairs(catalog.load("lambdas"), "theta", catalog.SHEAR_NAMES[:3])
             for s, pair in catalog.typed(entry, "grafts", {sring.names: [sring.names]}).items():
                 if len(pair) != 2:
                     raise ValueError(f"grafts.{s} is {list(pair)}, not a cusp pair")

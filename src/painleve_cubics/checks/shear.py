@@ -85,8 +85,12 @@ def flip_involution_check(i: int) -> Certificate:
     m = flip(i)
     probes = [ring.e({n: 1}) for n in ("s1", "s2", "s3")] + \
              [ring.e({n: Fraction(1, 2)}) for n in ("p1", "p2", "p3")]
-    twice = [(probe.substitute(m).substitute(m), probe) for probe in probes]
-    bad = [back - probe for back, probe in twice if back != probe]
+    bad = []
+    for probe in probes:
+        once = probe.substitute(m)
+        twice = once.substitute(m)
+        if twice != probe:
+            bad.append(twice - probe)
     ginf = chart("PVI").G["Ginf"]
     moved = ginf.substitute(m) - ginf  # a flip that moves only Ginf has it as its residue
     return certify(f"flip-involution-{i}", "flip is an involution",

@@ -68,10 +68,17 @@ def cubic(tag: str) -> CubicSurface:
         spec = {name: parse_poly(s, ring) for name, s in
                 catalog.typed(entry, "specialization", {G_NAMES: str}).items()}
         phi_spec = phi.substitute(spec).as_poly() if spec else phi
-        return CubicSurface(tag=tag, eps=eps, ring=ring, omega=omega, phi=phi,
-                            phi_specialized=phi_spec, table1=catalog.typed(entry, "table1", str),
-                            table1_status=catalog.typed(entry, "table1_status", TABLE1_STATUSES),
-                            theta_doc=catalog.typed(entry, "theta_doc", str, ""))
+        return CubicSurface(
+            tag=tag,
+            eps=eps,
+            ring=ring,
+            omega=omega,
+            phi=phi,
+            phi_specialized=phi_spec,
+            table1=catalog.typed(entry, "table1", str),
+            table1_status=catalog.typed(entry, "table1_status", TABLE1_STATUSES),
+            theta_doc=catalog.typed(entry, "theta_doc", str, ""),
+        )
 
 
 def cubic_form(x: tuple, eps: tuple, omega: tuple):

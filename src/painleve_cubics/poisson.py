@@ -123,8 +123,12 @@ class PoissonStructure:
         ``images`` maps the table's names to LaurentPoly or RationalExpr over
         the structure's ring.
         """
-        out = ((u, v, self.bracket_expr(images[u], images[v], c)) for (u, v), c in table.items())
-        return [(u, v, r) for u, v, r in out if not r.is_zero()]
+        out = []
+        for (u, v), c in table.items():
+            residue = self.bracket_expr(images[u], images[v], c)
+            if not residue.is_zero():
+                out.append((u, v, residue))
+        return out
 
     def to_json(self) -> dict:
         names = self.ring.names
@@ -137,8 +141,13 @@ class CasimirReport(namedtuple("CasimirReport", "rank kernel")):
     __slots__ = ()
 
     def kernel_names(self) -> list:
-        return ["*".join(name if e == 1 else f"{name}^{e}" for name, e in vec.items())
-                for vec in self.kernel]
+        out = []
+        for vec in self.kernel:
+            parts = []
+            for name, e in vec.items():
+                parts.append(name if e == 1 else f"{name}^{e}")
+            out.append("*".join(parts))
+        return out
 
 
 def casimir_kernel(structure: PoissonStructure, monomials: Mapping[str, LaurentPoly]) -> CasimirReport:

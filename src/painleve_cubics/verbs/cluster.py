@@ -11,16 +11,17 @@ def mutate(fmt, tag, sequence) -> int:
     if eps != (1, 1, 1):
         raise catalog.UnknownEntry(f"mutate takes a tag whose cubic has eps (1, 1, 1); "
                                    f"{tag} has {eps}")
-    edges = [str(i) for i in cluster.exchanges()]  # theta's edges, read before any output
-    word = sequence.replace(",", "")
-    for ch in word:
-        if ch not in edges:
-            raise catalog.UnknownEntry(f"bad mutation index {ch!r} (use {', '.join(edges)})")
+    word = []
+    for ch in sequence.replace(",", ""):
+        if ch not in "123":
+            raise catalog.UnknownEntry(f"bad mutation index {ch!r} (use 1, 2, 3)")
+        word.append(int(ch))
     if not word:
-        raise catalog.UnknownEntry(f"no mutation given (use {', '.join(edges)})")
+        raise catalog.UnknownEntry("no mutation given (use 1, 2, 3)")
+    cluster.exchanges()  # read the exchange matrix and polynomials before any output
     cl = cluster.initial_cluster()
     print("start: " + ", ".join(f"y{i} = {cl[i]}" for i in (1, 2, 3)))
-    for step, i in enumerate(map(int, word), start=1):
+    for step, i in enumerate(word, start=1):
         cl = cluster.mutate(i, cl)
         print(f"after mutation {i} (step {step}):")
         for t in (1, 2, 3):

@@ -963,6 +963,8 @@ def test_a_lopsided_exchange_polynomial_fails_the_laurent_and_flip_checks(tmp_pa
     failed = failed_certificates(tmp_path, capsys, "cluster", edit)
     assert failed.keys() == {"laurent-phenomenon", "mutation-surface-1"}
     assert "[relabelling symmetry fails]" in failed["laurent-phenomenon"]
+    assert all(f"({a} {b}) breaks" in failed["laurent-phenomenon"]
+               for a, b in ((1, 2), (1, 3), (2, 3)))
     failed = failed_certificates(tmp_path, capsys, "atlas", edit)
     assert failed.keys() == {"flip-involution-1", "flip-braid-1"}
     # every probe comes back, so the residue is what the flip does to Ginf
