@@ -2,11 +2,14 @@
 
 The catalogs record each surface's arcs as monomials (or short sums) in
 exponentiated shear coordinates, the pairwise bracket table, and the
-frozen arcs cutting out the monodromy manifold.  A catalog's shear-level
-log brackets are the shared theta bracket plus one graft per cusp pair
-({s,k} = 1, {s,k'} = -1, {k,k'} = 1 on the edge s), unless it states them;
-the shear generators they leave unnamed carry the loop parameters.  The SL2 word traces and
-the combinatorial cusp bracket that certify them are in ``checks.arcs``.
+frozen arcs cutting out the monodromy manifold.  ``lambda_catalog`` is the
+one place that decides a catalog's shear-level log brackets: the shared
+theta bracket (``catalog.theta``) plus one graft per cusp pair ({s,k} = 1,
+{s,k'} = -1, {k,k'} = 1 on the edge s), else its ``solved_log_brackets``,
+else its ``stated_log_brackets``; a subset catalog takes its parent's, and a
+catalog the rule gives none is refused.  The shear generators they leave
+unnamed carry the loop parameters.  The SL2 word traces and the
+combinatorial cusp bracket that certify them are in ``checks.arcs``.
 Only ``lambda_catalog`` needs the Laurent kernel, and it imports it, so a
 signature is read without it.  A catalog's Poisson structures are built on
 first use of ``structure`` or ``shear_structure`` (``_structures`` imports
@@ -38,8 +41,8 @@ if TYPE_CHECKING:
 # central_shear: shear generators no log bracket names: one per parameter
 # cusp_indices:  arc -> ((hole, order), (hole, order))
 class LambdaCatalog(namedtuple("LambdaCatalog", "tag shear_ring entries table params lambda_ring "
-                               "frozen casimirs leaf_dim stated_log_brackets solved_log_brackets "
-                               "central_shear cusp_indices")):
+                               "frozen casimirs leaf_dim stated_log_brackets log_brackets "
+                               "central_shear cusp_indices subset_of")):
     __slots__ = ()
 
     def table_between(self, names) -> dict:
@@ -52,10 +55,11 @@ class LambdaCatalog(namedtuple("LambdaCatalog", "tag shear_ring entries table pa
         return _structures(self.tag)[0]
 
     @property
-    def shear_structure(self) -> PoissonStructure | None:
-        """The structure the log brackets state on ``shear_ring`` (a subset
-        catalog's is its parent's), or None when the catalog states none."""
-        return _structures(self.tag)[1]
+    def shear_structure(self) -> PoissonStructure:
+        """The structure that ``log_brackets``, the shear-level log brackets
+        ``lambda_catalog`` picks, states on ``shear_ring``; a subset catalog
+        shares its parent's (``subset_of``)."""
+        return _structures(self.subset_of or self.tag)[1]
 
 
 @catalog.cached
@@ -63,15 +67,16 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
     from .exprs import parse_poly
     from .ring import Ring
     with catalog.entry("lambdas", "catalogs", tag) as entry:
+        subset_of, stated = None, {}
         if "subset_of" in entry:
-            name = catalog.typed(entry, "subset_of", str)
-            with catalog.entry("lambdas", "catalogs", name) as ref:
+            subset_of = catalog.typed(entry, "subset_of", str)
+            with catalog.entry("lambdas", "catalogs", subset_of) as ref:
                 nested = "subset_of" in ref  # a cycle would recurse without end
             if nested:
-                raise ValueError(f"subset_of is {name!r}, itself a subset catalog")
-            parent = lambda_catalog(name)
+                raise ValueError(f"subset_of is {subset_of!r}, itself a subset catalog")
+            parent = lambda_catalog(subset_of)
             names = catalog.typed(entry, "subset", [parent.entries.keys()])
-            sring, params = parent.shear_ring, ()
+            sring, params, log, central_shear = parent.shear_ring, (), parent.log_brackets, ()
             entries = {n: parent.entries[n] for n in names}
             table = parent.table_between(names)
             frozen = tuple(n for n in parent.frozen if n in names)
@@ -87,20 +92,19 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
                     table = catalog.pairs(ref, "table", tuple(entries))
             params = catalog.typed(entry, "params", [catalog.G_NAMES], ())
             frozen = catalog.typed(entry, "frozen", [entries.keys()], ())
-        stated, solved = (catalog.pairs(entry, field, sring.names, {})
-                          for field in ("stated_log_brackets", "solved_log_brackets"))
-        if "grafts" in entry:
-            with catalog.context("lambdas.json"):  # over s1..s3, as ``cluster.exchanges`` reads it
-                solved = catalog.pairs(catalog.load("lambdas"), "theta", catalog.SHEAR_NAMES[:3])
-            for s, pair in catalog.typed(entry, "grafts", {sring.names: [sring.names]}).items():
+            stated, solved = (catalog.pairs(entry, field, sring.names, {})
+                              for field in ("stated_log_brackets", "solved_log_brackets"))
+            log = dict(catalog.theta()) if "grafts" in entry else solved or stated
+            for s, pair in catalog.typed(entry, "grafts", {sring.names: [sring.names]}, {}).items():
                 if len(pair) != 2:
                     raise ValueError(f"grafts.{s} is {list(pair)}, not a cusp pair")
-                solved |= {(s, pair[0]): 1, (s, pair[1]): -1, pair: 1}
-        log = solved or stated
-        central_shear = tuple(z for z in sring.names if log and not any(z in uv for uv in log))
-        if len(central_shear) != len(params):
-            raise ValueError(f"central shear is {list(central_shear)}, not one per parameter of "
-                             f"{list(params)}")
+                log |= {(s, pair[0]): 1, (s, pair[1]): -1, pair: 1}
+            if not log:
+                raise ValueError("no grafts, solved_log_brackets or stated_log_brackets")
+            central_shear = tuple(z for z in sring.names if not any(z in uv for uv in log))
+            if len(central_shear) != len(params):
+                raise ValueError(f"central shear is {list(central_shear)}, not one per parameter "
+                                 f"of {list(params)}")
         lring = Ring(tuple(entries) + params)
         cusps = catalog.typed(entry, "cusp_indices", {tuple(entries): [[int]]}, {})
         if any(len(pair) != 2 for pairs in cusps.values() for pair in (pairs, *pairs)):
@@ -111,8 +115,8 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
             lambda_ring=lring, frozen=frozen,
             casimirs=catalog.typed(entry, "casimirs", [str], ()),
             leaf_dim=catalog.typed(entry, "leaf_dim", int, 0),
-            stated_log_brackets=stated, solved_log_brackets=solved,
-            central_shear=central_shear, cusp_indices=cusps)
+            stated_log_brackets=stated, log_brackets=log,
+            central_shear=central_shear, cusp_indices=cusps, subset_of=subset_of)
 
 
 @catalog.cached
@@ -120,13 +124,8 @@ def _structures(tag: str) -> tuple:
     """(structure, shear_structure) of arc catalog ``tag``, built once."""
     from .poisson import PoissonStructure
     cat = lambda_catalog(tag)
-    with catalog.entry("lambdas", "catalogs", tag) as entry:
-        if "subset_of" in entry:
-            shear = _structures(entry["subset_of"])[1]
-        else:
-            log = cat.solved_log_brackets or cat.stated_log_brackets
-            shear = PoissonStructure.from_log_brackets(cat.shear_ring, log) if log else None
-        return PoissonStructure(cat.lambda_ring, cat.table), shear
+    return (PoissonStructure(cat.lambda_ring, cat.table),
+            PoissonStructure.from_log_brackets(cat.shear_ring, cat.log_brackets))
 
 
 # -- signatures (irregularity bookkeeping) ------------------------------------

@@ -14,7 +14,9 @@ malformed entry surfaces as one ``CatalogError`` naming its file and key.
 A whole section is read with ``section``, which names the file when the
 section is missing or of the wrong kind.  ``pairs`` reads the
 ``{"u,v": coefficient}`` tables, each key a pair of names the table allows,
-each coefficient exact, and a pair listed in both orders with opposite values.
+each coefficient exact, and a pair listed in both orders with opposite values;
+``theta`` is the one reading of lambdas.json's top-level ``theta``, such a
+table over the edges s1, s2, s3.
 ``X_NAMES``, ``SHEAR_NAMES`` and ``G_NAMES`` are the coordinate and parameter
 names that the catalogs key their entries by.
 """
@@ -184,6 +186,13 @@ def pairs(table: dict, field: str, names=None, default=None) -> dict:
         if pair[::-1] in out and out[pair[::-1]] != -c:
             raise ValueError(f"conflicting pairing on ({key})")
     return out
+
+
+@cached
+def theta() -> dict:
+    """lambdas.json ``theta`` over s1, s2, s3, which the grafts and the exchanges build on."""
+    with context("lambdas.json"):
+        return pairs(load("lambdas"), "theta", SHEAR_NAMES[:3])
 
 
 def _fraction(name: str, value) -> Fraction:

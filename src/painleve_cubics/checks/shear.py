@@ -128,8 +128,6 @@ def pv_to_piii_change() -> Certificate:
     from ..arcs import lambda_catalog  # only this check needs the arc catalogs
     structure = lambda_catalog("PV").shear_structure
     with catalog.entry("lambdas", "pv_to_piii") as data:
-        if structure is None:
-            raise ValueError("the PV arc catalog has no shear-level structure")
         images = {z: parse_expr(text, structure.ring)
                   for z, text in catalog.typed(data, "images", {str: str}).items()}
         quoted = catalog.pairs(data, "log_brackets", tuple(images))

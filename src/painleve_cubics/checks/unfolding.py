@@ -98,11 +98,11 @@ def _implicit_case(key: str) -> Certificate:
 
 
 def unfold_a1_pvdeg(key: str) -> Certificate:
-    """Both explicit charts map onto the Morse normal form, as rational identities."""
+    """Both charts map the specialised cubic onto the Morse normal form, as rational identities."""
     bad = []
     with catalog.entry("unfoldings", key) as entry:
         ring = Ring(("x1", "x2", "x3") + catalog.typed(entry, "param_generators", [str]))
-        phi = parse_poly(catalog.typed(entry, "cubic", str), ring)
+        phi = cubic(catalog.typed(entry, "tag", str)).phi_specialized.substitute({}, ring)
         for i in range(len(catalog.typed(entry, "charts", [dict]))):
             out = _substituted(phi, entry, f"charts.{i}.substitution", ring)
             target = parse_poly(catalog.typed(entry, f"charts.{i}.target", str), ring)
@@ -130,7 +130,8 @@ def singular_points_check(key: str) -> Certificate:
     """The stated singular points of the most degenerate fibre, plus a regular probe."""
     with catalog.entry("unfoldings", key) as entry:
         tag, fibre = catalog.typed(entry, "tag", str), catalog.typed(entry, "singular_fibre", dict)
-        gvals = {f"G{i}": -catalog.typed(fibre["params"], f"w{i}", int) for i in (1, 2)}
+        gvals = {g: catalog.typed(entry, f"singular_fibre.params.{g}", int)
+                 for g in catalog.typed(entry, "param_generators", [str])}
         points = catalog.typed(entry, "singular_fibre.singular_points", [[int]])
         ok = all(singular_point_check(tag, gvals, pt) for pt in points)
         probe_singular = singular_point_check(

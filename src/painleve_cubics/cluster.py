@@ -30,10 +30,9 @@ EDGES = catalog.SHEAR_NAMES[:3]
 def exchanges() -> dict:
     """Edge index i -> (row {j: B(s_i, s_j)}, P_i's coefficients in G1..Ginf) from lambdas.json."""
     with catalog.context("lambdas.json"):
-        data = catalog.load("lambdas")
-        theta = catalog.pairs(data, "theta", EDGES)
+        theta = catalog.theta()
         B = {(v, u): -b for (u, v), b in theta.items()} | theta
-        texts = catalog.typed(data, "exchange", {EDGES: [str]})
+        texts = catalog.typed(catalog.load("lambdas"), "exchange", {EDGES: [str]})
         out = {}
         for i, s in enumerate(EDGES, start=1):
             row = {v: b for (u, v), b in B.items() if u == s and b}
@@ -57,18 +56,17 @@ def exchange(coefficients: tuple, u, v):
 
 
 @catalog.cached
-def cluster_coefficients(i: int, ring: Ring) -> tuple:
-    """The coefficients of P_i in a cluster ``ring``: its G1..G3, and Ginf = 2."""
-    return tuple(c.substitute({"Ginf": ring.const(2)}) for c in exchanges()[i][1])
+def cluster_coefficients(i: int) -> tuple:
+    """The coefficients of P_i in ``CLUSTER_RING``: its G1..G3, and Ginf = 2."""
+    return tuple(c.substitute({"Ginf": CLUSTER_RING.const(2)}) for c in exchanges()[i][1])
 
 
 def exchange_polynomial(i: int, cluster: dict):
     """``exchange`` of P_i at u (v), the product of cluster[j]^|b| over the
-    neighbours with B(s_i, s_j) = b > 0 (< 0)."""
-    ring = cluster[i].ring
+    neighbours with B(s_i, s_j) = b > 0 (< 0); the cluster's values are over ``CLUSTER_RING``."""
     u, v = ([cluster[j] ** abs(b) for j, b in exchanges()[i][0].items() if (b > 0) is side]
-            or [ring.one()] for side in (True, False))
-    return exchange(cluster_coefficients(i, ring), reduce(mul, u), reduce(mul, v))
+            or [CLUSTER_RING.one()] for side in (True, False))
+    return exchange(cluster_coefficients(i), reduce(mul, u), reduce(mul, v))
 
 
 def mutate(i: int, cluster: dict) -> dict:

@@ -24,7 +24,7 @@ def lambda_table(fmt, tag) -> int:
             "casimirs": list(cat.casimirs),
             "leaf_dim": cat.leaf_dim,
             "cusp_indices": cat.cusp_indices,
-            "shear_structure": cat.shear_structure.to_json() if cat.shear_structure else None,
+            "shear_structure": cat.shear_structure.to_json(),
         }, indent=1))
         return 0
     print(f"lambda catalog {cat.tag}")

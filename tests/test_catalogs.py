@@ -128,3 +128,18 @@ def test_suite_reads_each_catalog_file_once(monkeypatch):
     verify.run()
     stems = ("cubics", "charts", "lambdas", "arrows", "signatures", "unfoldings")
     assert reads == Counter({f"{stem}.json": 1 for stem in stems})
+
+
+def test_suite_parses_theta_once(monkeypatch):
+    # the grafted arc catalogs and the exchanges share one theta reader
+    parsed = Counter()
+    pairs = catalog.pairs
+
+    def counted(table, field, *args, **kwargs):
+        parsed[field] += 1
+        return pairs(table, field, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "pairs", counted)
+    catalog.clear_caches()
+    verify.run()
+    assert parsed["theta"] == 1

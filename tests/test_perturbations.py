@@ -351,8 +351,8 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json catalogs.PV: leaf_dim is 4.5, not an integer"),
     ("lambdas", ("catalogs", "PV", "leaf_dim"), "4",
      "lambdas.json catalogs.PV: leaf_dim is '4', not an integer"),
-    ("unfoldings", ("a1_pvdeg", "singular_fibre", "params", "w1"), -2.5,
-     "unfoldings.json a1_pvdeg: w1 is -2.5, not an integer"),
+    ("unfoldings", ("a1_pvdeg", "singular_fibre", "params", "G1"), -2.5,
+     "unfoldings.json a1_pvdeg: singular_fibre.params.G1 is -2.5, not an integer"),
     ("arrows", ("embeddings", 0, "sub"), "PIII_D9",
      "arrows.json embeddings[0]: sub is 'PIII_D9', not an arc catalog tag"),
     ("arrows", ("embeddings", 0, "images", "a"), "a + b",
@@ -827,28 +827,29 @@ def test_stray_expected_mismatch_is_exit_2(tmp_path, capsys):
 
 
 def without_shear_structure(tag: str):
-    """An edit that drops the log brackets of catalog ``tag``, and its parameters,
-    whose central shear generators a structure would carry."""
+    """An edit that drops every field that gives catalog ``tag`` its log brackets."""
     def edit(data):
-        for field in ("grafts", "stated_log_brackets", "params"):
+        for field in ("grafts", "solved_log_brackets", "stated_log_brackets"):
             data["catalogs"][tag].pop(field, None)
     return edit
 
 
+def no_log_brackets(tag: str) -> str:
+    """The loader's refusal of arc catalog ``tag`` once it has no log brackets."""
+    return (f"error: lambdas.json catalogs.{tag}: "
+            f"no grafts, solved_log_brackets or stated_log_brackets\n")
+
+
 def test_pv_without_log_brackets_is_exit_2(tmp_path, capsys):
     root = catalog_copy(tmp_path, "lambdas", without_shear_structure("PV"))
-    code, out, err = run_cli(capsys, "--catalog", root, "verify", "atlas")
-    assert code == 2 and out == ""
-    assert err == ("error: lambdas.json pv_to_piii: "
-                   "the PV arc catalog has no shear-level structure\n")
+    assert run_cli(capsys, "--catalog", root, "verify", "atlas") == (2, "", no_log_brackets("PV"))
 
 
 def test_table_without_log_brackets_names_its_catalog(tmp_path, capsys):
+    # the catalog is refused where it loads, so the verb that prints it exits 2 too
     root = catalog_copy(tmp_path, "lambdas", without_shear_structure("PV"))
-    code, out, err = run_cli(capsys, "--catalog", root, "verify", "lambda")
-    assert code == 2 and out == ""
-    assert err == ("error: lambdas.json catalogs.PV: "
-                   "PV has no shear-level structure to verify against\n")
+    for argv in (("verify", "lambda"), ("lambda", "PV")):
+        assert run_cli(capsys, "--catalog", root, *argv) == (2, "", no_log_brackets("PV"))
 
 
 def test_missing_field_reads_missing_key(tmp_path, capsys):
@@ -905,16 +906,15 @@ def test_underdetermined_solve_names_its_free_pairs(tmp_path, capsys):
     assert "[no unique solution: 8 pairs left free]  residue: [('s1', 'k1'), " in line
 
 
-@pytest.mark.parametrize("tag, edit", [
-    ("PIII_hat", put(("catalogs", "PIII_hat", "casimirs"), ["a"])),
-    ("PIV", without_shear_structure("PIV")),
+@pytest.mark.parametrize("edit, message", [
+    (put(("catalogs", "PIII_hat", "casimirs"), ["a"]),
+     "error: lambdas.json catalogs.PIII_hat: "
+     "PIII_hat has Casimirs but no monomial shear-level structure\n"),
+    (without_shear_structure("PIV"), no_log_brackets("PIV")),
 ], ids=["sum-entries", "no-shear-structure"])
-def test_casimirs_without_a_monomial_shear_structure_are_exit_2(tmp_path, capsys, tag, edit):
+def test_casimirs_without_a_monomial_shear_structure_are_exit_2(tmp_path, capsys, edit, message):
     root = catalog_copy(tmp_path, "lambdas", edit)
-    code, out, err = run_cli(capsys, "--catalog", root, "verify", "casimirs")
-    assert code == 2 and out == ""
-    assert err == (f"error: lambdas.json catalogs.{tag}: "
-                   f"{tag} has Casimirs but no monomial shear-level structure\n")
+    assert run_cli(capsys, "--catalog", root, "verify", "casimirs") == (2, "", message)
 
 
 GRAFTED = [tag for tag, entry in catalog.load("lambdas")["catalogs"].items() if "grafts" in entry]
@@ -1025,3 +1025,12 @@ def test_an_implicit_unfolding_certifies_its_tags_cubic(tmp_path, capsys, tag, k
     code, out, err = run_cli(capsys, "--catalog", root, "verify", "unfolding")
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert (code, err, failed) == (1, "", [cert])
+
+
+def test_the_pvdeg_unfolding_certifies_the_atlas_cubic(tmp_path, capsys):
+    # a1_pvdeg states no cubic either: its charts and its singular fibre read
+    # the atlas's specialised PVdeg cubic, so a changed Ginf fails both
+    root = catalog_copy(tmp_path, "cubics", put(("cubics", "PVdeg", "specialization", "Ginf"), "2"))
+    code, out, err = run_cli(capsys, "--catalog", root, "verify", "unfolding")
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert (code, err, failed) == (1, "", ["singular-points-pvdeg", "unfold-a1-pvdeg"])

@@ -466,9 +466,8 @@ def assert_exact(poly):
 
 @pytest.mark.parametrize("word", list(itertools.product((1, 2, 3), repeat=3)))
 def test_mutations_stay_exact(word):
-    from painleve_cubics.cluster import CLUSTER_RING, mutate
-    ring = Ring(CLUSTER_RING.names + ("eps",))
-    cl = {i: ring.gen(f"y{i}") for i in (1, 2, 3)}
+    from painleve_cubics.cluster import initial_cluster, mutate
+    cl = initial_cluster()
     for i in word:
         cl = mutate(i, cl)
     for value in cl.values():
