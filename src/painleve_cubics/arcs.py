@@ -32,17 +32,17 @@ if TYPE_CHECKING:
 # -- lambda catalogs -----------------------------------------------------------
 
 
-# entries:       name -> LaurentPoly in shear coordinates
-# table:         (u, v) -> Fraction: {u, v} = table[u, v] u v
-# params:        central parameter symbols (loop lengths)
-# lambda_ring:   arcs + params as direct generators
-# casimirs:      monomials over lambda_ring as text, e.g. "a*b^-1*h^2", parsed by
-#                ``checks.arcs.casimir_check``
-# central_shear: shear generators no log bracket names: one per parameter
-# cusp_indices:  arc -> ((hole, order), (hole, order))
 class LambdaCatalog(namedtuple("LambdaCatalog", "tag shear_ring entries table params lambda_ring "
                                "frozen casimirs leaf_dim stated_log_brackets log_brackets "
                                "central_shear cusp_indices subset_of")):
+    """entries: name -> LaurentPoly in shear coordinates; table: (u, v) -> Fraction,
+    {u, v} = table[u, v] u v; params: central parameter symbols (loop lengths);
+    lambda_ring: arcs + params as direct generators; casimirs: monomials over
+    lambda_ring as text, e.g. "a*b^-1*h^2", parsed by ``checks.arcs.casimir_check``;
+    stated_log_brackets: the quoted coordinate brackets; log_brackets: the shear-level
+    log brackets ``lambda_catalog`` picks; central_shear: shear generators no log bracket
+    names, one per parameter; cusp_indices: arc -> ((hole, order), (hole, order));
+    subset_of: a subset catalog's parent, else None."""
     __slots__ = ()
 
     def table_between(self, names) -> dict:
@@ -59,7 +59,7 @@ class LambdaCatalog(namedtuple("LambdaCatalog", "tag shear_ring entries table pa
         """The structure that ``log_brackets``, the shear-level log brackets
         ``lambda_catalog`` picks, states on ``shear_ring``; a subset catalog
         shares its parent's (``subset_of``)."""
-        return _structures(self.subset_of or self.tag)[1]
+        return _structures(self.tag)[1]
 
 
 @catalog.cached
@@ -121,10 +121,11 @@ def lambda_catalog(tag: str) -> LambdaCatalog:
 
 @catalog.cached
 def _structures(tag: str) -> tuple:
-    """(structure, shear_structure) of arc catalog ``tag``, built once."""
+    """(structure, shear_structure) of arc catalog ``tag``, built once; a subset's is its parent's."""
     from .poisson import PoissonStructure
     cat = lambda_catalog(tag)
     return (PoissonStructure(cat.lambda_ring, cat.table),
+            _structures(cat.subset_of)[1] if cat.subset_of else
             PoissonStructure.from_log_brackets(cat.shear_ring, cat.log_brackets))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .. import catalog
-from ..arcs import lambda_catalog, signature
+from ..arcs import LambdaCatalog, lambda_catalog, signature
 from ..catalog import X_NAMES
 from ..certificates import Certificate, certify
 from ..cubics import G_NAMES, cubic
@@ -118,9 +118,19 @@ def comb_bracket_check() -> Certificate:
                    detail="antisymmetric; reproduces the indexed PV pairs")
 
 
+def shear_catalog(tag: str) -> LambdaCatalog:
+    """``lambda_catalog(tag)``; a subset catalog takes its parent's log brackets and states none."""
+    cat = lambda_catalog(tag)
+    with catalog.entry("lambdas", "catalogs", tag) as entry:
+        for field in ("grafts", "solved_log_brackets", "stated_log_brackets"):
+            if cat.subset_of and field in entry:
+                raise ValueError(f"{field} is {entry[field]!r}, not allowed in a subset catalog")
+    return cat
+
+
 def verify_lambda_table(tag: str) -> Certificate:
     """The shear-level structure reproduces every bracket coefficient of the table."""
-    cat = lambda_catalog(tag)
+    cat = shear_catalog(tag)
     images = {**cat.entries, **{z: cat.shear_ring.gen(z) for z in cat.central_shear}}
     table = {**cat.table, **{(z, name): 0 for z in cat.central_shear for name in cat.entries}}
     bad = cat.shear_structure.table_residues(images, table)
@@ -133,7 +143,7 @@ def verify_lambda_table(tag: str) -> Certificate:
 
 def solve_structure_check(tag: str) -> Certificate:
     """Re-derive the frozen shear structure from the table by a fresh exact solve."""
-    cat = lambda_catalog(tag)
+    cat = shear_catalog(tag)
     with catalog.entry("lambdas", "catalogs", tag):
         res = solve_structure(cat.shear_ring, cat.entries, cat.table, central=cat.central_shear)
         if res.violations:
@@ -161,7 +171,7 @@ def casimir_check(tag: str) -> Certificate:
     perimeter); the subset catalogs inherit their parent's.  Casimirs on a
     catalog with sum entries are a catalog error.
     """
-    cat = lambda_catalog(tag)
+    cat = shear_catalog(tag)
     ring = cat.lambda_ring
     with catalog.entry("lambdas", "catalogs", tag):
         if not all(m.is_monomial() for m in cat.entries.values()):

@@ -2,7 +2,8 @@
 
 ``signature`` reads its catalog only, so it loads no Laurent kernel; ``lambda``
 and ``bracket`` read the bracket table, so they build no Poisson structure
-(``lambda --format json`` prints the shear structure, and builds it).
+(``lambda --format json`` prints the shear structure, and builds it through
+``checks.arcs.shear_catalog``, which refuses log brackets a subset catalog states).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .. import arcs, catalog
 def lambda_table(fmt, tag) -> int:
     cat = arcs.lambda_catalog(tag)
     if fmt == "json":
+        from ..checks.arcs import shear_catalog
         print(json.dumps({
             "tag": cat.tag,
             "entries": {n: p.to_text() for n, p in cat.entries.items()},
@@ -24,7 +26,7 @@ def lambda_table(fmt, tag) -> int:
             "casimirs": list(cat.casimirs),
             "leaf_dim": cat.leaf_dim,
             "cusp_indices": cat.cusp_indices,
-            "shear_structure": cat.shear_structure.to_json(),
+            "shear_structure": shear_catalog(tag).shear_structure.to_json(),
         }, indent=1))
         return 0
     print(f"lambda catalog {cat.tag}")

@@ -415,6 +415,15 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
      "lambdas.json: exchange has no 's3', an edge of theta"),
     ("lambdas", ("exchange", "s2"), ["0", "G2 - G2", "0"],
      "lambdas.json: exchange.s2 is ['0', 'G2 - G2', '0'], the zero polynomial"),
+    # a subset catalog takes its parent's log brackets: its own would go unread
+    ("lambdas", ("catalogs", "PIII_D7", "stated_log_brackets"), {"zz,yy": "1"},
+     "lambdas.json catalogs.PIII_D7: stated_log_brackets is {'zz,yy': '1'}, "
+     "not allowed in a subset catalog"),
+    ("lambdas", ("catalogs", "PIII_D7", "solved_log_brackets"), {"s1,s2": "1"},
+     "lambdas.json catalogs.PIII_D7: solved_log_brackets is {'s1,s2': '1'}, "
+     "not allowed in a subset catalog"),
+    ("lambdas", ("catalogs", "PIII_D8", "grafts"), {},
+     "lambdas.json catalogs.PIII_D8: grafts is {}, not allowed in a subset catalog"),
 ], ids=["negative-holes", "bool-holes", "unknown-status", "unknown-flip", "unknown-arrow-tag",
         "float-dim", "bool-dim", "string-phantom-hole", "float-eps", "bool-eps", "eps-2",
         "float-leaf-dim", "string-leaf-dim", "float-fibre-param", "unknown-embedding-tag",
@@ -426,7 +435,8 @@ def test_wrong_typed_value_names_its_file_and_key(tmp_path, capsys, name, path, 
         "identifications-without-xexprs", "misnamed-graft-generator", "perimeter-graft",
         "graft-of-three", "misnamed-theta-key", "theta-edge-with-one-neighbour",
         "fractional-theta-bracket", "null-exchange-coefficient", "two-exchange-coefficients",
-        "exchange-key-not-an-edge", "exchange-edge-missing", "zero-exchange-polynomial"])
+        "exchange-key-not-an-edge", "exchange-edge-missing", "zero-exchange-polynomial",
+        "subset-stated-brackets", "subset-solved-brackets", "subset-grafts"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, name, path, value, message):
     root = catalog_copy(tmp_path, name, put(path, value))
     code, out, err = run_cli(capsys, "--catalog", root, "verify-all")
@@ -765,6 +775,17 @@ def test_a_subset_catalog_names_a_catalog_that_is_not_one(tmp_path, capsys, path
     # closes a cycle, and so does a catalog that is a subset of itself
     root = catalog_copy(tmp_path, "lambdas", put(path, value))
     assert run_cli(capsys, "--catalog", root, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_the_json_lambda_verb_refuses_log_brackets_a_subset_catalog_states(tmp_path, capsys):
+    # the JSON form prints the shear structure, which PIII_D7 takes from PIII_tilde;
+    # the text form reads no log brackets
+    root = catalog_copy(tmp_path, "lambdas",
+                        put(("catalogs", "PIII_D7", "stated_log_brackets"), {"zz,yy": "1"}))
+    assert run_cli(capsys, "--catalog", root, "--format", "json", "lambda", "PIII_D7") == (
+        2, "", "error: lambdas.json catalogs.PIII_D7: stated_log_brackets is {'zz,yy': '1'}, "
+               "not allowed in a subset catalog\n")
+    assert run_cli(capsys, "--catalog", root, "lambda", "PIII_D7")[0] == 0
 
 
 @pytest.mark.parametrize("argv, name, edit", [
